@@ -38,12 +38,11 @@
 //! in-process `codic_server::ReplayServer` (framed batches in, typed
 //! completions out) and reports the client-observed serving rate; the
 //! first session is verified bit-identical against the in-process
-//! reference replay. Four variants serve the identical trace: the
-//! default batched v3 `Events` transport at 1 and N shards, the
-//! unbatched v2 transport (one frame per completion), and the
-//! worker-pipelined engine (one thread per shard behind SPSC rings) —
-//! all pinned to one session checksum, so the speedups compare
-//! identical streams.
+//! reference replay. Three variants serve the identical trace: the
+//! inline engine at 1 and N shards, and the worker-pipelined engine
+//! (one thread per shard behind SPSC rings) — the N-shard variants are
+//! pinned to one session checksum, so their rates compare identical
+//! streams.
 //!
 //! A sixth — **bulk-bitwise compute serving** — replays the
 //! deterministic SIMD workload (planned vector AND/OR/XOR/ADD over
@@ -56,8 +55,8 @@
 //!
 //! `--quick` runs only the engine cross-checks — the sweep tick-vs-event
 //! comparison, the queue-depth workload's tick-vs-event and
-//! legacy-vs-live identity checks, the batched-vs-unbatched and
-//! workers-vs-inline transport checksum identity, and one value-verified
+//! legacy-vs-live identity checks, the workers-vs-inline serving
+//! checksum identity, and one value-verified
 //! bulk-bitwise serving session — and exits non-zero on any divergence;
 //! the CI smoke step.
 
@@ -149,27 +148,24 @@ fn coldboot_sweep(config: &DeviceConfig, shards: usize, reps: u64) -> Measured {
 /// Trace-replay serving: a generated mixed secdealloc/coldboot trace
 /// played over a real Unix socket against an in-process `ReplayServer`,
 /// measuring the **client-observed** host throughput through the full
-/// framed transport (Hello/Batch/Completion/Summary). The first session
+/// framed transport (Hello/Batch/Events/Summary). The first session
 /// is additionally verified bit-identical against the in-process
 /// reference replay, so the measured path is the checked path.
 ///
-/// `version` picks the wire transport (3 = batched `Events` frames, 2 =
-/// one frame per completion) and `workers` the engine (pipelined shard
-/// workers vs inline pool); the session checksum is returned so the
-/// caller can pin all variants to one identical stream.
+/// `workers` picks the engine (pipelined shard workers vs inline pool);
+/// the session checksum is returned so the caller can pin both variants
+/// to one identical stream.
 fn replay_serving(
     shards: usize,
     ops_count: u64,
     reps: u64,
     timing: &TimingParams,
-    version: u16,
     workers: bool,
 ) -> (Measured, u64) {
     let socket = std::env::temp_dir().join(format!(
-        "codic-bench-{}-{}-v{}{}.sock",
+        "codic-bench-{}-{}{}.sock",
         std::process::id(),
         shards,
-        version,
         if workers { "-w" } else { "" }
     ));
     let config = ServerConfig {
@@ -184,7 +180,6 @@ fn replay_serving(
     let batch = 1024;
     let hello = SessionParams {
         shards: shards as u16,
-        version,
         ..SessionParams::defaults()
     };
     let mut first = true;
@@ -765,19 +760,13 @@ fn main() {
         // value-verified against the scalar-backed reference replay
         // (bulk_bitwise_serving asserts, so a divergence exits non-zero).
         let bitwise = bulk_bitwise_serving(1, 1, 1, &timing);
-        // Transport identity: the same trace served over the batched v3
-        // Events transport, the unbatched v2 transport, and the
-        // worker-pipelined engine must land on one session checksum —
-        // the wire framing and the threading change throughput only.
-        let (_, batched) = replay_serving(2, 2048, 1, &timing, 3, false);
-        let (_, unbatched) = replay_serving(2, 2048, 1, &timing, 2, false);
-        let (_, pipelined) = replay_serving(2, 2048, 1, &timing, 3, true);
+        // Pipeline identity: the same trace served by the inline and
+        // the worker-pipelined engine must land on one session checksum
+        // — the threading changes throughput only.
+        let (_, inline) = replay_serving(2, 2048, 1, &timing, false);
+        let (_, pipelined) = replay_serving(2, 2048, 1, &timing, true);
         assert_eq!(
-            batched, unbatched,
-            "batched v3 and unbatched v2 transports diverged"
-        );
-        assert_eq!(
-            batched, pipelined,
+            inline, pipelined,
             "worker-pipelined serving diverged from the inline engine"
         );
         println!("{{");
@@ -792,8 +781,8 @@ fn main() {
         println!("    \"identical\": [\"tick_vs_event\", \"legacy_vs_indexed\"]");
         println!("  }},");
         println!("  \"transport_smoke\": {{");
-        println!("    \"checksum\": \"{batched:#018x}\",");
-        println!("    \"identical\": [\"batched_vs_unbatched\", \"workers_vs_inline\"]");
+        println!("    \"checksum\": \"{inline:#018x}\",");
+        println!("    \"identical\": [\"workers_vs_inline\"]");
         println!("  }},");
         println!("  \"bulk_bitwise_smoke\": {{");
         println!("    \"ops\": {},", bitwise.rows);
@@ -862,24 +851,17 @@ fn main() {
     }
     // Trace-replay serving over the Unix-socket transport (identity-
     // verified against the in-process reference on the first session).
-    // Four variants over one trace: the default batched v3 transport at
-    // 1 and N shards, the unbatched v2 transport, and the
-    // worker-pipelined engine — every variant must land on the same
-    // session checksum (the transport and the threading change
+    // Three variants over one trace: the inline engine at 1 and N
+    // shards, and the worker-pipelined engine at N — which must land on
+    // the inline N-shard session checksum (the threading changes
     // throughput only, never the stream).
     let serve_ops = 8 * rows;
-    let (serve1, _) = replay_serving(1, serve_ops, reps, &timing, 3, false);
+    let (serve1, _) = replay_serving(1, serve_ops, reps, &timing, false);
     print_entry("replay_serving", 1, &serve1, false);
-    let (serven, serven_sum) = replay_serving(max_shards, serve_ops, reps, &timing, 3, false);
+    let (serven, serven_sum) = replay_serving(max_shards, serve_ops, reps, &timing, false);
     print_entry("replay_serving", max_shards, &serven, false);
-    let (unbatched, unbatched_sum) = replay_serving(max_shards, serve_ops, reps, &timing, 2, false);
-    print_entry("replay_serving_unbatched", max_shards, &unbatched, false);
-    let (workers, workers_sum) = replay_serving(max_shards, serve_ops, reps, &timing, 3, true);
+    let (workers, workers_sum) = replay_serving(max_shards, serve_ops, reps, &timing, true);
     print_entry("replay_serving_workers", max_shards, &workers, false);
-    assert_eq!(
-        serven_sum, unbatched_sum,
-        "batched v3 and unbatched v2 transports diverged"
-    );
     assert_eq!(
         serven_sum, workers_sum,
         "worker-pipelined serving diverged from the inline engine"
@@ -924,16 +906,8 @@ fn main() {
         serven.rows as f64 / serven.host_s
     );
     println!(
-        "  \"replay_serving_unbatched_rows_per_s\": {:.0},",
-        unbatched.rows as f64 / unbatched.host_s
-    );
-    println!(
         "  \"replay_serving_workers_rows_per_s\": {:.0},",
         workers.rows as f64 / workers.host_s
-    );
-    println!(
-        "  \"batched_transport_speedup\": {:.2},",
-        (unbatched.host_s / unbatched.rows as f64) / (serven.host_s / serven.rows as f64)
     );
     let (tenants, busiest, busiest_p99) = fleet.last().expect("fleet sweep ran");
     println!(

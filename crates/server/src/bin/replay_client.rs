@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! replay-client --trace FILE [--socket PATH | --tcp ADDR | --self-serve]
-//!               [--batch N] [--verify] [--proto-v2 | --proto-v3]
+//!               [--batch N] [--verify]
 //!               [--retries N] [--retry-base-ms MS]
 //!               [--expect-rows N] [--expect-checksum HEX]
 //!               [--expect-failed N]
@@ -24,7 +24,7 @@
 //! `--chaos-corrupt-per-64k` flips wire bytes at seeded offsets,
 //! `--chaos-short-io`/`--chaos-stall-per-64k` fragment and stall I/O.
 //! Any chaos flag (or `--resume-attempts`) switches the client to the
-//! resumable v4 path: cuts and CRC-detected corruption reconnect and
+//! resumable path: cuts and CRC-detected corruption reconnect and
 //! `Resume` the same session, and the final checksum is bit-identical
 //! to an uninterrupted run — which is exactly what the CI
 //! kill-and-resume smoke pins.
@@ -56,9 +56,6 @@
 //! workload (planned vector AND/OR/XOR/ADD inside the compute region at
 //! the top of the module — replay it with the same `--compute-rows`).
 //! `--compute-rows C` asks the session for a C-row compute region.
-//! `--proto-v2` pins the session to protocol v2 (one frame per
-//! completion) instead of the default v3 batched `Events` transport —
-//! the session checksum is identical either way.
 //!
 //! On success prints a one-object JSON report to stdout.
 
@@ -152,7 +149,7 @@ fn main() -> ExitCode {
         Err(e) => return fail(&e.to_string()),
     };
     let batch = (arg_u64("--batch").unwrap_or(1024).max(1) as usize).min(MAX_BATCH_OPS);
-    let mut hello = SessionParams {
+    let hello = SessionParams {
         shards: arg_u64("--shards").unwrap_or(0) as u16,
         module_mib: arg_u64("--module-mib").unwrap_or(0) as u32,
         max_outstanding: arg_u64("--max-outstanding").unwrap_or(0) as u32,
@@ -160,14 +157,9 @@ fn main() -> ExitCode {
         compute_rows: arg_u64("--compute-rows").unwrap_or(0) as u32,
         ..SessionParams::defaults()
     };
-    if has_flag("--proto-v2") {
-        hello.version = 2;
-    } else if has_flag("--proto-v3") {
-        hello.version = 3;
-    }
 
     // Chaos / resume mode: any chaos flag (or an explicit
-    // --resume-attempts) runs the resumable v4 client over the seeded
+    // --resume-attempts) runs the resumable client over the seeded
     // chaos transport.
     let chaos_plan = {
         let armed = ["--chaos-cut-bytes", "--chaos-corrupt-per-64k"]
@@ -191,9 +183,6 @@ fn main() -> ExitCode {
         })
     };
     let resumable = chaos_plan.is_some() || arg_u64("--resume-attempts").is_some();
-    if resumable && hello.version < 4 {
-        return fail("chaos/resume mode needs protocol v4 (drop --proto-v2/--proto-v3)");
-    }
 
     // Transport target: a Unix socket path by default, or a TCP address
     // with --tcp. Self-serve spins an in-process server on a private

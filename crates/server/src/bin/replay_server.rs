@@ -30,7 +30,7 @@
 //! how long a session thread parks inside a socket read before
 //! re-checking the shutdown flag and the idle deadline,
 //! `--session-idle-ms` tears down silent clients (and reaps parked
-//! resume state) honestly, and `--journal-max-kib` caps each v4
+//! resume state) honestly, and `--journal-max-kib` caps each
 //! session's resume journal.
 //!
 //! `--workers` serves every session through pipelined shard workers

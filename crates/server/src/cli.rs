@@ -54,7 +54,7 @@ pub fn fault_plan_args() -> Option<codic_core::fault::FaultPlan> {
 /// `--read-timeout-ms` (how long a session thread parks in a read
 /// before re-checking shutdown and the idle deadline),
 /// `--session-idle-ms` (the silent-client teardown and parked-session
-/// reap deadline), and `--journal-max-kib` (the per-session v4 resume
+/// reap deadline), and `--journal-max-kib` (the per-session resume
 /// journal cap). Flags not present leave `config` untouched; zero
 /// values clamp to the smallest legal setting.
 pub fn deadline_args(config: &mut crate::server::ServerConfig) {

@@ -3,12 +3,9 @@
 //!
 //! [`replay`] drives one full session — `Hello`/`HelloAck`, the trace in
 //! `Batch` frames, `Bye`, `Summary` — collecting every typed completion
-//! and recomputing the session checksum from the received frames, so a
-//! server-side accounting divergence is caught with one `u64` compare.
-//! The client absorbs every transport transparently: CRC-trailed frames
-//! (protocol ≥ 4, the default `Hello`), batched `Events` frames
-//! (protocol ≥ 3), and the per-op `Completion`/`Failed` frames a v2
-//! session streams.
+//! and recomputing the session checksum from the received `Events`
+//! units, so a server-side accounting divergence is caught with one
+//! `u64` compare.
 //!
 //! [`replay_resumable`] adds crash/cut tolerance on top: when the
 //! connection dies — or a CRC trailer exposes wire corruption —
@@ -35,9 +32,8 @@ use std::time::{Duration, Instant};
 use codic_core::ops::CodicOp;
 
 use crate::proto::{
-    self, read_frame, read_frame_crc, write_frame_in, ErrorCode, Fnv64, Frame, ProtoError,
-    ResumeRequest, SessionEvent, SessionParams, Summary, WireCompletion, WireFailure,
-    PROTOCOL_VERSION,
+    self, read_frame_crc, write_frame_crc, ErrorCode, Fnv64, Frame, ProtoError, ResumeRequest,
+    SessionEvent, SessionParams, Summary, WireCompletion, WireFailure, PROTOCOL_VERSION,
 };
 use crate::server::ReplayEngine;
 
@@ -104,7 +100,7 @@ pub struct ClientReport {
     pub failures: Vec<WireFailure>,
     /// The server's session summary.
     pub summary: Summary,
-    /// Checksum recomputed client-side from the received frames (always
+    /// Checksum recomputed client-side from the received events (always
     /// equal to `summary.checksum` — [`replay`] fails otherwise).
     pub checksum: u64,
     /// Wall-clock duration of the session, in seconds.
@@ -181,7 +177,7 @@ fn backoff_for(attempt: u32, base: Duration) -> Duration {
         .min(BACKOFF_CAP)
 }
 
-/// One running checksum over Completion AND Failed payloads, in the
+/// One running checksum over completion AND failure payloads, in the
 /// exact order the server emitted them — the same rule the server's
 /// tally applies. `events` counts absorbed units: exactly the index the
 /// resume protocol reports back as `events_received`.
@@ -195,31 +191,23 @@ struct Absorbed {
 }
 
 impl Absorbed {
-    fn completion(&mut self, c: &WireCompletion) {
-        self.payload.clear();
-        proto::completion_payload(c, &mut self.payload);
-        self.checksum.update(&self.payload);
-        self.completions.push(*c);
-        self.events += 1;
-    }
-
-    fn failure(&mut self, x: &WireFailure) {
-        self.payload.clear();
-        proto::failure_payload(x, &mut self.payload);
-        self.checksum.update(&self.payload);
-        self.failures.push(*x);
-        self.events += 1;
-    }
-
-    /// Absorbs a batched `Events` run unit by unit, in order — the
-    /// checksum feeds on the same payload bytes either way, so a
-    /// batched stream hashes identically to its unbatched twin.
+    /// Absorbs an `Events` run unit by unit, in order, hashing each
+    /// unit's payload (never the frame's count or kind bytes).
     fn events(&mut self, events: &[SessionEvent]) {
         for event in events {
+            self.payload.clear();
             match event {
-                SessionEvent::Completion(c) => self.completion(c),
-                SessionEvent::Failure(x) => self.failure(x),
+                SessionEvent::Completion(c) => {
+                    proto::completion_payload(c, &mut self.payload);
+                    self.completions.push(*c);
+                }
+                SessionEvent::Failure(x) => {
+                    proto::failure_payload(x, &mut self.payload);
+                    self.failures.push(*x);
+                }
             }
+            self.checksum.update(&self.payload);
+            self.events += 1;
         }
     }
 
@@ -262,16 +250,6 @@ impl Absorbed {
             host_seconds,
             connections,
         })
-    }
-}
-
-/// Reads the next frame in the session's framing: CRC-trailed from v4
-/// on, bare below.
-fn read_next<R: Read>(reader: &mut R, crc: bool) -> Result<Frame, ProtoError> {
-    if crc {
-        read_frame_crc(reader)
-    } else {
-        read_frame(reader)
     }
 }
 
@@ -347,13 +325,9 @@ pub fn replay_stream<R: Read, W: Write>(
     batch: usize,
 ) -> Result<ClientReport, ClientError> {
     let started = Instant::now();
-
-    // From v4 on every frame of the session — the Hello included —
-    // carries the CRC32C trailer, in both directions.
-    let crc = hello.version >= 4;
-    write_frame_in(&mut writer, &Frame::Hello(*hello), crc)?;
+    write_frame_crc(&mut writer, &Frame::Hello(*hello))?;
     writer.flush()?;
-    let params = match read_next(&mut reader, crc)? {
+    let params = match read_frame_crc(&mut reader)? {
         Frame::HelloAck { params, .. } => params,
         Frame::Error { code, detail } => return Err(ClientError::Server { code, detail }),
         other => {
@@ -372,37 +346,33 @@ pub fn replay_stream<R: Read, W: Write>(
     // required to reject; clamp rather than die mid-replay.
     let batch = batch.clamp(1, proto::MAX_BATCH_OPS);
     for chunk in ops.chunks(batch) {
-        write_frame_in(&mut writer, &Frame::Batch(chunk.to_vec()), crc)?;
+        write_frame_crc(&mut writer, &Frame::Batch(chunk.to_vec()))?;
         writer.flush()?;
         // Read this batch's completion burst up to its Batched ack.
         loop {
-            match read_next(&mut reader, crc)? {
-                Frame::Completion(c) => stream.completion(&c),
-                Frame::Failed(x) => stream.failure(&x),
+            match read_frame_crc(&mut reader)? {
                 Frame::Events(events) => stream.events(&events),
                 Frame::Batched(_) => break,
                 Frame::Error { code, detail } => return Err(ClientError::Server { code, detail }),
                 other => {
                     return Err(ClientError::Protocol(format!(
-                        "expected Completion/Events/Batched, got {other:?}"
+                        "expected Events/Batched, got {other:?}"
                     )))
                 }
             }
         }
     }
 
-    write_frame_in(&mut writer, &Frame::Bye, crc)?;
+    write_frame_crc(&mut writer, &Frame::Bye)?;
     writer.flush()?;
     let summary = loop {
-        match read_next(&mut reader, crc)? {
-            Frame::Completion(c) => stream.completion(&c),
-            Frame::Failed(x) => stream.failure(&x),
+        match read_frame_crc(&mut reader)? {
             Frame::Events(events) => stream.events(&events),
             Frame::Summary(summary) => break summary,
             Frame::Error { code, detail } => return Err(ClientError::Server { code, detail }),
             other => {
                 return Err(ClientError::Protocol(format!(
-                    "expected Completion/Events/Summary, got {other:?}"
+                    "expected Events/Summary, got {other:?}"
                 )))
             }
         }
@@ -440,7 +410,7 @@ fn recoverable(e: &ClientError) -> bool {
     matches!(e, ClientError::Io(_) | ClientError::Proto(_))
 }
 
-/// The client half of the v4 resume protocol: everything that must
+/// The client half of the resume protocol: everything that must
 /// survive a cut lives here, not on the connection.
 struct ResumableRun<'a> {
     ops: &'a [CodicOp],
@@ -467,7 +437,7 @@ impl ResumableRun<'_> {
     ) -> Result<(), ClientError> {
         match self.token {
             None => {
-                write_frame_in(writer, &Frame::Hello(*hello), true)?;
+                write_frame_crc(writer, &Frame::Hello(*hello))?;
                 writer.flush()?;
                 match read_frame_crc(reader)? {
                     Frame::HelloAck { params, token } => {
@@ -485,14 +455,13 @@ impl ResumableRun<'_> {
                 }
             }
             Some(token) => {
-                write_frame_in(
+                write_frame_crc(
                     writer,
                     &Frame::Resume(ResumeRequest {
                         version: PROTOCOL_VERSION,
                         token,
                         events_received: self.absorbed.events,
                     }),
-                    true,
                 )?;
                 writer.flush()?;
                 match read_frame_crc(reader)? {
@@ -529,16 +498,10 @@ impl ResumableRun<'_> {
         // exactly-once contract of `events_received`.
         while self.next_op < self.ops.len() {
             let end = (self.next_op + self.batch).min(self.ops.len());
-            write_frame_in(
-                writer,
-                &Frame::Batch(self.ops[self.next_op..end].to_vec()),
-                true,
-            )?;
+            write_frame_crc(writer, &Frame::Batch(self.ops[self.next_op..end].to_vec()))?;
             writer.flush()?;
             loop {
                 match read_frame_crc(reader)? {
-                    Frame::Completion(c) => self.absorbed.completion(&c),
-                    Frame::Failed(x) => self.absorbed.failure(&x),
                     Frame::Events(events) => self.absorbed.events(&events),
                     Frame::Batched(_) => break,
                     Frame::Error { code, detail } => {
@@ -546,7 +509,7 @@ impl ResumableRun<'_> {
                     }
                     other => {
                         return Err(ClientError::Protocol(format!(
-                            "expected Completion/Events/Batched, got {other:?}"
+                            "expected Events/Batched, got {other:?}"
                         )))
                     }
                 }
@@ -554,7 +517,7 @@ impl ResumableRun<'_> {
             self.next_op = end;
         }
 
-        write_frame_in(writer, &Frame::Bye, true)?;
+        write_frame_crc(writer, &Frame::Bye)?;
         writer.flush()?;
         self.read_until_summary(reader)
     }
@@ -562,8 +525,6 @@ impl ResumableRun<'_> {
     fn read_until_summary<R: Read>(&mut self, reader: &mut R) -> Result<(), ClientError> {
         loop {
             match read_frame_crc(reader)? {
-                Frame::Completion(c) => self.absorbed.completion(&c),
-                Frame::Failed(x) => self.absorbed.failure(&x),
                 Frame::Events(events) => self.absorbed.events(&events),
                 Frame::Summary(summary) => {
                     self.summary = Some(summary);
@@ -572,7 +533,7 @@ impl ResumableRun<'_> {
                 Frame::Error { code, detail } => return Err(ClientError::Server { code, detail }),
                 other => {
                     return Err(ClientError::Protocol(format!(
-                        "expected Completion/Events/Summary, got {other:?}"
+                        "expected Events/Summary, got {other:?}"
                     )))
                 }
             }
@@ -623,12 +584,6 @@ where
     W: Write,
     F: FnMut(u32) -> io::Result<(R, W)>,
 {
-    if hello.version < 4 {
-        return Err(ClientError::Protocol(format!(
-            "resumable replay requires protocol >= 4, hello requested v{}",
-            hello.version
-        )));
-    }
     let started = Instant::now();
     let mut run = ResumableRun {
         ops,

@@ -1,5 +1,5 @@
-//! The replay wire protocol: length-prefixed binary frames over a byte
-//! stream.
+//! The replay wire protocol: length-prefixed, CRC32C-trailed binary
+//! frames over a byte stream.
 //!
 //! This module is the single source of truth for the format specified in
 //! [`docs/PROTOCOL.md`](https://github.com/codic/codic/blob/main/docs/PROTOCOL.md)
@@ -10,7 +10,8 @@
 //! ```text
 //! u32 length   — byte count of everything after this field
 //! u8  type     — frame-type tag (Hello = 0x01, … see `Frame`)
-//! payload      — length - 1 bytes, layout per frame type
+//! payload      — length - 5 bytes, layout per frame type
+//! u32 crc32c   — CRC32C of type byte + payload, verified before decode
 //! ```
 //!
 //! Operations travel as a variable-length unit: a `u8` op code followed
@@ -20,23 +21,23 @@
 //! accounted occupancy/energy cost, the owning shard and — for
 //! bulk-bitwise compute operations — the FNV-1a-64 fingerprint of the
 //! written row's simulated contents. The session checksum ([`Fnv64`])
-//! hashes every `Completion` and `Failed` frame payload in emission
-//! order, so client and server can agree on the whole stream (values
-//! included) with one `u64` compare.
+//! hashes the payload of every completion and failure unit of the
+//! [`Frame::Events`] stream in emission order, so client and server can
+//! agree on the whole stream (values included) with one `u64` compare.
 //!
 //! # Example
 //!
 //! ```
 //! use codic_core::ops::{CodicOp, VariantId};
-//! use codic_server::proto::{read_frame, write_frame, Frame};
+//! use codic_server::proto::{read_frame_crc, write_frame_crc, Frame};
 //!
 //! let batch = Frame::Batch(vec![
 //!     CodicOp::command(VariantId::DetZero, 0x2000),
 //!     CodicOp::read(0x40),
 //! ]);
 //! let mut wire = Vec::new();
-//! write_frame(&mut wire, &batch).unwrap();
-//! let decoded = read_frame(&mut wire.as_slice()).unwrap();
+//! write_frame_crc(&mut wire, &batch).unwrap();
+//! let decoded = read_frame_crc(&mut wire.as_slice()).unwrap();
 //! assert_eq!(decoded, batch);
 //! ```
 
@@ -46,38 +47,10 @@ use std::io::{self, IoSlice, Read, Write};
 use codic_core::fault::FaultCause;
 use codic_core::ops::{CodicOp, VariantId};
 
-/// The newest protocol version this implementation speaks. A server
-/// rejects a [`Frame::Hello`] carrying a version outside
-/// [`MIN_PROTOCOL_VERSION`]`..=PROTOCOL_VERSION` with
-/// [`ErrorCode::Version`]; within the range it serves the *client's*
-/// version and echoes it in the [`Frame::HelloAck`].
-///
-/// Version 2 added the bulk-bitwise compute operations (op codes
-/// `0x04..=0x0A`), the `compute_rows` session parameter, and the
-/// fingerprint field on compute completions. Version 3 added the
-/// batched [`Frame::Events`] completion transport: a v3 session streams
-/// completions and failures packed many-per-frame, while a v2 session
-/// receives the identical payloads as individual `Completion` / `Failed`
-/// frames. Version 4 made sessions crash/disconnect-tolerant: every
-/// frame of a v4 session carries a CRC32C trailer ([`crc32c`]) verified
-/// before decode, the [`Frame::HelloAck`] carries a server-minted
-/// session token, and the [`Frame::Resume`] / [`Frame::ResumeAck`]
-/// handshake lets a reconnecting client continue from its
-/// last-delivered event. Version 5 added multi-tenant serving: three
-/// QoS/tenancy fields on [`SessionParams`] (`qos_weight`, `tenants`,
-/// `quota_ops`, widening the params block from 25 to 32 bytes for v5+
-/// sessions only — v2..=v4 layouts are byte-identical to their pins)
-/// and the shared-fleet claim caps ([`MAX_TENANT_CLAIM`],
-/// [`MAX_QUOTA_CLAIM`]) enforced before any allocation. The session
-/// checksum hashes the *payload* units in every version, so it is
-/// independent of the negotiated version and of how many connections
-/// carried the session.
+/// The one protocol version this implementation speaks: a `Hello` or
+/// `Resume` carrying any other version is refused with
+/// [`ErrorCode::Version`].
 pub const PROTOCOL_VERSION: u16 = 5;
-
-/// The oldest protocol version the server still accepts in a
-/// [`Frame::Hello`]. Version 2 clients interoperate unchanged: they
-/// never see an [`Frame::Events`] frame.
-pub const MIN_PROTOCOL_VERSION: u16 = 2;
 
 /// Upper bound on the `length` field of a frame; larger values are
 /// rejected before any allocation, so a corrupt or hostile length prefix
@@ -85,19 +58,19 @@ pub const MIN_PROTOCOL_VERSION: u16 = 2;
 pub const MAX_FRAME_LEN: u32 = 4 << 20;
 
 /// The most operations one `Batch` frame can carry without tripping
-/// [`MAX_FRAME_LEN`] (type byte + `u32` count + up to 17 bytes per op —
-/// sized for the widest unit so a batch of any mix fits). Senders clamp
-/// their batch size to this.
-pub const MAX_BATCH_OPS: usize = (MAX_FRAME_LEN as usize - 5) / 17;
+/// [`MAX_FRAME_LEN`] (type byte + `u32` count + up to 17 bytes per op +
+/// CRC trailer — sized for the widest unit so a batch of any mix fits).
+/// Senders clamp their batch size to this.
+pub const MAX_BATCH_OPS: usize = (MAX_FRAME_LEN as usize - 9) / 17;
 
-/// Largest tenant-slot count a v5 `Hello` may claim
+/// Largest tenant-slot count a `Hello` may claim
 /// (`SessionParams::tenants`). A server rejects a larger claim with
 /// [`ErrorCode::Policy`] *before* negotiating, building an engine, or
 /// acquiring any fleet slot — an oversized claim never costs an
 /// allocation.
 pub const MAX_TENANT_CLAIM: u16 = 4096;
 
-/// Largest per-tenant outstanding-op quota a v5 `Hello` may claim
+/// Largest per-tenant outstanding-op quota a `Hello` may claim
 /// (`SessionParams::quota_ops`), rejected like [`MAX_TENANT_CLAIM`].
 pub const MAX_QUOTA_CLAIM: u32 = 1 << 20;
 
@@ -106,7 +79,9 @@ pub const MAX_QUOTA_CLAIM: u32 = 1 << 20;
 /// clamping is honest — the ack carries the effective weight).
 pub const MAX_QOS_WEIGHT: u8 = 16;
 
-/// Frame-type tags (the `u8` after the length prefix).
+/// Frame-type tags (the `u8` after the length prefix). `0x82` and
+/// `0x87` are reserved: they once carried one completion or failure per
+/// frame, and now decode as [`ProtoError::UnknownFrame`].
 mod tag {
     pub const HELLO: u8 = 0x01;
     pub const BATCH: u8 = 0x02;
@@ -114,12 +89,10 @@ mod tag {
     pub const BYE: u8 = 0x04;
     pub const RESUME: u8 = 0x05;
     pub const HELLO_ACK: u8 = 0x81;
-    pub const COMPLETION: u8 = 0x82;
     pub const BATCHED: u8 = 0x83;
     pub const FLUSHED: u8 = 0x84;
     pub const SUMMARY: u8 = 0x85;
     pub const ERROR: u8 = 0x86;
-    pub const FAILED: u8 = 0x87;
     pub const EVENTS: u8 = 0x88;
     pub const RESUME_ACK: u8 = 0x89;
 }
@@ -205,23 +178,21 @@ pub struct SessionParams {
     /// default (which is itself 0 — compute disabled — unless the server
     /// was started with a region).
     pub compute_rows: u32,
-    /// QoS weight for shared-fleet fair admission (v5+; on the wire only
-    /// when `version >= 5`): a weight-w tenant earns w× the
-    /// deficit-round-robin credit per rotation. 0 in a `Hello` = server
-    /// default (1); values past [`MAX_QOS_WEIGHT`] are clamped. Decodes
-    /// as 0 for v2..=v4 sessions.
+    /// QoS weight for shared-fleet fair admission: a weight-w tenant
+    /// earns w× the deficit-round-robin credit per rotation. 0 in a
+    /// `Hello` = server default (1); values past [`MAX_QOS_WEIGHT`] are
+    /// clamped.
     pub qos_weight: u8,
-    /// Tenant-slot count (v5+). In a `Hello`: the most co-tenants the
-    /// client will accept sharing a fleet with (0 = any); claims past
+    /// Tenant-slot count. In a `Hello`: the most co-tenants the client
+    /// will accept sharing a fleet with (0 = any); claims past
     /// [`MAX_TENANT_CLAIM`] are rejected before allocation. In the ack:
     /// the serving fleet's slot count, or 0 when the session runs on a
-    /// private pool. Decodes as 0 for v2..=v4 sessions.
+    /// private pool.
     pub tenants: u16,
-    /// Per-tenant outstanding-op quota (v5+). In a `Hello`: a requested
+    /// Per-tenant outstanding-op quota. In a `Hello`: a requested
     /// additional bound on `max_outstanding` (0 = none); claims past
     /// [`MAX_QUOTA_CLAIM`] are rejected before allocation. In the ack:
     /// the effective quota (equal to the effective `max_outstanding`).
-    /// Decodes as 0 for v2..=v4 sessions.
     pub quota_ops: u32,
 }
 
@@ -272,7 +243,7 @@ pub struct WireCompletion {
 
 /// One failed operation as streamed back to the client — the faulted
 /// sibling of [`WireCompletion`]. A session with fault injection
-/// disabled never emits this frame.
+/// disabled never emits one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireFailure {
     /// Zero-based submission sequence number within the session.
@@ -289,20 +260,20 @@ pub struct WireFailure {
     pub attempts: u8,
 }
 
-/// One unit of a batched [`Frame::Events`] stream: either a finished or
-/// a failed operation, in the server's deterministic emission order.
+/// One unit of a [`Frame::Events`] stream: either a finished or a
+/// failed operation, in the server's deterministic emission order.
 ///
 /// On the wire each unit is a `u8` kind (0 = completion, 1 = failure)
-/// followed by the *exact* payload bytes of the equivalent standalone
-/// [`Frame::Completion`] / [`Frame::Failed`] frame. The kind byte and
-/// the frame envelope are **not** hashed into the session checksum —
-/// only the payloads are, in order — so a batched stream checksums
-/// identically to the unbatched stream carrying the same events.
+/// followed by its payload ([`completion_payload`] /
+/// [`failure_payload`]). The kind byte and the frame envelope are
+/// **not** hashed into the session checksum — only the payloads are, in
+/// order — so the checksum does not depend on how units are packed into
+/// frames.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SessionEvent {
-    /// A finished operation, payload-identical to [`Frame::Completion`].
+    /// A finished operation.
     Completion(WireCompletion),
-    /// A failed operation, payload-identical to [`Frame::Failed`].
+    /// A failed operation.
     Failure(WireFailure),
 }
 
@@ -332,7 +303,7 @@ pub struct BatchAck {
     pub seq_base: u64,
     /// Operations accepted from the batch.
     pub accepted: u32,
-    /// Completion frames emitted for this batch boundary.
+    /// Event units emitted for this batch boundary.
     pub emitted: u32,
     /// Operations still in flight after the batch (always at or below
     /// the session's `max_outstanding`).
@@ -342,7 +313,7 @@ pub struct BatchAck {
 /// End-of-flush acknowledgement: everything submitted has completed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlushAck {
-    /// Completion frames emitted by this flush.
+    /// Event units emitted by this flush.
     pub emitted: u64,
     /// The slowest shard's current cycle after the flush.
     pub now_max: u64,
@@ -357,24 +328,24 @@ pub struct Summary {
     /// How many of them were row operations (CODIC commands and clone
     /// baselines), as opposed to ordinary reads/writes.
     pub row_ops: u64,
-    /// Operations delivered as typed failures ([`Frame::Failed`]);
-    /// always 0 with fault injection disabled.
+    /// Operations delivered as typed failure units; always 0 with fault
+    /// injection disabled.
     pub failed: u64,
     /// The largest finish cycle observed on any shard.
     pub max_finish_cycle: u64,
     /// Total accounted energy in nanojoules (successful ops only).
     pub total_energy_nj: f64,
-    /// [`Fnv64`] over every `Completion` *and* `Failed` frame payload,
-    /// in emission order.
+    /// [`Fnv64`] over every completion *and* failure unit payload, in
+    /// emission order.
     pub checksum: u64,
 }
 
 /// Client → server request to continue a parked session on a fresh
-/// connection (protocol ≥ 4). Must be the *first* frame of the new
-/// connection, in place of a [`Frame::Hello`].
+/// connection. Must be the *first* frame of the new connection, in
+/// place of a [`Frame::Hello`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResumeRequest {
-    /// Protocol version the original session negotiated (≥ 4).
+    /// Protocol version ([`PROTOCOL_VERSION`]).
     pub version: u16,
     /// The session token the [`Frame::HelloAck`] minted.
     pub token: u64,
@@ -384,7 +355,7 @@ pub struct ResumeRequest {
     pub events_received: u64,
 }
 
-/// Server → client acceptance of a [`Frame::Resume`] (protocol ≥ 4).
+/// Server → client acceptance of a [`Frame::Resume`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResumeAck {
     /// The effective session parameters, unchanged from the original
@@ -444,21 +415,19 @@ pub enum Frame {
     /// Client → server: opens a session, proposing [`SessionParams`].
     Hello(SessionParams),
     /// Server → client: accepts the session with the effective params
-    /// and — for protocol ≥ 4 — a server-minted session token the
-    /// client presents in a [`Frame::Resume`] to reconnect. For
-    /// versions below 4 the token is not on the wire and must be 0, so
-    /// round trips are exact.
+    /// and a server-minted session token the client presents in a
+    /// [`Frame::Resume`] to reconnect.
     HelloAck {
         /// The effective session parameters.
         params: SessionParams,
-        /// The resume token (protocol ≥ 4; 0 otherwise).
+        /// The resume token.
         token: u64,
     },
-    /// Client → server (protocol ≥ 4): first frame of a reconnection,
-    /// continuing a parked session instead of opening a new one.
+    /// Client → server: first frame of a reconnection, continuing a
+    /// parked session instead of opening a new one.
     Resume(ResumeRequest),
-    /// Server → client (protocol ≥ 4): accepts a [`Frame::Resume`];
-    /// the journal replay follows immediately.
+    /// Server → client: accepts a [`Frame::Resume`]; the journal replay
+    /// follows immediately.
     ResumeAck(ResumeAck),
     /// Client → server: a batch of operations to submit, in order.
     Batch(Vec<CodicOp>),
@@ -466,13 +435,9 @@ pub enum Frame {
     Flush,
     /// Client → server: end of session (server flushes, then summarizes).
     Bye,
-    /// Server → client: one finished operation.
-    Completion(WireCompletion),
-    /// Server → client: one operation that failed with a typed cause.
-    Failed(WireFailure),
-    /// Server → client (protocol ≥ 3): a run of completions and
-    /// failures packed into one frame, in emission order. Byte-for-byte,
-    /// each unit is a kind byte plus the standalone frame's payload.
+    /// Server → client: a run of completions and failures packed into
+    /// one frame, in emission order. Each unit is a kind byte plus its
+    /// payload.
     Events(Vec<SessionEvent>),
     /// Server → client: end of a batch's completion burst.
     Batched(BatchAck),
@@ -517,8 +482,8 @@ pub enum ProtoError {
     },
     /// An error frame's detail is not valid UTF-8.
     BadUtf8,
-    /// A CRC-framed (protocol ≥ 4) frame failed its CRC32C trailer
-    /// check: the bytes were corrupted in transit. The frame was
+    /// A frame failed its CRC32C trailer check: the bytes were
+    /// corrupted in transit (or were never CRC-framed at all). The frame was
     /// dropped before any decode; the stream itself is suspect, so the
     /// peer reconnects and resumes rather than guessing at alignment.
     Crc {
@@ -658,17 +623,8 @@ fn get_op(bytes: &[u8]) -> Result<(CodicOp, usize), ProtoError> {
     Ok((op, len))
 }
 
-/// Wire size of a params block for `version`: the pinned 25 bytes
-/// through v4, widened to 32 by v5's QoS/tenancy tail. The version
-/// field itself (bytes 0..2) selects the layout, so decoders read it
-/// first and then demand the exact matching length.
-fn params_len(version: u16) -> usize {
-    if version >= 5 {
-        32
-    } else {
-        25
-    }
-}
+/// Wire size of the session params block.
+const PARAMS_LEN: usize = 32;
 
 fn put_params(buf: &mut Vec<u8>, p: &SessionParams) {
     buf.extend_from_slice(&p.version.to_le_bytes());
@@ -678,55 +634,37 @@ fn put_params(buf: &mut Vec<u8>, p: &SessionParams) {
     buf.extend_from_slice(&p.target_rows_per_s.to_le_bytes());
     buf.push(p.refresh);
     buf.extend_from_slice(&p.compute_rows.to_le_bytes());
-    // The QoS/tenancy tail travels only on protocol ≥ 5, keeping the
-    // v2..=v4 params block byte-identical to its pinned layout.
-    if p.version >= 5 {
-        buf.push(p.qos_weight);
-        buf.extend_from_slice(&p.tenants.to_le_bytes());
-        buf.extend_from_slice(&p.quota_ops.to_le_bytes());
-    }
+    buf.push(p.qos_weight);
+    buf.extend_from_slice(&p.tenants.to_le_bytes());
+    buf.extend_from_slice(&p.quota_ops.to_le_bytes());
 }
 
+/// Decodes a params block. Any block that is not exactly
+/// [`PARAMS_LEN`] bytes is a typed length error; the version field is
+/// data here, checked by the server at the handshake.
 fn get_params(bytes: &[u8], tag: u8) -> Result<SessionParams, ProtoError> {
-    let bad = || ProtoError::BadLength {
-        tag,
-        got: bytes.len(),
-    };
-    if bytes.len() < 25 {
-        return Err(bad());
+    if bytes.len() != PARAMS_LEN {
+        return Err(ProtoError::BadLength {
+            tag,
+            got: bytes.len(),
+        });
     }
-    let version = u16::from_le_bytes(bytes[0..2].try_into().expect("sized"));
-    if bytes.len() != params_len(version) {
-        return Err(bad());
-    }
-    let v5 = version >= 5;
     Ok(SessionParams {
-        version,
+        version: u16::from_le_bytes(bytes[0..2].try_into().expect("sized")),
         shards: u16::from_le_bytes(bytes[2..4].try_into().expect("sized")),
         module_mib: u32::from_le_bytes(bytes[4..8].try_into().expect("sized")),
         max_outstanding: u32::from_le_bytes(bytes[8..12].try_into().expect("sized")),
         target_rows_per_s: u64::from_le_bytes(bytes[12..20].try_into().expect("sized")),
         refresh: bytes[20],
         compute_rows: u32::from_le_bytes(bytes[21..25].try_into().expect("sized")),
-        qos_weight: if v5 { bytes[25] } else { 0 },
-        tenants: if v5 {
-            u16::from_le_bytes(bytes[26..28].try_into().expect("sized"))
-        } else {
-            0
-        },
-        quota_ops: if v5 {
-            u32::from_le_bytes(bytes[28..32].try_into().expect("sized"))
-        } else {
-            0
-        },
+        qos_weight: bytes[25],
+        tenants: u16::from_le_bytes(bytes[26..28].try_into().expect("sized")),
+        quota_ops: u32::from_le_bytes(bytes[28..32].try_into().expect("sized")),
     })
 }
 
-/// Serializes `frame` as `type byte + payload` (everything after the
-/// length prefix), appending to `buf`.
-///
-/// This is also the byte sequence the session checksum hashes for
-/// completion frames (minus the type byte — see [`completion_payload`]).
+/// Serializes `frame` as `type byte + payload` (the frame body: what
+/// the CRC32C trailer covers), appending to `buf`.
 pub fn encode_body(frame: &Frame, buf: &mut Vec<u8>) {
     match frame {
         Frame::Hello(p) => {
@@ -736,12 +674,7 @@ pub fn encode_body(frame: &Frame, buf: &mut Vec<u8>) {
         Frame::HelloAck { params, token } => {
             buf.push(tag::HELLO_ACK);
             put_params(buf, params);
-            // The token travels only on protocol ≥ 4 (the version field
-            // tells the decoder which layout to expect), keeping the v2
-            // and v3 acks byte-identical to their pinned layouts.
-            if params.version >= 4 {
-                buf.extend_from_slice(&token.to_le_bytes());
-            }
+            buf.extend_from_slice(&token.to_le_bytes());
         }
         Frame::Resume(r) => {
             buf.push(tag::RESUME);
@@ -766,25 +699,17 @@ pub fn encode_body(frame: &Frame, buf: &mut Vec<u8>) {
         }
         Frame::Flush => buf.push(tag::FLUSH),
         Frame::Bye => buf.push(tag::BYE),
-        Frame::Completion(c) => {
-            buf.push(tag::COMPLETION);
-            completion_payload(c, buf);
-        }
-        Frame::Failed(x) => {
-            buf.push(tag::FAILED);
-            failure_payload(x, buf);
-        }
         Frame::Events(events) => {
             buf.push(tag::EVENTS);
             buf.extend_from_slice(&(events.len() as u32).to_le_bytes());
             for event in events {
                 match event {
                     SessionEvent::Completion(c) => {
-                        buf.push(0);
+                        buf.push(EVENT_COMPLETION);
                         completion_payload(c, buf);
                     }
                     SessionEvent::Failure(x) => {
-                        buf.push(1);
+                        buf.push(EVENT_FAILURE);
                         failure_payload(x, buf);
                     }
                 }
@@ -824,8 +749,8 @@ pub fn encode_body(frame: &Frame, buf: &mut Vec<u8>) {
 
 /// The completion payload — a unit the session checksum ([`Fnv64`])
 /// hashes, in emission order. 40 bytes for the classic operations
-/// (byte-identical to protocol v1, so their pinned session checksums
-/// are unchanged); bulk-bitwise compute operations carry their wider op
+/// (unchanged since protocol v1, so their pinned session checksums
+/// hold); bulk-bitwise compute operations carry their wider op
 /// unit and a trailing row fingerprint (48 or 56 bytes), which makes a
 /// pinned replay checksum value-verifying.
 pub fn completion_payload(c: &WireCompletion, buf: &mut Vec<u8>) {
@@ -854,13 +779,11 @@ pub fn failure_payload(x: &WireFailure, buf: &mut Vec<u8>) {
 }
 
 /// Decodes a completion payload *prefix*, returning the completion and
-/// the bytes consumed (40, 48 or 56) — the shared parser behind the
-/// standalone [`Frame::Completion`] arm (which then requires the prefix
-/// to be the whole payload) and the [`Frame::Events`] walk (which
-/// continues at the next unit).
+/// the bytes consumed (40, 48 or 56); the [`Frame::Events`] walk
+/// continues at the next unit.
 fn get_completion(payload: &[u8]) -> Result<(WireCompletion, usize), ProtoError> {
     let bad = |got: usize| ProtoError::BadLength {
-        tag: tag::COMPLETION,
+        tag: tag::EVENTS,
         got,
     };
     if payload.len() < 40 {
@@ -895,10 +818,10 @@ fn get_completion(payload: &[u8]) -> Result<(WireCompletion, usize), ProtoError>
 
 /// Decodes a failed-operation payload *prefix*, returning the failure
 /// and the bytes consumed (29 or 37) — the faulted sibling of
-/// [`get_completion`], shared the same way.
+/// [`get_completion`].
 fn get_failure(payload: &[u8]) -> Result<(WireFailure, usize), ProtoError> {
     let bad = |got: usize| ProtoError::BadLength {
-        tag: tag::FAILED,
+        tag: tag::EVENTS,
         got,
     };
     if payload.len() < 29 {
@@ -933,26 +856,14 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, ProtoError> {
     match tag {
         tag::HELLO => Ok(Frame::Hello(get_params(payload, tag)?)),
         tag::HELLO_ACK => {
-            // The params block (25 bytes through v4, 32 at v5) plus a
-            // token for protocol ≥ 4. The params' own version field
-            // selects the layout, and a mismatch between version and
-            // length is a typed error.
-            if payload.len() < 25 {
+            // The params block plus the session token.
+            if payload.len() != PARAMS_LEN + 8 {
                 return Err(bad(payload.len()));
             }
-            let version = u16::from_le_bytes(payload[0..2].try_into().expect("sized"));
-            let plen = params_len(version);
-            let want = plen + if version >= 4 { 8 } else { 0 };
-            if payload.len() != want {
-                return Err(bad(payload.len()));
-            }
-            let params = get_params(&payload[..plen], tag)?;
-            let token = if version >= 4 {
-                u64::from_le_bytes(payload[plen..plen + 8].try_into().expect("sized"))
-            } else {
-                0
-            };
-            Ok(Frame::HelloAck { params, token })
+            Ok(Frame::HelloAck {
+                params: get_params(&payload[..PARAMS_LEN], tag)?,
+                token: u64::from_le_bytes(payload[PARAMS_LEN..].try_into().expect("sized")),
+            })
         }
         tag::RESUME => {
             if payload.len() != 18 {
@@ -965,26 +876,19 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, ProtoError> {
             }))
         }
         tag::RESUME_ACK => {
-            // params block + token + next_seq + replay_events + finished:
-            // 50 bytes with v4 params, 57 with v5's widened block.
-            if payload.len() < 50 {
-                return Err(bad(payload.len()));
-            }
-            let version = u16::from_le_bytes(payload[0..2].try_into().expect("sized"));
-            let plen = params_len(version);
-            if payload.len() != plen + 25 {
+            // params block + token + next_seq + replay_events + finished.
+            const P: usize = PARAMS_LEN;
+            if payload.len() != P + 25 {
                 return Err(bad(payload.len()));
             }
             Ok(Frame::ResumeAck(ResumeAck {
-                params: get_params(&payload[..plen], tag)?,
-                token: u64::from_le_bytes(payload[plen..plen + 8].try_into().expect("sized")),
-                next_seq: u64::from_le_bytes(
-                    payload[plen + 8..plen + 16].try_into().expect("sized"),
-                ),
+                params: get_params(&payload[..P], tag)?,
+                token: u64::from_le_bytes(payload[P..P + 8].try_into().expect("sized")),
+                next_seq: u64::from_le_bytes(payload[P + 8..P + 16].try_into().expect("sized")),
                 replay_events: u64::from_le_bytes(
-                    payload[plen + 16..plen + 24].try_into().expect("sized"),
+                    payload[P + 16..P + 24].try_into().expect("sized"),
                 ),
-                finished: payload[plen + 24],
+                finished: payload[P + 24],
             }))
         }
         tag::BATCH => {
@@ -1026,26 +930,6 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, ProtoError> {
             }
             Ok(Frame::Bye)
         }
-        tag::COMPLETION => {
-            let (completion, used) = get_completion(payload).map_err(|e| match e {
-                ProtoError::Empty | ProtoError::BadLength { .. } => bad(payload.len()),
-                e => e,
-            })?;
-            if payload.len() != used {
-                return Err(bad(payload.len()));
-            }
-            Ok(Frame::Completion(completion))
-        }
-        tag::FAILED => {
-            let (failure, used) = get_failure(payload).map_err(|e| match e {
-                ProtoError::Empty | ProtoError::BadLength { .. } => bad(payload.len()),
-                e => e,
-            })?;
-            if payload.len() != used {
-                return Err(bad(payload.len()));
-            }
-            Ok(Frame::Failed(failure))
-        }
         tag::EVENTS => {
             if payload.len() < 4 {
                 return Err(bad(payload.len()));
@@ -1062,8 +946,12 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, ProtoError> {
             for _ in 0..count {
                 let (&kind, rest) = units.split_first().ok_or_else(|| bad(payload.len()))?;
                 let (event, used) = match kind {
-                    0 => get_completion(rest).map(|(c, used)| (SessionEvent::Completion(c), used)),
-                    1 => get_failure(rest).map(|(x, used)| (SessionEvent::Failure(x), used)),
+                    EVENT_COMPLETION => {
+                        get_completion(rest).map(|(c, used)| (SessionEvent::Completion(c), used))
+                    }
+                    EVENT_FAILURE => {
+                        get_failure(rest).map(|(x, used)| (SessionEvent::Failure(x), used))
+                    }
                     other => return Err(ProtoError::UnknownEventKind(other)),
                 }
                 .map_err(|e| match e {
@@ -1163,8 +1051,7 @@ fn crc32c_append(mut state: u32, bytes: &[u8]) -> u32 {
     state
 }
 
-/// CRC32C (Castagnoli) of `bytes` — the per-frame integrity trailer of
-/// protocol ≥ 4 frames. Standard parameters (reflected polynomial
+/// CRC32C (Castagnoli) of `bytes` — the per-frame integrity trailer. Standard parameters (reflected polynomial
 /// `0x82F63B78`, init and final XOR `0xFFFF_FFFF`), so
 /// `crc32c(b"123456789") == 0xE306_9283`.
 #[must_use]
@@ -1190,52 +1077,9 @@ fn check_crc(body: &[u8]) -> Result<&[u8], ProtoError> {
     Ok(payload)
 }
 
-/// Decodes the *first* body of a connection, which may be CRC-framed
-/// (a protocol ≥ 4 [`Frame::Hello`] or [`Frame::Resume`]) or bare (a
-/// v2/v3 `Hello`) — the server cannot know which until it decodes.
-///
-/// Tries the bare layout first; if that fails and a valid CRC32C
-/// trailer is present, decodes the CRC-framed layout. The two never
-/// collide: every handshake frame has a fixed payload size, so the
-/// 4-byte trailer always makes the bare decode a typed length error,
-/// and a frame whose trailer does not verify keeps the bare decode's
-/// error. Returns the frame and whether it was CRC-framed.
-///
-/// # Errors
-///
-/// Returns the bare decode's [`ProtoError`] when neither layout
-/// verifies.
-pub fn decode_handshake(body: &[u8]) -> Result<(Frame, bool), ProtoError> {
-    match decode_body(body) {
-        Ok(frame) => Ok((frame, false)),
-        Err(first) => {
-            if let Ok(payload) = check_crc(body) {
-                if let Ok(frame) = decode_body(payload) {
-                    return Ok((frame, true));
-                }
-            }
-            Err(first)
-        }
-    }
-}
-
-/// Writes one length-prefixed frame to `w` (no flush — callers batch
-/// frames and flush at protocol boundaries).
-///
-/// # Errors
-///
-/// Propagates the stream's I/O error.
-pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
-    let mut body = Vec::new();
-    encode_body(frame, &mut body);
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(&body)
-}
-
-/// Writes one CRC-framed frame (protocol ≥ 4): the length prefix
-/// covers the body *and* the 4-byte CRC32C trailer computed over the
-/// body, so the frame stays self-delimiting for readers that have not
-/// switched modes yet.
+/// Writes one frame (no flush — callers batch frames and flush at
+/// protocol boundaries): the length prefix covers the body *and* the
+/// 4-byte CRC32C trailer computed over the body.
 ///
 /// # Errors
 ///
@@ -1249,51 +1093,15 @@ pub fn write_frame_crc<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
     w.write_all(&crc.to_le_bytes())
 }
 
-/// [`write_frame`] or [`write_frame_crc`] depending on `crc` — the
-/// session-version dispatch every serving path funnels through.
-///
-/// # Errors
-///
-/// Propagates the stream's I/O error.
-pub fn write_frame_in<W: Write>(w: &mut W, frame: &Frame, crc: bool) -> io::Result<()> {
-    if crc {
-        write_frame_crc(w, frame)
-    } else {
-        write_frame(w, frame)
-    }
-}
-
-/// Writes a `Completion` frame whose payload was already rendered with
-/// [`completion_payload`] — the encode-once emission path of the
-/// server's hot loop (the same bytes feed the session checksum and the
-/// socket, with no second encoding and no per-frame allocation).
-/// Byte-for-byte identical to
-/// `write_frame(w, &Frame::Completion(..))`, which a unit test pins.
-///
-/// # Errors
-///
-/// Propagates the stream's I/O error.
-pub fn write_completion_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(
-        matches!(payload.len(), 40 | 48 | 56),
-        "completion payloads are 40, 48 or 56 bytes, got {}",
-        payload.len()
-    );
-    w.write_all(&(payload.len() as u32 + 1).to_le_bytes())?;
-    w.write_all(&[tag::COMPLETION])?;
-    w.write_all(payload)
-}
-
-/// The server's reusable batched-emission buffer: completions and
-/// failures are encoded once into one growing byte buffer (no per-op
-/// `Vec`), and [`EventBuffer::flush_to`] ships the whole run as a
-/// single [`Frame::Events`] frame with one vectored write.
+/// The server's reusable emission buffer: completions and failures are
+/// encoded once into one growing byte buffer (no per-op `Vec`), and
+/// [`EventBuffer::flush_to_crc`] ships the whole run as a single
+/// [`Frame::Events`] frame with one vectored write.
 ///
 /// Each `push_*` returns the slice of the unit's *payload* bytes (the
 /// kind byte excluded) so the caller can feed the session checksum with
-/// exactly the bytes an unbatched `Completion` / `Failed` frame would
-/// have carried — a unit test pins that the flushed frame is
-/// byte-identical to `write_frame(w, &Frame::Events(..))`.
+/// exactly the hashed bytes — a unit test pins that the flushed frame is
+/// byte-identical to `write_frame_crc(w, &Frame::Events(..))`.
 #[derive(Debug, Default)]
 pub struct EventBuffer {
     /// Encoded units: kind byte + payload, back to back.
@@ -1333,7 +1141,7 @@ impl EventBuffer {
     #[must_use]
     pub fn is_full(&self) -> bool {
         // Frame body = type byte + u32 count + the units, plus the
-        // 4-byte CRC trailer a v4 flush appends inside the length.
+        // 4-byte CRC trailer inside the length.
         5 + self.buf.len() + EVENT_UNIT_MAX + 4 > MAX_FRAME_LEN as usize
     }
 
@@ -1367,49 +1175,28 @@ impl EventBuffer {
         self.count += 1;
     }
 
-    /// Writes the buffered run as one [`Frame::Events`] frame (header
-    /// and units in a single vectored write where the stream allows)
-    /// and resets the buffer for reuse. Empty buffers write nothing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the stream's I/O error; a short write that makes no
-    /// progress surfaces as [`io::ErrorKind::WriteZero`].
-    pub fn flush_to<W: Write>(&mut self, w: &mut W) -> io::Result<()> {
-        self.flush_frame(w, false)
-    }
-
-    /// [`EventBuffer::flush_to`] with the protocol ≥ 4 CRC32C trailer:
-    /// the frame's length covers the units and the trailing CRC over
-    /// `tag + count + units`, exactly as [`write_frame_crc`] would
-    /// produce (a unit test pins the byte identity).
+    /// Writes the buffered run as one [`Frame::Events`] frame (header,
+    /// units and trailer in a single vectored write where the stream
+    /// allows) and resets the buffer for reuse. The frame is exactly
+    /// what [`write_frame_crc`] would produce (a unit test pins the
+    /// byte identity). Empty buffers write nothing.
     ///
     /// # Errors
     ///
     /// Propagates the stream's I/O error; a short write that makes no
     /// progress surfaces as [`io::ErrorKind::WriteZero`].
     pub fn flush_to_crc<W: Write>(&mut self, w: &mut W) -> io::Result<()> {
-        self.flush_frame(w, true)
-    }
-
-    fn flush_frame<W: Write>(&mut self, w: &mut W, crc: bool) -> io::Result<()> {
         if self.count == 0 {
             return Ok(());
         }
-        let trailer_len = if crc { 4 } else { 0 };
         let mut header = [0u8; 9];
-        header[0..4].copy_from_slice(&(self.buf.len() as u32 + 5 + trailer_len).to_le_bytes());
+        header[0..4].copy_from_slice(&(self.buf.len() as u32 + 9).to_le_bytes());
         header[4] = tag::EVENTS;
         header[5..9].copy_from_slice(&self.count.to_le_bytes());
         // The trailer hashes the frame *body* (tag + count + units),
         // not the length prefix — computed incrementally so the units
         // are never re-walked or copied.
-        let trailer = if crc {
-            (!crc32c_append(crc32c_append(!0, &header[4..9]), &self.buf)).to_le_bytes()
-        } else {
-            [0u8; 4]
-        };
-        let trailer = &trailer[..trailer_len as usize];
+        let trailer = (!crc32c_append(crc32c_append(!0, &header[4..9]), &self.buf)).to_le_bytes();
         // A write-all loop over the vectored [header, units, trailer]
         // triple: `write_vectored` may land anywhere, so resume from
         // the exact byte offset it reached.
@@ -1420,12 +1207,12 @@ impl EventBuffer {
                 w.write_vectored(&[
                     IoSlice::new(&header[written..]),
                     IoSlice::new(&self.buf),
-                    IoSlice::new(trailer),
+                    IoSlice::new(&trailer),
                 ])
             } else if written < header.len() + self.buf.len() {
                 w.write_vectored(&[
                     IoSlice::new(&self.buf[written - header.len()..]),
-                    IoSlice::new(trailer),
+                    IoSlice::new(&trailer),
                 ])
             } else {
                 w.write(&trailer[written - header.len() - self.buf.len()..])
@@ -1448,36 +1235,15 @@ impl EventBuffer {
     }
 }
 
-/// Reads one length-prefixed frame from `r`, enforcing
-/// [`MAX_FRAME_LEN`].
+/// Reads one frame from `r`, enforcing [`MAX_FRAME_LEN`] and verifying
+/// the CRC32C trailer before decoding.
 ///
 /// # Errors
 ///
 /// Returns [`ProtoError::Io`] on stream failure (including a clean EOF
 /// before the length prefix, surfaced as
-/// [`io::ErrorKind::UnexpectedEof`]) and the matching decode error on a
-/// malformed frame.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, ProtoError> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len);
-    if len > MAX_FRAME_LEN {
-        return Err(ProtoError::Oversized(len));
-    }
-    if len == 0 {
-        return Err(ProtoError::Empty);
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    decode_body(&body)
-}
-
-/// [`read_frame`] for a CRC-framed (protocol ≥ 4) stream: verifies the
-/// CRC32C trailer before decoding.
-///
-/// # Errors
-///
-/// As [`read_frame`], plus [`ProtoError::Crc`] on a trailer mismatch.
+/// [`io::ErrorKind::UnexpectedEof`]), [`ProtoError::Crc`] on a trailer
+/// mismatch, and the matching decode error on a malformed frame.
 pub fn read_frame_crc<R: Read>(r: &mut R) -> Result<Frame, ProtoError> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
@@ -1496,7 +1262,7 @@ pub fn read_frame_crc<R: Read>(r: &mut R) -> Result<Frame, ProtoError> {
 /// An incremental, restartable frame decoder for streams with read
 /// timeouts or non-blocking sockets.
 ///
-/// [`read_frame`] blocks until a whole frame arrives, which prevents a
+/// [`read_frame_crc`] blocks until a whole frame arrives, which prevents a
 /// serving loop from noticing a shutdown request while a client is
 /// idle. `FrameReader` instead accumulates partial bytes across calls:
 /// [`FrameReader::poll`] returns `Ok(Some(frame))` when a frame
@@ -1504,7 +1270,7 @@ pub fn read_frame_crc<R: Read>(r: &mut R) -> Result<Frame, ProtoError> {
 /// mid-wait (call again later — no bytes are lost), and an error on
 /// stream failure or a malformed frame. The internal buffer is reused
 /// across frames, and an oversized length prefix is rejected before any
-/// allocation, exactly like [`read_frame`].
+/// allocation, exactly like [`read_frame_crc`].
 #[derive(Debug, Default)]
 pub struct FrameReader {
     header: [u8; 4],
@@ -1513,9 +1279,6 @@ pub struct FrameReader {
     body_filled: usize,
     /// Body length once the header is complete.
     need: Option<usize>,
-    /// When set, every body ends in a CRC32C trailer that is verified
-    /// before decode (protocol ≥ 4 framing).
-    crc: bool,
 }
 
 impl FrameReader {
@@ -1523,19 +1286,6 @@ impl FrameReader {
     #[must_use]
     pub fn new() -> Self {
         FrameReader::default()
-    }
-
-    /// Switches CRC framing on or off (protocol ≥ 4 sessions switch it
-    /// on once the handshake pins the version). Takes effect at the
-    /// next frame boundary.
-    pub fn set_crc(&mut self, on: bool) {
-        self.crc = on;
-    }
-
-    /// True when the reader verifies CRC32C trailers before decode.
-    #[must_use]
-    pub fn crc_enabled(&self) -> bool {
-        self.crc
     }
 
     /// True while a frame is partially received (a teardown at this
@@ -1546,51 +1296,16 @@ impl FrameReader {
     }
 
     /// Reads from `r` until a frame completes, the stream would block,
-    /// or an error occurs.
+    /// or an error occurs. The CRC32C trailer is verified before decode.
     ///
     /// # Errors
     ///
     /// Returns [`ProtoError::Io`] on stream failure (including EOF — a
     /// clean close at a frame boundary surfaces as
     /// [`io::ErrorKind::UnexpectedEof`] with [`FrameReader::mid_frame`]
-    /// false) and the matching decode error on a malformed frame.
+    /// false), [`ProtoError::Crc`] on a trailer mismatch, and the
+    /// matching decode error on a malformed frame.
     pub fn poll<R: Read>(&mut self, r: &mut R) -> Result<Option<Frame>, ProtoError> {
-        match self.poll_body(r)? {
-            Some(need) => {
-                let body = &self.body[..need];
-                if self.crc {
-                    check_crc(body).and_then(decode_body).map(Some)
-                } else {
-                    decode_body(body).map(Some)
-                }
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// Like [`FrameReader::poll`], but for the *first* frame of a
-    /// connection, whose framing is unknown until decoded: accepts both
-    /// the bare and the CRC-framed layout (see [`decode_handshake`]),
-    /// returns which one arrived, and arms [`FrameReader::set_crc`]
-    /// accordingly for every subsequent poll.
-    ///
-    /// # Errors
-    ///
-    /// As [`FrameReader::poll`].
-    pub fn poll_first<R: Read>(&mut self, r: &mut R) -> Result<Option<(Frame, bool)>, ProtoError> {
-        match self.poll_body(r)? {
-            Some(need) => {
-                let (frame, crc) = decode_handshake(&self.body[..need])?;
-                self.crc = crc;
-                Ok(Some((frame, crc)))
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// Accumulates header and body bytes; `Some(len)` once a whole body
-    /// of `len` bytes sits in `self.body`.
-    fn poll_body<R: Read>(&mut self, r: &mut R) -> Result<Option<usize>, ProtoError> {
         if self.need.is_none() {
             match self.fill(r, true)? {
                 Filled::Complete => {
@@ -1614,7 +1329,9 @@ impl FrameReader {
             Filled::Complete => {
                 let need = self.need.take().expect("body phase has a length");
                 self.body_filled = 0;
-                Ok(Some(need))
+                check_crc(&self.body[..need])
+                    .and_then(decode_body)
+                    .map(Some)
             }
             Filled::WouldBlock => Ok(None),
         }
@@ -1668,8 +1385,8 @@ enum Filled {
 /// FNV-1a 64-bit — the session checksum over completion payloads.
 ///
 /// Offset basis `0xcbf2_9ce4_8422_2325`, prime `0x0000_0100_0000_01b3`;
-/// fed with the 40-byte [`completion_payload`] of every completion frame
-/// in emission order.
+/// fed with the [`completion_payload`] or [`failure_payload`] of every
+/// event unit in emission order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fnv64(u64);
 
@@ -1707,12 +1424,12 @@ mod tests {
 
     fn round_trip(frame: Frame) {
         let mut wire = Vec::new();
-        write_frame(&mut wire, &frame).unwrap();
-        // The length prefix covers exactly the body.
+        write_frame_crc(&mut wire, &frame).unwrap();
+        // The length prefix covers exactly the body and its trailer.
         let len = u32::from_le_bytes(wire[0..4].try_into().unwrap()) as usize;
         assert_eq!(len, wire.len() - 4);
         let mut reader = wire.as_slice();
-        let decoded = read_frame(&mut reader).unwrap();
+        let decoded = read_frame_crc(&mut reader).unwrap();
         assert!(reader.is_empty(), "frame consumed exactly");
         assert_eq!(decoded, frame);
     }
@@ -1736,7 +1453,7 @@ mod tests {
 
     #[test]
     fn hello_ack_round_trips() {
-        // v5: the ack carries the QoS/tenancy tail and the session token.
+        // The ack carries the QoS/tenancy tail and the session token.
         round_trip(Frame::HelloAck {
             params: SessionParams {
                 version: PROTOCOL_VERSION,
@@ -1752,65 +1469,22 @@ mod tests {
             },
             token: 0xfeed_face_0123_4567,
         });
-        // v4: the 25-byte params block plus the token — byte-identical
-        // to its pinned pre-v5 layout.
-        round_trip(Frame::HelloAck {
-            params: SessionParams {
-                version: 4,
-                shards: 2,
-                module_mib: 128,
-                max_outstanding: 512,
-                target_rows_per_s: 0,
-                refresh: 1,
-                compute_rows: 16,
-                qos_weight: 0,
-                tenants: 0,
-                quota_ops: 0,
-            },
-            token: 0xfeed_face_0123_4567,
-        });
-        // Below v4 the token is absent from the wire (and must be 0):
-        // the 25-byte v2/v3 ack layout is unchanged.
-        let v3 = SessionParams {
-            version: 3,
-            shards: 2,
-            module_mib: 128,
-            max_outstanding: 512,
-            target_rows_per_s: 0,
-            refresh: 1,
-            compute_rows: 16,
-            qos_weight: 0,
-            tenants: 0,
-            quota_ops: 0,
-        };
-        round_trip(Frame::HelloAck {
-            params: v3,
-            token: 0,
-        });
+        // An ack without its token, or with a byte too many, is a typed
+        // length error, not a misread.
         let mut body = Vec::new();
-        encode_body(
-            &Frame::HelloAck {
-                params: v3,
-                token: 0,
-            },
-            &mut body,
-        );
-        assert_eq!(body.len(), 26, "v3 ack layout: tag + 25-byte params");
-        // A v4 ack truncated to the tokenless layout (or a v3 ack with
-        // a trailing token) is a typed length error, not a misread.
-        let mut v4body = Vec::new();
         encode_body(
             &Frame::HelloAck {
                 params: SessionParams::defaults(),
                 token: 7,
             },
-            &mut v4body,
+            &mut body,
         );
+        assert_eq!(body.len(), 1 + PARAMS_LEN + 8);
         assert!(matches!(
-            body_err(&v4body[..26]),
+            body_err(&body[..1 + PARAMS_LEN]),
             ProtoError::BadLength { .. }
         ));
-        body.extend_from_slice(&7u64.to_le_bytes());
+        body.push(0);
         assert!(matches!(body_err(&body), ProtoError::BadLength { .. }));
     }
 
@@ -1849,14 +1523,12 @@ mod tests {
         assert_eq!(len, wire.len() - 4);
         assert_eq!(read_frame_crc(&mut wire.as_slice()).unwrap(), frame);
         let mut frames = FrameReader::new();
-        frames.set_crc(true);
         assert_eq!(frames.poll(&mut wire.as_slice()).unwrap(), Some(frame));
         // Any corrupted body byte is a typed Crc error, before decode.
         for pos in 4..wire.len() {
             let mut mutant = wire.clone();
             mutant[pos] ^= 0x10;
             let mut frames = FrameReader::new();
-            frames.set_crc(true);
             assert!(matches!(
                 frames.poll(&mut mutant.as_slice()),
                 Err(ProtoError::Crc { .. })
@@ -1893,8 +1565,8 @@ mod tests {
         let mut journal: Vec<(u8, Vec<u8>)> = Vec::new();
         for event in &events {
             let (kind, payload) = match event {
-                SessionEvent::Completion(c) => (0u8, original.push_completion(c)),
-                SessionEvent::Failure(x) => (1u8, original.push_failure(x)),
+                SessionEvent::Completion(c) => (EVENT_COMPLETION, original.push_completion(c)),
+                SessionEvent::Failure(x) => (EVENT_FAILURE, original.push_failure(x)),
             };
             journal.push((kind, payload.to_vec()));
         }
@@ -1907,57 +1579,6 @@ mod tests {
         let mut second = Vec::new();
         replayed.flush_to_crc(&mut second).unwrap();
         assert_eq!(first, second);
-    }
-
-    #[test]
-    fn handshake_decoding_accepts_both_framings() {
-        for frame in [
-            Frame::Hello(SessionParams::defaults()),
-            Frame::Resume(ResumeRequest {
-                version: PROTOCOL_VERSION,
-                token: 42,
-                events_received: 7,
-            }),
-        ] {
-            let mut bare = Vec::new();
-            encode_body(&frame, &mut bare);
-            assert_eq!(decode_handshake(&bare).unwrap(), (frame.clone(), false));
-            let crc = crc32c(&bare);
-            let mut framed = bare.clone();
-            framed.extend_from_slice(&crc.to_le_bytes());
-            assert_eq!(decode_handshake(&framed).unwrap(), (frame, true));
-            // A corrupted CRC-framed handshake never decodes.
-            for pos in 0..framed.len() {
-                let mut mutant = framed.clone();
-                mutant[pos] ^= 0x01;
-                assert!(decode_handshake(&mutant).is_err(), "flip at {pos} decoded");
-            }
-        }
-        // poll_first arms the reader's CRC mode from what it saw.
-        let hello = Frame::Hello(SessionParams::defaults());
-        let mut wire = Vec::new();
-        write_frame_crc(&mut wire, &hello).unwrap();
-        write_frame_crc(&mut wire, &Frame::Flush).unwrap();
-        let mut stream = wire.as_slice();
-        let mut frames = FrameReader::new();
-        assert_eq!(
-            frames.poll_first(&mut stream).unwrap(),
-            Some((hello.clone(), true))
-        );
-        assert!(frames.crc_enabled());
-        assert_eq!(frames.poll(&mut stream).unwrap(), Some(Frame::Flush));
-        // And bare framing (a v2/v3 client) leaves CRC mode off.
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &hello).unwrap();
-        write_frame(&mut wire, &Frame::Flush).unwrap();
-        let mut stream = wire.as_slice();
-        let mut frames = FrameReader::new();
-        assert_eq!(
-            frames.poll_first(&mut stream).unwrap(),
-            Some((hello, false))
-        );
-        assert!(!frames.crc_enabled());
-        assert_eq!(frames.poll(&mut stream).unwrap(), Some(Frame::Flush));
     }
 
     #[test]
@@ -2021,9 +1642,10 @@ mod tests {
         round_trip(Frame::Bye);
     }
 
-    #[test]
-    fn completion_round_trips_with_exact_energy_bits() {
-        round_trip(Frame::Completion(WireCompletion {
+    /// A classic completion at the edge of the sequence space, with
+    /// energy bits that only survive an exact round trip.
+    fn edge_completion() -> WireCompletion {
+        WireCompletion {
             seq: u64::MAX - 1,
             shard: 3,
             op: CodicOp::command(VariantId::Sig, 0x1_0000),
@@ -2032,7 +1654,14 @@ mod tests {
             activations: 2,
             energy_nj: 17.296_452_19,
             fingerprint: 0,
-        }));
+        }
+    }
+
+    #[test]
+    fn completion_round_trips_with_exact_energy_bits() {
+        round_trip(Frame::Events(vec![SessionEvent::Completion(
+            edge_completion(),
+        )]));
     }
 
     #[test]
@@ -2051,7 +1680,7 @@ mod tests {
         let mut payload = Vec::new();
         completion_payload(&maj, &mut payload);
         assert_eq!(payload.len(), 48);
-        round_trip(Frame::Completion(maj));
+        round_trip(Frame::Events(vec![SessionEvent::Completion(maj)]));
         // 17-byte compute op: 56-byte payload.
         let not = WireCompletion {
             op: CodicOp::Not {
@@ -2063,7 +1692,7 @@ mod tests {
         let mut payload = Vec::new();
         completion_payload(&not, &mut payload);
         assert_eq!(payload.len(), 56);
-        round_trip(Frame::Completion(not));
+        round_trip(Frame::Events(vec![SessionEvent::Completion(not)]));
         // Classic ops stay byte-identical 40-byte v1 payloads: the
         // pinned session checksums of fault-free replays are unchanged.
         let mut payload = Vec::new();
@@ -2094,28 +1723,7 @@ mod tests {
         let mut payload = Vec::new();
         failure_payload(&failure, &mut payload);
         assert_eq!(payload.len(), 37, "17-byte unit widens the payload by 8");
-        round_trip(Frame::Failed(failure));
-    }
-
-    #[test]
-    fn raw_completion_emission_matches_write_frame_byte_for_byte() {
-        let completion = WireCompletion {
-            seq: 7,
-            shard: 1,
-            op: CodicOp::LisaCloneZero { row_addr: 0x6000 },
-            finish_cycle: 424_242,
-            busy_cycles: 94,
-            activations: 2,
-            energy_nj: 34.5,
-            fingerprint: 0,
-        };
-        let mut via_frame = Vec::new();
-        write_frame(&mut via_frame, &Frame::Completion(completion)).unwrap();
-        let mut payload = Vec::new();
-        completion_payload(&completion, &mut payload);
-        let mut via_raw = Vec::new();
-        write_completion_frame(&mut via_raw, &payload).unwrap();
-        assert_eq!(via_raw, via_frame);
+        round_trip(Frame::Events(vec![SessionEvent::Failure(failure)]));
     }
 
     #[test]
@@ -2148,21 +1756,29 @@ mod tests {
         }));
     }
 
-    #[test]
-    fn failed_round_trips_every_cause() {
-        for (cause, attempts) in [
+    /// One failure per fault cause.
+    fn failures_of_every_cause() -> Vec<WireFailure> {
+        [
             (FaultCause::Misfire, 3),
             (FaultCause::ClockStuck, 1),
             (FaultCause::Quarantined, 1),
-        ] {
-            round_trip(Frame::Failed(WireFailure {
-                seq: 42_000,
-                shard: 2,
-                op: CodicOp::command(VariantId::DetZero, 0x8000),
-                at_cycle: 77_777,
-                cause,
-                attempts,
-            }));
+        ]
+        .into_iter()
+        .map(|(cause, attempts)| WireFailure {
+            seq: 42_000,
+            shard: 2,
+            op: CodicOp::command(VariantId::DetZero, 0x8000),
+            at_cycle: 77_777,
+            cause,
+            attempts,
+        })
+        .collect()
+    }
+
+    #[test]
+    fn failed_round_trips_every_cause() {
+        for failure in failures_of_every_cause() {
+            round_trip(Frame::Events(vec![SessionEvent::Failure(failure)]));
         }
         // An unknown cause byte is a typed decode error.
         let failure = WireFailure {
@@ -2174,8 +1790,12 @@ mod tests {
             attempts: 1,
         };
         let mut body = Vec::new();
-        encode_body(&Frame::Failed(failure), &mut body);
-        body[28] = 0xee; // the cause byte (1 tag + 27 payload bytes before it)
+        encode_body(
+            &Frame::Events(vec![SessionEvent::Failure(failure)]),
+            &mut body,
+        );
+        // The cause byte: tag + count + kind, then 27 payload bytes.
+        body[1 + 4 + 1 + 27] = 0xee;
         assert!(matches!(
             decode_body(&body),
             Err(ProtoError::UnknownFaultCause(0xee))
@@ -2183,9 +1803,10 @@ mod tests {
     }
 
     /// A representative mixed run: classic and compute completions (9-
-    /// and 17-byte ops, with fingerprints) interleaved with failures.
+    /// and 17-byte ops, with fingerprints) interleaved with failures of
+    /// every cause.
     fn sample_events() -> Vec<SessionEvent> {
-        vec![
+        let mut events = vec![
             SessionEvent::Completion(WireCompletion {
                 seq: 0,
                 shard: 1,
@@ -2238,7 +1859,14 @@ mod tests {
                 cause: FaultCause::Quarantined,
                 attempts: 1,
             }),
-        ]
+            SessionEvent::Completion(edge_completion()),
+        ];
+        events.extend(
+            failures_of_every_cause()
+                .into_iter()
+                .map(SessionEvent::Failure),
+        );
+        events
     }
 
     #[test]
@@ -2250,15 +1878,12 @@ mod tests {
     #[test]
     fn event_buffer_flush_matches_write_frame_byte_for_byte() {
         let events = sample_events();
-        let mut via_frame = Vec::new();
-        write_frame(&mut via_frame, &Frame::Events(events.clone())).unwrap();
         let mut buffer = EventBuffer::new();
         let mut hashed = Fnv64::new();
         let mut reference = Fnv64::new();
         for event in &events {
-            // The returned slice is exactly what an unbatched frame's
-            // payload would have been, so the session checksum is
-            // framing-independent.
+            // The returned slice is exactly the unit's payload, so the
+            // session checksum folds the same bytes the client decodes.
             let mut standalone = Vec::new();
             let slice = match event {
                 SessionEvent::Completion(c) => {
@@ -2277,12 +1902,15 @@ mod tests {
         assert_eq!(hashed.value(), reference.value());
         assert_eq!(buffer.len(), events.len() as u32);
         let mut via_buffer = Vec::new();
-        buffer.flush_to(&mut via_buffer).unwrap();
-        assert_eq!(via_buffer, via_frame);
+        buffer.flush_to_crc(&mut via_buffer).unwrap();
+        assert_eq!(
+            read_frame_crc(&mut via_buffer.as_slice()).unwrap(),
+            Frame::Events(events)
+        );
         // The buffer resets for reuse, and an empty flush writes nothing.
         assert!(buffer.is_empty());
         let mut empty = Vec::new();
-        buffer.flush_to(&mut empty).unwrap();
+        buffer.flush_to_crc(&mut empty).unwrap();
         assert!(empty.is_empty());
     }
 
@@ -2310,7 +1938,7 @@ mod tests {
         }
         let events = sample_events();
         let mut via_frame = Vec::new();
-        write_frame(&mut via_frame, &Frame::Events(events.clone())).unwrap();
+        write_frame_crc(&mut via_frame, &Frame::Events(events.clone())).unwrap();
         let mut buffer = EventBuffer::new();
         for event in &events {
             match event {
@@ -2322,7 +1950,7 @@ mod tests {
             bytes: Vec::new(),
             interrupted: false,
         };
-        buffer.flush_to(&mut stream).unwrap();
+        buffer.flush_to_crc(&mut stream).unwrap();
         assert_eq!(stream.bytes, via_frame);
     }
 
@@ -2346,12 +1974,12 @@ mod tests {
             buffer.push_completion(&widest);
         }
         let mut wire = Vec::new();
-        buffer.flush_to(&mut wire).unwrap();
+        buffer.flush_to_crc(&mut wire).unwrap();
         let len = u32::from_le_bytes(wire[0..4].try_into().unwrap());
         assert!(len <= MAX_FRAME_LEN, "full buffer still fits one frame");
         // And the giant frame decodes back to the same run.
         let mut reader = wire.as_slice();
-        match read_frame(&mut reader).unwrap() {
+        match read_frame_crc(&mut reader).unwrap() {
             Frame::Events(events) => {
                 assert!(events.len() > 70_000, "the cap admits a large run");
                 assert!(events
@@ -2418,7 +2046,7 @@ mod tests {
         ];
         let mut wire = Vec::new();
         for f in &frames {
-            write_frame(&mut wire, f).unwrap();
+            write_frame_crc(&mut wire, f).unwrap();
         }
         let mut stream = Trickle {
             bytes: wire,
@@ -2469,11 +2097,16 @@ mod tests {
 
     #[test]
     fn malformed_frames_are_rejected_not_misread() {
-        // Unknown frame tag.
-        assert!(matches!(
-            decode_body(&[0x7f]),
-            Err(ProtoError::UnknownFrame(0x7f))
-        ));
+        // Unknown frame tag, and the two reserved tags of the retired
+        // per-op completion frames.
+        for reserved in [0x7f, 0x82, 0x87] {
+            let mut body = vec![reserved];
+            body.extend_from_slice(&[0u8; 40]);
+            assert!(matches!(
+                decode_body(&body),
+                Err(ProtoError::UnknownFrame(t)) if t == reserved
+            ));
+        }
         // Unknown op code inside a batch.
         let mut body = vec![0x02, 1, 0, 0, 0, 0xee];
         body.extend_from_slice(&[0u8; 8]);
@@ -2488,16 +2121,25 @@ mod tests {
         let mut wire = (MAX_FRAME_LEN + 1).to_le_bytes().to_vec();
         wire.push(0x03);
         assert!(matches!(
-            read_frame(&mut wire.as_slice()),
+            read_frame_crc(&mut wire.as_slice()),
             Err(ProtoError::Oversized(_))
         ));
         // EOF mid-frame surfaces as an I/O error.
         let mut wire = Vec::new();
-        write_frame(&mut wire, &Frame::Flush).unwrap();
+        write_frame_crc(&mut wire, &Frame::Flush).unwrap();
         wire.pop();
         assert!(matches!(
-            read_frame(&mut wire.as_slice()),
+            read_frame_crc(&mut wire.as_slice()),
             Err(ProtoError::Io(_))
+        ));
+        // A frame without its trailer never decodes.
+        let mut body = Vec::new();
+        encode_body(&Frame::Hello(SessionParams::defaults()), &mut body);
+        let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&body);
+        assert!(matches!(
+            read_frame_crc(&mut wire.as_slice()),
+            Err(ProtoError::Crc { .. })
         ));
     }
 

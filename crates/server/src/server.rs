@@ -13,9 +13,9 @@
 //!    [`DevicePool::step`] (one event per busy shard), never by blocking
 //!    the socket;
 //! 3. resolved [`OpFuture`]s are drained non-blockingly
-//!    ([`OpFuture::try_take`]) and streamed back as typed `Completion`
-//!    frames in completion order (ascending finish cycle at each drain
-//!    point, ties broken by submission sequence).
+//!    ([`OpFuture::try_take`]) and streamed back as typed completion
+//!    units of `Events` frames in completion order (ascending finish
+//!    cycle at each drain point, ties broken by submission sequence).
 //!
 //! Determinism contract: the engine's DRAM timeline is a pure function
 //! of the submission sequence (batch boundaries included). With
@@ -28,13 +28,11 @@
 //! deterministic, but clocks advance earlier. The replay-rate governor
 //! only ever sleeps the host thread, so it cannot perturb cycles.
 //!
-//! Two orthogonal serving options preserve that contract bit for bit:
-//! [`ServerConfig::workers`] runs the engine over pipelined
-//! [`ShardWorkers`] (one thread per shard behind SPSC rings, drained at
-//! the same loop points), and protocol-v3 sessions receive their
-//! completions packed into batched `Events` frames whose *payload*
-//! bytes — the only bytes the session checksum hashes — are identical
-//! to the per-op frames a v2 session gets.
+//! [`ServerConfig::workers`] preserves that contract bit for bit: it
+//! runs the engine over pipelined [`ShardWorkers`] (one thread per
+//! shard behind SPSC rings, drained at the same loop points). However
+//! the units are packed into `Events` frames, the session checksum
+//! hashes only their payload bytes, in emission order.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -59,9 +57,9 @@ use codic_dram::{DramGeometry, TimingParams};
 
 use crate::governor::RateGovernor;
 use crate::proto::{
-    self, write_frame_in, BatchAck, ErrorCode, EventBuffer, FlushAck, Fnv64, Frame, FrameReader,
+    self, write_frame_crc, BatchAck, ErrorCode, EventBuffer, FlushAck, Fnv64, Frame, FrameReader,
     ProtoError, ResumeAck, SessionParams, Summary, WireCompletion, WireFailure, MAX_QOS_WEIGHT,
-    MAX_QUOTA_CLAIM, MAX_TENANT_CLAIM, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    MAX_QUOTA_CLAIM, MAX_TENANT_CLAIM, PROTOCOL_VERSION,
 };
 
 /// Server-side session defaults and caps.
@@ -101,10 +99,10 @@ pub struct ServerConfig {
     /// Idle deadline in milliseconds (`--session-idle-ms`): a connected
     /// session that sends no frame for this long is torn down with an
     /// honest `Error` + `Summary` ([`SessionEnd::Idle`]), and a parked
-    /// v4 session nobody resumes for this long is reaped and its
-    /// journal freed.
+    /// session nobody resumes for this long is reaped and its journal
+    /// freed.
     pub session_idle_ms: u64,
-    /// Per-session cap on the v4 resume journal, in bytes: the journal
+    /// Per-session cap on the resume journal, in bytes: the journal
     /// keeps the most recent event payloads up to this bound, evicting
     /// the oldest whole events first. A `Resume` pointing before the
     /// retained window is honestly rejected (`--journal-max-kib`).
@@ -146,7 +144,8 @@ impl Default for ServerConfig {
 
 impl ServerConfig {
     /// Resolves a client `Hello` against the server's defaults and caps
-    /// into the effective session parameters of the `HelloAck`.
+    /// into the effective session parameters of the `HelloAck`. The
+    /// `Hello`'s version is checked at the handshake, not here.
     #[must_use]
     pub fn negotiate(&self, hello: &SessionParams) -> SessionParams {
         let shards = match hello.shards {
@@ -162,14 +161,13 @@ impl ServerConfig {
             0 => self.max_outstanding,
             n => (n as usize).min(self.max_outstanding.max(1)),
         };
-        let version = hello.version.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION);
-        // v5's quota_ops is an additional bound on the outstanding
-        // window — the fleet enforces the effective value as the
-        // tenant's quota, and a private-pool session's engine uses it as
-        // its backpressure window, so the two serve identically.
-        let max_outstanding = match (version >= 5, hello.quota_ops) {
-            (true, q) if q != 0 => max_outstanding.min(q as usize).max(1),
-            _ => max_outstanding,
+        // quota_ops is an additional bound on the outstanding window —
+        // the fleet enforces the effective value as the tenant's quota,
+        // and a private-pool session's engine uses it as its
+        // backpressure window, so the two serve identically.
+        let max_outstanding = match hello.quota_ops {
+            0 => max_outstanding,
+            q => max_outstanding.min(q as usize).max(1),
         };
         let target_rows_per_s = match (self.target_rows_per_s, hello.target_rows_per_s) {
             (0, t) => t,
@@ -190,32 +188,21 @@ impl ServerConfig {
         }
         .min(module_rows);
         SessionParams {
-            // The session runs the *client's* version (already validated
-            // against the supported range by the handshake); the ack
-            // echoes it so a v2 client interoperates unchanged.
-            version,
+            version: PROTOCOL_VERSION,
             shards: shards as u16,
             module_mib: module_mib as u32,
             max_outstanding: max_outstanding as u32,
             target_rows_per_s,
             refresh: u8::from(refresh),
             compute_rows: compute_rows as u32,
-            qos_weight: if version >= 5 {
-                match hello.qos_weight {
-                    0 => 1,
-                    w => w.min(MAX_QOS_WEIGHT),
-                }
-            } else {
-                0
+            qos_weight: match hello.qos_weight {
+                0 => 1,
+                w => w.min(MAX_QOS_WEIGHT),
             },
             // `tenants` is 0 for private-pool serving; fleet-mode
             // handshakes overwrite it with the fleet's slot count.
             tenants: 0,
-            quota_ops: if version >= 5 {
-                max_outstanding as u32
-            } else {
-                0
-            },
+            quota_ops: max_outstanding as u32,
         }
     }
 
@@ -233,7 +220,7 @@ impl ServerConfig {
 }
 
 /// One finished operation with its session metadata — the in-process
-/// twin of the wire's `Completion` frame.
+/// twin of the wire's completion unit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplayCompletion {
     /// Zero-based submission sequence number within the session.
@@ -634,8 +621,8 @@ pub enum SessionEnd {
     /// drained, an `Error` and an honest `Summary` were sent, and the
     /// session's memory (journal included) was freed.
     Idle,
-    /// A protocol ≥ 4 session's connection was cut or corrupted
-    /// mid-stream: the session state was parked in the
+    /// The session's connection was cut or corrupted mid-stream: the
+    /// session state was parked in the
     /// [`SessionRegistry`] and a reconnecting client can
     /// [`Frame::Resume`] it. This ends the *connection*, not the
     /// session.
@@ -653,7 +640,7 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The full state of one live v4 session, detached from any particular
+/// The full state of one live session, detached from any particular
 /// connection so a cut can park it and a [`Frame::Resume`] can pick it
 /// back up.
 struct SessionState {
@@ -699,7 +686,7 @@ impl SessionState {
             token,
             engine,
             governor: RateGovernor::new(params.target_rows_per_s),
-            tally: SessionTally::for_params(&params, config.journal_max_bytes),
+            tally: SessionTally::new(config.journal_max_bytes),
             finished: None,
         }
     }
@@ -711,7 +698,7 @@ struct ParkedSession {
     parked_at: Instant,
 }
 
-/// Where disconnected v4 sessions wait for their clients to come back.
+/// Where disconnected sessions wait for their clients to come back.
 ///
 /// One registry serves one [`ReplayServer`] (every connection thread
 /// shares it); the in-memory [`serve_session`] helpers create a
@@ -867,32 +854,9 @@ fn next_input<R: Read>(
     }
 }
 
-/// [`next_input`] for the first frame of a connection, whose framing
-/// (bare or CRC-trailed) is unknown until decoded; arms the reader's
-/// CRC mode to match what arrived.
-fn first_input<R: Read>(
-    reader: &mut R,
-    frames: &mut FrameReader,
-    shutdown: &AtomicBool,
-    idle: Duration,
-) -> Result<Input, ProtoError> {
-    let since = Instant::now();
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return Ok(Input::Shutdown);
-        }
-        if let Some((frame, _crc)) = frames.poll_first(reader)? {
-            return Ok(Input::Frame(frame));
-        }
-        if since.elapsed() >= idle {
-            return Ok(Input::Idle);
-        }
-    }
-}
-
 /// Serves one *connection* against a shared [`SessionRegistry`]: a
 /// `Hello` opens a fresh session; a `Resume` re-attaches a parked one.
-/// This is the full v4-aware entry point the [`ReplayServer`] runs per
+/// This is the entry point the [`ReplayServer`] runs per
 /// accepted socket — [`serve_session_until`] is this with a throwaway
 /// registry (no cross-connection resume).
 ///
@@ -927,15 +891,12 @@ fn serve_connection_inner<R: Read, W: Write>(
 ) -> io::Result<SessionEnd> {
     let mut frames = FrameReader::new();
     let idle = Duration::from_millis(config.session_idle_ms.max(1));
-    let first = match first_input(reader, &mut frames, shutdown, idle) {
+    // The first frame must already carry a valid CRC trailer: a frame
+    // without one is a typed Malformed error, and the connection closes.
+    let first = match next_input(reader, &mut frames, shutdown, idle) {
         Ok(Input::Frame(frame)) => frame,
         Ok(Input::Shutdown) => {
-            send_error(
-                writer,
-                ErrorCode::Unavailable,
-                "server is shutting down",
-                frames.crc_enabled(),
-            )?;
+            send_error(writer, ErrorCode::Unavailable, "server is shutting down")?;
             return Ok(SessionEnd::Shutdown);
         }
         Ok(Input::Idle) => {
@@ -943,37 +904,31 @@ fn serve_connection_inner<R: Read, W: Write>(
                 writer,
                 ErrorCode::Unavailable,
                 "handshake idle deadline exceeded",
-                frames.crc_enabled(),
             )?;
             return Ok(SessionEnd::Idle);
         }
         Err(ProtoError::Io(e)) => return io_end(e),
         Err(e) => {
-            send_error(writer, ErrorCode::Malformed, &e.to_string(), false)?;
+            send_error(writer, ErrorCode::Malformed, &e.to_string())?;
             return Ok(SessionEnd::Protocol(e));
         }
     };
     match first {
         Frame::Hello(hello) => {
-            if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&hello.version) {
-                let reason = format!(
-                    "server speaks v{MIN_PROTOCOL_VERSION}..=v{PROTOCOL_VERSION}, client sent v{}",
-                    hello.version
-                );
-                send_error(writer, ErrorCode::Version, &reason, frames.crc_enabled())?;
+            if hello.version != PROTOCOL_VERSION {
+                let reason = version_mismatch(hello.version);
+                send_error(writer, ErrorCode::Version, &reason)?;
                 return Ok(SessionEnd::Rejected(reason));
             }
-            // Oversized v5 resource claims are rejected here, before
+            // Oversized resource claims are rejected here, before
             // anything is negotiated or allocated from their numbers.
-            if hello.version >= 5
-                && (hello.tenants > MAX_TENANT_CLAIM || hello.quota_ops > MAX_QUOTA_CLAIM)
-            {
+            if hello.tenants > MAX_TENANT_CLAIM || hello.quota_ops > MAX_QUOTA_CLAIM {
                 let reason = format!(
                     "resource claim out of range: tenants {} (max {MAX_TENANT_CLAIM}), \
                      quota_ops {} (max {MAX_QUOTA_CLAIM})",
                     hello.tenants, hello.quota_ops
                 );
-                send_error(writer, ErrorCode::Policy, &reason, frames.crc_enabled())?;
+                send_error(writer, ErrorCode::Policy, &reason)?;
                 return Ok(SessionEnd::Rejected(reason));
             }
             let params = match fleet {
@@ -994,18 +949,13 @@ fn serve_connection_inner<R: Read, W: Write>(
                 }
                 None => config.negotiate(&hello),
             };
-            // From here the framing follows the *negotiated version*,
-            // whatever the Hello itself looked like: every frame of a
-            // v4 session carries the CRC trailer, in both directions.
-            let crc = params.version >= 4;
-            frames.set_crc(crc);
             let engine = match fleet {
                 Some(fleet) => match ReplayEngine::for_fleet(&params, fleet) {
                     Some(engine) => engine,
                     None => {
                         let reason =
                             format!("no free tenant slots (fleet serves {})", fleet.slots());
-                        send_error(writer, ErrorCode::Unavailable, &reason, crc)?;
+                        send_error(writer, ErrorCode::Unavailable, &reason)?;
                         return Ok(SessionEnd::Rejected(reason));
                     }
                 },
@@ -1017,8 +967,8 @@ fn serve_connection_inner<R: Read, W: Write>(
                     config.workers,
                 ),
             };
-            let token = if crc { registry.mint_token() } else { 0 };
-            write_frame_in(writer, &Frame::HelloAck { params, token }, crc)?;
+            let token = registry.mint_token();
+            write_frame_crc(writer, &Frame::HelloAck { params, token })?;
             writer.flush()?;
             let session = SessionState::from_engine(params, token, config, engine);
             run_session(
@@ -1032,15 +982,19 @@ fn serve_connection_inner<R: Read, W: Write>(
             )
         }
         Frame::Resume(req) => {
-            frames.set_crc(true);
             resume_session(req, reader, writer, &mut frames, config, shutdown, registry)
         }
         other => {
             let reason = format!("expected Hello or Resume, got {}", frame_name(&other));
-            send_error(writer, ErrorCode::Malformed, &reason, frames.crc_enabled())?;
+            send_error(writer, ErrorCode::Malformed, &reason)?;
             Ok(SessionEnd::Rejected(reason))
         }
     }
+}
+
+/// The reason a `Hello` or `Resume` at `version` is refused.
+fn version_mismatch(version: u16) -> String {
+    format!("server speaks v{PROTOCOL_VERSION} only, client sent v{version}")
 }
 
 /// Re-attaches a parked session to a fresh connection: validates the
@@ -1056,9 +1010,9 @@ fn resume_session<R: Read, W: Write>(
     shutdown: &AtomicBool,
     registry: &SessionRegistry,
 ) -> io::Result<SessionEnd> {
-    if req.version < 4 {
-        let reason = format!("resume requires protocol >= 4, got v{}", req.version);
-        send_error(writer, ErrorCode::Version, &reason, true)?;
+    if req.version != PROTOCOL_VERSION {
+        let reason = version_mismatch(req.version);
+        send_error(writer, ErrorCode::Version, &reason)?;
         return Ok(SessionEnd::Rejected(reason));
     }
     // Wait briefly for the previous connection's thread to notice the
@@ -1066,10 +1020,10 @@ fn resume_session<R: Read, W: Write>(
     let grace = Duration::from_millis((config.read_timeout_ms.max(1) * 8).max(500));
     let Some(mut session) = registry.claim(req.token, grace) else {
         let reason = "unknown, expired, or still-active session token".to_string();
-        send_error(writer, ErrorCode::Unavailable, &reason, true)?;
+        send_error(writer, ErrorCode::Unavailable, &reason)?;
         return Ok(SessionEnd::Rejected(reason));
     };
-    let (base, total) = session.tally.journal_window();
+    let (base, total) = session.tally.journal.window();
     if req.events_received > total || req.events_received < base {
         // The claim consumed the session: a client whose resume point
         // fell outside the bounded journal can never be made whole, so
@@ -1080,7 +1034,7 @@ fn resume_session<R: Read, W: Write>(
             "resume point {} outside the retained journal window {base}..={total}",
             req.events_received
         );
-        send_error(writer, ErrorCode::Unavailable, &reason, true)?;
+        send_error(writer, ErrorCode::Unavailable, &reason)?;
         return Ok(SessionEnd::Rejected(reason));
     }
     let finished = session.finished;
@@ -1092,10 +1046,10 @@ fn resume_session<R: Read, W: Write>(
         finished: u8::from(finished.is_some()),
     });
     let handoff = (|| -> io::Result<()> {
-        write_frame_in(writer, &ack, true)?;
+        write_frame_crc(writer, &ack)?;
         session.tally.replay_journal(writer, req.events_received)?;
         if let Some(summary) = finished {
-            write_frame_in(writer, &Frame::Summary(summary), true)?;
+            write_frame_crc(writer, &Frame::Summary(summary))?;
         }
         writer.flush()
     })();
@@ -1134,30 +1088,19 @@ fn run_session<R: Read, W: Write>(
     registry: &SessionRegistry,
 ) -> io::Result<SessionEnd> {
     let idle = Duration::from_millis(config.session_idle_ms.max(1));
-    let crc = session.params.version >= 4;
     loop {
-        match next_input(reader, frames, shutdown, idle) {
+        let end = match next_input(reader, frames, shutdown, idle) {
             Ok(Input::Frame(frame)) => match handle_frame(&mut session, frame, writer) {
-                Ok(Flow::Continue) => {}
-                Ok(Flow::End(end)) => {
-                    if crc && matches!(end, SessionEnd::Bye) {
-                        // Park the finished session as a tombstone: if
-                        // the Summary was lost in a cut the client never
-                        // saw, its Resume re-delivers journal + Summary.
-                        session.tally.reset_wire_state();
-                        registry.park(session);
-                    }
-                    return Ok(end);
-                }
+                Ok(Flow::Continue) => continue,
+                // A finished session parks as a tombstone: if the
+                // Summary was lost in a cut the client never saw, its
+                // Resume re-delivers journal + Summary.
+                Ok(Flow::End(SessionEnd::Bye)) => SessionEnd::Bye,
+                Ok(Flow::End(end)) => return Ok(end),
                 // The write path died mid-emission: everything emitted
                 // (and half-emitted) is already journaled, so park for
                 // resume instead of losing the session.
-                Err(_) if crc => {
-                    session.tally.reset_wire_state();
-                    registry.park(session);
-                    return Ok(SessionEnd::Suspended);
-                }
-                Err(e) => return Err(e),
+                Err(_) => SessionEnd::Suspended,
             },
             Ok(Input::Shutdown) => {
                 // Graceful teardown: everything in flight is drained
@@ -1166,7 +1109,7 @@ fn run_session<R: Read, W: Write>(
                 // really delivered.
                 let completions = session.engine.flush();
                 session.tally.emit(writer, &completions)?;
-                write_frame_in(writer, &Frame::Summary(session.tally.summary()), crc)?;
+                write_frame_crc(writer, &Frame::Summary(session.tally.summary()))?;
                 writer.flush()?;
                 return Ok(SessionEnd::Shutdown);
             }
@@ -1185,50 +1128,41 @@ fn run_session<R: Read, W: Write>(
                             "session idle deadline ({} ms) exceeded",
                             config.session_idle_ms
                         ),
-                        crc,
                     )?;
-                    write_frame_in(writer, &Frame::Summary(session.tally.summary()), crc)?;
+                    write_frame_crc(writer, &Frame::Summary(session.tally.summary()))?;
                     writer.flush()
                 })();
                 drop(teardown);
                 return Ok(SessionEnd::Idle);
             }
-            // A cut or corrupted stream parks a v4 session for resume —
+            // A cut or corrupted stream parks the session for resume —
             // *any* read failure, decode errors included: a corrupted
             // length prefix desynchronizes everything after it, so the
             // whole wire is untrustworthy while the session state is
             // still consistent. The client reconnects and resumes; a
             // client that never does is bounded by the idle reaper.
-            // v2/v3 sessions keep the old teardown semantics.
-            Err(_) if crc => {
-                session.tally.reset_wire_state();
-                registry.park(session);
-                return Ok(SessionEnd::Suspended);
-            }
-            Err(ProtoError::Io(e)) => return io_end(e),
-            Err(e) => {
-                send_error(writer, ErrorCode::Malformed, &e.to_string(), crc)?;
-                return Ok(SessionEnd::Protocol(e));
-            }
-        }
+            Err(_) => SessionEnd::Suspended,
+        };
+        session.tally.reset_wire_state();
+        registry.park(session);
+        return Ok(end);
     }
 }
 
 /// Handles one in-session frame. Write errors bubble up so the caller
-/// can park a v4 session instead of dropping it.
+/// can park the session instead of dropping it.
 fn handle_frame<W: Write>(
     session: &mut SessionState,
     frame: Frame,
     writer: &mut W,
 ) -> io::Result<Flow> {
-    let crc = session.params.version >= 4;
     match frame {
         Frame::Batch(ops) => {
             let seq_base = session.engine.next_seq();
             match session.engine.submit_batch(&ops) {
                 Ok(completions) => {
                     session.tally.emit(writer, &completions)?;
-                    write_frame_in(
+                    write_frame_crc(
                         writer,
                         &Frame::Batched(BatchAck {
                             seq_base,
@@ -1236,7 +1170,6 @@ fn handle_frame<W: Write>(
                             emitted: completions.len() as u32,
                             outstanding: session.engine.outstanding() as u64,
                         }),
-                        crc,
                     )?;
                     writer.flush()?;
                     if let Some(pause) = session.governor.on_rows(ops.len() as u64) {
@@ -1248,11 +1181,10 @@ fn handle_frame<W: Write>(
                         writer,
                         ErrorCode::Unavailable,
                         &CodicError::NoHealthyShards.to_string(),
-                        crc,
                     )?;
                 }
                 Err(policy) => {
-                    send_error(writer, ErrorCode::Policy, &policy.to_string(), crc)?;
+                    send_error(writer, ErrorCode::Policy, &policy.to_string())?;
                 }
             }
             Ok(Flow::Continue)
@@ -1260,13 +1192,12 @@ fn handle_frame<W: Write>(
         Frame::Flush => {
             let completions = session.engine.flush();
             session.tally.emit(writer, &completions)?;
-            write_frame_in(
+            write_frame_crc(
                 writer,
                 &Frame::Flushed(FlushAck {
                     emitted: completions.len() as u64,
                     now_max: session.engine.now_max(),
                 }),
-                crc,
             )?;
             writer.flush()?;
             Ok(Flow::Continue)
@@ -1275,7 +1206,7 @@ fn handle_frame<W: Write>(
             let completions = session.engine.flush();
             session.tally.emit(writer, &completions)?;
             let summary = session.tally.summary();
-            write_frame_in(writer, &Frame::Summary(summary), crc)?;
+            write_frame_crc(writer, &Frame::Summary(summary))?;
             writer.flush()?;
             // Marked finished only once the Summary writes cleanly: a
             // cut before that resumes into the normal loop, where the
@@ -1285,13 +1216,13 @@ fn handle_frame<W: Write>(
         }
         other => {
             let reason = format!("expected Batch/Flush/Bye, got {}", frame_name(&other));
-            send_error(writer, ErrorCode::Malformed, &reason, crc)?;
+            send_error(writer, ErrorCode::Malformed, &reason)?;
             Ok(Flow::End(SessionEnd::Rejected(reason)))
         }
     }
 }
 
-/// The bounded v4 resume journal: the most recent event payloads of a
+/// The bounded resume journal: the most recent event payloads of a
 /// session, exactly as encoded (and checksummed) on first emission, so
 /// a resumed connection can re-send the bytes an interrupted one lost.
 ///
@@ -1347,20 +1278,13 @@ impl EventJournal {
 }
 
 /// Running totals and checksum of one session's completion stream.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct SessionTally {
     checksum: Fnv64,
-    payload: Vec<u8>,
-    /// The reusable batched-emission buffer (v3 sessions only).
+    /// The reusable emission buffer.
     events: EventBuffer,
-    /// True once the session negotiated protocol ≥ 3: completions ship
-    /// packed into `Events` frames instead of one frame per op.
-    batched: bool,
-    /// True once the session negotiated protocol ≥ 4: every emitted
-    /// frame carries the CRC32C trailer.
-    crc: bool,
-    /// The v4 resume journal (`None` below v4).
-    journal: Option<EventJournal>,
+    /// The resume journal.
+    journal: EventJournal,
     ops: u64,
     row_ops: u64,
     failed: u64,
@@ -1369,50 +1293,41 @@ struct SessionTally {
 }
 
 impl SessionTally {
-    /// A tally emitting in the negotiated version's transport: batched
-    /// `Events` frames from v3 on, CRC-trailed and journaled for resume
-    /// from v4 on, per-op frames for v2.
-    fn for_params(params: &SessionParams, journal_max_bytes: usize) -> Self {
-        let v4 = params.version >= 4;
+    fn new(journal_max_bytes: usize) -> Self {
         SessionTally {
-            batched: params.version >= 3,
-            crc: v4,
-            journal: v4.then(|| EventJournal::new(journal_max_bytes)),
-            ..SessionTally::default()
+            checksum: Fnv64::new(),
+            events: EventBuffer::new(),
+            journal: EventJournal::new(journal_max_bytes),
+            ops: 0,
+            row_ops: 0,
+            failed: 0,
+            max_finish_cycle: 0,
+            total_energy_nj: 0.0,
         }
     }
 
-    /// Streams `completions` — batched into `Events` frames (v3) or as
-    /// per-op `Completion` / `Failed` frames (v2) — folding each
-    /// *payload* into the totals and the session checksum. The hashed
-    /// bytes are identical in both transports, so the checksum is
-    /// framing-independent. Successes count toward `ops`/`row_ops`/
-    /// energy; failures only toward `failed` — the `Summary` reports
-    /// what the session really delivered, not what it attempted.
+    /// Streams `completions` as `Events` frames, folding each unit's
+    /// *payload* into the totals, the session checksum and the resume
+    /// journal. Successes count toward `ops`/`row_ops`/energy; failures
+    /// only toward `failed` — the `Summary` reports what the session
+    /// really delivered, not what it attempted.
     fn emit<W: Write>(
         &mut self,
         writer: &mut W,
         completions: &[ReplayCompletion],
     ) -> io::Result<()> {
         for c in completions {
-            if self.batched && self.events.is_full() {
-                self.flush_events(writer)?;
+            if self.events.is_full() {
+                self.events.flush_to_crc(writer)?;
             }
+            // Encode once into the reusable buffer: the returned slice
+            // is the checksummed, the sent and the journaled bytes.
             if let Some(failure) = c.to_wire_failure() {
                 self.failed += 1;
                 self.max_finish_cycle = self.max_finish_cycle.max(failure.at_cycle);
-                if self.batched {
-                    let payload = self.events.push_failure(&failure);
-                    self.checksum.update(payload);
-                    if let Some(journal) = self.journal.as_mut() {
-                        journal.push(proto::EVENT_FAILURE, payload);
-                    }
-                } else {
-                    self.payload.clear();
-                    proto::failure_payload(&failure, &mut self.payload);
-                    self.checksum.update(&self.payload);
-                    write_frame_in(writer, &Frame::Failed(failure), false)?;
-                }
+                let payload = self.events.push_failure(&failure);
+                self.checksum.update(payload);
+                self.journal.push(proto::EVENT_FAILURE, payload);
                 continue;
             }
             let wire = c.to_wire();
@@ -1420,51 +1335,19 @@ impl SessionTally {
             self.row_ops += u64::from(wire.op.row_op_kind().is_some());
             self.max_finish_cycle = self.max_finish_cycle.max(wire.finish_cycle);
             self.total_energy_nj += wire.energy_nj;
-            if self.batched {
-                // Encode once into the reusable buffer: the returned
-                // slice is both the checksummed and the sent bytes —
-                // and, on v4, the journaled bytes a resume replays.
-                let payload = self.events.push_completion(&wire);
-                self.checksum.update(payload);
-                if let Some(journal) = self.journal.as_mut() {
-                    journal.push(proto::EVENT_COMPLETION, payload);
-                }
-            } else {
-                self.payload.clear();
-                proto::completion_payload(&wire, &mut self.payload);
-                self.checksum.update(&self.payload);
-                // Encode once: the checksummed bytes are the sent bytes.
-                proto::write_completion_frame(writer, &self.payload)?;
-            }
+            let payload = self.events.push_completion(&wire);
+            self.checksum.update(payload);
+            self.journal.push(proto::EVENT_COMPLETION, payload);
         }
-        // The whole run ships before the caller's ack frame, so frame
-        // order on the wire mirrors the unbatched emission order.
-        self.flush_events(writer)?;
-        Ok(())
-    }
-
-    /// Flushes the batched-emission buffer in the session's framing.
-    fn flush_events<W: Write>(&mut self, writer: &mut W) -> io::Result<()> {
-        if self.crc {
-            self.events.flush_to_crc(writer)
-        } else {
-            self.events.flush_to(writer)
-        }
-    }
-
-    /// The journal's retained window (`(0, 0)` below v4).
-    fn journal_window(&self) -> (u64, u64) {
-        self.journal.as_ref().map_or((0, 0), EventJournal::window)
+        // The whole run ships before the caller's ack frame.
+        self.events.flush_to_crc(writer)
     }
 
     /// Re-emits journaled events from stream index `from` onward as
-    /// CRC-framed `Events` frames — byte-identical payloads to their
-    /// first emission, so the client-side checksum can't tell a resumed
+    /// `Events` frames — byte-identical payloads to their first
+    /// emission, so the client-side checksum can't tell a resumed
     /// stream from an uninterrupted one.
     fn replay_journal<W: Write>(&self, writer: &mut W, from: u64) -> io::Result<()> {
-        let Some(journal) = self.journal.as_ref() else {
-            return Ok(());
-        };
         // Replay frames are deliberately small: a resuming client must
         // be able to absorb at least one whole frame per connection to
         // make forward progress, even over a wire that keeps dying.
@@ -1472,7 +1355,7 @@ impl SessionTally {
         // whenever that frame outlives every connection attempt.
         const REPLAY_FRAME_BYTES: usize = 8 << 10;
         let mut buffer = EventBuffer::new();
-        for (kind, payload) in journal.iter_from(from) {
+        for (kind, payload) in self.journal.iter_from(from) {
             if buffer.byte_len() >= REPLAY_FRAME_BYTES {
                 buffer.flush_to_crc(writer)?;
             }
@@ -1519,8 +1402,6 @@ fn frame_name(frame: &Frame) -> &'static str {
         Frame::Bye => "Bye",
         Frame::Resume(_) => "Resume",
         Frame::ResumeAck(_) => "ResumeAck",
-        Frame::Completion(_) => "Completion",
-        Frame::Failed(_) => "Failed",
         Frame::Batched(_) => "Batched",
         Frame::Flushed(_) => "Flushed",
         Frame::Summary(_) => "Summary",
@@ -1529,19 +1410,13 @@ fn frame_name(frame: &Frame) -> &'static str {
     }
 }
 
-fn send_error<W: Write>(
-    writer: &mut W,
-    code: ErrorCode,
-    detail: &str,
-    crc: bool,
-) -> io::Result<()> {
-    write_frame_in(
+fn send_error<W: Write>(writer: &mut W, code: ErrorCode, detail: &str) -> io::Result<()> {
+    write_frame_crc(
         writer,
         &Frame::Error {
             code,
             detail: detail.to_string(),
         },
-        crc,
     )?;
     writer.flush()
 }
@@ -1666,12 +1541,16 @@ pub struct ReplayServer {
     config: ServerConfig,
     path: Option<PathBuf>,
     shutdown: ShutdownHandle,
-    /// Shared across every connection thread: where cut v4 sessions
-    /// park for resume, reaped on the idle deadline by the accept loop.
+    /// Shared across every connection thread: where cut sessions park
+    /// for resume, reaped on the idle deadline by the accept loop.
     registry: Arc<SessionRegistry>,
     /// The shared tenant fleet ([`ServerConfig::fleet_slots`] > 0):
     /// built once at bind, leased per session.
     fleet: Option<FleetHandle>,
+    /// Threads of the sessions the accept loop has spawned and not yet
+    /// joined: one per *live* session, because each accept round joins
+    /// the ones that finished.
+    threads: Mutex<Vec<thread::JoinHandle<()>>>,
 }
 
 impl ReplayServer {
@@ -1782,6 +1661,7 @@ impl ReplayServer {
             shutdown: ShutdownHandle::default(),
             registry: Arc::new(SessionRegistry::new()),
             fleet,
+            threads: Mutex::new(Vec::new()),
         })
     }
 
@@ -1846,12 +1726,12 @@ impl ReplayServer {
             listener.set_nonblocking(true)?;
         }
         let idle = Duration::from_millis(self.config.session_idle_ms.max(1));
-        let mut handles = Vec::new();
         let mut accepted = 0usize;
         'accept: while connections.is_none_or(|n| accepted < n) {
             if self.shutdown.is_shutdown() {
                 break;
             }
+            self.join_finished_sessions();
             // Poll every listener once; a fully quiet round doubles as
             // the reaper's tick: parked sessions nobody resumed past
             // the idle deadline are dropped and their journals freed.
@@ -1862,7 +1742,8 @@ impl ReplayServer {
                 }
                 match listener.accept() {
                     Ok(stream) => {
-                        handles.push(self.spawn_session(stream));
+                        let handle = self.spawn_session(stream);
+                        self.session_threads().push(handle);
                         accepted += 1;
                         quiet = false;
                     }
@@ -1876,10 +1757,32 @@ impl ReplayServer {
                 thread::sleep(Duration::from_millis(5));
             }
         }
-        for handle in handles {
+        for handle in std::mem::take(&mut *self.session_threads()) {
             let _ = handle.join();
         }
         Ok(())
+    }
+
+    /// Joins and drops the threads of sessions that have ended, so a
+    /// long-lived server holds no state per connection it ever served.
+    fn join_finished_sessions(&self) {
+        let mut threads = self.session_threads();
+        let mut i = 0;
+        while i < threads.len() {
+            if threads[i].is_finished() {
+                // Already exited: the join returns at once.
+                let _ = threads.swap_remove(i).join();
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// The session-thread list, recovered from poisoning.
+    fn session_threads(&self) -> std::sync::MutexGuard<'_, Vec<thread::JoinHandle<()>>> {
+        self.threads
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     fn spawn_session(&self, stream: ServerStream) -> thread::JoinHandle<()> {
@@ -1922,7 +1825,6 @@ impl Drop for ReplayServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::write_frame;
     use codic_core::ops::VariantId;
 
     fn params(max_outstanding: u32) -> SessionParams {
@@ -2151,120 +2053,104 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Serves one in-memory session at `version` and returns the server's
-    /// reply frames.
-    fn run_session(version: u16, config: &ServerConfig) -> Vec<Frame> {
-        let hello = SessionParams {
-            version,
-            ..SessionParams::defaults()
-        };
-        let mut input = Vec::new();
-        write_frame(&mut input, &Frame::Hello(hello)).unwrap();
+    /// The frames of a 300-op session: Hello, 64-op batches, Bye.
+    fn zero_session(hello: SessionParams) -> Vec<Frame> {
+        let mut frames = vec![Frame::Hello(hello)];
         for batch in zero_ops(300).chunks(64) {
-            write_frame(&mut input, &Frame::Batch(batch.to_vec())).unwrap();
+            frames.push(Frame::Batch(batch.to_vec()));
         }
-        write_frame(&mut input, &Frame::Bye).unwrap();
-        let mut output = Vec::new();
-        let end = serve_session(&mut input.as_slice(), &mut output, config).unwrap();
-        assert!(matches!(end, SessionEnd::Bye), "session end: {end:?}");
-        let mut frames = Vec::new();
-        let mut rest = output.as_slice();
-        while !rest.is_empty() {
-            frames.push(proto::read_frame(&mut rest).unwrap());
-        }
+        frames.push(Frame::Bye);
         frames
     }
 
-    /// The payload units of a reply stream, flattened across transports.
-    fn stream_shape(frames: &[Frame]) -> (u64, u64, u64, usize, usize) {
-        let (mut completions, mut failures, mut events_frames, mut bare) = (0u64, 0u64, 0, 0);
-        let mut summary_checksum = 0u64;
-        for frame in frames {
-            match frame {
-                Frame::Events(events) => {
-                    events_frames += 1;
-                    for e in events {
-                        match e {
-                            proto::SessionEvent::Completion(_) => completions += 1,
-                            proto::SessionEvent::Failure(_) => failures += 1,
-                        }
-                    }
-                }
-                Frame::Completion(_) => {
-                    bare += 1;
-                    completions += 1;
-                }
-                Frame::Failed(_) => {
-                    bare += 1;
-                    failures += 1;
-                }
-                Frame::Summary(s) => summary_checksum = s.checksum,
-                _ => {}
-            }
-        }
-        (completions, failures, summary_checksum, events_frames, bare)
-    }
-
     #[test]
-    fn v3_sessions_batch_v2_sessions_interoperate_and_checksums_agree() {
-        let config = ServerConfig::default();
-        let v3 = run_session(3, &config);
-        let v2 = run_session(2, &config);
-        let (ops3, failed3, sum3, events3, bare3) = stream_shape(&v3);
-        let (ops2, failed2, sum2, events2, bare2) = stream_shape(&v2);
-        assert_eq!(ops3, 300);
-        assert_eq!(ops2, 300);
-        assert_eq!(failed3 + failed2, 0);
-        assert!(events3 > 0, "v3 streams batched Events frames");
-        assert_eq!(bare3, 0, "v3 sends no per-op frames");
-        assert_eq!(events2, 0, "v2 never sees an Events frame");
-        assert_eq!(bare2, 300, "v2 gets one frame per op");
-        assert_eq!(sum3, sum2, "the session checksum is framing-independent");
-        // The ack echoes the negotiated version.
-        assert!(matches!(v3[0], Frame::HelloAck { params: p, .. } if p.version == 3));
-        assert!(matches!(v2[0], Frame::HelloAck { params: p, .. } if p.version == 2));
-        // Below v4 there is no resume protocol, so no token is minted.
-        assert!(matches!(v3[0], Frame::HelloAck { token: 0, .. }));
-        // Worker mode changes neither the stream shape nor the checksum.
+    fn worker_sessions_stream_the_inline_checksum() {
+        let session = zero_session(SessionParams::defaults());
+        let (end, inline) = run_crc_session(&session, &ServerConfig::default(), None);
+        assert!(matches!(end, SessionEnd::Bye), "inline: {end:?}");
+        assert_eq!(event_units(&inline).len(), 300);
+        // The ack carries the one protocol version and a resume token.
+        assert!(matches!(
+            inline[0],
+            Frame::HelloAck { params: p, token } if p.version == PROTOCOL_VERSION && token != 0
+        ));
+        // Worker mode changes neither the stream nor the checksum.
         let piped = ServerConfig {
             workers: true,
             ..ServerConfig::default()
         };
-        let v3w = run_session(3, &piped);
-        assert_eq!(stream_shape(&v3w).2, sum3);
+        let (end, workers) = run_crc_session(&session, &piped, None);
+        assert!(matches!(end, SessionEnd::Bye), "workers: {end:?}");
+        assert_eq!(event_units(&workers), event_units(&inline));
+        assert_eq!(summary_of(&workers), summary_of(&inline));
+    }
+
+    /// Serves a connection whose first frame is `hello` and asserts it
+    /// is refused with `code`: exactly one CRC-framed `Error`, no ack.
+    fn assert_hello_refused(input: &[u8], code: ErrorCode) -> SessionEnd {
+        let mut output = Vec::new();
+        let end = serve_session(&mut &input[..], &mut output, &ServerConfig::default()).unwrap();
+        let replies = crc_frames(&output);
+        assert!(
+            matches!(&replies[..], [Frame::Error { code: c, .. }] if *c == code),
+            "expected one {code:?} error, got {replies:?}"
+        );
+        end
     }
 
     #[test]
     fn out_of_range_versions_are_rejected() {
-        let config = ServerConfig::default();
         for version in [0u16, 1, 6, u16::MAX] {
             let hello = SessionParams {
                 version,
                 ..SessionParams::defaults()
             };
-            let mut input = Vec::new();
-            write_frame(&mut input, &Frame::Hello(hello)).unwrap();
-            let mut output = Vec::new();
-            let end = serve_session(&mut input.as_slice(), &mut output, &config).unwrap();
+            let end = assert_hello_refused(&crc_input(&[Frame::Hello(hello)]), ErrorCode::Version);
             assert!(
                 matches!(end, SessionEnd::Rejected(_)),
                 "v{version}: {end:?}"
             );
-            let reply = proto::read_frame(&mut output.as_slice()).unwrap();
+        }
+    }
+
+    #[test]
+    fn pre_v5_hellos_get_a_version_error_and_no_ack() {
+        for version in [2u16, 3, 4] {
+            let hello = SessionParams {
+                version,
+                ..SessionParams::defaults()
+            };
+            let end = assert_hello_refused(&crc_input(&zero_session(hello)), ErrorCode::Version);
             assert!(
-                matches!(
-                    reply,
-                    Frame::Error {
-                        code: ErrorCode::Version,
-                        ..
-                    }
-                ),
-                "v{version}: {reply:?}"
+                matches!(end, SessionEnd::Rejected(_)),
+                "v{version}: {end:?}"
             );
         }
     }
 
-    /// Encodes `frames` exactly as a v4 client sends them: CRC-trailed.
+    #[test]
+    fn bare_framed_hellos_get_a_typed_malformed_error() {
+        // A v3-era handshake: length prefix and body, no CRC trailer.
+        for version in [3u16, PROTOCOL_VERSION] {
+            let mut body = Vec::new();
+            proto::encode_body(
+                &Frame::Hello(SessionParams {
+                    version,
+                    ..SessionParams::defaults()
+                }),
+                &mut body,
+            );
+            let mut input = (body.len() as u32).to_le_bytes().to_vec();
+            input.extend_from_slice(&body);
+            let end = assert_hello_refused(&input, ErrorCode::Malformed);
+            assert!(
+                matches!(end, SessionEnd::Protocol(ProtoError::Crc { .. })),
+                "v{version}: {end:?}"
+            );
+        }
+    }
+
+    /// Encodes `frames` exactly as a client sends them: CRC-trailed.
     fn crc_input(frames: &[Frame]) -> Vec<u8> {
         let mut input = Vec::new();
         for frame in frames {
@@ -2286,11 +2172,8 @@ mod tests {
     fn event_units(frames: &[Frame]) -> Vec<proto::SessionEvent> {
         let mut units = Vec::new();
         for frame in frames {
-            match frame {
-                Frame::Events(events) => units.extend(events.iter().copied()),
-                Frame::Completion(c) => units.push(proto::SessionEvent::Completion(*c)),
-                Frame::Failed(f) => units.push(proto::SessionEvent::Failure(*f)),
-                _ => {}
+            if let Frame::Events(events) = frame {
+                units.extend(events.iter().copied());
             }
         }
         units
@@ -2362,7 +2245,7 @@ mod tests {
             Frame::HelloAck { token, .. } => token,
             ref other => panic!("expected HelloAck, got {other:?}"),
         };
-        assert_ne!(token, 0, "v4 sessions always get a resume token");
+        assert_ne!(token, 0, "every session gets a resume token");
         let delivered = event_units(&conn1);
         // Pretend the cut also ate the tail of what the server sent:
         // the client resumes from what it actually absorbed.
@@ -2370,7 +2253,7 @@ mod tests {
 
         // The resumed connection: Resume, the remaining batches, Bye.
         let mut second = vec![Frame::Resume(proto::ResumeRequest {
-            version: 4,
+            version: PROTOCOL_VERSION,
             token,
             events_received: absorbed as u64,
         })];
@@ -2451,7 +2334,7 @@ mod tests {
         // The client never saw that Summary: its resume re-delivers it
         // (and nothing else — every event was already absorbed).
         let input = crc_input(&[Frame::Resume(proto::ResumeRequest {
-            version: 4,
+            version: PROTOCOL_VERSION,
             token,
             events_received: total,
         })]);
@@ -2481,7 +2364,7 @@ mod tests {
         assert_eq!(registry.parked_sessions(), 0);
     }
 
-    /// Parks one cut v4 session and returns `(registry, token, events
+    /// Parks one cut session and returns `(registry, token, events
     /// delivered before the cut)`.
     fn park_cut_session(config: &ServerConfig) -> (SessionRegistry, u64, u64) {
         let ops = zero_ops(128);
@@ -2520,7 +2403,7 @@ mod tests {
         // probe): pure-arithmetic rejection, no allocation, and the
         // unrecoverable session's journal memory is freed.
         let input = crc_input(&[Frame::Resume(proto::ResumeRequest {
-            version: 4,
+            version: PROTOCOL_VERSION,
             token,
             events_received: u64::MAX,
         })]);
@@ -2556,7 +2439,7 @@ mod tests {
         let (registry, token, delivered) = park_cut_session(&tiny);
         assert!(delivered > 8, "the cut run delivered {delivered} events");
         let input = crc_input(&[Frame::Resume(proto::ResumeRequest {
-            version: 4,
+            version: PROTOCOL_VERSION,
             token,
             events_received: 0,
         })]);
@@ -2610,7 +2493,7 @@ mod tests {
         // An unknown token waits out the park/reconnect grace window,
         // then is refused without inventing a session.
         let input = crc_input(&[Frame::Resume(proto::ResumeRequest {
-            version: 4,
+            version: PROTOCOL_VERSION,
             token: 0xdead_beef,
             events_received: 0,
         })]);
@@ -2631,6 +2514,50 @@ mod tests {
             }
             other => panic!("expected Error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn resumes_at_any_version_but_5_are_refused() {
+        let config = ServerConfig::default();
+        let (registry, token, delivered) = park_cut_session(&config);
+        let resume = |version: u16| {
+            let input = crc_input(&[Frame::Resume(proto::ResumeRequest {
+                version,
+                token,
+                events_received: delivered,
+            })]);
+            let mut output = Vec::new();
+            let end = serve_connection(
+                &mut input.as_slice(),
+                &mut output,
+                &config,
+                &AtomicBool::new(false),
+                &registry,
+            )
+            .unwrap();
+            (end, crc_frames(&output))
+        };
+        for version in [0u16, 2, 3, 4, 6, u16::MAX] {
+            let (end, replies) = resume(version);
+            assert!(
+                matches!(end, SessionEnd::Rejected(_)),
+                "v{version}: {end:?}"
+            );
+            assert!(
+                matches!(
+                    &replies[..],
+                    [Frame::Error {
+                        code: ErrorCode::Version,
+                        ..
+                    }]
+                ),
+                "v{version}: {replies:?}"
+            );
+            // Refused before the token lookup: the session stays parked.
+            assert_eq!(registry.parked_sessions(), 1, "v{version}");
+        }
+        let (_, replies) = resume(PROTOCOL_VERSION);
+        assert!(matches!(replies[0], Frame::ResumeAck(_)), "{replies:?}");
     }
 
     #[test]
@@ -2666,7 +2593,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for _ in 0..4096 {
             let token = registry.mint_token();
-            assert_ne!(token, 0, "0 is the v2/v3 'no token' sentinel");
+            assert_ne!(token, 0, "tokens are never 0");
             assert!(seen.insert(token), "token minted twice");
         }
     }
@@ -2881,21 +2808,12 @@ mod tests {
         let addr = server.tcp_addr().expect("a bound TCP address");
         let serving = thread::spawn(move || server.serve_connections(1).unwrap());
         let mut stream = TcpStream::connect(addr).unwrap();
-        let hello = SessionParams {
-            version: 2,
-            ..SessionParams::defaults()
-        };
-        let mut input = Vec::new();
-        write_frame(&mut input, &Frame::Hello(hello)).unwrap();
-        for chunk in zero_ops(300).chunks(64) {
-            write_frame(&mut input, &Frame::Batch(chunk.to_vec())).unwrap();
-        }
-        write_frame(&mut input, &Frame::Bye).unwrap();
-        stream.write_all(&input).unwrap();
+        let session = zero_session(SessionParams::defaults());
+        stream.write_all(&crc_input(&session)).unwrap();
         stream.flush().unwrap();
         let mut frames = Vec::new();
         loop {
-            let frame = proto::read_frame(&mut stream).unwrap();
+            let frame = proto::read_frame_crc(&mut stream).unwrap();
             let done = matches!(frame, Frame::Summary(_));
             frames.push(frame);
             if done {
@@ -2905,8 +2823,42 @@ mod tests {
         serving.join().unwrap();
         // The served stream is the in-memory Unix-path stream of the
         // same session, checksum and all.
-        let reference = run_session(2, &ServerConfig::default());
-        assert_eq!(stream_shape(&frames), stream_shape(&reference));
+        let (_, reference) = run_crc_session(&session, &ServerConfig::default(), None);
+        assert_eq!(event_units(&frames), event_units(&reference));
+        assert_eq!(summary_of(&frames), summary_of(&reference));
+    }
+
+    #[test]
+    fn accept_loop_holds_threads_of_live_sessions_only() {
+        let path = std::env::temp_dir().join(format!("codic-reap-{}.sock", std::process::id()));
+        let server = Arc::new(ReplayServer::bind(&path, ServerConfig::default()).unwrap());
+        let serving = {
+            let server = Arc::clone(&server);
+            thread::spawn(move || server.serve_forever().unwrap())
+        };
+        let hello = SessionParams {
+            shards: 1,
+            module_mib: 1,
+            ..SessionParams::defaults()
+        };
+        let ops = zero_ops(4);
+        for _ in 0..200 {
+            crate::client::replay(&path, &hello, &ops, 4).unwrap();
+        }
+        // Every client has its Summary, so at most the last session's
+        // thread may still be winding down; the loop joins it within a
+        // few accept rounds.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !server.session_threads().is_empty() && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(
+            server.session_threads().len(),
+            0,
+            "finished session threads must not accumulate"
+        );
+        server.shutdown_handle().shutdown();
+        serving.join().unwrap();
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! - **Phase A** — with retry disabled, a misfire-armed server serving
 //!   the 160k-op mixed trace delivers every *non-faulted* operation
 //!   **bit-identical** (finish cycle and energy bits) to the fault-free
-//!   server, and every faulted operation as a typed `Failed` frame; the
+//!   server, and every faulted operation as a typed failure unit; the
 //!   in-process faulted engine and the socket stream agree exactly.
 //! - **Phase B** — retry-with-backoff recovers almost all misfires at a
 //!   harsh per-attempt rate, deterministically (twin runs, one
@@ -24,7 +24,7 @@ use std::path::PathBuf;
 use codic_core::fault::{FaultCause, FaultPlan, RetryPolicy};
 use codic_server::client::{replay, ClientReport};
 use codic_server::proto::{
-    self, read_frame, write_frame, Fnv64, Frame, SessionParams, WireCompletion,
+    self, read_frame_crc, write_frame_crc, Fnv64, Frame, SessionParams, WireCompletion,
 };
 use codic_server::server::{ReplayEngine, ReplayServer, ServerConfig};
 use codic_server::trace::generate_mixed;
@@ -237,26 +237,22 @@ fn graceful_shutdown_drains_in_flight_ops_and_sends_an_honest_summary() {
     let stream = UnixStream::connect(&socket).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = BufWriter::new(stream);
-    // Pinned to v3: this test speaks raw bare frames on purpose (the
-    // CRC-framed v4 path has its own suite in chaos_transport_e2e.rs).
-    let hello = SessionParams {
-        version: 3,
-        ..SessionParams::defaults()
-    };
-    write_frame(&mut writer, &Frame::Hello(hello)).expect("hello");
+    // Raw frames on purpose: this test checks the shutdown teardown
+    // frame by frame (resume has its own suite in chaos_transport_e2e.rs).
+    write_frame_crc(&mut writer, &Frame::Hello(SessionParams::defaults())).expect("hello");
     writer.flush().expect("flush");
-    match read_frame(&mut reader).expect("ack") {
+    match read_frame_crc(&mut reader).expect("ack") {
         Frame::HelloAck { .. } => {}
         other => panic!("expected HelloAck, got {other:?}"),
     }
-    write_frame(&mut writer, &Frame::Batch(ops.clone())).expect("batch");
+    write_frame_crc(&mut writer, &Frame::Batch(ops.clone())).expect("batch");
     writer.flush().expect("flush");
 
     let mut checksum = Fnv64::new();
     let mut payload = Vec::new();
     let mut delivered = 0u64;
-    // The v3 session batches completions into Events frames; a unit
-    // checksums exactly like the bare Completion frame it replaces.
+    // Completions arrive as Events units; the checksum folds each
+    // unit's payload.
     let absorb = |events: &[proto::SessionEvent],
                   checksum: &mut Fnv64,
                   payload: &mut Vec<u8>,
@@ -277,13 +273,7 @@ fn graceful_shutdown_drains_in_flight_ops_and_sends_an_honest_summary() {
         }
     };
     loop {
-        match read_frame(&mut reader).expect("burst") {
-            Frame::Completion(c) => {
-                payload.clear();
-                proto::completion_payload(&c, &mut payload);
-                checksum.update(&payload);
-                delivered += 1;
-            }
+        match read_frame_crc(&mut reader).expect("burst") {
             Frame::Events(events) => absorb(&events, &mut checksum, &mut payload, &mut delivered),
             Frame::Batched(ack) => {
                 assert_eq!(ack.accepted, ops.len() as u32);
@@ -293,23 +283,17 @@ fn graceful_shutdown_drains_in_flight_ops_and_sends_an_honest_summary() {
                 );
                 break;
             }
-            other => panic!("expected Completion/Batched, got {other:?}"),
+            other => panic!("expected Events/Batched, got {other:?}"),
         }
     }
 
     // No Bye: the server is told to shut down with the session open.
     handle.shutdown();
     let summary = loop {
-        match read_frame(&mut reader).expect("teardown stream") {
-            Frame::Completion(c) => {
-                payload.clear();
-                proto::completion_payload(&c, &mut payload);
-                checksum.update(&payload);
-                delivered += 1;
-            }
+        match read_frame_crc(&mut reader).expect("teardown stream") {
             Frame::Events(events) => absorb(&events, &mut checksum, &mut payload, &mut delivered),
             Frame::Summary(summary) => break summary,
-            other => panic!("expected Completion/Events/Summary, got {other:?}"),
+            other => panic!("expected Events/Summary, got {other:?}"),
         }
     };
     serving.join().expect("server thread").expect("accept loop");
@@ -325,12 +309,12 @@ fn graceful_shutdown_drains_in_flight_ops_and_sends_an_honest_summary() {
     if let Ok(stream) = UnixStream::connect(&socket) {
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         let mut writer = BufWriter::new(stream);
-        if write_frame(&mut writer, &Frame::Hello(SessionParams::defaults()))
+        if write_frame_crc(&mut writer, &Frame::Hello(SessionParams::defaults()))
             .and_then(|()| writer.flush())
             .is_ok()
         {
             assert!(
-                read_frame(&mut reader).is_err(),
+                read_frame_crc(&mut reader).is_err(),
                 "a shut-down server must not serve new sessions"
             );
         }

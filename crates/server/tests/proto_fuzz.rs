@@ -2,28 +2,32 @@
 //! arbitrary corruption with a typed [`ProtoError`], never a panic and
 //! never an attacker-sized allocation.
 //!
-//! Three deterministic campaigns over a corpus holding every frame
-//! variant:
+//! Every frame carries a CRC32C trailer, which gives two layers to
+//! attack, each with three deterministic campaigns over a corpus holding
+//! every frame variant — exhaustive single-bit flips, seeded multi-byte
+//! storms (a splitmix64-driven 1–8 bytes per trial), and every proper
+//! prefix:
 //!
-//! 1. **Exhaustive single-bit flips** — every bit of every encoded
-//!    frame (length prefix included) is flipped once.
-//! 2. **Seeded multi-byte corruption** — a splitmix64-driven storm
-//!    overwrites 1–8 bytes per trial at seeded positions.
-//! 3. **Exhaustive truncation** — every proper prefix of every frame.
+//! 1. **The wire as sent.** Corruption in transit must be *detected*:
+//!    no damaged frame ever decodes.
+//! 2. **The body codec behind a valid trailer.** CRC32C is not a MAC —
+//!    a hostile peer can seal any bytes it likes — so corrupted bodies
+//!    are re-sealed with a correct trailer and must still decode to a
+//!    frame or a typed error, never a panic.
 //!
-//! Every corrupted buffer is decoded two ways — the blocking
-//! [`read_frame`] and the incremental [`FrameReader`] fed one byte at a
-//! time — and both must agree: `Ok` or a typed error. Oversized length
-//! prefixes must be rejected *before* any body allocation.
+//! Every buffer is decoded two ways — the blocking [`read_frame_crc`]
+//! and the incremental [`FrameReader`] fed one byte at a time — and
+//! both must agree. Oversized length prefixes and event counts must be
+//! rejected *before* any allocation.
 
 use std::io::Read;
 
 use codic_core::fault::FaultCause;
 use codic_core::ops::{CodicOp, VariantId};
 use codic_server::proto::{
-    crc32c, encode_body, read_frame, read_frame_crc, write_frame_crc, BatchAck, ErrorCode,
-    FlushAck, Frame, FrameReader, ProtoError, ResumeAck, ResumeRequest, SessionEvent,
-    SessionParams, Summary, WireCompletion, WireFailure, MAX_FRAME_LEN,
+    crc32c, encode_body, read_frame_crc, write_frame_crc, BatchAck, ErrorCode, FlushAck, Frame,
+    FrameReader, ProtoError, ResumeAck, ResumeRequest, SessionEvent, SessionParams, Summary,
+    WireCompletion, WireFailure, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
 /// splitmix64: the same deterministic generator the fault layer uses.
@@ -81,19 +85,18 @@ fn corpus() -> Vec<Frame> {
         cause: FaultCause::Misfire,
         attempts: 1,
     };
-    // The batched v3 transport: a mixed run stressing every unit
-    // layout (kind byte + 40/48/56-byte completions, 29/37-byte
-    // failures), plus the legal empty frame. The corruption campaigns
-    // strike the count word and the kind bytes mid-walk.
+    // A mixed run stressing every unit layout (kind byte + 40/48/56-byte
+    // completions, 29/37-byte failures), plus the legal empty frame. The
+    // corruption campaigns strike the count word and the kind bytes
+    // mid-walk.
     let events = Frame::Events(vec![
         SessionEvent::Completion(completion),
         SessionEvent::Failure(failure),
         SessionEvent::Completion(compute_completion),
         SessionEvent::Failure(compute_failure),
     ]);
-    // A v5 params block with its whole QoS/tenancy tail lit up, so the
-    // corruption campaigns strike meaningful bytes in the widened
-    // layout, and a v4 block for the legacy 25-byte layout.
+    // A params block with its whole QoS/tenancy tail lit up, so the
+    // corruption campaigns strike meaningful bytes of it.
     let qos_params = SessionParams {
         qos_weight: 7,
         tenants: 2048,
@@ -101,27 +104,15 @@ fn corpus() -> Vec<Frame> {
         target_rows_per_s: 1_000_000,
         ..SessionParams::defaults()
     };
-    let v4_params = SessionParams {
-        version: 4,
-        ..SessionParams::defaults()
-    };
     vec![
         Frame::Hello(SessionParams::defaults()),
         Frame::Hello(qos_params),
-        Frame::Hello(v4_params),
-        Frame::HelloAck {
-            params: SessionParams {
-                version: 3,
-                ..SessionParams::defaults()
-            },
-            token: 0,
-        },
-        // The v4 ack carries the server-minted resume token.
+        // The ack carries the server-minted resume token.
         Frame::HelloAck {
             params: SessionParams::defaults(),
             token: 0x1122_3344_5566_7788,
         },
-        // The v5 ack reports the fleet's honest QoS/tenancy grant.
+        // A fleet ack reports the honest QoS/tenancy grant.
         Frame::HelloAck {
             params: qos_params,
             token: 0x0be1_1e5e_d0c5_0b5e,
@@ -133,15 +124,8 @@ fn corpus() -> Vec<Frame> {
             replay_events: 11,
             finished: 0,
         }),
-        Frame::ResumeAck(ResumeAck {
-            params: v4_params,
-            token: 0x0452,
-            next_seq: 1,
-            replay_events: 0,
-            finished: 1,
-        }),
         Frame::Resume(ResumeRequest {
-            version: 4,
+            version: PROTOCOL_VERSION,
             token: 0xfeed_beef_0451_0b5e,
             events_received: 123_456,
         }),
@@ -190,11 +174,12 @@ fn corpus() -> Vec<Frame> {
         ]),
         Frame::Flush,
         Frame::Bye,
-        Frame::Completion(completion),
-        Frame::Completion(compute_completion),
-        Frame::Failed(failure),
-        Frame::Failed(compute_failure),
         events,
+        // Single-unit runs, one per unit layout.
+        Frame::Events(vec![SessionEvent::Completion(completion)]),
+        Frame::Events(vec![SessionEvent::Completion(compute_completion)]),
+        Frame::Events(vec![SessionEvent::Failure(failure)]),
+        Frame::Events(vec![SessionEvent::Failure(compute_failure)]),
         Frame::Events(Vec::new()),
         Frame::Batched(BatchAck {
             accepted: 4,
@@ -221,36 +206,54 @@ fn corpus() -> Vec<Frame> {
     ]
 }
 
-/// Encodes `frame` as it travels: length prefix + type byte + payload.
+/// Encodes `frame` as it travels: the length prefix covers type byte +
+/// payload + the 4-byte little-endian CRC32C trailer.
 fn encode_wire(frame: &Frame) -> Vec<u8> {
+    let mut wire = Vec::new();
+    write_frame_crc(&mut wire, frame).expect("encode to Vec");
+    wire
+}
+
+/// The frame body (type byte + payload): what the trailer covers.
+fn encode_frame_body(frame: &Frame) -> Vec<u8> {
     let mut body = Vec::new();
     encode_body(frame, &mut body);
-    let mut wire = Vec::with_capacity(4 + body.len());
-    wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    wire.extend_from_slice(&body);
+    body
+}
+
+/// Frames arbitrary `body` bytes with a *valid* trailer — what a hostile
+/// peer that computes CRC32C itself can put on the wire.
+fn seal(body: &[u8]) -> Vec<u8> {
+    let mut wire = (body.len() as u32 + 4).to_le_bytes().to_vec();
+    wire.extend_from_slice(body);
+    wire.extend_from_slice(&crc32c(body).to_le_bytes());
     wire
 }
 
 /// Decodes `bytes` with the blocking reader; a panic fails the test.
 fn decode_blocking(bytes: &[u8]) -> Result<Frame, ProtoError> {
-    read_frame(&mut &bytes[..])
+    read_frame_crc(&mut &bytes[..])
 }
 
-/// Decodes `bytes` with the incremental reader, one byte per poll.
-fn decode_trickled(bytes: &[u8]) -> Result<Option<Frame>, ProtoError> {
-    struct OneByte<'a>(&'a [u8]);
-    impl Read for OneByte<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            let n = self.0.len().min(buf.len()).min(1);
-            buf[..n].copy_from_slice(&self.0[..n]);
-            self.0 = &self.0[n..];
-            Ok(n)
-        }
+/// One byte per read: the incremental reader's worst case.
+struct OneByte<'a>(&'a [u8]);
+
+impl Read for OneByte<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.0.len().min(buf.len()).min(1);
+        buf[..n].copy_from_slice(&self.0[..n]);
+        self.0 = &self.0[n..];
+        Ok(n)
     }
-    let mut reader = OneByte(bytes);
-    let mut frames = FrameReader::new();
+}
+
+/// Decodes the next frame from `frames`, fed one byte per poll.
+fn poll_trickled(
+    frames: &mut FrameReader,
+    reader: &mut OneByte<'_>,
+) -> Result<Option<Frame>, ProtoError> {
     loop {
-        match frames.poll(&mut reader) {
+        match frames.poll(reader) {
             Ok(Some(frame)) => return Ok(Some(frame)),
             // `Ok(0)` from an exhausted slice is EOF: either a clean
             // boundary (no partial frame) or an Io error mid-frame.
@@ -261,6 +264,11 @@ fn decode_trickled(bytes: &[u8]) -> Result<Option<Frame>, ProtoError> {
     }
 }
 
+/// Decodes `bytes` with a fresh incremental reader, one byte per poll.
+fn decode_trickled(bytes: &[u8]) -> Result<Option<Frame>, ProtoError> {
+    poll_trickled(&mut FrameReader::new(), &mut OneByte(bytes))
+}
+
 /// Both decoders on the same bytes; they must agree on accept/reject.
 fn decode_both_ways(bytes: &[u8]) {
     let blocking = decode_blocking(bytes);
@@ -268,7 +276,7 @@ fn decode_both_ways(bytes: &[u8]) {
     match (&blocking, &trickled) {
         (Ok(a), Ok(Some(b))) => assert_eq!(a, b, "decoders disagree on an accepted frame"),
         (Err(_), Err(_)) => {}
-        // EOF at a frame boundary: blocking read_frame reports Io(EOF),
+        // EOF at a frame boundary: the blocking reader reports Io(EOF),
         // the incremental reader reports "no frame yet".
         (Err(ProtoError::Io(_)), Ok(None)) => {}
         (a, b) => panic!("decoders disagree: blocking {a:?} vs trickled {b:?}"),
@@ -277,21 +285,42 @@ fn decode_both_ways(bytes: &[u8]) {
 
 #[test]
 fn every_frame_round_trips_both_decoders() {
-    for frame in corpus() {
-        let wire = encode_wire(&frame);
-        assert_eq!(decode_blocking(&wire).unwrap(), frame);
-        assert_eq!(decode_trickled(&wire).unwrap(), Some(frame));
+    // The whole corpus as one stream, back to back: each decoder must
+    // find every frame boundary, the incremental one reusing its body
+    // buffer across frames of every size.
+    let frames = corpus();
+    let stream: Vec<u8> = frames.iter().flat_map(encode_wire).collect();
+    let mut blocking = stream.as_slice();
+    let mut incremental = FrameReader::new();
+    let mut trickle = OneByte(&stream);
+    for frame in &frames {
+        assert_eq!(&read_frame_crc(&mut blocking).unwrap(), frame);
+        assert_eq!(
+            poll_trickled(&mut incremental, &mut trickle)
+                .unwrap()
+                .as_ref(),
+            Some(frame)
+        );
     }
+    assert!(blocking.is_empty());
+    // The stream ends on a frame boundary: a clean EOF, nothing pending.
+    assert!(matches!(
+        poll_trickled(&mut incremental, &mut trickle),
+        Err(ProtoError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof
+    ));
+    assert!(!incremental.mid_frame());
 }
 
 #[test]
 fn exhaustive_single_bit_flips_never_panic() {
+    // Flip every bit of every body and re-seal it: the codec itself
+    // must turn each mutant into a frame or a typed error.
     for frame in corpus() {
-        let wire = encode_wire(&frame);
-        for bit in 0..wire.len() * 8 {
-            let mut mutant = wire.clone();
+        let body = encode_frame_body(&frame);
+        for bit in 0..body.len() * 8 {
+            let mut mutant = body.clone();
             mutant[bit / 8] ^= 1 << (bit % 8);
-            decode_both_ways(&mutant);
+            decode_both_ways(&seal(&mutant));
         }
     }
 }
@@ -300,36 +329,36 @@ fn exhaustive_single_bit_flips_never_panic() {
 fn seeded_byte_storms_never_panic() {
     let mut seed = 0x0f0f_0f0f_1234_5678u64;
     for frame in corpus() {
-        let wire = encode_wire(&frame);
+        let body = encode_frame_body(&frame);
         for trial in 0..512u64 {
-            let mut mutant = wire.clone();
+            let mut mutant = body.clone();
             seed = mix64(seed ^ trial);
             let strikes = 1 + (seed % 8) as usize;
             for strike in 0..strikes {
                 let roll = mix64(seed ^ strike as u64);
-                let pos = (roll % wire.len() as u64) as usize;
+                let pos = (roll % body.len() as u64) as usize;
                 mutant[pos] = (roll >> 32) as u8;
             }
-            decode_both_ways(&mutant);
+            decode_both_ways(&seal(&mutant));
         }
     }
 }
 
 #[test]
 fn exhaustive_truncations_never_panic() {
+    // Every proper prefix of every body, re-sealed: a short body is a
+    // typed error, never a frame and never a panic.
     for frame in corpus() {
-        let wire = encode_wire(&frame);
-        for cut in 0..wire.len() {
-            // A truncated stream must either error (typed) or report
-            // "no frame yet" — never yield a frame, never panic.
-            let prefix = &wire[..cut];
+        let body = encode_frame_body(&frame);
+        for cut in 0..body.len() {
+            let wire = seal(&body[..cut]);
             assert!(
-                decode_blocking(prefix).is_err(),
-                "a {cut}-byte prefix of a {}-byte frame decoded",
-                wire.len()
+                decode_blocking(&wire).is_err(),
+                "a {cut}-byte prefix of a {}-byte body decoded",
+                body.len()
             );
-            if let Ok(Some(f)) = decode_trickled(prefix) {
-                panic!("truncated stream yielded {f:?}");
+            if let Ok(Some(f)) = decode_trickled(&wire) {
+                panic!("truncated body yielded {f:?}");
             }
         }
     }
@@ -357,15 +386,15 @@ fn oversized_length_prefixes_are_rejected_before_allocation() {
 #[test]
 fn oversized_event_counts_are_rejected_before_allocation() {
     // An Events frame whose count word claims billions of units over a
-    // tiny payload: the decoder's count-versus-length pre-check must
-    // reject it before reserving a single unit of `Vec` capacity.
+    // tiny payload, behind a valid trailer: the decoder's
+    // count-versus-length pre-check must reject it before reserving a
+    // single unit of `Vec` capacity.
     const EVENTS_TAG: u8 = 0x88;
     for claimed in [u32::MAX, u32::MAX / 2, 1_000_000] {
         let mut body = vec![EVENTS_TAG];
         body.extend_from_slice(&claimed.to_le_bytes());
         body.extend_from_slice(&[0u8; 16]); // far fewer bytes than one unit per claim
-        let mut wire = (body.len() as u32).to_le_bytes().to_vec();
-        wire.extend_from_slice(&body);
+        let wire = seal(&body);
         match decode_blocking(&wire) {
             Err(ProtoError::BadLength { tag, .. }) => assert_eq!(tag, EVENTS_TAG),
             other => panic!("expected BadLength, got {other:?}"),
@@ -384,64 +413,17 @@ fn zero_length_frames_are_typed_errors() {
     assert!(matches!(decode_trickled(&wire), Err(ProtoError::Empty)));
 }
 
-// ---------------------------------------------------------------------
-// Protocol v4: the CRC32C-trailed framing. Same corpus, same decoder
-// pair (blocking `read_frame_crc` and a CRC-armed `FrameReader`), plus
-// the campaigns only a checksummed transport can promise: every
-// single-bit flip is *detected*, not merely survived.
-// ---------------------------------------------------------------------
-
-/// Encodes `frame` as a v4 session sends it: the length prefix covers
-/// type byte + payload + the 4-byte little-endian CRC32C trailer.
-fn encode_wire_crc(frame: &Frame) -> Vec<u8> {
-    let mut wire = Vec::new();
-    write_frame_crc(&mut wire, frame).expect("encode to Vec");
-    wire
-}
-
-/// Decodes `bytes` with the blocking CRC reader.
-fn decode_blocking_crc(bytes: &[u8]) -> Result<Frame, ProtoError> {
-    read_frame_crc(&mut &bytes[..])
-}
-
-/// Decodes `bytes` with a CRC-armed incremental reader, one byte per
-/// poll.
-fn decode_trickled_crc(bytes: &[u8]) -> Result<Option<Frame>, ProtoError> {
-    struct OneByte<'a>(&'a [u8]);
-    impl Read for OneByte<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            let n = self.0.len().min(buf.len()).min(1);
-            buf[..n].copy_from_slice(&self.0[..n]);
-            self.0 = &self.0[n..];
-            Ok(n)
-        }
-    }
-    let mut reader = OneByte(bytes);
-    let mut frames = FrameReader::new();
-    frames.set_crc(true);
-    loop {
-        match frames.poll(&mut reader) {
-            Ok(Some(frame)) => return Ok(Some(frame)),
-            Ok(None) if !frames.mid_frame() => return Ok(None),
-            Ok(None) => continue,
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 #[test]
 fn crc_wire_has_the_documented_trailer_layout() {
     // The trailer is crc32c over the body (type byte + payload), stored
     // little-endian, and *included* in the length prefix — exactly what
     // docs/PROTOCOL.md promises. Spot-check the whole corpus.
     for frame in corpus() {
-        let bare = encode_wire(&frame);
-        let wire = encode_wire_crc(&frame);
+        let wire = encode_wire(&frame);
         let body_len = u32::from_le_bytes(wire[..4].try_into().unwrap()) as usize;
         assert_eq!(body_len, wire.len() - 4, "length covers body + trailer");
-        assert_eq!(body_len, bare.len(), "CRC framing adds exactly 4 bytes");
         let body = &wire[4..wire.len() - 4];
-        assert_eq!(body, &bare[4..], "body bytes identical to bare framing");
+        assert_eq!(body, encode_frame_body(&frame), "body bytes as encoded");
         let trailer = u32::from_le_bytes(wire[wire.len() - 4..].try_into().unwrap());
         assert_eq!(trailer, crc32c(body), "trailer is crc32c(body), LE");
     }
@@ -450,26 +432,26 @@ fn crc_wire_has_the_documented_trailer_layout() {
 #[test]
 fn every_frame_round_trips_both_crc_decoders() {
     for frame in corpus() {
-        let wire = encode_wire_crc(&frame);
-        assert_eq!(decode_blocking_crc(&wire).unwrap(), frame);
-        assert_eq!(decode_trickled_crc(&wire).unwrap(), Some(frame));
+        let wire = encode_wire(&frame);
+        assert_eq!(decode_blocking(&wire).unwrap(), frame);
+        assert_eq!(decode_trickled(&wire).unwrap(), Some(frame));
     }
 }
 
 #[test]
 fn exhaustive_single_bit_flips_are_always_detected_under_crc() {
-    // The stronger v4 promise: a flipped bit never *decodes*. Flips in
-    // the body or trailer must surface as the typed Crc error (CRC32C
-    // detects every single-bit error by construction); flips in the
-    // length prefix may hit any typed error — but no flip, anywhere,
-    // may ever yield a frame.
+    // A flipped bit in transit never *decodes*. Flips in the body or
+    // trailer must surface as the typed Crc error (CRC32C detects every
+    // single-bit error by construction); flips in the length prefix may
+    // hit any typed error — but no flip, anywhere, may ever yield a
+    // frame.
     for frame in corpus() {
-        let wire = encode_wire_crc(&frame);
+        let wire = encode_wire(&frame);
         for bit in 0..wire.len() * 8 {
             let mut mutant = wire.clone();
             mutant[bit / 8] ^= 1 << (bit % 8);
-            let blocking = decode_blocking_crc(&mutant);
-            let trickled = decode_trickled_crc(&mutant);
+            let blocking = decode_blocking(&mutant);
+            let trickled = decode_trickled(&mutant);
             assert!(
                 blocking.is_err(),
                 "bit {bit} flip decoded to {blocking:?} under CRC framing"
@@ -491,12 +473,11 @@ fn exhaustive_single_bit_flips_are_always_detected_under_crc() {
 
 #[test]
 fn seeded_byte_storms_never_decode_under_crc() {
-    // Multi-byte storms against the checksummed framing: corruption may
-    // surface as any typed error, but a damaged buffer never yields a
-    // frame and never panics.
+    // Multi-byte storms in transit: corruption may surface as any typed
+    // error, but a damaged buffer never yields a frame and never panics.
     let mut seed = 0x5eed_c4c4_9876_4321u64;
     for frame in corpus() {
-        let wire = encode_wire_crc(&frame);
+        let wire = encode_wire(&frame);
         for trial in 0..512u64 {
             let mut mutant = wire.clone();
             seed = mix64(seed ^ trial);
@@ -512,8 +493,8 @@ fn seeded_byte_storms_never_decode_under_crc() {
             if !touched {
                 continue; // the storm happened to rewrite identical bytes
             }
-            assert!(decode_blocking_crc(&mutant).is_err());
-            if let Ok(Some(f)) = decode_trickled_crc(&mutant) {
+            assert!(decode_blocking(&mutant).is_err());
+            if let Ok(Some(f)) = decode_trickled(&mutant) {
                 panic!("storm trial {trial} trickle-decoded to {f:?}");
             }
         }
@@ -522,20 +503,20 @@ fn seeded_byte_storms_never_decode_under_crc() {
 
 #[test]
 fn exhaustive_crc_truncations_never_yield_a_frame() {
-    // Every proper prefix of every CRC-framed frame — the mid-frame cut
-    // a chaos transport or a killed client leaves on the wire. The
+    // Every proper prefix of every frame as sent — the mid-frame cut a
+    // chaos transport or a killed client leaves on the wire. The
     // blocking reader must error; the incremental reader must error or
     // keep waiting; neither may produce a frame.
     for frame in corpus() {
-        let wire = encode_wire_crc(&frame);
+        let wire = encode_wire(&frame);
         for cut in 0..wire.len() {
             let prefix = &wire[..cut];
             assert!(
-                decode_blocking_crc(prefix).is_err(),
+                decode_blocking(prefix).is_err(),
                 "a {cut}-byte prefix of a {}-byte CRC frame decoded",
                 wire.len()
             );
-            if let Ok(Some(f)) = decode_trickled_crc(prefix) {
+            if let Ok(Some(f)) = decode_trickled(prefix) {
                 panic!("truncated CRC stream yielded {f:?}");
             }
         }
@@ -546,10 +527,10 @@ fn exhaustive_crc_truncations_never_yield_a_frame() {
 fn resume_frames_survive_focused_truncation_and_storm_corpora() {
     // The resume handshake is what a recovering client leans on, so it
     // gets its own dense pass on top of the full-corpus campaigns:
-    // every truncation and a 4096-trial storm per frame, both framings.
+    // every truncation and a 4096-trial storm per frame.
     let frames = [
         Frame::Resume(ResumeRequest {
-            version: 4,
+            version: PROTOCOL_VERSION,
             token: u64::MAX,
             events_received: u64::MAX,
         }),
@@ -568,14 +549,10 @@ fn resume_frames_survive_focused_truncation_and_storm_corpora() {
     ];
     let mut seed = 0x4e5c_0de5_0da2_71ffu64;
     for frame in &frames {
-        let bare = encode_wire(frame);
-        let wire = encode_wire_crc(frame);
-        assert_eq!(decode_blocking_crc(&wire).unwrap(), *frame);
+        let wire = encode_wire(frame);
+        assert_eq!(decode_blocking(&wire).unwrap(), *frame);
         for cut in 0..wire.len() {
-            assert!(decode_blocking_crc(&wire[..cut]).is_err());
-            if cut < bare.len() {
-                assert!(decode_blocking(&bare[..cut]).is_err());
-            }
+            assert!(decode_blocking(&wire[..cut]).is_err());
         }
         for trial in 0..4096u64 {
             let mut mutant = wire.clone();
@@ -587,7 +564,7 @@ fn resume_frames_survive_focused_truncation_and_storm_corpora() {
             }
             mutant[pos] = byte;
             assert!(
-                decode_blocking_crc(&mutant).is_err(),
+                decode_blocking(&mutant).is_err(),
                 "storm trial {trial} decoded a corrupted resume frame"
             );
         }
@@ -602,121 +579,129 @@ fn oversized_journal_window_claims_decode_without_allocation() {
     // not an allocation request. (The server-side honest rejection is
     // pinned in the server suite.)
     let greedy = Frame::Resume(ResumeRequest {
-        version: 4,
+        version: PROTOCOL_VERSION,
         token: 0x0451,
         events_received: u64::MAX,
     });
-    let wire = encode_wire_crc(&greedy);
+    let wire = encode_wire(&greedy);
     assert!(wire.len() < 32, "Resume stays fixed-size: {}", wire.len());
-    assert_eq!(decode_blocking_crc(&wire).unwrap(), greedy);
-    assert_eq!(decode_trickled_crc(&wire).unwrap(), Some(greedy));
+    assert_eq!(decode_blocking(&wire).unwrap(), greedy);
+    assert_eq!(decode_trickled(&wire).unwrap(), Some(greedy));
 }
 
 // ---------------------------------------------------------------------
-// Protocol v5: the QoS/tenancy tail. The widened params block rides in
-// the full-corpus campaigns above; these pins nail the exact layouts,
-// the version-versus-length cross-check, and the "claims are data, not
-// allocations" property the shared-fleet server leans on.
+// The params block: exact layouts, the length check, and the "claims
+// are data, not allocations" property the shared-fleet server leans on.
 // ---------------------------------------------------------------------
 
 #[test]
 fn v5_frames_have_the_documented_widened_layouts() {
     // Body sizes (type byte + payload) pinned straight from
-    // docs/PROTOCOL.md: params 25 → 32 bytes at v5, HelloAck payload
-    // 25/33/40 across v3/v4/v5, ResumeAck payload 50/57 across v4/v5.
+    // docs/PROTOCOL.md: params 32 bytes, HelloAck 40, ResumeAck 57,
+    // Resume 18.
     let v5 = SessionParams {
         qos_weight: 9,
         tenants: 33,
         quota_ops: 70_000,
         ..SessionParams::defaults()
     };
-    let v4 = SessionParams {
-        version: 4,
-        ..SessionParams::defaults()
-    };
-    let v3 = SessionParams {
-        version: 3,
-        ..SessionParams::defaults()
-    };
-    let body_len = |frame: &Frame| encode_wire(frame).len() - 4;
+    let body_len = |frame: &Frame| encode_frame_body(frame).len();
     assert_eq!(body_len(&Frame::Hello(v5)), 1 + 32);
-    assert_eq!(body_len(&Frame::Hello(v4)), 1 + 25);
-    let ack = |params: &SessionParams, token| Frame::HelloAck {
-        params: *params,
-        token,
-    };
-    assert_eq!(body_len(&ack(&v3, 0)), 1 + 25);
-    assert_eq!(body_len(&ack(&v4, 7)), 1 + 33);
-    assert_eq!(body_len(&ack(&v5, 7)), 1 + 40);
-    let rack = |params: &SessionParams| {
-        Frame::ResumeAck(ResumeAck {
-            params: *params,
+    assert_eq!(
+        body_len(&Frame::HelloAck {
+            params: v5,
+            token: 7
+        }),
+        1 + 40
+    );
+    assert_eq!(
+        body_len(&Frame::ResumeAck(ResumeAck {
+            params: v5,
             token: 1,
             next_seq: 2,
             replay_events: 3,
             finished: 0,
-        })
-    };
-    assert_eq!(body_len(&rack(&v4)), 1 + 50);
-    assert_eq!(body_len(&rack(&v5)), 1 + 57);
+        })),
+        1 + 57
+    );
+    assert_eq!(
+        body_len(&Frame::Resume(ResumeRequest {
+            version: PROTOCOL_VERSION,
+            token: 1,
+            events_received: 2,
+        })),
+        1 + 18
+    );
 
     // The QoS/tenancy tail sits at pinned offsets 25/26/28 of the
-    // params block and round-trips exactly, both framings.
-    let wire = encode_wire(&Frame::Hello(v5));
-    let params = &wire[5..]; // length prefix + HELLO tag
+    // params block and round-trips exactly, through both decoders.
+    let hello = Frame::Hello(v5);
+    let body = encode_frame_body(&hello);
+    let params = &body[1..]; // after the HELLO tag
+    assert_eq!(u16::from_le_bytes(params[0..2].try_into().unwrap()), 5);
     assert_eq!(params[25], 9);
     assert_eq!(u16::from_le_bytes(params[26..28].try_into().unwrap()), 33);
     assert_eq!(
         u32::from_le_bytes(params[28..32].try_into().unwrap()),
         70_000
     );
-    let hello = Frame::Hello(v5);
+    let wire = encode_wire(&hello);
     assert_eq!(decode_blocking(&wire).unwrap(), hello);
-    let crc_wire = encode_wire_crc(&hello);
-    assert_eq!(decode_blocking_crc(&crc_wire).unwrap(), hello);
-    assert_eq!(decode_trickled_crc(&crc_wire).unwrap(), Some(hello));
+    assert_eq!(decode_trickled(&wire).unwrap(), Some(hello));
 }
 
 #[test]
 fn params_version_and_length_mismatches_are_typed_errors() {
-    // The params block's own version field selects its layout; a block
-    // whose length contradicts its claimed version must die as a typed
-    // BadLength in every carrier frame — a v5 header may not smuggle a
-    // short block past the tail reads, nor a v4 header an oversized one.
+    // Any params block that is not exactly 32 bytes dies as a typed
+    // BadLength in every carrier frame, whatever version it claims —
+    // a short block cannot be smuggled past the tail reads, nor an
+    // oversized one past the end.
     const HELLO_TAG: u8 = 0x01;
     const HELLO_ACK_TAG: u8 = 0x81;
-    let frame_of = |body: Vec<u8>| {
-        let mut wire = (body.len() as u32).to_le_bytes().to_vec();
-        wire.extend_from_slice(&body);
-        wire
-    };
+    const RESUME_ACK_TAG: u8 = 0x89;
     let params_claiming = |version: u16, len: usize| {
         let mut block = vec![0u8; len];
-        block[0..2].copy_from_slice(&version.to_le_bytes());
-        block[20] = 2; // refresh: a legal default either way
+        let head = len.min(2);
+        block[..head].copy_from_slice(&version.to_le_bytes()[..head]);
+        if len > 20 {
+            block[20] = 2; // refresh: a legal default
+        }
         block
     };
-    for (version, len) in [(5u16, 25usize), (4, 32), (5, 31), (5, 33), (2, 32)] {
-        let mut body = vec![HELLO_TAG];
-        body.extend_from_slice(&params_claiming(version, len));
-        let wire = frame_of(body);
-        match decode_blocking(&wire) {
-            Err(ProtoError::BadLength { tag, got }) => {
-                assert_eq!(tag, HELLO_TAG);
-                assert_eq!(got, len, "v{version} Hello with a {len}-byte block");
+    for version in [PROTOCOL_VERSION, 4, 2] {
+        for len in [0usize, 1, 24, 25, 31, 33, 40] {
+            let block = params_claiming(version, len);
+            let mut hello = vec![HELLO_TAG];
+            hello.extend_from_slice(&block);
+            match decode_blocking(&seal(&hello)) {
+                Err(ProtoError::BadLength { tag, got }) => {
+                    assert_eq!(tag, HELLO_TAG);
+                    assert_eq!(got, len, "v{version} Hello with a {len}-byte block");
+                }
+                other => panic!("v{version}/{len}B Hello decoded: {other:?}"),
             }
-            other => panic!("v{version}/{len}B Hello decoded: {other:?}"),
+            // The same block inside a HelloAck (token appended) and a
+            // ResumeAck (token, cursors, flag appended).
+            let mut ack = vec![HELLO_ACK_TAG];
+            ack.extend_from_slice(&block);
+            ack.extend_from_slice(&7u64.to_le_bytes());
+            let mut resume_ack = vec![RESUME_ACK_TAG];
+            resume_ack.extend_from_slice(&block);
+            resume_ack.extend_from_slice(&[0u8; 25]);
+            for (tag, body) in [(HELLO_ACK_TAG, ack), (RESUME_ACK_TAG, resume_ack)] {
+                match decode_blocking(&seal(&body)) {
+                    Err(ProtoError::BadLength { tag: got, .. }) => assert_eq!(got, tag),
+                    other => panic!("v{version}/{len}B block in {tag:#04x} decoded: {other:?}"),
+                }
+            }
         }
-        // The same mismatched block inside a HelloAck (token appended
-        // per the *claimed* version) is rejected the same way.
-        let mut body = vec![HELLO_ACK_TAG];
-        body.extend_from_slice(&params_claiming(version, len));
-        if version >= 4 {
-            body.extend_from_slice(&7u64.to_le_bytes());
-        }
-        match decode_blocking(&frame_of(body)) {
-            Err(ProtoError::BadLength { tag, .. }) => assert_eq!(tag, HELLO_ACK_TAG),
-            other => panic!("v{version}/{len}B HelloAck decoded: {other:?}"),
+        // A 32-byte block decodes whatever version it claims: the
+        // version is data here, checked by the server at the handshake.
+        let mut hello = vec![HELLO_TAG];
+        hello.extend_from_slice(&params_claiming(version, 32));
+        match decode_blocking(&seal(&hello)) {
+            Ok(Frame::Hello(p)) => assert_eq!(p.version, version),
+            other => panic!("v{version} 32-byte block: {other:?}"),
         }
     }
 }
@@ -726,8 +711,8 @@ fn oversized_tenant_and_quota_claims_decode_as_data_not_allocation() {
     // `tenants` and `quota_ops` are *claims* the server polices against
     // MAX_TENANT_CLAIM / MAX_QUOTA_CLAIM before allocating anything
     // (pinned end to end in the fleet suite); the decoder's only job is
-    // to carry them. A maxed-out claim is a fixed 37-byte wire frame,
-    // not an allocation request, under both framings.
+    // to carry them. A maxed-out claim is a fixed 41-byte wire frame,
+    // not an allocation request.
     let greedy = Frame::Hello(SessionParams {
         qos_weight: u8::MAX,
         tenants: u16::MAX,
@@ -735,24 +720,33 @@ fn oversized_tenant_and_quota_claims_decode_as_data_not_allocation() {
         ..SessionParams::defaults()
     });
     let wire = encode_wire(&greedy);
-    assert_eq!(wire.len(), 4 + 1 + 32, "claims never change the layout");
+    assert_eq!(wire.len(), 4 + 1 + 32 + 4, "claims never change the layout");
     assert_eq!(decode_blocking(&wire).unwrap(), greedy);
-    assert_eq!(decode_trickled(&wire).unwrap(), Some(greedy.clone()));
-    let crc_wire = encode_wire_crc(&greedy);
-    assert_eq!(decode_blocking_crc(&crc_wire).unwrap(), greedy);
-    assert_eq!(decode_trickled_crc(&crc_wire).unwrap(), Some(greedy));
+    assert_eq!(decode_trickled(&wire).unwrap(), Some(greedy));
 }
 
 #[test]
 fn oversized_length_prefixes_are_rejected_before_allocation_under_crc() {
+    // The same hostile prefixes arriving *after* a valid frame: the
+    // incremental reader, its body buffer already sized once, yields the
+    // good frame and then rejects the prefix before growing the buffer.
     for claimed in [MAX_FRAME_LEN + 1, u32::MAX / 2, u32::MAX] {
-        let mut wire = claimed.to_le_bytes().to_vec();
+        let mut wire = encode_wire(&Frame::Flush);
+        wire.extend_from_slice(&claimed.to_le_bytes());
         wire.extend_from_slice(&[0u8; 8]);
-        match decode_blocking_crc(&wire) {
+        let mut blocking = wire.as_slice();
+        assert_eq!(read_frame_crc(&mut blocking).unwrap(), Frame::Flush);
+        match read_frame_crc(&mut blocking) {
             Err(ProtoError::Oversized(len)) => assert_eq!(len, claimed),
             other => panic!("expected Oversized, got {other:?}"),
         }
-        match decode_trickled_crc(&wire) {
+        let mut frames = FrameReader::new();
+        let mut trickle = OneByte(&wire);
+        assert_eq!(
+            poll_trickled(&mut frames, &mut trickle).unwrap(),
+            Some(Frame::Flush)
+        );
+        match poll_trickled(&mut frames, &mut trickle) {
             Err(ProtoError::Oversized(len)) => assert_eq!(len, claimed),
             other => panic!("expected Oversized, got {other:?}"),
         }

@@ -7,7 +7,7 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 
 use codic_server::client::{replay, verify_against_reference};
-use codic_server::proto::{read_frame, write_frame, Frame, SessionEvent, SessionParams};
+use codic_server::proto::{read_frame_crc, write_frame_crc, Frame, SessionEvent, SessionParams};
 use codic_server::server::{ReplayServer, ServerConfig};
 use codic_server::trace::generate_mixed;
 
@@ -31,16 +31,6 @@ fn with_server<R>(
     out
 }
 
-/// Bare-framed session parameters: protocol v4 CRC-frames every reply,
-/// so raw frame-level choreography with `read_frame` pins v3 (these
-/// edges are framing-independent; v4 has its own CRC-aware suites).
-fn bare_params() -> SessionParams {
-    SessionParams {
-        version: 3,
-        ..SessionParams::defaults()
-    }
-}
-
 /// A raw protocol session: Hello, then hand the typed reader/writer to
 /// the closure for frame-level choreography.
 fn raw_session<R>(
@@ -51,9 +41,9 @@ fn raw_session<R>(
     let stream = UnixStream::connect(socket).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = BufWriter::new(stream);
-    write_frame(&mut writer, &Frame::Hello(*hello)).expect("hello");
+    write_frame_crc(&mut writer, &Frame::Hello(*hello)).expect("hello");
     writer.flush().expect("flush");
-    match read_frame(&mut reader).expect("hello ack") {
+    match read_frame_crc(&mut reader).expect("hello ack") {
         Frame::HelloAck { .. } => {}
         other => panic!("expected HelloAck, got {other:?}"),
     }
@@ -82,11 +72,11 @@ fn outstanding_window_of_one_fully_serializes_and_verifies() {
 fn empty_batch_is_acked_without_consuming_sequence_numbers() {
     let ops = generate_mixed(8, 8192, 3);
     with_server("emptybatch", ServerConfig::default(), 1, |socket| {
-        raw_session(socket, &bare_params(), |reader, writer| {
+        raw_session(socket, &SessionParams::defaults(), |reader, writer| {
             // An empty batch: legal, acked, and free.
-            write_frame(writer, &Frame::Batch(Vec::new())).expect("send");
+            write_frame_crc(writer, &Frame::Batch(Vec::new())).expect("send");
             writer.flush().expect("flush");
-            let ack = match read_frame(reader).expect("ack") {
+            let ack = match read_frame_crc(reader).expect("ack") {
                 Frame::Batched(ack) => ack,
                 other => panic!("expected Batched, got {other:?}"),
             };
@@ -96,11 +86,10 @@ fn empty_batch_is_acked_without_consuming_sequence_numbers() {
             assert_eq!(ack.outstanding, 0);
 
             // The next real batch starts exactly where the session began.
-            write_frame(writer, &Frame::Batch(ops.clone())).expect("send");
+            write_frame_crc(writer, &Frame::Batch(ops.clone())).expect("send");
             writer.flush().expect("flush");
             loop {
-                match read_frame(reader).expect("burst") {
-                    Frame::Completion(c) => assert!(c.seq < ops.len() as u64),
+                match read_frame_crc(reader).expect("burst") {
                     Frame::Events(events) => {
                         for event in events {
                             match event {
@@ -118,19 +107,19 @@ fn empty_batch_is_acked_without_consuming_sequence_numbers() {
                         assert_eq!(ack.accepted, ops.len() as u32);
                         break;
                     }
-                    other => panic!("expected Completion/Events/Batched, got {other:?}"),
+                    other => panic!("expected Events/Batched, got {other:?}"),
                 }
             }
-            write_frame(writer, &Frame::Bye).expect("bye");
+            write_frame_crc(writer, &Frame::Bye).expect("bye");
             writer.flush().expect("flush");
             loop {
-                match read_frame(reader).expect("tail") {
-                    Frame::Completion(_) | Frame::Events(_) => {}
+                match read_frame_crc(reader).expect("tail") {
+                    Frame::Events(_) => {}
                     Frame::Summary(s) => {
                         assert_eq!(s.ops, ops.len() as u64);
                         break;
                     }
-                    other => panic!("expected Completion/Events/Summary, got {other:?}"),
+                    other => panic!("expected Events/Summary, got {other:?}"),
                 }
             }
         });
@@ -140,20 +129,20 @@ fn empty_batch_is_acked_without_consuming_sequence_numbers() {
 #[test]
 fn flush_with_nothing_in_flight_acks_zero() {
     with_server("idleflush", ServerConfig::default(), 1, |socket| {
-        raw_session(socket, &bare_params(), |reader, writer| {
+        raw_session(socket, &SessionParams::defaults(), |reader, writer| {
             for _ in 0..2 {
-                write_frame(writer, &Frame::Flush).expect("send");
+                write_frame_crc(writer, &Frame::Flush).expect("send");
                 writer.flush().expect("flush");
-                match read_frame(reader).expect("ack") {
+                match read_frame_crc(reader).expect("ack") {
                     Frame::Flushed(ack) => {
                         assert_eq!(ack.emitted, 0, "nothing was in flight");
                     }
                     other => panic!("expected Flushed, got {other:?}"),
                 }
             }
-            write_frame(writer, &Frame::Bye).expect("bye");
+            write_frame_crc(writer, &Frame::Bye).expect("bye");
             writer.flush().expect("flush");
-            match read_frame(reader).expect("summary") {
+            match read_frame_crc(reader).expect("summary") {
                 Frame::Summary(s) => assert_eq!(s.ops, 0),
                 other => panic!("expected Summary, got {other:?}"),
             }
@@ -167,10 +156,10 @@ fn zero_completion_session_reports_the_empty_checksum() {
     // streamed a frame must say exactly that, not zero.
     const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
     with_server("zerosession", ServerConfig::default(), 1, |socket| {
-        raw_session(socket, &bare_params(), |reader, writer| {
-            write_frame(writer, &Frame::Bye).expect("bye");
+        raw_session(socket, &SessionParams::defaults(), |reader, writer| {
+            write_frame_crc(writer, &Frame::Bye).expect("bye");
             writer.flush().expect("flush");
-            match read_frame(reader).expect("summary") {
+            match read_frame_crc(reader).expect("summary") {
                 Frame::Summary(s) => {
                     assert_eq!(s.ops, 0);
                     assert_eq!(s.row_ops, 0);
@@ -191,15 +180,15 @@ fn governed_empty_batches_never_divide_by_zero_or_sleep() {
     // zero rows and must neither stall nor panic.
     let governed = SessionParams {
         target_rows_per_s: 1_000,
-        ..bare_params()
+        ..SessionParams::defaults()
     };
     with_server("govempty", ServerConfig::default(), 1, |socket| {
         raw_session(socket, &governed, |reader, writer| {
             let started = std::time::Instant::now();
             for _ in 0..16 {
-                write_frame(writer, &Frame::Batch(Vec::new())).expect("send");
+                write_frame_crc(writer, &Frame::Batch(Vec::new())).expect("send");
                 writer.flush().expect("flush");
-                match read_frame(reader).expect("ack") {
+                match read_frame_crc(reader).expect("ack") {
                     Frame::Batched(ack) => assert_eq!(ack.accepted, 0),
                     other => panic!("expected Batched, got {other:?}"),
                 }
@@ -208,9 +197,9 @@ fn governed_empty_batches_never_divide_by_zero_or_sleep() {
                 started.elapsed() < std::time::Duration::from_secs(2),
                 "zero-row batches must not be paced as if they carried rows"
             );
-            write_frame(writer, &Frame::Bye).expect("bye");
+            write_frame_crc(writer, &Frame::Bye).expect("bye");
             writer.flush().expect("flush");
-            match read_frame(reader).expect("summary") {
+            match read_frame_crc(reader).expect("summary") {
                 Frame::Summary(s) => assert_eq!(s.ops, 0),
                 other => panic!("expected Summary, got {other:?}"),
             }
