@@ -11,10 +11,19 @@
 //!
 //! Rows never touched (or outside the region) read as all-zeros; a
 //! `RowCopy`/`Not` whose source lies outside the region therefore reads
-//! zeros, which the planner never relies on. Every mutation returns the
-//! FNV-1a-64 fingerprint of the destination row, which the service layer
-//! carries into completions and the wire protocol folds into the session
-//! checksum — making a pinned replay checksum value-verifying end to end.
+//! zeros, which the planner never relies on. Each compute operation
+//! returns the FNV-1a-64 fingerprint of its destination row, which the
+//! service layer carries into completions and the wire protocol folds
+//! into the session checksum — making a pinned replay checksum
+//! value-verifying end to end.
+//!
+//! Every materialized row stores its fingerprint beside its words, set
+//! when the row is written, so reading it never hashes. Only operations
+//! that create new contents hash, once each: `Not`, a `MajAnd`/`MajOr`
+//! group (whose three rows share the result), and a `RowFill` of any
+//! pattern but all-zeros or all-ones. `RowInit`, constant fills and the
+//! zeroing/one-setting effects of non-compute operations take a
+//! compile-time fingerprint, and `RowCopy` takes its source's.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -33,26 +42,45 @@ pub type RowWords = [u64; WORDS_PER_ROW];
 /// The all-zeros contents every unmaterialized row reads as.
 static ZERO_ROW: RowWords = [0; WORDS_PER_ROW];
 
+/// Fingerprint of an all-zeros row (every unmaterialized row).
+const ZERO_FP: u64 = row_fingerprint(&[0; WORDS_PER_ROW]);
+
+/// Fingerprint of an all-ones row.
+const ONES_FP: u64 = row_fingerprint(&[u64::MAX; WORDS_PER_ROW]);
+
 /// FNV-1a-64 over `words` in little-endian byte order — the same
 /// algorithm (and constants) the wire protocol's session checksum uses,
 /// so a row fingerprint folds naturally into the replay checksum.
 #[must_use]
-pub fn row_fingerprint(words: &RowWords) -> u64 {
+pub const fn row_fingerprint(words: &RowWords) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for word in words {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
+    let mut i = 0;
+    while i < WORDS_PER_ROW {
+        let word = words[i];
+        let mut shift = 0;
+        while shift < 64 {
+            hash ^= (word >> shift) & 0xff;
             hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            shift += 8;
         }
+        i += 1;
     }
     hash
+}
+
+/// A materialized row: its contents and their fingerprint, which every
+/// write keeps equal to `row_fingerprint(&words)`.
+#[derive(Debug, Clone)]
+struct Row {
+    words: Box<RowWords>,
+    fp: u64,
 }
 
 /// Lazily materialized row contents for one device's compute region.
 #[derive(Debug, Clone, Default)]
 pub struct DataPlane {
     region: Range<u64>,
-    rows: HashMap<u64, Box<RowWords>>,
+    rows: HashMap<u64, Row>,
 }
 
 impl DataPlane {
@@ -88,23 +116,94 @@ impl DataPlane {
     pub fn row(&self, addr: u64) -> &RowWords {
         self.rows
             .get(&Self::key(addr))
-            .map_or(&ZERO_ROW, |row| row.as_ref())
+            .map_or(&ZERO_ROW, |row| &row.words)
     }
 
     /// The FNV-1a-64 fingerprint of the row containing `addr`.
     #[must_use]
     pub fn fingerprint(&self, addr: u64) -> u64 {
-        row_fingerprint(self.row(addr))
-    }
-
-    fn row_mut(&mut self, addr: u64) -> &mut RowWords {
         self.rows
-            .entry(Self::key(addr))
-            .or_insert_with(|| Box::new(ZERO_ROW))
+            .get(&Self::key(addr))
+            .map_or(ZERO_FP, |row| row.fp)
     }
 
-    fn fill(&mut self, addr: u64, word: u64) {
-        self.row_mut(addr).fill(word);
+    /// The row keyed `key`, materialized as zeros if it was not yet.
+    fn row_mut(&mut self, key: u64) -> &mut Row {
+        self.rows.entry(key).or_insert_with(|| Row {
+            words: Box::new(ZERO_ROW),
+            fp: ZERO_FP,
+        })
+    }
+
+    fn fill(&mut self, addr: u64, word: u64) -> u64 {
+        let row = self.row_mut(Self::key(addr));
+        row.words.fill(word);
+        row.fp = match word {
+            0 => ZERO_FP,
+            u64::MAX => ONES_FP,
+            _ => row_fingerprint(&row.words),
+        };
+        row.fp
+    }
+
+    /// Copies the source row's words and fingerprint into the
+    /// destination row and returns it.
+    fn copy(&mut self, src_addr: u64, dst_addr: u64) -> &mut Row {
+        let (src, dst) = (Self::key(src_addr), Self::key(dst_addr));
+        self.row_mut(dst);
+        if src != dst {
+            match self.rows.get_disjoint_mut([&src, &dst]) {
+                [Some(s), Some(d)] => {
+                    d.words.copy_from_slice(&s.words[..]);
+                    d.fp = s.fp;
+                }
+                [None, Some(d)] => {
+                    d.words.fill(0);
+                    d.fp = ZERO_FP;
+                }
+                [_, None] => unreachable!("the destination row was just materialized"),
+            }
+        }
+        self.row_mut(dst)
+    }
+
+    fn not(&mut self, src_addr: u64, dst_addr: u64) -> u64 {
+        let dst = self.copy(src_addr, dst_addr);
+        for w in dst.words.iter_mut() {
+            *w = !*w;
+        }
+        dst.fp = row_fingerprint(&dst.words);
+        dst.fp
+    }
+
+    /// Triple-row activation: the group charge-shares to the bitwise
+    /// majority, and the restore writes that majority back into all
+    /// three rows.
+    fn majority(&mut self, row_addr: u64) -> u64 {
+        let k0 = Self::key(row_addr);
+        let keys = [
+            k0,
+            k0 + DramGeometry::ROW_BYTES,
+            k0 + 2 * DramGeometry::ROW_BYTES,
+        ];
+        for key in keys {
+            self.row_mut(key);
+        }
+        let [Some(a), Some(b), Some(c)] = self.rows.get_disjoint_mut(keys.each_ref()) else {
+            unreachable!("all three rows were just materialized");
+        };
+        for ((a, b), c) in a
+            .words
+            .iter_mut()
+            .zip(b.words.iter_mut())
+            .zip(c.words.iter_mut())
+        {
+            let maj = (*a & *b) | (*a & *c) | (*b & *c);
+            (*a, *b, *c) = (maj, maj, maj);
+        }
+        let fp = row_fingerprint(&a.words);
+        (a.fp, b.fp, c.fp) = (fp, fp, fp);
+        fp
     }
 
     /// Applies the architectural data effect of `op` and returns the
@@ -118,45 +217,25 @@ impl DataPlane {
     /// zeros afterwards). Ordinary reads and writes are column traffic
     /// the plane does not track.
     pub fn apply(&mut self, op: CodicOp) -> u64 {
-        match op {
+        let fp = match op {
             CodicOp::RowInit { row_addr, ones } => {
-                self.fill(row_addr, if ones { u64::MAX } else { 0 });
+                self.fill(row_addr, if ones { u64::MAX } else { 0 })
             }
             CodicOp::RowFill { row_addr, pattern } => self.fill(row_addr, pattern),
-            CodicOp::RowCopy { src_addr, dst_addr } => {
-                let src = *self.row(src_addr);
-                *self.row_mut(dst_addr) = src;
-            }
-            CodicOp::Not { src_addr, dst_addr } => {
-                let src = *self.row(src_addr);
-                let dst = self.row_mut(dst_addr);
-                for (d, s) in dst.iter_mut().zip(src.iter()) {
-                    *d = !s;
-                }
-            }
-            CodicOp::MajAnd { row_addr } | CodicOp::MajOr { row_addr } => {
-                // Triple-row activation: the group charge-shares to the
-                // bitwise majority, and the restore writes that majority
-                // back into all three rows.
-                let row = DramGeometry::ROW_BYTES;
-                let a = *self.row(row_addr);
-                let b = *self.row(row_addr + row);
-                let c = *self.row(row_addr + 2 * row);
-                let mut maj = ZERO_ROW;
-                for i in 0..WORDS_PER_ROW {
-                    maj[i] = (a[i] & b[i]) | (a[i] & c[i]) | (b[i] & c[i]);
-                }
-                *self.row_mut(row_addr) = maj;
-                *self.row_mut(row_addr + row) = maj;
-                *self.row_mut(row_addr + 2 * row) = maj;
-            }
+            CodicOp::RowCopy { src_addr, dst_addr } => self.copy(src_addr, dst_addr).fp,
+            CodicOp::Not { src_addr, dst_addr } => self.not(src_addr, dst_addr),
+            CodicOp::MajAnd { row_addr } | CodicOp::MajOr { row_addr } => self.majority(row_addr),
             _ => {
                 // Non-compute operations only matter when they land on a
                 // tracked row.
                 if op.written_rows().rows > 0 && self.region.contains(&op.row_addr()) {
                     match op.class().data_effect() {
-                        DataEffect::Zeros => self.fill(op.row_addr(), 0),
-                        DataEffect::Ones => self.fill(op.row_addr(), u64::MAX),
+                        DataEffect::Zeros => {
+                            self.fill(op.row_addr(), 0);
+                        }
+                        DataEffect::Ones => {
+                            self.fill(op.row_addr(), u64::MAX);
+                        }
                         DataEffect::Signature | DataEffect::Scramble => {
                             self.rows.remove(&Self::key(op.row_addr()));
                         }
@@ -165,8 +244,13 @@ impl DataPlane {
                 }
                 return 0;
             }
-        }
-        self.fingerprint(op.row_addr())
+        };
+        debug_assert_eq!(
+            fp,
+            row_fingerprint(self.row(op.row_addr())),
+            "stale cached fingerprint after {op:?}"
+        );
+        fp
     }
 }
 
