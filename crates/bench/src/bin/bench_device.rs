@@ -38,11 +38,7 @@
 //! in-process `codic_server::ReplayServer` (framed batches in, typed
 //! completions out) and reports the client-observed serving rate; the
 //! first session is verified bit-identical against the in-process
-//! reference replay. Three variants serve the identical trace: the
-//! inline engine at 1 and N shards, and the worker-pipelined engine
-//! (one thread per shard behind SPSC rings) — the N-shard variants are
-//! pinned to one session checksum, so their rates compare identical
-//! streams.
+//! reference replay. The identical trace is served at 1 and N shards.
 //!
 //! A sixth — **bulk-bitwise compute serving** — replays the
 //! deterministic SIMD workload (planned vector AND/OR/XOR/ADD over
@@ -55,10 +51,9 @@
 //!
 //! `--quick` runs only the engine cross-checks — the sweep tick-vs-event
 //! comparison, the queue-depth workload's tick-vs-event and
-//! legacy-vs-live identity checks, the workers-vs-inline serving
-//! checksum identity, and one value-verified
-//! bulk-bitwise serving session — and exits non-zero on any divergence;
-//! the CI smoke step.
+//! legacy-vs-live identity checks, one reference-verified trace-replay
+//! serving session, and one value-verified bulk-bitwise serving
+//! session — and exits non-zero on any divergence; the CI smoke step.
 
 use std::time::Instant;
 
@@ -150,29 +145,20 @@ fn coldboot_sweep(config: &DeviceConfig, shards: usize, reps: u64) -> Measured {
 /// measuring the **client-observed** host throughput through the full
 /// framed transport (Hello/Batch/Events/Summary). The first session
 /// is additionally verified bit-identical against the in-process
-/// reference replay, so the measured path is the checked path.
-///
-/// `workers` picks the engine (pipelined shard workers vs inline pool);
-/// the session checksum is returned so the caller can pin both variants
-/// to one identical stream.
+/// reference replay, so the measured path is the checked path. Returns
+/// the measurement and the session checksum.
 fn replay_serving(
     shards: usize,
     ops_count: u64,
     reps: u64,
     timing: &TimingParams,
-    workers: bool,
 ) -> (Measured, u64) {
     let socket = std::env::temp_dir().join(format!(
-        "codic-bench-{}-{}{}.sock",
+        "codic-bench-{}-{}.sock",
         std::process::id(),
-        shards,
-        if workers { "-w" } else { "" }
+        shards
     ));
-    let config = ServerConfig {
-        workers,
-        ..ServerConfig::default()
-    };
-    let server = ReplayServer::bind(&socket, config).expect("bind bench socket");
+    let server = ReplayServer::bind(&socket, ServerConfig::default()).expect("bind bench socket");
     // One warm-up session (inside `time`) plus `reps` measured ones.
     let sessions = reps as usize + 1;
     let serving = std::thread::spawn(move || server.serve_connections(sessions).expect("serve"));
@@ -760,15 +746,10 @@ fn main() {
         // value-verified against the scalar-backed reference replay
         // (bulk_bitwise_serving asserts, so a divergence exits non-zero).
         let bitwise = bulk_bitwise_serving(1, 1, 1, &timing);
-        // Pipeline identity: the same trace served by the inline and
-        // the worker-pipelined engine must land on one session checksum
-        // — the threading changes throughput only.
-        let (_, inline) = replay_serving(2, 2048, 1, &timing, false);
-        let (_, pipelined) = replay_serving(2, 2048, 1, &timing, true);
-        assert_eq!(
-            inline, pipelined,
-            "worker-pipelined serving diverged from the inline engine"
-        );
+        // One trace-replay session over the socket transport, verified
+        // against the in-process reference replay (replay_serving
+        // asserts, so a divergence exits non-zero).
+        let (_, checksum) = replay_serving(2, 2048, 1, &timing);
         println!("{{");
         println!("  \"bench\": \"device_engine_smoke\",");
         println!("  \"results\": [");
@@ -781,8 +762,8 @@ fn main() {
         println!("    \"identical\": [\"tick_vs_event\", \"legacy_vs_indexed\"]");
         println!("  }},");
         println!("  \"transport_smoke\": {{");
-        println!("    \"checksum\": \"{inline:#018x}\",");
-        println!("    \"identical\": [\"workers_vs_inline\"]");
+        println!("    \"checksum\": \"{checksum:#018x}\",");
+        println!("    \"identical\": [\"served_vs_reference\"]");
         println!("  }},");
         println!("  \"bulk_bitwise_smoke\": {{");
         println!("    \"ops\": {},", bitwise.rows);
@@ -850,22 +831,13 @@ fn main() {
         print_depth_entry(m, &timing, false);
     }
     // Trace-replay serving over the Unix-socket transport (identity-
-    // verified against the in-process reference on the first session).
-    // Three variants over one trace: the inline engine at 1 and N
-    // shards, and the worker-pipelined engine at N — which must land on
-    // the inline N-shard session checksum (the threading changes
-    // throughput only, never the stream).
+    // verified against the in-process reference on the first session),
+    // one trace at 1 and N shards.
     let serve_ops = 8 * rows;
-    let (serve1, _) = replay_serving(1, serve_ops, reps, &timing, false);
+    let (serve1, _) = replay_serving(1, serve_ops, reps, &timing);
     print_entry("replay_serving", 1, &serve1, false);
-    let (serven, serven_sum) = replay_serving(max_shards, serve_ops, reps, &timing, false);
+    let (serven, _) = replay_serving(max_shards, serve_ops, reps, &timing);
     print_entry("replay_serving", max_shards, &serven, false);
-    let (workers, workers_sum) = replay_serving(max_shards, serve_ops, reps, &timing, true);
-    print_entry("replay_serving_workers", max_shards, &workers, false);
-    assert_eq!(
-        serven_sum, workers_sum,
-        "worker-pipelined serving diverged from the inline engine"
-    );
     // Shared-fleet multi-tenant serving: tenants 1 → 16 on one fleet,
     // one shard per slot, each tenant a thread replaying its own trace
     // through the deficit-round-robin scheduler.
@@ -904,10 +876,6 @@ fn main() {
     println!(
         "  \"replay_serving_rows_per_s\": {:.0},",
         serven.rows as f64 / serven.host_s
-    );
-    println!(
-        "  \"replay_serving_workers_rows_per_s\": {:.0},",
-        workers.rows as f64 / workers.host_s
     );
     let (tenants, busiest, busiest_p99) = fleet.last().expect("fleet sweep ran");
     println!(

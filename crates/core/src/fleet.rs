@@ -1,16 +1,19 @@
 //! A shared device fleet multiplexing many tenants over one
 //! [`DevicePool`].
 //!
-//! Every serving layer before this one gave each session a private pool.
-//! [`SharedFleet`] is the multi-tenant substrate CODIC actually targets:
-//! one sharded fleet of devices, carved into fixed-size *slots* of
-//! contiguous shards, with each tenant holding an exclusive
-//! [`ShardLease`] over its slot. Three properties define the design:
+//! [`SharedFleet`] is the one serving substrate: one sharded fleet of
+//! devices, carved into fixed-size *slots* of contiguous shards, with
+//! each tenant holding an exclusive [`ShardLease`] over its slot. A
+//! multi-tenant server shares one fleet of N slots between its
+//! sessions; a private session is simply a one-slot fleet of its own.
+//! Either way the session drains [`FleetEvent`]s. Three properties
+//! define the design:
 //!
 //! - **Isolation by construction.** A tenant's lease routes, quarantines,
 //!   and drives clocks with the *same* [`ShardLease`] machinery a private
-//!   [`DevicePool`] uses over its own shards, against devices freshly
-//!   rebuilt at acquisition with lease-local fault seeding. A tenant's
+//!   [`DevicePool`] uses over its own shards, against factory-fresh
+//!   devices with lease-local fault seeding (built once per slot, and
+//!   rebuilt only for a slot an earlier tenant used). A tenant's
 //!   demultiplexed event stream — sequence numbers, lease-local shard
 //!   indices, finish cycles, energy bits, fingerprints, typed failures —
 //!   is therefore bit-identical to a solo run on an equivalent private
@@ -215,7 +218,12 @@ struct Tenant {
 
 #[derive(Debug)]
 enum Slot {
-    Free,
+    /// No tenant. `used` marks a slot whose devices an earlier tenant
+    /// ran, so the next acquisition must rebuild them; an unused slot
+    /// still holds the devices [`SharedFleet::new`] built.
+    Free {
+        used: bool,
+    },
     Held(Box<Tenant>),
 }
 
@@ -238,8 +246,10 @@ pub struct SharedFleet {
 
 impl SharedFleet {
     /// Builds the fleet: `slots × shards_per_slot` devices, all slots
-    /// free. The pool is built fault-free; fault schedules are derived
-    /// per tenant at [`SharedFleet::acquire`] with lease-local seeding.
+    /// free. Each slot's devices are built once, here, exactly as
+    /// [`SharedFleet::acquire_with`] would rebuild them — fault plans
+    /// derived by lease-local index — so a slot's first tenant needs no
+    /// rebuild.
     ///
     /// # Panics
     ///
@@ -251,12 +261,16 @@ impl SharedFleet {
             config.shards_per_slot > 0,
             "a slot needs at least one shard"
         );
-        let mut base = config.device.clone();
-        base.fault = None;
-        let pool = DevicePool::new(config.slots * config.shards_per_slot, &base);
+        let pool = DevicePool::tiled(
+            config.slots * config.shards_per_slot,
+            config.shards_per_slot,
+            &config.device,
+        );
         SharedFleet {
             pool,
-            slots: (0..config.slots).map(|_| Slot::Free).collect(),
+            slots: (0..config.slots)
+                .map(|_| Slot::Free { used: false })
+                .collect(),
             cursor: 0,
             epoch: 0,
             next_ticket: 0,
@@ -276,7 +290,7 @@ impl SharedFleet {
     pub fn free_slots(&self) -> usize {
         self.slots
             .iter()
-            .filter(|s| matches!(s, Slot::Free))
+            .filter(|s| matches!(s, Slot::Free { .. }))
             .count()
     }
 
@@ -295,19 +309,26 @@ impl SharedFleet {
     /// `weight` and outstanding-op `quota` (both clamped to at least 1),
     /// or `None` when the fleet is full.
     ///
-    /// Every shard of the slot is rebuilt factory-fresh, with the base
-    /// fault plan (if any) derived by **lease-local** shard index —
-    /// local shard `l` runs `plan.for_shard(l)` — exactly what
-    /// [`DevicePool::new`] would build for a private pool of
-    /// `shards_per_slot` shards. That, plus the lease's own routing and
-    /// health state, is the whole solo-equivalence argument.
+    /// The tenant gets factory-fresh shards, with the base fault plan
+    /// (if any) derived by **lease-local** shard index — local shard `l`
+    /// runs `plan.for_shard(l)` — exactly what [`DevicePool::new`] would
+    /// build for a private pool of `shards_per_slot` shards. A slot an
+    /// earlier tenant used is rebuilt that way here; an unused slot
+    /// already is that way from [`SharedFleet::new`]. That, plus the
+    /// lease's own routing and health state, is the whole
+    /// solo-equivalence argument.
     pub fn acquire_with(&mut self, weight: u32, quota: usize) -> Option<TenantId> {
-        let slot = self.slots.iter().position(|s| matches!(s, Slot::Free))?;
+        let slot = self
+            .slots
+            .iter()
+            .position(|s| matches!(s, Slot::Free { .. }))?;
         let base = slot * self.config.shards_per_slot;
-        for local in 0..self.config.shards_per_slot {
-            let mut cfg = self.config.device.clone();
-            cfg.fault = cfg.fault.map(|plan| plan.for_shard(local));
-            self.pool.reset_shard(base + local, &cfg);
+        if matches!(self.slots[slot], Slot::Free { used: true }) {
+            for local in 0..self.config.shards_per_slot {
+                let mut cfg = self.config.device.clone();
+                cfg.fault = cfg.fault.map(|plan| plan.for_shard(local));
+                self.pool.reset_shard(base + local, &cfg);
+            }
         }
         let mut lease = ShardLease::new(base, self.config.shards_per_slot, &self.config.device);
         lease.set_health_policy(self.config.health);
@@ -347,7 +368,7 @@ impl SharedFleet {
                     .insert(batch.ticket, Err(CodicError::NoHealthyShards));
             }
         }
-        self.slots[slot] = Slot::Free;
+        self.slots[slot] = Slot::Free { used: true };
     }
 
     fn checked_slot(&self, id: TenantId) -> usize {
@@ -361,7 +382,7 @@ impl SharedFleet {
         let slot = self.checked_slot(id);
         match &mut self.slots[slot] {
             Slot::Held(t) => t,
-            Slot::Free => unreachable!("checked_slot verified occupancy"),
+            Slot::Free { .. } => unreachable!("checked_slot verified occupancy"),
         }
     }
 
@@ -369,7 +390,7 @@ impl SharedFleet {
         let slot = self.checked_slot(id);
         match &self.slots[slot] {
             Slot::Held(t) => t,
-            Slot::Free => unreachable!("checked_slot verified occupancy"),
+            Slot::Free { .. } => unreachable!("checked_slot verified occupancy"),
         }
     }
 
@@ -397,7 +418,7 @@ impl SharedFleet {
     pub fn has_pending(&self) -> bool {
         self.slots.iter().any(|s| match s {
             Slot::Held(t) => !t.pending.is_empty(),
-            Slot::Free => false,
+            Slot::Free { .. } => false,
         })
     }
 
@@ -829,6 +850,88 @@ mod tests {
         }
         assert!(solo_failures > 0, "the misfire plan must actually fire");
         fleet.release(b);
+    }
+
+    /// The private serving engine's discipline on a private pool of
+    /// `shards` shards, written out by hand: routed submission, quota
+    /// backpressure, a health check and a `(finish_cycle, seq)` drain
+    /// at every batch boundary, then a flush.
+    fn solo_events(
+        shards: usize,
+        device: &DeviceConfig,
+        ops: &[CodicOp],
+        batch: usize,
+        quota: usize,
+    ) -> Vec<FleetEvent> {
+        fn drain(inflight: &mut Vec<(u64, u16, crate::executor::OpFuture)>) -> Vec<FleetEvent> {
+            let mut ready = Vec::new();
+            inflight.retain_mut(|(seq, shard, future)| match future.try_take() {
+                Some(completion) => {
+                    ready.push(FleetEvent {
+                        seq: *seq,
+                        shard: *shard,
+                        completion,
+                    });
+                    false
+                }
+                None => true,
+            });
+            ready.sort_by_key(|e| (e.completion.finish_cycle, e.seq));
+            ready
+        }
+        let mut pool = DevicePool::new(shards, device);
+        let (mut inflight, mut out, mut next_seq) = (Vec::new(), Vec::new(), 0);
+        for chunk in ops.chunks(batch) {
+            for (shard, future) in pool.submit_all_async_routed(chunk).expect("in range") {
+                inflight.push((next_seq, shard as u16, future));
+                next_seq += 1;
+            }
+            while pool.outstanding() > quota && pool.step() {}
+            pool.check_health();
+            out.extend(drain(&mut inflight));
+        }
+        pool.drive();
+        pool.check_health();
+        out.extend(drain(&mut inflight));
+        out
+    }
+
+    #[test]
+    fn fresh_and_recycled_slots_serve_the_solo_stream() {
+        // Misfires plus a clock that wedges mid-run: a slot whose devices
+        // were not rebuilt for its next tenant would start that tenant
+        // on advanced, wedged clocks and consumed misfire schedules.
+        let plan = FaultPlan::new(31)
+            .with_misfires(6000)
+            .with_stuck_shard(1, 3000);
+        let device = device_config().with_faults(plan);
+        let (batch, quota) = (32, 64);
+        let ops = zero_ops(256);
+        let solo = solo_events(2, &device, &ops, batch, quota);
+        assert!(
+            solo.iter().any(|e| e.completion.outcome.is_failed()),
+            "the plan must actually fire"
+        );
+        let fleet = FleetHandle::new(FleetConfig::new(2, 2, device));
+        // Holding slot 0 puts every run below on slot 1, so the devices
+        // under test sit at a nonzero fleet offset.
+        let hold = fleet.acquire_with(1, quota).expect("slot 0");
+        for run in [
+            "never-used slot",
+            "slot released by an earlier tenant",
+            "same slot again",
+        ] {
+            let t = fleet.acquire_with(1, quota).expect("slot 1");
+            assert_eq!(t.slot(), 1);
+            let mut events = Vec::new();
+            for chunk in ops.chunks(batch) {
+                events.extend(fleet.submit(t, chunk).expect("admit").1);
+            }
+            events.extend(fleet.flush(t).1);
+            fleet.release(t);
+            assert_eq!(events, solo, "{run}");
+        }
+        fleet.release(hold);
     }
 
     #[test]

@@ -35,16 +35,11 @@
 //!   throughput-style workloads, with the async
 //!   [`submit_all_async`](pool::DevicePool::submit_all_async) /
 //!   [`drive`](pool::DevicePool::drive) pair;
-//! - [`spsc`]: bounded std-only single-producer/single-consumer rings,
-//!   the queues that feed per-shard worker threads;
-//! - [`worker`]: the optional pipelined pool mode ([`ShardWorkers`]):
-//!   one thread per shard fed by SPSC rings, drained in deterministic
-//!   per-shard seq order, bit-identical to the inline [`DevicePool`]
-//!   path;
-//! - [`fleet`]: the multi-tenant [`SharedFleet`] —
-//!   one pool carved into exclusive per-tenant shard leases with
+//! - [`fleet`]: the [`SharedFleet`], the one serving substrate — one
+//!   pool carved into exclusive per-tenant shard leases with
 //!   deficit-round-robin admission and per-tenant quotas, each tenant's
-//!   stream bit-identical to a private pool's;
+//!   stream bit-identical to a private pool's (a private session is a
+//!   one-slot fleet), drained as [`FleetEvent`]s;
 //! - [`data`]: the lazily materialized compute-region data plane, so
 //!   bulk-bitwise results are value-checked rather than only timed;
 //! - [`simd`]: the bit-serial SIMD planner compiling element-wise vector
@@ -82,10 +77,8 @@ pub mod ops;
 pub mod optimize;
 pub mod pool;
 pub mod simd;
-pub mod spsc;
 pub mod variant;
 pub mod variant_space;
-pub mod worker;
 
 pub use classify::OperationClass;
 pub use data::DataPlane;
@@ -102,4 +95,3 @@ pub use ops::{CodicOp, InDramMechanism, RowRegion, VariantId};
 pub use pool::{DevicePool, PoolOutcome, PoolToken, ShardHealth};
 pub use simd::{SimdLayout, VecOp};
 pub use variant::CodicVariant;
-pub use worker::ShardWorkers;

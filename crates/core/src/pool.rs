@@ -465,12 +465,25 @@ impl DevicePool {
     /// Panics if `shards` is zero.
     #[must_use]
     pub fn new(shards: usize, config: &DeviceConfig) -> Self {
+        DevicePool::tiled(shards, shards, config)
+    }
+
+    /// A pool of `shards` devices whose fault plans are derived by index
+    /// *within* consecutive runs of `tile` shards: device `s` runs
+    /// `plan.for_shard(s % tile)`. The shared fleet builds its slots
+    /// this way, so every `tile`-shard lease starts out exactly as a
+    /// private pool of `tile` shards would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` or `tile` is zero.
+    pub(crate) fn tiled(shards: usize, tile: usize, config: &DeviceConfig) -> Self {
         assert!(shards > 0, "a pool needs at least one shard");
         DevicePool {
             devices: (0..shards)
                 .map(|shard| {
                     let mut config = config.clone();
-                    config.fault = config.fault.map(|plan| plan.for_shard(shard));
+                    config.fault = config.fault.map(|plan| plan.for_shard(shard % tile));
                     CodicDevice::new(config)
                 })
                 .collect(),
@@ -560,8 +573,8 @@ impl DevicePool {
     /// Rebuilds `shard` from `config` exactly as given — **no** per-shard
     /// fault derivation; callers that want one pass a `config.fault`
     /// already derived — and re-admits it to the pool's own routing table
-    /// as healthy. The shared fleet uses this to hand each new tenant
-    /// factory-fresh devices whose fault schedules are seeded by
+    /// as healthy. The shared fleet uses this to hand the next tenant of
+    /// a used slot factory-fresh devices whose fault schedules are seeded by
     /// *lease-local* shard index, so a leased range behaves
     /// bit-identically to a freshly built private pool of the same size.
     pub(crate) fn reset_shard(&mut self, shard: usize, config: &DeviceConfig) {

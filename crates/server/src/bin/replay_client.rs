@@ -38,8 +38,7 @@
 //! the zero-setup smoke mode CI uses; it honors the `replay-server`
 //! fault flags (`--fault-seed`, `--misfire-per-64k`,
 //! `--stuck-shard`/`--stuck-at`, `--retry-attempts`), which is how the
-//! chaos smoke pins the faulted stream, `--workers` (pipelined
-//! shard workers on the in-process server), and `--fleet-slots`
+//! chaos smoke pins the faulted stream, and `--fleet-slots`
 //! (shared-fleet serving). With `--self-serve --tcp 127.0.0.1:0` the
 //! in-process server also binds an ephemeral TCP port and the replay
 //! runs over it. `--verify` replays the identical
@@ -195,7 +194,6 @@ fn main() -> ExitCode {
         let mut config = ServerConfig {
             fault: fault_plan_args(),
             retry: retry_args(defaults.retry),
-            workers: has_flag("--workers"),
             fleet_slots: arg_u64("--fleet-slots").unwrap_or(0) as usize,
             ..defaults
         };

@@ -1,14 +1,15 @@
 //! `replay-server`: the long-running trace-replay service.
 //!
 //! Binds a Unix socket and serves each connection as an independent
-//! replay session over its own sharded device pool (wire format:
+//! replay session over its own sharded device pool — a one-slot fleet —
+//! or one slot of a shared fleet with `--fleet-slots` (wire format:
 //! `docs/PROTOCOL.md`; architecture: `docs/ARCHITECTURE.md`).
 //!
 //! ```text
 //! replay-server [--socket PATH] [--tcp ADDR] [--shards N]
 //!               [--module-mib M] [--fleet-slots N]
 //!               [--max-outstanding K] [--max-rows-per-sec R]
-//!               [--refresh] [--workers] [--connections N]
+//!               [--refresh] [--connections N]
 //!               [--compute-rows C]
 //!               [--fault-seed S] [--misfire-per-64k P]
 //!               [--stuck-shard I --stuck-at CYCLE]
@@ -24,7 +25,6 @@
 //! carved into N tenant leases of `--shards` shards each, with
 //! deficit-round-robin admission across tenants; each session's stream
 //! stays bit-identical to a private pool of its slot shape.
-//! Incompatible with `--workers`.
 //!
 //! The deadline flags tune session robustness: `--read-timeout-ms` is
 //! how long a session thread parks inside a socket read before
@@ -32,10 +32,6 @@
 //! `--session-idle-ms` tears down silent clients (and reaps parked
 //! resume state) honestly, and `--journal-max-kib` caps each
 //! session's resume journal.
-//!
-//! `--workers` serves every session through pipelined shard workers
-//! (one thread per shard behind SPSC rings) instead of the inline pool;
-//! the completion stream is bit-identical, the host throughput higher.
 //!
 //! `--compute-rows C` reserves the top C rows of every session's module
 //! as the default bulk-bitwise compute region (a `Hello` may request
@@ -79,7 +75,6 @@ fn main() -> ExitCode {
         retry,
         health: defaults.health,
         compute_rows: arg_u64("--compute-rows").unwrap_or(0),
-        workers: has_flag("--workers"),
         fleet_slots: arg_u64("--fleet-slots").unwrap_or(0) as usize,
         ..defaults.clone()
     };

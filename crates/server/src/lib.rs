@@ -1,11 +1,11 @@
-//! Trace-replay serving layer over the CODIC device pool.
+//! Trace-replay serving layer over the CODIC device fleet.
 //!
 //! This crate turns the repository from a library into a running
 //! service: a long-lived `replay-server` accepts Unix-socket
 //! connections, decodes framed trace batches (secure-deallocation /
 //! cold-boot row operations plus ordinary read/write traffic) into
-//! typed [`CodicOp`](codic_core::ops::CodicOp)s, submits them through
-//! [`DevicePool::submit_all_async`](codic_core::pool::DevicePool::submit_all_async),
+//! typed [`CodicOp`](codic_core::ops::CodicOp)s, submits them to the
+//! session's tenancy on a [`FleetHandle`](codic_core::fleet::FleetHandle),
 //! drives the shard clocks, and streams typed completions (finish
 //! cycle plus accounted energy) back per connection; `replay-client`
 //! plays a trace file and verifies the completion stream bit-for-bit

@@ -1,38 +1,37 @@
-//! The replay server: Unix-socket sessions served over a sharded
-//! [`DevicePool`].
+//! The replay server: Unix-socket and TCP sessions, each served as one
+//! tenancy of a sharded device [`FleetHandle`].
 //!
-//! Each connection is one independent session with its own pool (its own
-//! shard clocks, mode registers, and policy state), served on its own
-//! thread. The per-session serving loop is [`ReplayEngine`]:
+//! Each connection is one independent session served on its own
+//! thread. Its substrate is a lease of shards with their own clocks,
+//! mode registers, and policy state: the only slot of a fleet built for
+//! the session, or one slot of the server's shared fleet
+//! ([`ServerConfig::fleet_slots`]). The per-session serving loop is
+//! [`ReplayEngine`], and the fleet runs its discipline inside the lease:
 //!
-//! 1. a decoded [`Frame::Batch`] is submitted
-//!    through [`DevicePool::submit_all_async`] (all-or-nothing policy:
-//!    a rejected batch turns into one `Error` frame and touches nothing);
-//! 2. backpressure: while [`DevicePool::outstanding`] exceeds the
-//!    session's `max_outstanding`, the engine relieves pressure with
-//!    [`DevicePool::step`] (one event per busy shard), never by blocking
-//!    the socket;
-//! 3. resolved [`OpFuture`]s are drained non-blockingly
-//!    ([`OpFuture::try_take`]) and streamed back as typed completion
-//!    units of `Events` frames in completion order (ascending finish
-//!    cycle at each drain point, ties broken by submission sequence).
+//! 1. a decoded [`Frame::Batch`] is submitted through
+//!    [`FleetHandle::submit`] (all-or-nothing policy: a rejected batch
+//!    turns into one `Error` frame and touches nothing);
+//! 2. backpressure: while the lease's outstanding ops exceed the
+//!    session's `max_outstanding`, the fleet steps the lease's shards
+//!    one event at a time, never blocking the socket;
+//! 3. resolved operations drain as [`FleetEvent`]s and stream back as
+//!    typed completion units of `Events` frames in completion order
+//!    (ascending finish cycle at each drain point, ties broken by
+//!    submission sequence).
 //!
 //! Determinism contract: the engine's DRAM timeline is a pure function
 //! of the submission sequence (batch boundaries included). With
 //! `max_outstanding` at or above the pool's natural in-flight bound
 //! (three 64-deep queues plus in-flight commands per shard), the
 //! backpressure loop never fires and the served timeline is
-//! *instruction-for-instruction* the direct
-//! [`DevicePool::submit_all_async`] + [`DevicePool::drive`] run — the
-//! bit-identity the end-to-end tests pin. Below that bound it stays
+//! *instruction-for-instruction* the direct run of
+//! [`DevicePool::submit_all_async`](codic_core::pool::DevicePool::submit_all_async)
+//! and [`DevicePool::drive`](codic_core::pool::DevicePool::drive) —
+//! the bit-identity the end-to-end tests pin. Below that bound it stays
 //! deterministic, but clocks advance earlier. The replay-rate governor
 //! only ever sleeps the host thread, so it cannot perturb cycles.
-//!
-//! [`ServerConfig::workers`] preserves that contract bit for bit: it
-//! runs the engine over pipelined [`ShardWorkers`] (one thread per
-//! shard behind SPSC rings, drained at the same loop points). However
-//! the units are packed into `Events` frames, the session checksum
-//! hashes only their payload bytes, in emission order.
+//! However the units are packed into `Events` frames, the session
+//! checksum hashes only their payload bytes, in emission order.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -47,12 +46,10 @@ use std::time::{Duration, Instant};
 
 use codic_core::device::DeviceConfig;
 use codic_core::error::CodicError;
-use codic_core::executor::OpFuture;
 use codic_core::fault::{FaultPlan, HealthPolicy, RetryPolicy};
-use codic_core::fleet::{FleetConfig, FleetHandle, TenantId};
+use codic_core::fleet::{FleetConfig, FleetEvent, FleetHandle, TenantId};
 use codic_core::ops::CodicOp;
-use codic_core::pool::{DevicePool, ShardHealth};
-use codic_core::worker::{DrainedOp, ShardWorkers};
+use codic_core::pool::ShardHealth;
 use codic_dram::{DramGeometry, TimingParams};
 
 use crate::governor::RateGovernor;
@@ -86,12 +83,6 @@ pub struct ServerConfig {
     /// Default bulk-bitwise compute region, in rows at the top of the
     /// module (0 = compute disabled; a `Hello` may request its own).
     pub compute_rows: u64,
-    /// Serve sessions through pipelined [`ShardWorkers`] (one thread
-    /// per shard, fed by SPSC rings) instead of the inline
-    /// [`DevicePool`]. The completion stream is bit-identical either
-    /// way; worker mode overlaps decode, engine stepping, and encoding
-    /// across cores.
-    pub workers: bool,
     /// Socket read timeout in milliseconds: how long a session thread
     /// parks inside a read before re-checking the shutdown flag and the
     /// idle deadline (`--read-timeout-ms`).
@@ -107,14 +98,14 @@ pub struct ServerConfig {
     /// the oldest whole events first. A `Resume` pointing before the
     /// retained window is honestly rejected (`--journal-max-kib`).
     pub journal_max_bytes: usize,
-    /// Tenant slots in the shared fleet (`--fleet-slots`; 0 = private
-    /// pools, the default). With `N > 0` every session is served from
-    /// one [`SharedFleet`](codic_core::fleet::SharedFleet) carved into
-    /// `N` leases of [`ServerConfig::shards`] shards each: sessions
-    /// share the pool's machinery but each tenant's event stream stays
-    /// bit-identical to a private pool of its slot shape. Fleet mode is
-    /// incompatible with [`ServerConfig::workers`] (the fleet *is* the
-    /// serving substrate).
+    /// Tenant slots in the shared fleet (`--fleet-slots`). With `N > 0`
+    /// every session is served from one
+    /// [`SharedFleet`](codic_core::fleet::SharedFleet) carved into `N`
+    /// leases of [`ServerConfig::shards`] shards each: sessions share
+    /// the pool's machinery but each tenant's event stream stays
+    /// bit-identical to a private pool of its slot shape. 0 (the
+    /// default) means each session gets its own one-slot fleet, shaped
+    /// by its own `Hello`.
     pub fleet_slots: usize,
 }
 
@@ -133,7 +124,6 @@ impl Default for ServerConfig {
             retry: RetryPolicy::default(),
             health: HealthPolicy::default(),
             compute_rows: 0,
-            workers: false,
             read_timeout_ms: 25,
             session_idle_ms: 30_000,
             journal_max_bytes: 8 << 20,
@@ -261,65 +251,71 @@ impl ReplayCompletion {
     }
 }
 
-/// The engine's execution substrate: the inline pool, or one worker
-/// thread per shard behind SPSC rings. Both run the identical
-/// submission discipline; the worker determinism tests pin the
-/// bit-identity.
-enum EngineCore {
-    Inline(DevicePool),
-    Workers(ShardWorkers),
-    /// A tenant lease on the server's shared fleet: the session's ops
-    /// run on its slot's shards of the one shared pool, demultiplexed
-    /// into a stream bit-identical to a private pool of the same shape
-    /// (the fleet isolation proptests pin it).
-    Fleet(FleetSession),
-}
-
-impl fmt::Debug for EngineCore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineCore::Inline(pool) => f.debug_tuple("Inline").field(pool).finish(),
-            EngineCore::Workers(w) => write!(f, "Workers({} shards)", w.shards()),
-            EngineCore::Fleet(s) => write!(f, "Fleet(slot {})", s.tenant.slot()),
+impl From<FleetEvent> for ReplayCompletion {
+    fn from(e: FleetEvent) -> Self {
+        ReplayCompletion {
+            seq: e.seq,
+            shard: e.shard,
+            completion: e.completion,
         }
     }
 }
 
-/// One session's tenancy on the shared fleet. Dropping it — session
-/// finished, torn down, or reaped while parked — releases the slot back
-/// to the fleet for the next `Hello`.
-struct FleetSession {
-    handle: FleetHandle,
-    tenant: TenantId,
-    /// Lease-local shard health as of the last batch/flush boundary —
-    /// exactly the points the serving loop reads it.
-    health: Vec<ShardHealth>,
-}
-
-impl Drop for FleetSession {
-    fn drop(&mut self) {
-        self.handle.release(self.tenant);
+/// The fleet shape a session with `params` runs on: `slots` leases of
+/// `params.shards` shards each, carrying the fault plan, retry policy,
+/// and health policy, with the session's outstanding cap as the
+/// per-tenant quota. A private session's fleet has one slot; a shared
+/// server's has [`ServerConfig::fleet_slots`], shaped by its negotiated
+/// defaults.
+fn fleet_config(
+    params: &SessionParams,
+    fault: Option<FaultPlan>,
+    retry: RetryPolicy,
+    health: HealthPolicy,
+    slots: usize,
+) -> FleetConfig {
+    let mut device = ServerConfig::device_config(params).with_retry(retry);
+    if let Some(plan) = fault {
+        device = device.with_faults(plan);
     }
+    FleetConfig::new(slots, (params.shards as usize).max(1), device)
+        .with_quota((params.max_outstanding as usize).max(1))
+        .with_health(health)
 }
 
 /// The deterministic per-session serving core: typed batches in,
 /// completion-ordered [`ReplayCompletion`]s out.
 ///
-/// This is exactly the discipline the wire server runs, factored out so
+/// Every engine is one tenancy on a [`FleetHandle`]: a private session
+/// holds the only slot of a fleet built for it, a shared-fleet session
+/// one slot of the server's fleet. The fleet runs the whole discipline
+/// inside the tenant's lease — routed all-or-nothing submission,
+/// step-wise quota backpressure, a health check at every batch
+/// boundary, a `(finish_cycle, seq)` drain — so both serve the same
+/// stream. This is exactly what the wire server runs, factored out so
 /// the client's `--verify` mode and the end-to-end tests can replay it
 /// in process and demand bit-identical results.
+///
+/// Dropping the engine — session finished, torn down, or reaped while
+/// parked — releases its slot back to the fleet for the next `Hello`.
 #[derive(Debug)]
 pub struct ReplayEngine {
-    core: EngineCore,
-    /// In-flight futures — inline mode only (workers track their own).
-    pending: Vec<(u64, u16, OpFuture)>,
-    scratch: Vec<(u64, u16, OpFuture)>,
+    handle: FleetHandle,
+    tenant: TenantId,
+    /// Lease-local shard health as of the last batch/flush boundary —
+    /// exactly the points the serving loop reads it.
+    health: Vec<ShardHealth>,
     next_seq: u64,
-    max_outstanding: usize,
+}
+
+impl Drop for ReplayEngine {
+    fn drop(&mut self) {
+        self.handle.release(self.tenant);
+    }
 }
 
 impl ReplayEngine {
-    /// An engine over a fresh pool per `params` (see
+    /// An engine over a fresh private pool per `params` (see
     /// [`ServerConfig::device_config`]), with no fault injection — the
     /// reference the client's `--verify` mode replays against.
     #[must_use]
@@ -332,8 +328,9 @@ impl ReplayEngine {
         )
     }
 
-    /// An engine whose pool carries a fault-injection plan, retry
-    /// policy, and health policy. `fault = None` makes this identical to
+    /// An engine whose private pool carries a fault-injection plan,
+    /// retry policy, and health policy: the only slot of a one-slot
+    /// fleet. `fault = None` makes this identical to
     /// [`ReplayEngine::new`].
     #[must_use]
     pub fn with_faults(
@@ -342,44 +339,8 @@ impl ReplayEngine {
         retry: RetryPolicy,
         health: HealthPolicy,
     ) -> Self {
-        ReplayEngine::with_options(params, fault, retry, health, false)
-    }
-
-    /// The full constructor: `pipelined = true` serves the session
-    /// through [`ShardWorkers`] — one thread per shard, fed by SPSC
-    /// rings, so decode, submission, engine stepping, and completion
-    /// encoding overlap — with a completion stream bit-identical to the
-    /// inline pool (the tests here and the worker determinism proptests
-    /// pin it).
-    #[must_use]
-    pub fn with_options(
-        params: &SessionParams,
-        fault: Option<FaultPlan>,
-        retry: RetryPolicy,
-        health: HealthPolicy,
-        pipelined: bool,
-    ) -> Self {
-        let mut config = ServerConfig::device_config(params).with_retry(retry);
-        if let Some(plan) = fault {
-            config = config.with_faults(plan);
-        }
-        let shards = (params.shards as usize).max(1);
-        let core = if pipelined {
-            let mut workers = ShardWorkers::launch(shards, &config);
-            workers.set_health_policy(health);
-            EngineCore::Workers(workers)
-        } else {
-            let mut pool = DevicePool::new(shards, &config);
-            pool.set_health_policy(health);
-            EngineCore::Inline(pool)
-        };
-        ReplayEngine {
-            core,
-            pending: Vec::new(),
-            scratch: Vec::new(),
-            next_seq: 0,
-            max_outstanding: (params.max_outstanding as usize).max(1),
-        }
+        let fleet = FleetHandle::new(fleet_config(params, fault, retry, health, 1));
+        ReplayEngine::for_fleet(params, &fleet).expect("a new one-slot fleet has its slot free")
     }
 
     /// An engine serving one tenant of a shared fleet: acquires a slot
@@ -392,15 +353,10 @@ impl ReplayEngine {
         let tenant = handle.acquire_with(u32::from(params.qos_weight.max(1)), quota)?;
         let health = handle.health(tenant);
         Some(ReplayEngine {
-            core: EngineCore::Fleet(FleetSession {
-                handle: handle.clone(),
-                tenant,
-                health,
-            }),
-            pending: Vec::new(),
-            scratch: Vec::new(),
+            handle: handle.clone(),
+            tenant,
+            health,
             next_seq: 0,
-            max_outstanding: quota,
         })
     }
 
@@ -412,76 +368,10 @@ impl ReplayEngine {
     /// Returns the policy error; the batch was all-or-nothing rejected
     /// and the engine state is untouched (no sequence numbers consumed).
     pub fn submit_batch(&mut self, ops: &[CodicOp]) -> Result<Vec<ReplayCompletion>, CodicError> {
-        match &mut self.core {
-            EngineCore::Inline(pool) => {
-                // The routed variant reports where each op actually
-                // landed: a shard wedging mid-batch is quarantined
-                // inside the pool and its traffic re-routed, and the
-                // completion must carry the shard that really served it.
-                let routed = pool.submit_all_async_routed(ops)?;
-                for (shard, future) in routed {
-                    self.pending.push((self.next_seq, shard as u16, future));
-                    self.next_seq += 1;
-                }
-                // Backpressure: relieve the in-flight window one engine
-                // event at a time; never over-drive (drive() would run
-                // all the way to idle and distort the timeline for
-                // nothing). step() reports no progress once every busy
-                // shard is stuck, so a wedged clock cannot spin this
-                // loop.
-                while pool.outstanding() > self.max_outstanding {
-                    if !pool.step() {
-                        break;
-                    }
-                }
-                // The batch boundary doubles as the op-deadline check: a
-                // shard that wedged during this batch is quarantined
-                // here, its stranded ops delivered as typed failures in
-                // this very drain. With fault injection disabled this
-                // never fires.
-                pool.check_health();
-                Ok(self.drain_ready())
-            }
-            EngineCore::Workers(workers) => {
-                // All-or-nothing pre-flight happens coordinator-side
-                // before anything reaches a ring, so a rejected batch
-                // consumes no sequence numbers, same as inline.
-                workers.submit_batch(self.next_seq, ops)?;
-                self.next_seq += ops.len() as u64;
-                // First barrier: collect what resolved while this batch
-                // was being decoded and refresh the statuses the
-                // backpressure loop gates on. Drains never advance a
-                // device, so splitting the drain around the loop yields
-                // exactly the inline path's single-drain set.
-                let mut drained = workers.drain_ready();
-                while workers.outstanding() > self.max_outstanding {
-                    if !workers.step_all() {
-                        break;
-                    }
-                }
-                workers.check_health();
-                drained.extend(workers.drain_ready());
-                Ok(into_completions(drained))
-            }
-            EngineCore::Fleet(fleet) => {
-                // The fleet runs this exact discipline inside the
-                // tenant's lease — routed async submission, step-wise
-                // quota backpressure, a health check at the batch
-                // boundary — and demultiplexes the drained events per
-                // tenant. A rejected batch is all-or-nothing there too.
-                let (receipt, events) = fleet.handle.submit(fleet.tenant, ops)?;
-                self.next_seq += u64::from(receipt.accepted);
-                fleet.health = fleet.handle.health(fleet.tenant);
-                Ok(events
-                    .into_iter()
-                    .map(|e| ReplayCompletion {
-                        seq: e.seq,
-                        shard: e.shard,
-                        completion: e.completion,
-                    })
-                    .collect())
-            }
-        }
+        let (receipt, events) = self.handle.submit(self.tenant, ops)?;
+        self.next_seq += u64::from(receipt.accepted);
+        self.health = self.handle.health(self.tenant);
+        Ok(events.into_iter().map(ReplayCompletion::from).collect())
     }
 
     /// Drives every shard to idle and returns everything still pending,
@@ -490,67 +380,30 @@ impl ReplayEngine {
     /// delivered as typed failures, so a flush always resolves every
     /// pending operation one way or the other.
     pub fn flush(&mut self) -> Vec<ReplayCompletion> {
-        match &mut self.core {
-            EngineCore::Inline(pool) => {
-                pool.drive();
-                pool.check_health();
-            }
-            EngineCore::Workers(workers) => {
-                let mut drained = workers.flush();
-                workers.check_health();
-                drained.extend(workers.drain_ready());
-                return into_completions(drained);
-            }
-            EngineCore::Fleet(fleet) => {
-                let (_, events) = fleet.handle.flush(fleet.tenant);
-                fleet.health = fleet.handle.health(fleet.tenant);
-                return events
-                    .into_iter()
-                    .map(|e| ReplayCompletion {
-                        seq: e.seq,
-                        shard: e.shard,
-                        completion: e.completion,
-                    })
-                    .collect();
-            }
-        }
-        self.drain_ready()
+        let (_, events) = self.handle.flush(self.tenant);
+        self.health = self.handle.health(self.tenant);
+        events.into_iter().map(ReplayCompletion::from).collect()
     }
 
-    /// Per-shard health of the serving pool.
+    /// Per-shard health of the serving lease, as of the last batch or
+    /// flush boundary.
     #[must_use]
     pub fn health(&self) -> &[ShardHealth] {
-        match &self.core {
-            EngineCore::Inline(pool) => pool.health(),
-            EngineCore::Workers(workers) => workers.health(),
-            EngineCore::Fleet(fleet) => &fleet.health,
-        }
+        &self.health
     }
 
     /// Operations submitted but not yet completed (the backpressure
     /// signal; bounded by the session's `max_outstanding` between
-    /// batches). In worker mode this is the count as of the last
-    /// barrier — exact at every point the serving loop reads it.
+    /// batches).
     #[must_use]
     pub fn outstanding(&self) -> usize {
-        match &self.core {
-            EngineCore::Inline(pool) => pool.outstanding(),
-            EngineCore::Workers(workers) => workers.outstanding(),
-            EngineCore::Fleet(fleet) => fleet.handle.outstanding(fleet.tenant),
-        }
+        self.handle.outstanding(self.tenant)
     }
 
     /// The slowest shard's current cycle.
     #[must_use]
     pub fn now_max(&self) -> u64 {
-        match &self.core {
-            EngineCore::Inline(pool) => (0..pool.shards())
-                .map(|s| pool.device(s).now())
-                .max()
-                .unwrap_or(0),
-            EngineCore::Workers(workers) => workers.now_max(),
-            EngineCore::Fleet(fleet) => fleet.handle.now_max(fleet.tenant),
-        }
+        self.handle.now_max(self.tenant)
     }
 
     /// Sequence number the next submitted operation will get.
@@ -558,44 +411,6 @@ impl ReplayEngine {
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
-
-    /// Moves every resolved future out of the pending set, sorted into
-    /// completion order: ascending finish cycle, ties broken by
-    /// submission sequence. (Per shard this is exactly resolution order;
-    /// across shards the tie-break makes the interleaving deterministic.)
-    fn drain_ready(&mut self) -> Vec<ReplayCompletion> {
-        let mut ready = Vec::new();
-        self.scratch.clear();
-        for (seq, shard, mut future) in self.pending.drain(..) {
-            match future.try_take() {
-                Some(completion) => ready.push(ReplayCompletion {
-                    seq,
-                    shard,
-                    completion,
-                }),
-                None => self.scratch.push((seq, shard, future)),
-            }
-        }
-        std::mem::swap(&mut self.pending, &mut self.scratch);
-        ready.sort_by_key(|r| (r.completion.finish_cycle, r.seq));
-        ready
-    }
-}
-
-/// Sorts worker-drained completions into the same completion order the
-/// inline path emits: ascending finish cycle, ties broken by submission
-/// sequence — a total order (seq is unique), so the emitted stream is
-/// independent of which worker thread resolved what first.
-fn into_completions(mut drained: Vec<DrainedOp>) -> Vec<ReplayCompletion> {
-    drained.sort_by_key(|d| (d.completion.finish_cycle, d.seq));
-    drained
-        .into_iter()
-        .map(|d| ReplayCompletion {
-            seq: d.seq,
-            shard: d.shard,
-            completion: d.completion,
-        })
-        .collect()
 }
 
 /// Why a session ended.
@@ -663,13 +478,7 @@ impl SessionState {
             params,
             token,
             config,
-            ReplayEngine::with_options(
-                &params,
-                config.fault,
-                config.retry,
-                config.health,
-                config.workers,
-            ),
+            ReplayEngine::with_faults(&params, config.fault, config.retry, config.health),
         )
     }
 
@@ -959,13 +768,9 @@ fn serve_connection_inner<R: Read, W: Write>(
                         return Ok(SessionEnd::Rejected(reason));
                     }
                 },
-                None => ReplayEngine::with_options(
-                    &params,
-                    config.fault,
-                    config.retry,
-                    config.health,
-                    config.workers,
-                ),
+                None => {
+                    ReplayEngine::with_faults(&params, config.fault, config.retry, config.health)
+                }
             };
             let token = registry.mint_token();
             write_frame_crc(writer, &Frame::HelloAck { params, token })?;
@@ -1584,7 +1389,11 @@ impl ReplayServer {
             Err(_) => {}
         }
         let listener = UnixListener::bind(&path)?;
-        ReplayServer::build(vec![Listener::Unix(listener)], Some(path), config)
+        Ok(ReplayServer::build(
+            vec![Listener::Unix(listener)],
+            Some(path),
+            config,
+        ))
     }
 
     /// Binds a TCP address (e.g. `127.0.0.1:0` for an ephemeral test
@@ -1596,7 +1405,11 @@ impl ReplayServer {
     /// Propagates the bind failure.
     pub fn bind_tcp<A: ToSocketAddrs>(addr: A, config: ServerConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        ReplayServer::build(vec![Listener::Tcp(listener)], None, config)
+        Ok(ReplayServer::build(
+            vec![Listener::Tcp(listener)],
+            None,
+            config,
+        ))
     }
 
     /// Adds a TCP listener beside this server's existing endpoints: the
@@ -1625,36 +1438,21 @@ impl ReplayServer {
     /// Assembles the server, building the shared fleet when
     /// [`ServerConfig::fleet_slots`] asks for one: `fleet_slots` leases
     /// of the configured shard count, on the substrate the server's
-    /// defaults negotiate (fault plan and retry policy included), with
-    /// the server's outstanding cap as the default per-tenant quota.
-    fn build(
-        listeners: Vec<Listener>,
-        path: Option<PathBuf>,
-        config: ServerConfig,
-    ) -> io::Result<Self> {
-        let fleet = match config.fleet_slots {
-            0 => None,
-            slots => {
-                if config.workers {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "fleet mode serves sessions from one shared pool; \
-                         it cannot be combined with per-shard workers",
-                    ));
-                }
-                let params = config.negotiate(&SessionParams::defaults());
-                let mut device = ServerConfig::device_config(&params).with_retry(config.retry);
-                if let Some(plan) = config.fault {
-                    device = device.with_faults(plan);
-                }
-                Some(FleetHandle::new(
-                    FleetConfig::new(slots, (params.shards as usize).max(1), device)
-                        .with_quota(config.max_outstanding.max(1))
-                        .with_health(config.health),
-                ))
-            }
-        };
-        Ok(ReplayServer {
+    /// defaults negotiate (fault plan, retry and health policy
+    /// included), with the server's outstanding cap as the default
+    /// per-tenant quota.
+    fn build(listeners: Vec<Listener>, path: Option<PathBuf>, config: ServerConfig) -> Self {
+        let fleet = (config.fleet_slots > 0).then(|| {
+            let params = config.negotiate(&SessionParams::defaults());
+            FleetHandle::new(fleet_config(
+                &params,
+                config.fault,
+                config.retry,
+                config.health,
+                config.fleet_slots,
+            ))
+        });
+        ReplayServer {
             listeners,
             config,
             path,
@@ -1662,7 +1460,7 @@ impl ReplayServer {
             registry: Arc::new(SessionRegistry::new()),
             fleet,
             threads: Mutex::new(Vec::new()),
-        })
+        }
     }
 
     /// Sessions currently parked for resume (cut mid-stream, client not
@@ -1825,7 +1623,9 @@ impl Drop for ReplayServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codic_core::executor::OpFuture;
     use codic_core::ops::VariantId;
+    use codic_core::pool::DevicePool;
 
     fn params(max_outstanding: u32) -> SessionParams {
         SessionParams {
@@ -2007,50 +1807,99 @@ mod tests {
         assert!(!path.exists());
     }
 
-    /// Runs the full batch/flush discipline through an engine and
-    /// returns every completion in emission order.
-    fn run_engine(engine: &mut ReplayEngine, ops: &[CodicOp]) -> Vec<ReplayCompletion> {
-        let mut all = Vec::new();
+    /// Each batch's drain (or rejection), then the flush's drain.
+    type Drains = Vec<Result<Vec<ReplayCompletion>, CodicError>>;
+
+    /// The private-pool serving discipline written out by hand on a
+    /// bare `DevicePool`: routed submission, quota backpressure, a
+    /// health check and a `(finish_cycle, seq)` drain at every 64-op
+    /// batch boundary, then a flush.
+    fn hand_written_run(
+        params: &SessionParams,
+        fault: Option<FaultPlan>,
+        retry: RetryPolicy,
+        health: HealthPolicy,
+        ops: &[CodicOp],
+    ) -> Drains {
+        fn drain(pending: &mut Vec<(u64, u16, OpFuture)>) -> Vec<ReplayCompletion> {
+            let mut ready = Vec::new();
+            pending.retain_mut(|(seq, shard, future)| match future.try_take() {
+                Some(completion) => {
+                    ready.push(ReplayCompletion {
+                        seq: *seq,
+                        shard: *shard,
+                        completion,
+                    });
+                    false
+                }
+                None => true,
+            });
+            ready.sort_by_key(|r| (r.completion.finish_cycle, r.seq));
+            ready
+        }
+        let mut device = ServerConfig::device_config(params).with_retry(retry);
+        if let Some(plan) = fault {
+            device = device.with_faults(plan);
+        }
+        let mut pool = DevicePool::new(params.shards as usize, &device);
+        pool.set_health_policy(health);
+        let (mut pending, mut next_seq, mut out) = (Vec::new(), 0, Vec::new());
         for batch in ops.chunks(64) {
-            all.extend(engine.submit_batch(batch).unwrap());
+            let routed = match pool.submit_all_async_routed(batch) {
+                Ok(routed) => routed,
+                Err(e) => {
+                    out.push(Err(e));
+                    continue;
+                }
+            };
+            for (shard, future) in routed {
+                pending.push((next_seq, shard as u16, future));
+                next_seq += 1;
+            }
+            while pool.outstanding() > params.max_outstanding as usize && pool.step() {}
+            pool.check_health();
+            out.push(Ok(drain(&mut pending)));
         }
-        all.extend(engine.flush());
-        all
+        pool.drive();
+        pool.check_health();
+        out.push(Ok(drain(&mut pending)));
+        out
     }
 
     #[test]
-    fn worker_engine_matches_inline_engine_bit_for_bit() {
-        // Including a tiny outstanding bound, so the lockstep
-        // backpressure loop actually fires in both modes.
-        for max_outstanding in [1024, 8] {
-            let params = params(max_outstanding);
-            let ops = zero_ops(300);
-            let mut inline = ReplayEngine::new(&params);
-            let mut workers = ReplayEngine::with_options(
-                &params,
-                None,
-                RetryPolicy::default(),
-                HealthPolicy::default(),
-                true,
-            );
-            let a = run_engine(&mut inline, &ops);
-            let b = run_engine(&mut workers, &ops);
-            assert_eq!(a, b, "max_outstanding {max_outstanding}");
-        }
-    }
-
-    #[test]
-    fn worker_engine_matches_inline_under_misfire_faults() {
+    fn faulted_engine_matches_the_hand_written_pool_discipline() {
         let params = params(64);
-        let fault = Some(FaultPlan::new(11).with_misfires(500));
-        let retry = RetryPolicy::default();
-        let health = HealthPolicy::default();
+        let fault = Some(FaultPlan::new(11).with_misfires(16_384));
+        let retry = RetryPolicy::attempts(2);
+        let health = HealthPolicy {
+            max_failed_per_64k: 2048,
+            min_ops: 32,
+        };
         let ops = zero_ops(400);
-        let mut inline = ReplayEngine::with_options(&params, fault, retry, health, false);
-        let mut workers = ReplayEngine::with_options(&params, fault, retry, health, true);
-        let a = run_engine(&mut inline, &ops);
-        let b = run_engine(&mut workers, &ops);
-        assert_eq!(a, b);
+        let reference = hand_written_run(&params, fault, retry, health, &ops);
+        // Each setting shapes the stream, so an engine that dropped any
+        // one of them on the way into its fleet could not match.
+        let dropped = [
+            (
+                "fault plan",
+                hand_written_run(&params, None, retry, health, &ops),
+            ),
+            (
+                "retry policy",
+                hand_written_run(&params, fault, RetryPolicy::default(), health, &ops),
+            ),
+            (
+                "health policy",
+                hand_written_run(&params, fault, retry, HealthPolicy::default(), &ops),
+            ),
+        ];
+        for (setting, stream) in dropped {
+            assert_ne!(stream, reference, "the {setting} must matter");
+        }
+        let mut engine = ReplayEngine::with_faults(&params, fault, retry, health);
+        let mut served: Drains = ops.chunks(64).map(|b| engine.submit_batch(b)).collect();
+        served.push(Ok(engine.flush()));
+        assert_eq!(served, reference);
     }
 
     /// The frames of a 300-op session: Hello, 64-op batches, Bye.
@@ -2064,25 +1913,16 @@ mod tests {
     }
 
     #[test]
-    fn worker_sessions_stream_the_inline_checksum() {
+    fn sessions_stream_every_event_after_a_v5_ack_with_a_token() {
         let session = zero_session(SessionParams::defaults());
-        let (end, inline) = run_crc_session(&session, &ServerConfig::default(), None);
-        assert!(matches!(end, SessionEnd::Bye), "inline: {end:?}");
-        assert_eq!(event_units(&inline).len(), 300);
+        let (end, served) = run_crc_session(&session, &ServerConfig::default(), None);
+        assert!(matches!(end, SessionEnd::Bye), "{end:?}");
+        assert_eq!(event_units(&served).len(), 300);
         // The ack carries the one protocol version and a resume token.
         assert!(matches!(
-            inline[0],
+            served[0],
             Frame::HelloAck { params: p, token } if p.version == PROTOCOL_VERSION && token != 0
         ));
-        // Worker mode changes neither the stream nor the checksum.
-        let piped = ServerConfig {
-            workers: true,
-            ..ServerConfig::default()
-        };
-        let (end, workers) = run_crc_session(&session, &piped, None);
-        assert!(matches!(end, SessionEnd::Bye), "workers: {end:?}");
-        assert_eq!(event_units(&workers), event_units(&inline));
-        assert_eq!(summary_of(&workers), summary_of(&inline));
     }
 
     /// Serves a connection whose first frame is `hello` and asserts it
@@ -2631,15 +2471,13 @@ mod tests {
     /// from this config.
     fn test_fleet(config: &ServerConfig, slots: usize) -> FleetHandle {
         let params = config.negotiate(&SessionParams::defaults());
-        let mut device = ServerConfig::device_config(&params).with_retry(config.retry);
-        if let Some(plan) = config.fault {
-            device = device.with_faults(plan);
-        }
-        FleetHandle::new(
-            FleetConfig::new(slots, params.shards as usize, device)
-                .with_quota(config.max_outstanding)
-                .with_health(config.health),
-        )
+        FleetHandle::new(fleet_config(
+            &params,
+            config.fault,
+            config.retry,
+            config.health,
+            slots,
+        ))
     }
 
     /// Serves one CRC-framed session (fleet or private) in memory and
@@ -2788,17 +2626,6 @@ mod tests {
         let (end, served) = run_crc_session(&session, &config, Some(&fleet));
         assert!(matches!(end, SessionEnd::Bye), "after release: {end:?}");
         assert_eq!(event_units(&served).len(), 8);
-    }
-
-    #[test]
-    fn fleet_mode_refuses_worker_serving() {
-        let config = ServerConfig {
-            fleet_slots: 2,
-            workers: true,
-            ..ServerConfig::default()
-        };
-        let err = ReplayServer::bind_tcp("127.0.0.1:0", config).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]
