@@ -9,23 +9,27 @@
 //! lazily and only for rows inside the authorized compute region, so a
 //! device without a compute region pays nothing.
 //!
-//! Rows never touched (or outside the region) read as all-zeros; a
-//! `RowCopy`/`Not` whose source lies outside the region therefore reads
-//! zeros, which the planner never relies on. Each compute operation
-//! returns the FNV-1a-64 fingerprint of its destination row, which the
-//! service layer carries into completions and the wire protocol folds
-//! into the session checksum — making a pinned replay checksum
-//! value-verifying end to end.
+//! Every compute destination (all three rows of a MAJ group included)
+//! must lie inside the region: the device rejects other compute ops
+//! pre-bus, and `apply` asserts it in debug builds. So rows outside the
+//! region, like rows never written, read as all-zeros; a `RowCopy`/`Not`
+//! whose source lies outside it reads zeros, which the planner never
+//! relies on. Each compute operation returns the FNV-1a-64 fingerprint of
+//! its destination row, which the service layer carries into completions
+//! and the wire protocol folds into the session checksum — making a
+//! pinned replay checksum value-verifying end to end.
 //!
-//! Every materialized row stores its fingerprint beside its words, set
-//! when the row is written, so reading it never hashes. Only operations
-//! that create new contents hash, once each: `Not`, a `MajAnd`/`MajOr`
-//! group (whose three rows share the result), and a `RowFill` of any
-//! pattern but all-zeros or all-ones. `RowInit`, constant fills and the
-//! zeroing/one-setting effects of non-compute operations take a
-//! compile-time fingerprint, and `RowCopy` takes its source's.
+//! Every tracked row is one 64-bit word repeated across the row, because
+//! every write keeps it so: `RowInit`, `RowFill` and the Zeros/Ones
+//! effects of non-compute ops fill a row with one word; `RowCopy`, `Not`
+//! and MAJ map uniform rows to uniform rows; column writes are not
+//! tracked, and signature-class ops drop the row. A row is stored as its
+//! word and fingerprint, set when written, and only an op creating a new
+//! word hashes, once, with [`uniform_fingerprint`]. A host↔vertical
+//! transposition writing arbitrary rows would have to widen this layout.
 
 use std::collections::HashMap;
+use std::num::Wrapping;
 use std::ops::Range;
 
 use codic_dram::geometry::DramGeometry;
@@ -39,28 +43,30 @@ pub const WORDS_PER_ROW: usize = (DramGeometry::ROW_BYTES / 8) as usize;
 /// One row of simulated contents.
 pub type RowWords = [u64; WORDS_PER_ROW];
 
-/// The all-zeros contents every unmaterialized row reads as.
-static ZERO_ROW: RowWords = [0; WORDS_PER_ROW];
+/// The FNV-1a-64 offset basis and prime.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Fingerprint of an all-zeros row (every unmaterialized row).
+/// Fingerprints of the all-zeros row (every unmaterialized row) and of
+/// the all-ones row.
 const ZERO_FP: u64 = row_fingerprint(&[0; WORDS_PER_ROW]);
-
-/// Fingerprint of an all-ones row.
 const ONES_FP: u64 = row_fingerprint(&[u64::MAX; WORDS_PER_ROW]);
 
 /// FNV-1a-64 over `words` in little-endian byte order — the same
 /// algorithm (and constants) the wire protocol's session checksum uses,
-/// so a row fingerprint folds naturally into the replay checksum.
+/// so a row fingerprint folds naturally into the replay checksum. This is
+/// the reference definition; the data plane computes the same value with
+/// [`uniform_fingerprint`].
 #[must_use]
 pub const fn row_fingerprint(words: &RowWords) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = FNV_OFFSET;
     let mut i = 0;
     while i < WORDS_PER_ROW {
         let word = words[i];
         let mut shift = 0;
         while shift < 64 {
             hash ^= (word >> shift) & 0xff;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            hash = hash.wrapping_mul(FNV_PRIME);
             shift += 8;
         }
         i += 1;
@@ -68,12 +74,65 @@ pub const fn row_fingerprint(words: &RowWords) -> u64 {
     hash
 }
 
-/// A materialized row: its contents and their fingerprint, which every
-/// write keeps equal to `row_fingerprint(&words)`.
-#[derive(Debug, Clone)]
+/// How many times [`uniform_fingerprint`] composes its step table with
+/// itself; each halves the serial chain left after it.
+const DOUBLINGS: u32 = 3;
+
+/// `row_fingerprint(&[word; WORDS_PER_ROW])`, without walking the row's
+/// 8192 bytes one at a time.
+///
+/// XOR-ing a byte into an FNV-1a state changes only its low byte, and the
+/// low byte of a product depends only on the low bytes of its factors.
+/// So hashing one more `word` maps a state `h` to `h·P⁸ + step[h & 0xff]`
+/// (`P` the FNV prime), and the next low byte depends only on the current
+/// one. `step` is built from 256 independent eight-byte chains, then
+/// composed with itself `DOUBLINGS` times so that one table step covers
+/// `2^DOUBLINGS` words, which leaves a serial chain of
+/// `WORDS_PER_ROW >> DOUBLINGS` multiply-adds.
+#[must_use]
+pub fn uniform_fingerprint(word: u64) -> u64 {
+    let mut mul = Wrapping(FNV_PRIME.wrapping_pow(8));
+    let mut step = [Wrapping(0u64); 256];
+    for (low, s) in (0u64..).zip(&mut step) {
+        let mut hash = low;
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        }
+        *s = Wrapping(hash) - Wrapping(low) * mul;
+    }
+    for _ in 0..DOUBLINGS {
+        let once = step;
+        for (low, s) in (0u64..).zip(&mut step) {
+            let first = once[low as usize];
+            let next = (Wrapping(low) * mul + first).0 as u8;
+            *s = first * mul + once[usize::from(next)];
+        }
+        mul *= mul;
+    }
+    let mut hash = Wrapping(FNV_OFFSET);
+    for _ in 0..WORDS_PER_ROW >> DOUBLINGS {
+        hash = hash * mul + step[usize::from(hash.0 as u8)];
+    }
+    hash.0
+}
+
+/// A materialized row: the word repeated across it and its fingerprint,
+/// always `uniform_fingerprint(word)`.
+#[derive(Debug, Clone, Copy)]
 struct Row {
-    words: Box<RowWords>,
+    word: u64,
     fp: u64,
+}
+
+impl Row {
+    fn filled(word: u64) -> Row {
+        let fp = match word {
+            0 => ZERO_FP,
+            u64::MAX => ONES_FP,
+            _ => uniform_fingerprint(word),
+        };
+        Row { word, fp }
+    }
 }
 
 /// Lazily materialized row contents for one device's compute region.
@@ -110,144 +169,84 @@ impl DataPlane {
         addr - addr % DramGeometry::ROW_BYTES
     }
 
-    /// The contents of the row containing `addr` (all-zeros when never
+    fn get(&self, addr: u64) -> Row {
+        let row = self.rows.get(&Self::key(addr));
+        row.copied().unwrap_or(Row::filled(0))
+    }
+
+    /// Writes `row` over the row containing `addr`; returns its fingerprint.
+    fn set(&mut self, addr: u64, row: Row) -> u64 {
+        self.rows.insert(Self::key(addr), row);
+        row.fp
+    }
+
+    /// The word repeated across the row containing `addr` (zero when never
     /// written or outside the region).
     #[must_use]
-    pub fn row(&self, addr: u64) -> &RowWords {
-        self.rows
-            .get(&Self::key(addr))
-            .map_or(&ZERO_ROW, |row| &row.words)
+    pub fn word(&self, addr: u64) -> u64 {
+        self.get(addr).word
     }
 
     /// The FNV-1a-64 fingerprint of the row containing `addr`.
     #[must_use]
     pub fn fingerprint(&self, addr: u64) -> u64 {
-        self.rows
-            .get(&Self::key(addr))
-            .map_or(ZERO_FP, |row| row.fp)
-    }
-
-    /// The row keyed `key`, materialized as zeros if it was not yet.
-    fn row_mut(&mut self, key: u64) -> &mut Row {
-        self.rows.entry(key).or_insert_with(|| Row {
-            words: Box::new(ZERO_ROW),
-            fp: ZERO_FP,
-        })
-    }
-
-    fn fill(&mut self, addr: u64, word: u64) -> u64 {
-        let row = self.row_mut(Self::key(addr));
-        row.words.fill(word);
-        row.fp = match word {
-            0 => ZERO_FP,
-            u64::MAX => ONES_FP,
-            _ => row_fingerprint(&row.words),
-        };
-        row.fp
-    }
-
-    /// Copies the source row's words and fingerprint into the
-    /// destination row and returns it.
-    fn copy(&mut self, src_addr: u64, dst_addr: u64) -> &mut Row {
-        let (src, dst) = (Self::key(src_addr), Self::key(dst_addr));
-        self.row_mut(dst);
-        if src != dst {
-            match self.rows.get_disjoint_mut([&src, &dst]) {
-                [Some(s), Some(d)] => {
-                    d.words.copy_from_slice(&s.words[..]);
-                    d.fp = s.fp;
-                }
-                [None, Some(d)] => {
-                    d.words.fill(0);
-                    d.fp = ZERO_FP;
-                }
-                [_, None] => unreachable!("the destination row was just materialized"),
-            }
-        }
-        self.row_mut(dst)
-    }
-
-    fn not(&mut self, src_addr: u64, dst_addr: u64) -> u64 {
-        let dst = self.copy(src_addr, dst_addr);
-        for w in dst.words.iter_mut() {
-            *w = !*w;
-        }
-        dst.fp = row_fingerprint(&dst.words);
-        dst.fp
-    }
-
-    /// Triple-row activation: the group charge-shares to the bitwise
-    /// majority, and the restore writes that majority back into all
-    /// three rows.
-    fn majority(&mut self, row_addr: u64) -> u64 {
-        let k0 = Self::key(row_addr);
-        let keys = [
-            k0,
-            k0 + DramGeometry::ROW_BYTES,
-            k0 + 2 * DramGeometry::ROW_BYTES,
-        ];
-        for key in keys {
-            self.row_mut(key);
-        }
-        let [Some(a), Some(b), Some(c)] = self.rows.get_disjoint_mut(keys.each_ref()) else {
-            unreachable!("all three rows were just materialized");
-        };
-        for ((a, b), c) in a
-            .words
-            .iter_mut()
-            .zip(b.words.iter_mut())
-            .zip(c.words.iter_mut())
-        {
-            let maj = (*a & *b) | (*a & *c) | (*b & *c);
-            (*a, *b, *c) = (maj, maj, maj);
-        }
-        let fp = row_fingerprint(&a.words);
-        (a.fp, b.fp, c.fp) = (fp, fp, fp);
-        fp
+        self.get(addr).fp
     }
 
     /// Applies the architectural data effect of `op` and returns the
     /// fingerprint of the written destination row for bulk-bitwise
     /// compute operations (`0` for everything else).
     ///
-    /// Non-compute destructive operations landing inside the region keep
-    /// the plane honest: CODIC-det and the clone-zero baselines leave the
+    /// Compute destinations must lie inside the region. Non-compute
+    /// destructive operations landing inside the region keep the plane
+    /// honest: CODIC-det and the clone-zero baselines leave the
     /// deterministic value, and signature-class commands drop the row
     /// (its process-variation contents are not modeled, so it reads as
     /// zeros afterwards). Ordinary reads and writes are column traffic
     /// the plane does not track.
     pub fn apply(&mut self, op: CodicOp) -> u64 {
+        let inside = |addr| self.region.contains(&addr);
+        debug_assert!(
+            !op.is_compute() || op.written_rows().row_addrs().all(inside),
+            "compute destination outside the region: {op:?}"
+        );
         let fp = match op {
             CodicOp::RowInit { row_addr, ones } => {
-                self.fill(row_addr, if ones { u64::MAX } else { 0 })
+                self.set(row_addr, Row::filled(if ones { u64::MAX } else { 0 }))
             }
-            CodicOp::RowFill { row_addr, pattern } => self.fill(row_addr, pattern),
-            CodicOp::RowCopy { src_addr, dst_addr } => self.copy(src_addr, dst_addr).fp,
-            CodicOp::Not { src_addr, dst_addr } => self.not(src_addr, dst_addr),
-            CodicOp::MajAnd { row_addr } | CodicOp::MajOr { row_addr } => self.majority(row_addr),
+            CodicOp::RowFill { row_addr, pattern } => self.set(row_addr, Row::filled(pattern)),
+            CodicOp::RowCopy { src_addr, dst_addr } => self.set(dst_addr, self.get(src_addr)),
+            CodicOp::Not { src_addr, dst_addr } => {
+                self.set(dst_addr, Row::filled(!self.word(src_addr)))
+            }
+            // Triple-row activation: the group charge-shares to the bitwise
+            // majority, and the restore writes it back into all three rows.
+            CodicOp::MajAnd { row_addr } | CodicOp::MajOr { row_addr } => {
+                let rows = [0, 1, 2].map(|i| row_addr + i * DramGeometry::ROW_BYTES);
+                let [a, b, c] = rows.map(|addr| self.word(addr));
+                let maj = Row::filled((a & b) | (a & c) | (b & c));
+                for addr in rows {
+                    self.set(addr, maj);
+                }
+                maj.fp
+            }
             _ => {
-                // Non-compute operations only matter when they land on a
-                // tracked row.
+                // Non-compute operations matter only on a tracked row.
                 if op.written_rows().rows > 0 && self.region.contains(&op.row_addr()) {
+                    let key = Self::key(op.row_addr());
                     match op.class().data_effect() {
-                        DataEffect::Zeros => {
-                            self.fill(op.row_addr(), 0);
-                        }
-                        DataEffect::Ones => {
-                            self.fill(op.row_addr(), u64::MAX);
-                        }
-                        DataEffect::Signature | DataEffect::Scramble => {
-                            self.rows.remove(&Self::key(op.row_addr()));
-                        }
-                        DataEffect::Preserve | DataEffect::Computed => {}
-                    }
+                        DataEffect::Zeros => self.rows.insert(key, Row::filled(0)),
+                        DataEffect::Ones => self.rows.insert(key, Row::filled(u64::MAX)),
+                        DataEffect::Signature | DataEffect::Scramble => self.rows.remove(&key),
+                        DataEffect::Preserve | DataEffect::Computed => None,
+                    };
                 }
                 return 0;
             }
         };
         debug_assert_eq!(
             fp,
-            row_fingerprint(self.row(op.row_addr())),
+            row_fingerprint(&[self.word(op.row_addr()); WORDS_PER_ROW]),
             "stale cached fingerprint after {op:?}"
         );
         fp
@@ -258,6 +257,7 @@ impl DataPlane {
 mod tests {
     use super::*;
     use crate::ops::VariantId;
+    use proptest::prelude::*;
 
     const ROW: u64 = DramGeometry::ROW_BYTES;
 
@@ -268,9 +268,35 @@ mod tests {
     #[test]
     fn untouched_rows_read_as_zeros() {
         let p = plane();
-        assert!(p.row(0).iter().all(|&w| w == 0));
-        assert_eq!(p.fingerprint(0), row_fingerprint(&ZERO_ROW));
+        assert_eq!(p.word(0), 0);
+        assert_eq!(p.fingerprint(0), row_fingerprint(&[0; WORDS_PER_ROW]));
         assert_eq!(p.materialized_rows(), 0);
+    }
+
+    fn assert_exact(word: u64) {
+        assert_eq!(
+            uniform_fingerprint(word),
+            row_fingerprint(&[word; WORDS_PER_ROW]),
+            "word {word:#018x}"
+        );
+    }
+
+    #[test]
+    fn uniform_fingerprint_is_exact_on_every_byte_in_every_lane() {
+        assert_exact(0);
+        assert_exact(!0);
+        for lane in 0..8 {
+            for byte in 0..=255u64 {
+                assert_exact(byte << (8 * lane));
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn uniform_fingerprint_is_exact(word in any::<u64>()) {
+            assert_exact(word);
+        }
     }
 
     #[test]
@@ -284,18 +310,18 @@ mod tests {
             src_addr: 0,
             dst_addr: ROW,
         });
-        assert_eq!(p.row(ROW)[7], 0xA5A5_A5A5_A5A5_A5A5);
+        assert_eq!(p.word(ROW), 0xA5A5_A5A5_A5A5_A5A5);
         let fp = p.apply(CodicOp::Not {
             src_addr: ROW,
             dst_addr: 2 * ROW,
         });
-        assert_eq!(p.row(2 * ROW)[0], 0x5A5A_5A5A_5A5A_5A5A);
+        assert_eq!(p.word(2 * ROW), 0x5A5A_5A5A_5A5A_5A5A);
         assert_eq!(fp, p.fingerprint(2 * ROW));
         p.apply(CodicOp::RowInit {
             row_addr: 2 * ROW,
             ones: true,
         });
-        assert!(p.row(2 * ROW).iter().all(|&w| w == u64::MAX));
+        assert_eq!(p.word(2 * ROW), u64::MAX);
     }
 
     #[test]
@@ -309,7 +335,7 @@ mod tests {
         }
         p.apply(CodicOp::MajAnd { row_addr: 0 });
         for i in 0..3 {
-            assert_eq!(p.row(i * ROW)[0], 0b1000, "row {i} holds MAJ");
+            assert_eq!(p.word(i * ROW), 0b1000, "row {i} holds MAJ");
         }
     }
 
@@ -320,7 +346,7 @@ mod tests {
             row_addr: ROW + 64,
             pattern: 7,
         });
-        assert_eq!(p.row(ROW)[0], 7, "mid-row addresses select the row");
+        assert_eq!(p.word(ROW), 7, "mid-row addresses select the row");
     }
 
     #[test]
@@ -331,11 +357,11 @@ mod tests {
             pattern: 7,
         });
         assert_eq!(p.apply(CodicOp::RowCloneZero { row_addr: 0 }), 0);
-        assert!(p.row(0).iter().all(|&w| w == 0));
+        assert_eq!(p.word(0), 0);
         p.apply(CodicOp::command(VariantId::DetOne, 0));
-        assert!(p.row(0).iter().all(|&w| w == u64::MAX));
+        assert_eq!(p.word(0), u64::MAX);
         p.apply(CodicOp::command(VariantId::Sig, 0));
-        assert_eq!(p.row(0)[0], 0, "signature rows are dropped, read zeros");
+        assert_eq!(p.word(0), 0, "signature rows are dropped, read zeros");
         // Out-of-region destructive ops are ignored entirely.
         p.apply(CodicOp::RowCloneZero {
             row_addr: 1024 * ROW,

@@ -1357,8 +1357,8 @@ mod tests {
         }
         // Value semantics: MAJ(1100, 1010, 0) = AND = 1000, NOT → !1000.
         let plane = d.data_plane().unwrap();
-        assert_eq!(plane.row(base)[0], 0b1000);
-        assert_eq!(plane.row(base + 3 * row)[0], !0b1000);
+        assert_eq!(plane.word(base), 0b1000);
+        assert_eq!(plane.word(base + 3 * row), !0b1000);
         let mut expected = [0u64; crate::data::WORDS_PER_ROW];
         expected.fill(!0b1000u64);
         assert_eq!(

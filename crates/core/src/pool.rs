@@ -1000,7 +1000,7 @@ mod tests {
         assert!(outcome.completions().all(|(shard, _)| shard == owner));
         // The owning shard's data plane holds the AND result (1100 & 1010).
         let plane = p.device(owner).data_plane().unwrap();
-        assert_eq!(plane.row(base)[0], 0b1000);
+        assert_eq!(plane.word(base), 0b1000);
         // Non-compute traffic still block-interleaves across all shards.
         let shards: std::collections::HashSet<usize> =
             zero_ops(32).iter().map(|&op| p.shard_of(op)).collect();

@@ -291,7 +291,7 @@ mod tests {
             plane.apply(op);
         }
         (0..layout.bits())
-            .map(|bit| plane.row(layout.d_row(bit))[0])
+            .map(|bit| plane.word(layout.d_row(bit)))
             .collect()
     }
 

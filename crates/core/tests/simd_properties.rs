@@ -3,7 +3,8 @@
 //! computes, over arbitrary operands and lane widths, and every plan
 //! must stay inside the compute region that authorizes it. The data
 //! plane's cached row fingerprints must always equal a fresh hash of the
-//! row they describe.
+//! row they describe, and its one-word rows must always equal a full-row
+//! reference model (whose rows must stay uniform).
 
 use codic_core::data::{row_fingerprint, DataPlane, RowWords, WORDS_PER_ROW};
 use codic_core::device::{CodicDevice, DeviceConfig};
@@ -23,7 +24,7 @@ fn execute(layout: &SimdLayout, op: VecOp, a: &[u64], b: &[u64]) -> Vec<u64> {
         plane.apply(op);
     }
     (0..layout.bits())
-        .map(|bit| plane.row(layout.d_row(bit))[0])
+        .map(|bit| plane.word(layout.d_row(bit)))
         .collect()
 }
 
@@ -151,22 +152,28 @@ proptest! {
             let op = coherence_op(kind, a, b, word);
             let fp = plane.apply(op);
             model_apply(&mut model, op);
+            for (i, row) in model.iter().enumerate() {
+                prop_assert!(
+                    row.iter().all(|&w| w == row[0]),
+                    "model row {} is not uniform after {:?}", i, op
+                );
+            }
             let expected = if op.is_compute() {
-                row_fingerprint(plane.row(op.row_addr()))
+                row_fingerprint(&[plane.word(op.row_addr()); WORDS_PER_ROW])
             } else {
                 0
             };
             prop_assert_eq!(fp, expected, "returned fingerprint of {:?}", op);
             for i in 0..=18 {
                 let addr = region_addr(i);
-                let row = plane.row(addr);
+                let row = [plane.word(addr); WORDS_PER_ROW];
                 prop_assert_eq!(
                     plane.fingerprint(addr),
-                    row_fingerprint(row),
+                    row_fingerprint(&row),
                     "cached fingerprint of row {} after {:?}", i, op
                 );
                 let want = model.get(usize::from(i)).map_or(&[0; WORDS_PER_ROW], |r| &**r);
-                prop_assert!(row == want, "contents of row {} after {:?}", i, op);
+                prop_assert!(&row == want, "contents of row {} after {:?}", i, op);
             }
         }
     }
