@@ -719,7 +719,9 @@ impl CodicDevice {
     /// `step()` would be a no-op returning `false`, which is what lets
     /// [`DevicePool::step`](crate::pool::DevicePool::step) and
     /// [`DevicePool::drive`](crate::pool::DevicePool::drive) skip this
-    /// shard entirely instead of visiting it every iteration.
+    /// shard entirely instead of visiting it every iteration. A read of
+    /// the controller's maintained horizon, not a scan, so the check
+    /// costs the serving step nothing beside the event it gates.
     #[must_use]
     pub fn next_event_cycle(&self) -> u64 {
         let ceiling = self.mc.clock_fault();

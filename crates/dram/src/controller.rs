@@ -33,10 +33,33 @@
 //!   stream is **bit-identical** to a full FR-FCFS scan of global
 //!   arrival-ordered queues — the invariant the engine-equivalence and
 //!   legacy-scheduler property tests pin.
+//! - **Incremental horizon.** The controller caches one *candidate* per
+//!   (class, bank): the earliest cycle any command for that bank's chain
+//!   could issue, given bank, rank and data-bus state (`u64::MAX` for an
+//!   empty chain), plus the minimum per class. A candidate never depends
+//!   on `now`, so it only goes stale when its inputs move, and every
+//!   `&mut` method recomputes exactly the entries its change invalidated:
 //!
-//! [`MemoryController::next_event_cycle`] derives its horizon from the
-//! same index: one conservative candidate per non-empty (class, bank)
-//! pair instead of one per queued request.
+//!   | change                                  | entries recomputed                         |
+//!   |-----------------------------------------|--------------------------------------------|
+//!   | `push`                                  | that (class, bank)                         |
+//!   | any command, with its request's unlink  | every class of its bank                    |
+//!   | activate, row op                        | every closed bank of its rank (tRRD/tFAW gates moved) |
+//!   | read, write                             | open-row read/write entries (`data_bus_free` moved) |
+//!   | refresh                                 | everything                                 |
+//!
+//!   [`MemoryController::next_event_cycle`] is then a read of the
+//!   in-flight head, the refresh terms and the three class minima. The
+//!   scheduler reads the same cache: it skips a class whose minimum lies
+//!   after `now`, and skips banks whose candidate does. That filter is
+//!   exact, not a heuristic, because a candidate is a lower bound on the
+//!   bank's next command — it is at most the cycle at which a column
+//!   access, precharge or activate (or row op) first passes the very
+//!   checks `find_ready` and `advance_oldest` apply — so a skipped bank
+//!   could not have issued anyway. The reference driver
+//!   ([`MemoryController::tick_reference`]) never reads the cache, and
+//!   debug builds check it against a from-scratch scan on every
+//!   [`MemoryController::next_event_cycle`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -193,6 +216,18 @@ pub struct MemoryController {
     /// Reused (arrival, bank) buffer for the FCFS pass — no per-cycle
     /// allocation.
     oldest_scratch: Vec<(u64, u32)>,
+    /// Per-class, per-bank issue candidates (the incremental horizon, see
+    /// the module docs): [`MemoryController::bank_candidate`] of every
+    /// non-empty chain, `u64::MAX` for an empty one.
+    cand: [Vec<u64>; Queue::COUNT],
+    /// Per-class minimum of `cand`.
+    class_min: [u64; Queue::COUNT],
+    /// Per-rank activation gates for 1, 2 and 3 activations
+    /// ([`MemoryController::act_gates_of`]); they move only when the rank
+    /// records an activation.
+    rank_gates: Vec<[u64; 3]>,
+    /// Cycles [`MemoryController::step_cycle`] has processed.
+    processed_cycles: u64,
     in_flight: BinaryHeap<Reverse<(u64, u64)>>,
     completed: Vec<Completion>,
     last_finish: u64,
@@ -226,6 +261,10 @@ impl MemoryController {
             occupied: std::array::from_fn(|_| BankSet::new(total_banks)),
             queued: [0; Queue::COUNT],
             oldest_scratch: Vec::with_capacity(total_banks),
+            cand: std::array::from_fn(|_| vec![u64::MAX; total_banks]),
+            class_min: [u64::MAX; Queue::COUNT],
+            rank_gates: vec![[0; 3]; geometry.ranks as usize],
+            processed_cycles: 0,
             in_flight: BinaryHeap::new(),
             completed: Vec::new(),
             last_finish: 0,
@@ -289,6 +328,15 @@ impl MemoryController {
     #[must_use]
     pub fn stats(&self) -> &MemStats {
         &self.stats
+    }
+
+    /// Cycles the controller has processed (retire, then refresh or
+    /// schedule), by any driver. The event drivers skip quiet cycles, so
+    /// this counts how often the horizon stopped the clock — kept out of
+    /// [`MemStats`], which is identical across drivers.
+    #[must_use]
+    pub fn processed_cycles(&self) -> u64 {
+        self.processed_cycles
     }
 
     /// Enables or disables the refresh engine (enabled by default).
@@ -378,11 +426,15 @@ impl MemoryController {
                 }
             }
         }
+        self.update_candidate(class, bank_idx);
     }
 
     /// Unlinks `slot` from its chain in O(1), repairing the readiness
     /// caches (a forward scan bounded by the bank's own chain when the
     /// removed slot was a cache head), and recycles it on the freelist.
+    /// The bank's candidates are left to the caller,
+    /// [`MemoryController::issue_column`], which recomputes them once the
+    /// command has changed the bank.
     fn unlink(&mut self, class: Queue, slot: u32) -> Pending {
         let Slot {
             pending,
@@ -457,6 +509,98 @@ impl MemoryController {
         pending
     }
 
+    /// Recomputes the cached candidate of one (class, bank) pair and keeps
+    /// the class minimum exact.
+    fn update_candidate(&mut self, class: Queue, bank_idx: usize) {
+        let gates = self.rank_gates[self.rank_of_bank(bank_idx)];
+        if self.store_candidate(class, bank_idx, gates) {
+            self.rescan_min(class);
+        }
+    }
+
+    /// Recomputes the cached candidate of one (class, bank) pair, given
+    /// the bank's rank gates. A lower or unchanged class minimum is kept
+    /// exact here; returns true when the change raised the minimum entry,
+    /// so the caller must [`rescan_min`](MemoryController::rescan_min) the
+    /// class (once per batch of updates).
+    fn store_candidate(&mut self, class: Queue, bank_idx: usize, gates: [u64; 3]) -> bool {
+        let c = class.idx();
+        let new = if self.chains[c][bank_idx].len == 0 {
+            u64::MAX
+        } else {
+            self.bank_candidate(class, bank_idx, gates)
+        };
+        let old = std::mem::replace(&mut self.cand[c][bank_idx], new);
+        if new <= self.class_min[c] {
+            self.class_min[c] = new;
+            false
+        } else {
+            old == self.class_min[c]
+        }
+    }
+
+    fn rescan_min(&mut self, class: Queue) {
+        let c = class.idx();
+        self.class_min[c] = self.cand[c].iter().fold(u64::MAX, |m, &v| m.min(v));
+    }
+
+    /// Recomputes every class's candidate for `bank_idx` after its bank
+    /// state or chains changed.
+    fn update_bank(&mut self, bank_idx: usize) {
+        let gates = self.rank_gates[self.rank_of_bank(bank_idx)];
+        for class in Queue::ALL {
+            if self.store_candidate(class, bank_idx, gates) {
+                self.rescan_min(class);
+            }
+        }
+    }
+
+    /// Refreshes `rank_idx`'s activation gates after it recorded an
+    /// activation, and recomputes the candidates of its closed banks —
+    /// the only ones that read the gates.
+    fn update_rank(&mut self, rank_idx: usize) {
+        let gates = self.act_gates_of(&self.ranks[rank_idx]);
+        self.rank_gates[rank_idx] = gates;
+        for class in Queue::ALL {
+            // A class whose minimum is `u64::MAX` has only empty chains,
+            // and their entries are already `u64::MAX`.
+            if self.class_min[class.idx()] == u64::MAX {
+                continue;
+            }
+            let mut stale = false;
+            for bank_idx in self.banks_of_rank(rank_idx) {
+                if self.banks[bank_idx].open_row().is_none() {
+                    stale |= self.store_candidate(class, bank_idx, gates);
+                }
+            }
+            if stale {
+                self.rescan_min(class);
+            }
+        }
+    }
+
+    /// Recomputes the read/write candidates that wait on the data bus —
+    /// open banks with a queued open-row access — after `data_bus_free`
+    /// moved.
+    fn update_data_bus(&mut self) {
+        for class in [Queue::Read, Queue::Write] {
+            let mut stale = false;
+            for rank_idx in 0..self.ranks.len() {
+                let gates = self.rank_gates[rank_idx];
+                for bank_idx in self.banks_of_rank(rank_idx) {
+                    if self.banks[bank_idx].open_row().is_some()
+                        && self.chains[class.idx()][bank_idx].match_len > 0
+                    {
+                        stale |= self.store_candidate(class, bank_idx, gates);
+                    }
+                }
+            }
+            if stale {
+                self.rescan_min(class);
+            }
+        }
+    }
+
     /// True when no request is queued or in flight.
     #[must_use]
     pub fn is_idle(&self) -> bool {
@@ -503,7 +647,7 @@ impl MemoryController {
     /// events cannot cancel out of the comparison the way it would if
     /// both sides shared [`MemoryController::tick`]'s gating.
     pub fn tick_reference(&mut self) {
-        self.step_cycle();
+        self.step_cycle(false);
         self.now += 1;
     }
 
@@ -518,16 +662,16 @@ impl MemoryController {
     /// `(now(), next_event_cycle())` is guaranteed to be a no-op, which
     /// is what lets [`MemoryController::advance_to`] jump the clock.
     ///
-    /// Derived from the ready-bank index: one candidate per non-empty
-    /// (class, bank) pair, not one per queued request.
+    /// A read of the incremental horizon (see the module docs): the
+    /// in-flight head, the refresh terms and the cached per-class
+    /// candidate minima. Debug builds check the cache against a
+    /// from-scratch scan here.
     #[must_use]
     pub fn next_event_cycle(&self) -> u64 {
+        debug_assert_eq!(self.stale_candidate(), None, "stale candidate cache");
         let mut e = u64::MAX;
         if let Some(&Reverse((cycle, _))) = self.in_flight.peek() {
             e = e.min(cycle);
-        }
-        if self.refresh_enabled && !self.refresh_pending {
-            e = e.min(self.next_refresh);
         }
         if self.refresh_pending {
             // While a refresh is pending the scheduler is blocked: the
@@ -540,27 +684,46 @@ impl MemoryController {
                 }
             }
         } else {
-            // The rank activation gate is independent of the bank it
-            // applies to, so compute it once per (rank, activation count)
-            // instead of per candidate — in a stack buffer, since this
-            // runs once per event on the engine's hottest path.
-            let mut gate_buf = [[0u64; 3]; 8];
-            let memo_ranks = self.ranks.len().min(gate_buf.len());
-            for (slot, rank) in gate_buf.iter_mut().zip(&self.ranks) {
-                *slot = self.act_gates_of(rank);
+            if self.refresh_enabled {
+                e = e.min(self.next_refresh);
             }
-            for class in [Queue::Read, Queue::Write, Queue::RowOp] {
-                for bank_idx in self.occupied[class.idx()].iter() {
-                    e = e.min(self.bank_candidate(class, bank_idx, &gate_buf[..memo_ranks]));
-                    if e <= self.now {
-                        // A candidate at (or before) the floor cannot be
-                        // beaten: the controller can act this cycle.
-                        return self.now;
-                    }
-                }
-            }
+            e = self.class_min.into_iter().fold(e, u64::min);
         }
         e.max(self.now)
+    }
+
+    /// The debug oracle for the cache: recomputes every candidate from
+    /// scratch, with the rank gates re-derived from the rank windows, and
+    /// returns the first cached entry that differs as `(class, bank,
+    /// cached, fresh)` — or a stale class minimum, with no bank.
+    fn stale_candidate(&self) -> Option<(Queue, Option<usize>, u64, u64)> {
+        for class in Queue::ALL {
+            let c = class.idx();
+            let mut min = u64::MAX;
+            // Occupied banks come in ascending order, so each rank's gates
+            // are derived once.
+            let mut rank_gates = (usize::MAX, [0; 3]);
+            for bank_idx in self.occupied[c].iter() {
+                let rank_idx = self.rank_of_bank(bank_idx);
+                if rank_gates.0 != rank_idx {
+                    rank_gates = (rank_idx, self.act_gates_of(&self.ranks[rank_idx]));
+                }
+                let fresh = self.bank_candidate(class, bank_idx, rank_gates.1);
+                if self.cand[c][bank_idx] != fresh {
+                    return Some((class, Some(bank_idx), self.cand[c][bank_idx], fresh));
+                }
+                min = min.min(fresh);
+            }
+            for (bank_idx, &cached) in self.cand[c].iter().enumerate() {
+                if cached != u64::MAX && self.chains[c][bank_idx].len == 0 {
+                    return Some((class, Some(bank_idx), cached, u64::MAX));
+                }
+            }
+            if self.class_min[c] != min {
+                return Some((class, None, self.class_min[c], min));
+            }
+        }
+        None
     }
 
     /// The rank's activation gates for 1, 2, and 3 activations: the
@@ -587,20 +750,16 @@ impl MemoryController {
     /// `class` could be issued a command (column access, precharge, or
     /// activate), given current bank/rank/bus state — the per-bank
     /// aggregation of the old per-request candidate scan, made O(1) by
-    /// the chain caches. `act_gates[rank]` holds the precomputed rank
-    /// activation gates for 1, 2, and 3 activations. Exact per bank; the
-    /// scheduler's one-command-per-cycle arbitration is applied when the
-    /// cycle is actually processed.
-    fn bank_candidate(&self, class: Queue, bank_idx: usize, act_gates: &[[u64; 3]]) -> u64 {
+    /// the chain caches. `gates` holds the bank's rank activation gates
+    /// for 1, 2, and 3 activations. Independent of `now`, and a lower
+    /// bound on the bank's next command (exact except for an open bank
+    /// whose oldest request hits the open row while a younger one misses
+    /// it: that precharge term is early). The scheduler's
+    /// one-command-per-cycle arbitration is applied when the cycle is
+    /// actually processed.
+    fn bank_candidate(&self, class: Queue, bank_idx: usize, gates: [u64; 3]) -> u64 {
         let bank = &self.banks[bank_idx];
         let chain = &self.chains[class.idx()][bank_idx];
-        let rank_idx = self.rank_of_bank(bank_idx);
-        // Ranks beyond the memo buffer (more than 8 — unusual geometries)
-        // compute their gates directly.
-        let gates = act_gates
-            .get(rank_idx)
-            .copied()
-            .unwrap_or_else(|| self.act_gates_of(&self.ranks[rank_idx]));
         match class {
             Queue::Read | Queue::Write => match bank.open_row() {
                 Some(_) => {
@@ -660,14 +819,18 @@ impl MemoryController {
                     break;
                 }
             }
-            self.step_cycle();
+            self.step_cycle(true);
             self.now += 1;
         }
     }
 
     /// One tick's worth of work at the current cycle (without advancing
-    /// the clock): retire, then refresh or schedule.
-    fn step_cycle(&mut self) {
+    /// the clock): retire, then refresh or schedule. `filtered` lets the
+    /// scheduler skip classes and banks whose cached candidate lies after
+    /// `now`; the reference driver passes `false` and never reads the
+    /// cache.
+    fn step_cycle(&mut self, filtered: bool) {
+        self.processed_cycles += 1;
         self.retire_in_flight();
         if self.refresh_enabled && !self.refresh_pending && self.now >= self.next_refresh {
             self.refresh_pending = true;
@@ -676,7 +839,7 @@ impl MemoryController {
             let _ = self.service_refresh();
         } else {
             self.update_drain_mode();
-            self.schedule();
+            self.schedule(filtered);
         }
     }
 
@@ -700,7 +863,7 @@ impl MemoryController {
             }
         }
         self.now = self.now.max(event);
-        self.step_cycle();
+        self.step_cycle(true);
         self.now += 1;
         true
     }
@@ -764,12 +927,15 @@ impl MemoryController {
             self.stats.refreshes += self.ranks.len() as u64;
             self.refresh_pending = false;
             self.next_refresh += u64::from(self.timing.t_refi);
+            for bank_idx in 0..self.banks.len() {
+                self.update_bank(bank_idx);
+            }
             return true;
         }
         false
     }
 
-    fn schedule(&mut self) {
+    fn schedule(&mut self, filtered: bool) {
         // Row operations are scheduled like reads but take precedence over
         // the data queues only when no column command is ready: they never
         // need the data bus. Reads lead unless a write drain is active or
@@ -782,29 +948,41 @@ impl MemoryController {
             READS_FIRST
         };
         for class in order {
-            if self.try_queue(class) {
+            // No bank of a class whose minimum candidate lies ahead can
+            // issue this cycle.
+            if filtered && self.class_min[class.idx()] > self.now {
+                continue;
+            }
+            if self.try_queue(class, filtered) {
                 break;
             }
         }
     }
 
-    fn try_queue(&mut self, which: Queue) -> bool {
+    fn try_queue(&mut self, which: Queue, filtered: bool) -> bool {
         // Pass 1 (first-ready): issue any request whose row is open and
         // whose column command is timing-clean.
-        if let Some(slot) = self.find_ready(which) {
+        if let Some(slot) = self.find_ready(which, filtered) {
             self.issue_column(which, slot);
             return true;
         }
         // Pass 2 (FCFS): for the oldest request per bank, advance the bank
         // state with a precharge or activate.
-        self.advance_oldest(which)
+        self.advance_oldest(which, filtered)
+    }
+
+    /// Whether the scheduler may skip `bank_idx` in `class` this cycle:
+    /// only when filtering, and only when the bank's candidate — a lower
+    /// bound on its next command — lies after `now`.
+    fn not_due(&self, filtered: bool, class: Queue, bank_idx: usize) -> bool {
+        filtered && self.cand[class.idx()][bank_idx] > self.now
     }
 
     /// First-ready selection over the ready-bank index: among all banks
     /// whose caches name an issuable request, the one with the minimal
     /// global arrival sequence — identical to scanning the class's
     /// arrival-ordered queue front to back.
-    fn find_ready(&self, which: Queue) -> Option<u32> {
+    fn find_ready(&self, which: Queue, filtered: bool) -> Option<u32> {
         let mut best: Option<(u64, u32)> = None;
         match which {
             Queue::Read | Queue::Write => {
@@ -814,7 +992,7 @@ impl MemoryController {
                 }
                 for bank_idx in self.occupied[which.idx()].iter() {
                     let chain = &self.chains[which.idx()][bank_idx];
-                    if chain.match_head == NIL {
+                    if chain.match_head == NIL || self.not_due(filtered, which, bank_idx) {
                         continue;
                     }
                     let bank = &self.banks[bank_idx];
@@ -834,7 +1012,9 @@ impl MemoryController {
             }
             Queue::RowOp => {
                 for bank_idx in self.occupied[Queue::RowOp.idx()].iter() {
-                    if !self.banks[bank_idx].can_row_op(self.now) {
+                    if self.not_due(filtered, which, bank_idx)
+                        || !self.banks[bank_idx].can_row_op(self.now)
+                    {
                         continue;
                     }
                     let rank = &self.ranks[self.rank_of_bank(bank_idx)];
@@ -877,6 +1057,8 @@ impl MemoryController {
                 self.stats.reads += 1;
                 self.stats.row_hits += 1;
                 self.in_flight.push(Reverse((done, p.id.0)));
+                self.update_bank(bank_idx);
+                self.update_data_bus();
             }
             ReqKind::Write => {
                 let done = self.banks[bank_idx].write(self.now, &self.timing);
@@ -884,18 +1066,19 @@ impl MemoryController {
                 self.stats.writes += 1;
                 self.stats.row_hits += 1;
                 self.in_flight.push(Reverse((done, p.id.0)));
+                self.update_bank(bank_idx);
+                self.update_data_bus();
             }
             ReqKind::RowOp { op, busy_cycles } => {
                 self.banks[bank_idx].row_op(self.now, busy_cycles);
-                self.ranks[p.addr.rank as usize].record_activate(
-                    self.now,
-                    op.activations(),
-                    &self.timing,
-                );
+                let rank_idx = p.addr.rank as usize;
+                self.ranks[rank_idx].record_activate(self.now, op.activations(), &self.timing);
                 self.stats.row_ops += 1;
                 self.stats.row_op_activations += u64::from(op.activations());
                 self.in_flight
                     .push(Reverse((self.now + u64::from(busy_cycles), p.id.0)));
+                // The bank stays closed, so the rank pass covers it.
+                self.update_rank(rank_idx);
             }
         }
     }
@@ -904,10 +1087,13 @@ impl MemoryController {
     /// ascending arrival order of those oldest requests, exactly the
     /// order a front-to-back queue scan discovers them — advance the bank
     /// state with a precharge or activate. First success wins the cycle.
-    fn advance_oldest(&mut self, which: Queue) -> bool {
+    fn advance_oldest(&mut self, which: Queue, filtered: bool) -> bool {
         let mut order = std::mem::take(&mut self.oldest_scratch);
         order.clear();
         for bank_idx in self.occupied[which.idx()].iter() {
+            if self.not_due(filtered, which, bank_idx) {
+                continue;
+            }
             let head = self.chains[which.idx()][bank_idx].head;
             order.push((self.slab[head as usize].pending.id.0, bank_idx as u32));
         }
@@ -956,9 +1142,9 @@ impl MemoryController {
         issued
     }
 
-    /// Precharges `bank_idx` and invalidates its open-row match caches —
-    /// the single choke point every precharge (scheduler or refresh) goes
-    /// through, so the caches can never go stale.
+    /// Precharges `bank_idx` and invalidates its open-row match caches and
+    /// candidates — the single choke point every precharge (scheduler or
+    /// refresh) goes through, so the caches can never go stale.
     fn precharge_bank(&mut self, bank_idx: usize) {
         self.banks[bank_idx].precharge(self.now, &self.timing);
         self.stats.precharges += 1;
@@ -967,10 +1153,12 @@ impl MemoryController {
             chain.match_head = NIL;
             chain.match_len = 0;
         }
+        self.update_bank(bank_idx);
     }
 
-    /// Activates `row` on `bank_idx` and rebuilds its open-row match
-    /// caches with one pass over the bank's own (bounded) chains.
+    /// Activates `row` on `bank_idx`, rebuilds its open-row match caches
+    /// with one pass over the bank's own (bounded) chains, and recomputes
+    /// the candidates the bank and rank changes invalidated.
     fn activate_bank(&mut self, bank_idx: usize, row: u32, rank_idx: usize) {
         self.banks[bank_idx].activate(row, self.now, &self.timing);
         self.ranks[rank_idx].record_activate(self.now, 1, &self.timing);
@@ -993,6 +1181,8 @@ impl MemoryController {
             chain.match_head = head;
             chain.match_len = len;
         }
+        self.update_rank(rank_idx);
+        self.update_bank(bank_idx);
     }
 
     fn bank_index(&self, addr: &DramAddress) -> usize {
@@ -1001,6 +1191,11 @@ impl MemoryController {
 
     fn rank_of_bank(&self, bank_idx: usize) -> usize {
         bank_idx / self.mapper.geometry().banks_per_rank as usize
+    }
+
+    fn banks_of_rank(&self, rank_idx: usize) -> std::ops::Range<usize> {
+        let per_rank = self.mapper.geometry().banks_per_rank as usize;
+        rank_idx * per_rank..(rank_idx + 1) * per_rank
     }
 }
 
@@ -1014,6 +1209,7 @@ enum Queue {
 
 impl Queue {
     const COUNT: usize = 3;
+    const ALL: [Queue; Queue::COUNT] = [Queue::Read, Queue::Write, Queue::RowOp];
 
     fn of(kind: ReqKind) -> Queue {
         match kind {
@@ -1283,6 +1479,52 @@ mod tests {
             }
         }
         assert!(quiet_claims > 0, "the workload must exercise quiet gaps");
+    }
+
+    #[test]
+    fn event_driver_processes_a_pinned_number_of_cycles() {
+        // Reads to row 0 and writes to row 1 of banks 0 and 1 (so both
+        // contend for the data bus), then a CODIC op on each bank: the
+        // event driver must stop the clock exactly this often. A horizon
+        // that turns conservative (naming cycles at which nothing can
+        // act) raises the count; one that skips events breaks the
+        // engine-equivalence tests instead.
+        let build = || {
+            let mut m = mc();
+            for i in 0..4u64 {
+                for bank in 0..2 {
+                    let line = bank * DramGeometry::ROW_BYTES + i * LINE_BYTES;
+                    m.push(MemRequest::new(line, ReqKind::Read)).unwrap();
+                    m.push(MemRequest::new(
+                        DramGeometry::ROW_BYTES * 8 + line,
+                        ReqKind::Write,
+                    ))
+                    .unwrap();
+                }
+            }
+            for bank in 0..8u64 {
+                m.push(MemRequest::new(
+                    bank * DramGeometry::ROW_BYTES,
+                    ReqKind::RowOp {
+                        op: RowOpKind::Codic,
+                        busy_cycles: m.timing().t_rc,
+                    },
+                ))
+                .unwrap();
+            }
+            m
+        };
+        let mut m = build();
+        // 34 commands and 24 completions, the last at cycle 184.
+        assert_eq!(m.run_to_idle(), 184);
+        assert_eq!(m.processed_cycles(), 53);
+        // The reference driver processes every cycle up to idle.
+        let mut reference = build();
+        while !reference.is_idle() {
+            reference.tick_reference();
+        }
+        assert_eq!(reference.processed_cycles(), reference.now());
+        assert_eq!(reference.now(), m.now());
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Per-rank activation-window tracking (tRRD and tFAW).
 
-use std::collections::VecDeque;
-
 use crate::timing::TimingParams;
 
 /// Tracks the rank-level constraints that span banks: the minimum spacing
@@ -9,8 +7,11 @@ use crate::timing::TimingParams;
 /// (`tFAW`). Row operations count their declared number of activations.
 #[derive(Debug, Clone, Default)]
 pub struct Rank {
-    /// Issue cycles of recent (possibly weighted) activations, newest last.
-    recent_acts: VecDeque<u64>,
+    /// Issue cycles of the (at most four) most recent, possibly weighted,
+    /// activations, oldest first: `recent_acts[..recent_len]` is live.
+    /// tFAW never looks further back than four activations.
+    recent_acts: [u64; 4],
+    recent_len: usize,
     last_act: Option<u64>,
 }
 
@@ -34,13 +35,20 @@ impl Rank {
         // activations at `now`, the one that would become the 5th-most
         // recent is the (5 - count)-th most recent previous activation; it
         // must be at least tFAW old.
-        let needed_from_history = 5usize.saturating_sub(usize::from(count.min(4)));
-        if self.recent_acts.len() < needed_from_history {
-            return true;
+        match self.faw_gate(count) {
+            Some(gate) => now >= gate + u64::from(t.t_faw),
+            None => true,
         }
-        let idx = self.recent_acts.len() - needed_from_history;
-        let gate = self.recent_acts[idx];
-        now >= gate + u64::from(t.t_faw)
+    }
+
+    /// The previous activation that `count` new ones would push to fifth
+    /// most recent (it must be at least tFAW old), or `None` when fewer
+    /// than `5 - count` activations are on record.
+    fn faw_gate(&self, count: u8) -> Option<u64> {
+        let needed_from_history = 5usize.saturating_sub(usize::from(count.min(4)));
+        self.recent_len
+            .checked_sub(needed_from_history)
+            .map(|idx| self.recent_acts[idx])
     }
 
     /// Records `count` activations issued at `now`.
@@ -55,10 +63,12 @@ impl Rank {
             "activate violates rank timing (tRRD/tFAW)"
         );
         for _ in 0..count {
-            self.recent_acts.push_back(now);
-        }
-        while self.recent_acts.len() > 4 {
-            self.recent_acts.pop_front();
+            if self.recent_len == self.recent_acts.len() {
+                self.recent_acts.copy_within(1.., 0);
+                self.recent_len -= 1;
+            }
+            self.recent_acts[self.recent_len] = now;
+            self.recent_len += 1;
         }
         self.last_act = Some(now);
     }
@@ -71,10 +81,8 @@ impl Rank {
         if let Some(last) = self.last_act {
             earliest = earliest.max(last + u64::from(t.t_rrd));
         }
-        let needed_from_history = 5usize.saturating_sub(usize::from(count.min(4)));
-        if self.recent_acts.len() >= needed_from_history {
-            let idx = self.recent_acts.len() - needed_from_history;
-            earliest = earliest.max(self.recent_acts[idx] + u64::from(t.t_faw));
+        if let Some(gate) = self.faw_gate(count) {
+            earliest = earliest.max(gate + u64::from(t.t_faw));
         }
         earliest
     }
