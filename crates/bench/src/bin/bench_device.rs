@@ -33,27 +33,26 @@
 //! command statistics; the report carries their host-throughput ratio
 //! (`sched_speedup`).
 //!
-//! A fifth — **trace-replay serving** — plays a generated mixed
-//! secdealloc/coldboot trace over a real Unix socket against an
-//! in-process `codic_server::ReplayServer` (framed batches in, typed
-//! completions out) and reports the client-observed serving rate; the
-//! first session is verified bit-identical against the in-process
-//! reference replay. The identical trace is served at 1 and N shards.
-//!
-//! A sixth — **bulk-bitwise compute serving** — replays the
+//! A fifth — **bulk-bitwise compute serving** — replays the
 //! deterministic SIMD workload (planned vector AND/OR/XOR/ADD over
 //! vertically bit-sliced lanes) inside a compute region at the top of
 //! the module, with the first session's row fingerprints verified
 //! against the in-process reference — the measured stream is
 //! value-checked, not just cycle-checked.
 //!
+//! Every timed row reports the median host time over `--reps` runs
+//! (after one warm-up), with the fastest and slowest run beside it as
+//! `*_min`/`*_max`; rates are computed from the median. End-to-end
+//! serving throughput (trace replay over the socket, the shared fleet)
+//! is measured by `perfbench/`, not here.
+//!
 //! Usage: `cargo run --release --bin bench_device [-- --rows N --shards S --reps R]`
 //!
 //! `--quick` runs only the engine cross-checks — the sweep tick-vs-event
 //! comparison, the queue-depth workload's tick-vs-event and
-//! legacy-vs-live identity checks, one reference-verified trace-replay
-//! serving session, and one value-verified bulk-bitwise serving
-//! session — and exits non-zero on any divergence; the CI smoke step.
+//! legacy-vs-indexed identity checks, and one value-verified
+//! bulk-bitwise serving session — and exits non-zero on any divergence;
+//! the CI smoke step.
 
 use std::time::Instant;
 
@@ -70,7 +69,7 @@ use codic_secdealloc::ZeroingMechanism;
 use codic_server::client::{replay, verify_against_reference};
 use codic_server::proto::SessionParams;
 use codic_server::server::{ReplayServer, ServerConfig};
-use codic_server::trace::{generate_bulk_bitwise, generate_mixed};
+use codic_server::trace::generate_bulk_bitwise;
 
 fn arg(flag: &str) -> Option<u64> {
     let args: Vec<String> = std::env::args().collect();
@@ -84,20 +83,54 @@ fn has_flag(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)
 }
 
+/// Host seconds of one timed row: the median over reps, with the
+/// fastest and slowest rep beside it.
+#[derive(Clone, Copy)]
+struct Timed {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
 struct Measured {
-    host_s: f64,
+    host_s: Timed,
     dram_ns: f64,
     rows: u64,
     energy_nj: f64,
 }
 
-fn time<R>(reps: u64, mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut out = f(); // warm-up
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        out = f();
-    }
-    (t0.elapsed().as_secs_f64() / reps as f64, out)
+/// Runs `f` once to warm up, then `reps` (at least one) timed times;
+/// returns the timing and the last run's result.
+fn time<R>(reps: u64, mut f: impl FnMut() -> R) -> (Timed, R) {
+    let mut out = f();
+    let mut samples: Vec<f64> = (0..reps.max(1))
+        .map(|_| {
+            let t0 = Instant::now();
+            out = f();
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    let n = samples.len();
+    let median = if n % 2 == 1 {
+        samples[n / 2]
+    } else {
+        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
+    };
+    let timed = Timed {
+        median,
+        min: samples[0],
+        max: samples[n - 1],
+    };
+    (timed, out)
+}
+
+/// Prints `"key"` (the median), `"key_min"` and `"key_max"` at one
+/// entry's indentation.
+fn print_timed(key: &str, t: Timed) {
+    println!("      \"{key}\": {:.4},", t.median);
+    println!("      \"{key}_min\": {:.4},", t.min);
+    println!("      \"{key}_max\": {:.4},", t.max);
 }
 
 /// Secure-deallocation serving: a batch of typed zeroing ops (one per
@@ -138,174 +171,6 @@ fn coldboot_sweep(config: &DeviceConfig, shards: usize, reps: u64) -> Measured {
         rows,
         energy_nj: reports.iter().map(|r| r.energy_nj).sum(),
     }
-}
-
-/// Trace-replay serving: a generated mixed secdealloc/coldboot trace
-/// played over a real Unix socket against an in-process `ReplayServer`,
-/// measuring the **client-observed** host throughput through the full
-/// framed transport (Hello/Batch/Events/Summary). The first session
-/// is additionally verified bit-identical against the in-process
-/// reference replay, so the measured path is the checked path. Returns
-/// the measurement and the session checksum.
-fn replay_serving(
-    shards: usize,
-    ops_count: u64,
-    reps: u64,
-    timing: &TimingParams,
-) -> (Measured, u64) {
-    let socket = std::env::temp_dir().join(format!(
-        "codic-bench-{}-{}.sock",
-        std::process::id(),
-        shards
-    ));
-    let server = ReplayServer::bind(&socket, ServerConfig::default()).expect("bind bench socket");
-    // One warm-up session (inside `time`) plus `reps` measured ones.
-    let sessions = reps as usize + 1;
-    let serving = std::thread::spawn(move || server.serve_connections(sessions).expect("serve"));
-    let ops = generate_mixed(ops_count as usize, 8192, 42);
-    let batch = 1024;
-    let hello = SessionParams {
-        shards: shards as u16,
-        ..SessionParams::defaults()
-    };
-    let mut first = true;
-    let (host_s, report) = time(reps, || {
-        let report = replay(&socket, &hello, &ops, batch).expect("bench session");
-        if first {
-            verify_against_reference(&report, &ops, batch).expect("served stream diverged");
-            first = false;
-        }
-        report
-    });
-    serving.join().expect("server thread");
-    let measured = Measured {
-        host_s,
-        dram_ns: timing.ns(report.summary.max_finish_cycle),
-        rows: report.summary.ops,
-        energy_nj: report.summary.total_energy_nj,
-    };
-    (measured, report.checksum)
-}
-
-/// Shared-fleet multi-tenant serving: `tenants` concurrent threads each
-/// lease one single-shard slot of one [`FleetHandle`](codic_core::fleet::FleetHandle) and replay a
-/// private mixed trace through the deficit-round-robin scheduler,
-/// batch by batch. Reports aggregate host rows/s across all tenants
-/// and the p99 per-batch admission-to-drain latency — the fairness
-/// number a co-tenant actually feels. Every tenant's event count is
-/// asserted against its accepted ops (exactly-once delivery under
-/// contention); the bit-identity of each stream to a private pool is
-/// pinned separately by the fleet test battery.
-fn shared_fleet_serving(tenants: usize, ops_per_tenant: u64, reps: u64) -> (Measured, f64) {
-    use codic_core::fleet::{FleetConfig, FleetHandle};
-    let geometry = DramGeometry::module_mib(64);
-    let timing = TimingParams::ddr3_1600_11();
-    let device = DeviceConfig::new(geometry, timing).with_refresh(false);
-    let batch = 1024usize;
-    let quota = 1024usize;
-    let traces: Vec<Vec<CodicOp>> = (0..tenants as u64)
-        .map(|t| generate_mixed(ops_per_tenant as usize, 8192, 42 + t))
-        .collect();
-    let mut all_latencies: Vec<f64> = Vec::new();
-    let mut total_rows = 0u64;
-    let mut total_energy = 0.0f64;
-    let mut dram_ns = 0.0f64;
-    let (host_s, ()) = time(reps, || {
-        let fleet =
-            FleetHandle::new(FleetConfig::new(tenants, 1, device.clone()).with_quota(quota));
-        total_rows = 0;
-        total_energy = 0.0;
-        dram_ns = 0.0;
-        all_latencies.clear();
-        let per_tenant = std::thread::scope(|scope| {
-            let handles: Vec<_> = traces
-                .iter()
-                .map(|ops| {
-                    let fleet = fleet.clone();
-                    scope.spawn(move || {
-                        let id = fleet.acquire_with(1, quota).expect("slot free");
-                        let mut latencies = Vec::with_capacity(ops.len() / batch + 1);
-                        let mut events = 0usize;
-                        let mut accepted = 0u64;
-                        let mut energy = 0.0f64;
-                        for chunk in ops.chunks(batch) {
-                            let t0 = Instant::now();
-                            let (receipt, drained) =
-                                fleet.submit(id, chunk).expect("fleet admission");
-                            latencies.push(t0.elapsed().as_secs_f64());
-                            accepted += u64::from(receipt.accepted);
-                            events += drained.len();
-                            energy += drained
-                                .iter()
-                                .map(|e| e.completion.cost.energy_nj)
-                                .sum::<f64>();
-                        }
-                        let (now, tail) = fleet.flush(id);
-                        events += tail.len();
-                        energy += tail
-                            .iter()
-                            .map(|e| e.completion.cost.energy_nj)
-                            .sum::<f64>();
-                        assert_eq!(
-                            events as u64, accepted,
-                            "a fleet tenant lost or duplicated events under contention"
-                        );
-                        fleet.release(id);
-                        (accepted, energy, now, latencies)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("tenant thread"))
-                .collect::<Vec<_>>()
-        });
-        for (rows, energy, now, latencies) in per_tenant {
-            total_rows += rows;
-            total_energy += energy;
-            dram_ns = dram_ns.max(timing.ns(now));
-            all_latencies.extend(latencies);
-        }
-    });
-    all_latencies.sort_by(f64::total_cmp);
-    let p99 = all_latencies[(all_latencies.len() - 1).min(all_latencies.len() * 99 / 100)];
-    (
-        Measured {
-            host_s,
-            dram_ns,
-            rows: total_rows,
-            energy_nj: total_energy,
-        },
-        p99,
-    )
-}
-
-fn print_fleet_entry(tenants: usize, m: &Measured, p99_s: f64, last: bool) {
-    println!("    {{");
-    println!("      \"workload\": \"shared_fleet\",");
-    println!("      \"tenants\": {tenants},");
-    println!("      \"shards_per_tenant\": 1,");
-    println!("      \"rows\": {},", m.rows);
-    println!("      \"host_s\": {:.4},", m.host_s);
-    println!(
-        "      \"host_rows_per_s\": {:.0},",
-        m.rows as f64 / m.host_s
-    );
-    println!("      \"p99_batch_ms\": {:.3},", p99_s * 1e3);
-    println!("      \"energy_mj\": {:.4}", m.energy_nj * 1e-6);
-    println!("    }}{}", if last { "" } else { "," });
-}
-
-/// The `--fleet-only` CI smoke and the full run's fleet sweep: tenants
-/// 1 → 16 on one shared fleet, one shard each.
-fn fleet_sweep(ops_per_tenant: u64, reps: u64) -> Vec<(usize, Measured, f64)> {
-    [1usize, 2, 4, 8, 16]
-        .into_iter()
-        .map(|tenants| {
-            let (m, p99) = shared_fleet_serving(tenants, ops_per_tenant, reps);
-            (tenants, m, p99)
-        })
-        .collect()
 }
 
 /// Bulk-bitwise compute serving: the deterministic SIMD workload
@@ -535,9 +400,9 @@ struct DepthMeasured {
     outstanding: u64,
     finish_cycle: u64,
     commands: u64,
-    legacy_s: f64,
-    live_mc_s: f64,
-    device_s: f64,
+    legacy_s: Timed,
+    live_mc_s: Timed,
+    device_s: Timed,
     energy_nj: f64,
 }
 
@@ -641,22 +506,25 @@ fn print_depth_entry(m: &DepthMeasured, timing: &TimingParams, last: bool) {
         "      \"dram_ms\": {:.4},",
         timing.ns(m.finish_cycle) * 1e-6
     );
-    println!("      \"legacy_sched_host_s\": {:.4},", m.legacy_s);
-    println!("      \"indexed_sched_host_s\": {:.4},", m.live_mc_s);
-    println!("      \"device_async_host_s\": {:.4},", m.device_s);
+    print_timed("legacy_sched_host_s", m.legacy_s);
+    print_timed("indexed_sched_host_s", m.live_mc_s);
+    print_timed("device_async_host_s", m.device_s);
     println!(
         "      \"legacy_host_rows_per_s\": {:.0},",
-        m.outstanding as f64 / m.legacy_s
+        m.outstanding as f64 / m.legacy_s.median
     );
     println!(
         "      \"indexed_host_rows_per_s\": {:.0},",
-        m.outstanding as f64 / m.live_mc_s
+        m.outstanding as f64 / m.live_mc_s.median
     );
     println!(
         "      \"device_async_host_rows_per_s\": {:.0},",
-        m.outstanding as f64 / m.device_s
+        m.outstanding as f64 / m.device_s.median
     );
-    println!("      \"sched_speedup\": {:.2},", m.legacy_s / m.live_mc_s);
+    println!(
+        "      \"sched_speedup\": {:.2},",
+        m.legacy_s.median / m.live_mc_s.median
+    );
     println!("      \"energy_mj\": {:.4}", m.energy_nj * 1e-6);
     println!("    }}{}", if last { "" } else { "," });
 }
@@ -665,8 +533,8 @@ struct EngineComparison {
     kind: RowOpKind,
     rows: u64,
     finish_cycle: u64,
-    tick_s: f64,
-    event_s: f64,
+    tick_s: Timed,
+    event_s: Timed,
 }
 
 /// Runs the identical sweep workload on both engines, asserting
@@ -700,11 +568,11 @@ fn print_engine_entry(c: &EngineComparison, timing: &TimingParams, last: bool) {
         "      \"dram_ms\": {:.4},",
         timing.ns(c.finish_cycle) * 1e-6
     );
-    println!("      \"tick_engine_host_s\": {:.4},", c.tick_s);
-    println!("      \"event_engine_host_s\": {:.4},", c.event_s);
+    print_timed("tick_engine_host_s", c.tick_s);
+    print_timed("event_engine_host_s", c.event_s);
     println!(
         "      \"events_vs_cycles_speedup\": {:.2}",
-        c.tick_s / c.event_s
+        c.tick_s.median / c.event_s.median
     );
     println!("    }}{}", if last { "" } else { "," });
 }
@@ -714,11 +582,11 @@ fn print_entry(name: &str, shards: usize, m: &Measured, last: bool) {
     println!("      \"workload\": \"{name}\",");
     println!("      \"shards\": {shards},");
     println!("      \"rows\": {},", m.rows);
-    println!("      \"host_s\": {:.4},", m.host_s);
+    print_timed("host_s", m.host_s);
     println!("      \"dram_ms\": {:.4},", m.dram_ns * 1e-6);
     println!(
         "      \"host_rows_per_s\": {:.0},",
-        m.rows as f64 / m.host_s
+        m.rows as f64 / m.host_s.median
     );
     println!(
         "      \"dram_rows_per_s\": {:.0},",
@@ -746,10 +614,6 @@ fn main() {
         // value-verified against the scalar-backed reference replay
         // (bulk_bitwise_serving asserts, so a divergence exits non-zero).
         let bitwise = bulk_bitwise_serving(1, 1, 1, &timing);
-        // One trace-replay session over the socket transport, verified
-        // against the in-process reference replay (replay_serving
-        // asserts, so a divergence exits non-zero).
-        let (_, checksum) = replay_serving(2, 2048, 1, &timing);
         println!("{{");
         println!("  \"bench\": \"device_engine_smoke\",");
         println!("  \"results\": [");
@@ -761,10 +625,6 @@ fn main() {
         println!("    \"finish_cycle\": {depth_finish},");
         println!("    \"identical\": [\"tick_vs_event\", \"legacy_vs_indexed\"]");
         println!("  }},");
-        println!("  \"transport_smoke\": {{");
-        println!("    \"checksum\": \"{checksum:#018x}\",");
-        println!("    \"identical\": [\"served_vs_reference\"]");
-        println!("  }},");
         println!("  \"bulk_bitwise_smoke\": {{");
         println!("    \"ops\": {},", bitwise.rows);
         println!("    \"dram_ms\": {:.4},", bitwise.dram_ns * 1e-6);
@@ -773,29 +633,11 @@ fn main() {
         println!("}}");
         return;
     }
-    if has_flag("--fleet-only") {
-        // CI smoke: the DRR scheduler under real thread contention,
-        // tenants 1 → 16 on one shared single-shard-per-slot fleet.
-        // Exactly-once delivery is asserted inside the workload.
-        let reps = arg("--reps").unwrap_or(1);
-        let ops = arg("--fleet-ops").unwrap_or(4096);
-        let sweep = fleet_sweep(ops, reps);
-        println!("{{");
-        println!("  \"bench\": \"shared_fleet_smoke\",");
-        println!("  \"ops_per_tenant\": {ops},");
-        println!("  \"results\": [");
-        for (i, (tenants, m, p99)) in sweep.iter().enumerate() {
-            print_fleet_entry(*tenants, m, *p99, i + 1 == sweep.len());
-        }
-        println!("  ]");
-        println!("}}");
-        return;
-    }
     // The batch serves one module-sized address space; rows beyond it
     // would (correctly) be rejected by the safe-range policy.
     let rows = arg("--rows").unwrap_or(8192).min(geometry.total_rows());
     let max_shards = arg("--shards").unwrap_or(4).max(1) as usize;
-    let reps = arg("--reps").unwrap_or(3);
+    let reps = arg("--reps").unwrap_or(3).max(1);
     let config = DeviceConfig::new(geometry, timing).with_refresh(false);
 
     println!("{{");
@@ -830,21 +672,6 @@ fn main() {
     for m in &depth_results {
         print_depth_entry(m, &timing, false);
     }
-    // Trace-replay serving over the Unix-socket transport (identity-
-    // verified against the in-process reference on the first session),
-    // one trace at 1 and N shards.
-    let serve_ops = 8 * rows;
-    let (serve1, _) = replay_serving(1, serve_ops, reps, &timing);
-    print_entry("replay_serving", 1, &serve1, false);
-    let (serven, _) = replay_serving(max_shards, serve_ops, reps, &timing);
-    print_entry("replay_serving", max_shards, &serven, false);
-    // Shared-fleet multi-tenant serving: tenants 1 → 16 on one fleet,
-    // one shard per slot, each tenant a thread replaying its own trace
-    // through the deficit-round-robin scheduler.
-    let fleet = fleet_sweep(2 * rows, reps);
-    for (tenants, m, p99) in &fleet {
-        print_fleet_entry(*tenants, m, *p99, false);
-    }
     // Bulk-bitwise compute serving: the SIMD workload over the socket,
     // value-verified via row fingerprints on the first session.
     let bitwise1 = bulk_bitwise_serving(1, 4, reps, &timing);
@@ -858,37 +685,24 @@ fn main() {
     );
     println!(
         "  \"host_speedup_coldboot\": {:.2},",
-        (cb1.host_s / cb1.rows as f64) / (cbn.host_s / cbn.rows as f64)
+        (cb1.host_s.median / cb1.rows as f64) / (cbn.host_s.median / cbn.rows as f64)
     );
     println!(
         "  \"events_vs_cycles_speedup\": {:.2},",
-        lisa.tick_s / lisa.event_s
+        lisa.tick_s.median / lisa.event_s.median
     );
     let deepest = depth_results.last().expect("at least one depth");
     println!(
         "  \"sched_speedup_depth8192\": {:.2},",
-        deepest.legacy_s / deepest.live_mc_s
+        deepest.legacy_s.median / deepest.live_mc_s.median
     );
     println!(
         "  \"serve_speedup_depth8192\": {:.2},",
-        deepest.legacy_s / deepest.device_s
-    );
-    println!(
-        "  \"replay_serving_rows_per_s\": {:.0},",
-        serven.rows as f64 / serven.host_s
-    );
-    let (tenants, busiest, busiest_p99) = fleet.last().expect("fleet sweep ran");
-    println!(
-        "  \"shared_fleet_rows_per_s_{tenants}_tenants\": {:.0},",
-        busiest.rows as f64 / busiest.host_s
-    );
-    println!(
-        "  \"shared_fleet_p99_batch_ms_{tenants}_tenants\": {:.3},",
-        busiest_p99 * 1e3
+        deepest.legacy_s.median / deepest.device_s.median
     );
     println!(
         "  \"bulk_bitwise_rows_per_s\": {:.0}",
-        bitwisen.rows as f64 / bitwisen.host_s
+        bitwisen.rows as f64 / bitwisen.host_s.median
     );
     println!("}}");
 }

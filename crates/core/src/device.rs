@@ -653,12 +653,6 @@ impl CodicDevice {
         Ok(future)
     }
 
-    /// [`CodicDevice::submit`] minus the safe-range check, for callers
-    /// that already pre-flighted the whole batch.
-    pub(crate) fn submit_prechecked(&mut self, op: CodicOp) -> Result<OpToken, CodicError> {
-        self.submit_inner(op, None)
-    }
-
     /// The controller request and accounted cost `op` maps to: a
     /// bank-occupying row operation, or an ordinary column access for the
     /// data path. Costs come from the construction-time memo.
@@ -692,13 +686,6 @@ impl CodicDevice {
             self.policy.check_safe_range(*op)?;
         }
         ops.iter().map(|&op| self.submit_inner(op, None)).collect()
-    }
-
-    /// Advances one memory cycle and harvests any completions.
-    pub fn tick(&mut self) {
-        self.mc.tick();
-        self.harvest();
-        self.pump_retries();
     }
 
     /// Advances one memory cycle through the *reference* driver

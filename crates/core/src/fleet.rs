@@ -837,7 +837,7 @@ mod tests {
 
         let mut solo = crate::pool::DevicePool::new(2, &device);
         let routed = solo.submit_all_async_routed(&ops).expect("solo admit");
-        solo.run_to_idle();
+        solo.drive();
         let mut solo_failures = 0;
         for (i, (shard, future)) in routed.into_iter().enumerate() {
             let completion = crate::executor::block_on(future);

@@ -92,6 +92,6 @@ pub use fleet::{FleetConfig, FleetEvent, FleetHandle, SharedFleet, TenantId};
 pub use latency::CommandCost;
 pub use mode_register::{ModeRegister, ModeRegisterFile};
 pub use ops::{CodicOp, InDramMechanism, RowRegion, VariantId};
-pub use pool::{DevicePool, PoolOutcome, PoolToken, ShardHealth};
+pub use pool::{DevicePool, PoolOutcome, ShardHealth};
 pub use simd::{SimdLayout, VecOp};
 pub use variant::CodicVariant;

@@ -7,9 +7,8 @@
 //! builds one [`CodicDevice`] per shard, routes each [`CodicOp`] to the
 //! shard owning its row, and drives the shards on rayon worker threads.
 //!
-//! The API is batched: [`DevicePool::submit_all`] distributes a batch and
-//! hands back per-op [`PoolToken`]s; [`DevicePool::execute_all`] is the
-//! submit → run → collect convenience wrapper the benchmarks use; and
+//! The API is batched: [`DevicePool::execute_all`] is the
+//! submit → run → collect convenience wrapper the benchmarks use, and
 //! [`DevicePool::submit_all_async`] + [`DevicePool::drive`] is the async
 //! pair — one [`OpFuture`] per operation, resolved by the clock driver,
 //! so services `await` completions instead of polling.
@@ -59,7 +58,7 @@
 use codic_dram::geometry::DramGeometry;
 use rayon::prelude::*;
 
-use crate::device::{BatchOutcome, CodicDevice, DeviceConfig, OpCompletion, OpToken, SweepReport};
+use crate::device::{BatchOutcome, CodicDevice, DeviceConfig, OpCompletion, SweepReport};
 use crate::error::CodicError;
 use crate::executor::OpFuture;
 use crate::fault::{FaultCause, HealthPolicy};
@@ -84,16 +83,6 @@ impl ShardHealth {
     pub fn is_healthy(self) -> bool {
         matches!(self, ShardHealth::Healthy)
     }
-}
-
-/// Completion token for an operation submitted through a pool: which
-/// shard took it, and the device-level token inside that shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PoolToken {
-    /// Index of the owning shard.
-    pub shard: usize,
-    /// The device-level completion token.
-    pub token: OpToken,
 }
 
 /// Aggregate outcome of a pooled batch execution.
@@ -396,7 +385,7 @@ impl ShardLease {
 
     /// Runs every leased shard to idle on rayon worker threads; returns
     /// the slowest leased shard's finish cycle (see
-    /// [`DevicePool::run_to_idle`]).
+    /// [`DevicePool::drive`]).
     pub(crate) fn run_to_idle(&self, devices: &mut [CodicDevice]) -> u64 {
         let mine = &mut devices[self.base..self.base + self.health.len()];
         // Shards with no actionable event would run-to-idle as a no-op;
@@ -582,9 +571,14 @@ impl DevicePool {
         self.lease.mark_healthy(shard);
     }
 
-    /// Distributes a batch across the shards, all-or-nothing: every
-    /// operation is policy-checked against its shard before anything is
-    /// enqueued anywhere. Tokens are returned in input order.
+    /// Distributes a batch across the shards, all-or-nothing, and returns
+    /// one [`OpFuture`] per operation in input order: services `await`
+    /// typed completions rather than polling for them. Every operation is
+    /// policy-checked against its shard before anything is enqueued
+    /// anywhere. The futures are resolved by the pool's clock driver,
+    /// [`DevicePool::drive`] (or by each shard's own
+    /// [`CodicDevice::step`]/[`CodicDevice::run_to_idle`]), in completion
+    /// order.
     ///
     /// A shard whose clock wedges with a full queue *during* submission
     /// is quarantined on the spot — its stranded operations resolve as
@@ -598,34 +592,6 @@ impl DevicePool {
     /// [`CodicError::NoHealthyShards`] when every shard is (or becomes)
     /// quarantined — in the mid-batch case, operations submitted before
     /// the last shard wedged stay enqueued.
-    pub fn submit_all(&mut self, ops: &[CodicOp]) -> Result<Vec<PoolToken>, CodicError> {
-        let shards = self.lease.route_checked(&self.devices, ops)?;
-        ops.iter()
-            .zip(&shards)
-            .map(|(&op, &shard)| {
-                let (shard, token) = self.lease.submit_routed(
-                    &mut self.devices,
-                    op,
-                    shard,
-                    CodicDevice::submit_prechecked,
-                )?;
-                Ok(PoolToken { shard, token })
-            })
-            .collect()
-    }
-
-    /// Distributes a batch across the shards like
-    /// [`DevicePool::submit_all`], but returns one [`OpFuture`] per
-    /// operation instead of a token: services `await` typed completions
-    /// rather than polling for them. The futures are resolved by the
-    /// pool's clock driver, [`DevicePool::drive`] (or by each shard's own
-    /// [`CodicDevice::step`]/[`CodicDevice::run_to_idle`]), in completion
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first policy error without enqueuing anything (see
-    /// [`DevicePool::submit_all`] for the stuck-shard semantics).
     pub fn submit_all_async(&mut self, ops: &[CodicOp]) -> Result<Vec<OpFuture>, CodicError> {
         Ok(self
             .submit_all_async_routed(ops)?
@@ -655,12 +621,6 @@ impl DevicePool {
     /// [`OpFuture`] along the way (wakers fire from the worker threads).
     /// Returns the slowest shard's finish cycle.
     pub fn drive(&mut self) -> u64 {
-        self.run_to_idle()
-    }
-
-    /// Runs every shard to idle on rayon worker threads; returns the
-    /// slowest shard's finish cycle.
-    pub fn run_to_idle(&mut self) -> u64 {
         self.lease.run_to_idle(&mut self.devices)
     }
 
@@ -683,16 +643,6 @@ impl DevicePool {
     #[must_use]
     pub fn outstanding(&self) -> usize {
         self.devices.iter().map(CodicDevice::outstanding).sum()
-    }
-
-    /// Removes and returns all completions from every shard, tagged with
-    /// their shard index.
-    pub fn take_completions(&mut self) -> Vec<(usize, OpCompletion)> {
-        self.devices
-            .iter_mut()
-            .enumerate()
-            .flat_map(|(shard, d)| d.take_completions().into_iter().map(move |c| (shard, c)))
-            .collect()
     }
 
     /// Distributes `ops` across the shards and runs them all to
@@ -840,58 +790,40 @@ mod tests {
     }
 
     #[test]
-    fn token_api_round_trips_through_completions() {
-        let mut p = pool(2);
-        let ops = zero_ops(8);
-        let tokens = p.submit_all(&ops).unwrap();
-        assert_eq!(tokens.len(), 8);
-        p.run_to_idle();
-        let completions = p.take_completions();
-        assert_eq!(completions.len(), 8);
-        for (i, token) in tokens.iter().enumerate() {
-            let (shard, c) = completions
-                .iter()
-                .find(|(s, c)| *s == token.shard && c.token == token.token)
-                .expect("every token completes");
-            assert_eq!(*shard, p.shard_of(ops[i]));
-            assert_eq!(c.op, ops[i]);
-        }
-    }
-
-    #[test]
     fn async_batch_is_awaitable_after_drive() {
         use crate::executor::block_on;
         let ops = zero_ops(16);
         // Twin pools: the async path must report exactly what the
-        // polling path reports.
-        let mut sync_pool = pool(2);
-        sync_pool.submit_all(&ops).unwrap();
-        sync_pool.run_to_idle();
-        let mut sync_completions: Vec<_> = sync_pool
-            .take_completions()
-            .into_iter()
-            .map(|(_, c)| (c.op, c.finish_cycle))
+        // batched path reports, shard for shard.
+        let mut batch_pool = pool(2);
+        let mut batch_completions: Vec<_> = batch_pool
+            .execute_all(&ops)
+            .unwrap()
+            .completions()
+            .map(|(shard, c)| (shard, c.op, c.finish_cycle))
             .collect();
-        sync_completions.sort_by_key(|&(op, cycle)| (cycle, op.row_addr()));
+        batch_completions.sort_by_key(|&(_, op, cycle)| (cycle, op.row_addr()));
 
         let mut async_pool = pool(2);
-        let futures = async_pool.submit_all_async(&ops).unwrap();
-        assert_eq!(futures.len(), 16);
-        assert!(futures.iter().all(|f| !f.is_ready()));
+        let routed = async_pool.submit_all_async_routed(&ops).unwrap();
+        assert_eq!(routed.len(), 16);
+        assert!(routed.iter().all(|(_, f)| !f.is_ready()));
+        for (&op, &(shard, _)) in ops.iter().zip(&routed) {
+            assert_eq!(shard, async_pool.shard_of(op));
+        }
         let finish = async_pool.drive();
         assert!(finish > 0);
-        assert!(futures.iter().all(OpFuture::is_ready));
-        let mut async_completions: Vec<_> = futures
+        assert!(routed.iter().all(|(_, f)| f.is_ready()));
+        let mut async_completions: Vec<_> = routed
             .into_iter()
-            .map(|f| {
+            .map(|(shard, f)| {
                 let c = block_on(f);
-                (c.op, c.finish_cycle)
+                (shard, c.op, c.finish_cycle)
             })
             .collect();
-        async_completions.sort_by_key(|&(op, cycle)| (cycle, op.row_addr()));
-        assert_eq!(sync_completions, async_completions);
-        // Future-delivered completions never enter the polling buffer.
-        assert!(async_pool.take_completions().is_empty());
+        async_completions.sort_by_key(|&(_, op, cycle)| (cycle, op.row_addr()));
+        assert_eq!(batch_completions, async_completions);
+        assert_eq!(async_pool.outstanding(), 0);
     }
 
     #[test]
@@ -958,12 +890,12 @@ mod tests {
         let mut p = pool(2);
         p.quarantine(0, crate::fault::FaultCause::Quarantined);
         p.quarantine(1, crate::fault::FaultCause::Quarantined);
-        let err = p.submit_all(&zero_ops(1)).unwrap_err();
+        let err = p.submit_all_async_routed(&zero_ops(1)).unwrap_err();
         assert_eq!(err, CodicError::NoHealthyShards);
         let err = p.execute_all(&zero_ops(1)).unwrap_err();
         assert_eq!(err, CodicError::NoHealthyShards);
         // An empty batch is still fine: nothing to route.
-        assert!(p.submit_all(&[]).unwrap().is_empty());
+        assert!(p.submit_all_async_routed(&[]).unwrap().is_empty());
     }
 
     #[test]

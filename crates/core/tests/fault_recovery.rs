@@ -269,17 +269,21 @@ fn pool_quarantines_a_stuck_shard_and_reroutes_its_rows() {
     for &op in &next {
         assert_ne!(pool.shard_of(op), 1, "no traffic routes to quarantine");
     }
-    let tokens = pool.submit_all(&next).unwrap();
+    let routed = pool.submit_all_async_routed(&next).unwrap();
     pool.drive();
-    assert!(tokens.iter().all(|t| t.shard != 1));
-    assert_eq!(pool.take_completions().len(), next.len());
+    assert!(routed.iter().all(|&(shard, _)| shard != 1));
+    let completed = routed
+        .into_iter()
+        .filter_map(|(_, mut f)| f.try_take())
+        .count();
+    assert_eq!(completed, next.len(), "every op completes");
 
     // A fully quarantined pool turns traffic away with a typed error.
     pool.quarantine(0, FaultCause::Quarantined);
     pool.quarantine(2, FaultCause::Quarantined);
     pool.quarantine(3, FaultCause::Quarantined);
     assert_eq!(
-        pool.submit_all(&next).unwrap_err(),
+        pool.submit_all_async_routed(&next).unwrap_err(),
         CodicError::NoHealthyShards
     );
 }

@@ -67,8 +67,8 @@ use std::time::Duration;
 use codic_server::chaos::{self, ChaosPlan};
 use codic_server::cli::{arg, arg_u64, deadline_args, fault_plan_args, has_flag, retry_args};
 use codic_server::client::{
-    connect_tcp_with_retry, connect_with_retry, replay_resumable_with, replay_stream,
-    replay_with_retry, verify_against_reference, ResumePolicy,
+    connect_tcp_with_retry, connect_with_retry, replay_resumable_with, verify_against_reference,
+    ResumePolicy,
 };
 use codic_server::proto::{SessionParams, MAX_BATCH_OPS};
 use codic_server::server::{ReplayServer, ServerConfig};
@@ -226,62 +226,45 @@ fn main() -> ExitCode {
         (PathBuf::from(path), None)
     };
 
+    // One session driver for every mode: a plain run is a resumable run
+    // allowed no resumes, so it uses exactly one connection.
     let retries = arg_u64("--retries").unwrap_or(0) as u32;
     let retry_base = Duration::from_millis(arg_u64("--retry-base-ms").unwrap_or(50));
-    let replayed = if resumable {
-        let policy = ResumePolicy {
-            max_resumes: arg_u64("--resume-attempts").unwrap_or(8) as u32,
-            ..ResumePolicy::default()
-        };
-        replay_resumable_with(&hello, &ops, batch, policy, |attempt| {
-            if let Some(addr) = &tcp {
-                let stream = connect_tcp_with_retry(addr.as_str(), retries.max(2), retry_base)?;
-                return match chaos_plan {
-                    Some(plan) => {
-                        let (r, w) = chaos::wrap_tcp(stream, plan.for_attempt(attempt))?;
-                        Ok((
-                            Box::new(BufReader::new(r)) as Box<dyn Read>,
-                            Box::new(BufWriter::new(w)) as Box<dyn Write>,
-                        ))
-                    }
-                    None => Ok((
-                        Box::new(BufReader::new(stream.try_clone()?)) as Box<dyn Read>,
-                        Box::new(BufWriter::new(stream)) as Box<dyn Write>,
-                    )),
-                };
-            }
-            let stream = connect_with_retry(&socket, retries.max(2), retry_base)?;
-            match chaos_plan {
-                Some(plan) => {
-                    let (r, w) = chaos::wrap_unix(stream, plan.for_attempt(attempt))?;
-                    Ok((
-                        Box::new(BufReader::new(r)) as Box<dyn Read>,
-                        Box::new(BufWriter::new(w)) as Box<dyn Write>,
-                    ))
-                }
-                None => Ok((
-                    Box::new(BufReader::new(stream.try_clone()?)) as Box<dyn Read>,
-                    Box::new(BufWriter::new(stream)) as Box<dyn Write>,
-                )),
-            }
-        })
-    } else if let Some(addr) = &tcp {
-        match connect_tcp_with_retry(addr.as_str(), retries, retry_base) {
-            Ok(stream) => match stream.try_clone() {
-                Ok(read_half) => replay_stream(
-                    &mut BufReader::new(read_half),
-                    &mut BufWriter::new(stream),
-                    &hello,
-                    &ops,
-                    batch,
-                ),
-                Err(e) => Err(e.into()),
-            },
-            Err(e) => Err(e.into()),
-        }
+    let (max_resumes, connect_retries) = if resumable {
+        (
+            arg_u64("--resume-attempts").unwrap_or(8) as u32,
+            retries.max(2),
+        )
     } else {
-        replay_with_retry(&socket, &hello, &ops, batch, retries, retry_base)
+        (0, retries)
     };
+    let policy = ResumePolicy {
+        max_resumes,
+        ..ResumePolicy::default()
+    };
+    let replayed = replay_resumable_with(&hello, &ops, batch, policy, |attempt| {
+        let plan = chaos_plan.map(|plan| plan.for_attempt(attempt));
+        let (r, w): (Box<dyn Read>, Box<dyn Write>) = if let Some(addr) = &tcp {
+            let stream = connect_tcp_with_retry(addr.as_str(), connect_retries, retry_base)?;
+            match plan {
+                Some(plan) => {
+                    let (r, w) = chaos::wrap_tcp(stream, plan)?;
+                    (Box::new(r), Box::new(w))
+                }
+                None => (Box::new(stream.try_clone()?), Box::new(stream)),
+            }
+        } else {
+            let stream = connect_with_retry(&socket, connect_retries, retry_base)?;
+            match plan {
+                Some(plan) => {
+                    let (r, w) = chaos::wrap_unix(stream, plan)?;
+                    (Box::new(r), Box::new(w))
+                }
+                None => (Box::new(stream.try_clone()?), Box::new(stream)),
+            }
+        };
+        Ok((BufReader::new(r), BufWriter::new(w)))
+    });
     let report = match replayed {
         Ok(report) => report,
         Err(e) => return fail(&e.to_string()),

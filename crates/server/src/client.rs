@@ -7,7 +7,7 @@
 //! units, so a server-side accounting divergence is caught with one
 //! `u64` compare.
 //!
-//! [`replay_resumable`] adds crash/cut tolerance on top: when the
+//! [`replay_resumable_with`] adds crash/cut tolerance on top: when the
 //! connection dies — or a CRC trailer exposes wire corruption —
 //! mid-session, the client reconnects with capped backoff and sends
 //! `Resume` with its session token and the count of events it has
@@ -106,7 +106,7 @@ pub struct ClientReport {
     /// Wall-clock duration of the session, in seconds.
     pub host_seconds: f64,
     /// Connections this session used: 1 for an uninterrupted run, more
-    /// when [`replay_resumable`] survived cuts.
+    /// when [`replay_resumable_with`] survived cuts.
     pub connections: u32,
 }
 
@@ -210,47 +210,6 @@ impl Absorbed {
             self.events += 1;
         }
     }
-
-    /// Checks the stream against the server's `Summary` and builds the
-    /// final report.
-    fn into_report(
-        self,
-        params: SessionParams,
-        summary: Summary,
-        host_seconds: f64,
-        connections: u32,
-    ) -> Result<ClientReport, ClientError> {
-        let checksum = self.checksum.value();
-        if checksum != summary.checksum {
-            return Err(ClientError::Verification(format!(
-                "stream checksum {checksum:#018x} != summary checksum {:#018x}",
-                summary.checksum
-            )));
-        }
-        if summary.ops != self.completions.len() as u64 {
-            return Err(ClientError::Verification(format!(
-                "summary counts {} ops, stream carried {}",
-                summary.ops,
-                self.completions.len()
-            )));
-        }
-        if summary.failed != self.failures.len() as u64 {
-            return Err(ClientError::Verification(format!(
-                "summary counts {} failures, stream carried {}",
-                summary.failed,
-                self.failures.len()
-            )));
-        }
-        Ok(ClientReport {
-            params,
-            completions: self.completions,
-            failures: self.failures,
-            summary,
-            checksum,
-            host_seconds,
-            connections,
-        })
-    }
 }
 
 /// Plays `ops` against the server at `socket` in batches of `batch`
@@ -266,27 +225,7 @@ pub fn replay(
     ops: &[CodicOp],
     batch: usize,
 ) -> Result<ClientReport, ClientError> {
-    replay_with_retry(socket, hello, ops, batch, 0, Duration::ZERO)
-}
-
-/// [`replay`] with [`connect_with_retry`] semantics on the initial
-/// connect (the session itself is never retried — a mid-session failure
-/// is surfaced, not replayed; [`replay_resumable`] is the
-/// cut-tolerant variant).
-///
-/// # Errors
-///
-/// As [`replay`], plus the final connect failure when every attempt is
-/// exhausted.
-pub fn replay_with_retry(
-    socket: &Path,
-    hello: &SessionParams,
-    ops: &[CodicOp],
-    batch: usize,
-    retries: u32,
-    retry_base: Duration,
-) -> Result<ClientReport, ClientError> {
-    let stream = connect_with_retry(socket, retries, retry_base)?;
+    let stream = UnixStream::connect(socket)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     replay_stream(&mut reader, &mut writer, hello, ops, batch)
@@ -312,76 +251,27 @@ pub fn replay_tcp<A: ToSocketAddrs>(
 
 /// The transport-generic session core of [`replay`]: drives one full
 /// session over an already-connected `(reader, writer)` pair sharing
-/// one stream — Unix socket, TCP, chaos-wrapped, or in-memory.
+/// one stream — Unix socket, TCP, chaos-wrapped, or in-memory. The
+/// session is never retried: a mid-session failure is surfaced, not
+/// replayed ([`replay_resumable_with`] is the cut-tolerant variant).
 ///
 /// # Errors
 ///
 /// As [`replay`].
 pub fn replay_stream<R: Read, W: Write>(
-    mut reader: &mut R,
-    mut writer: &mut W,
+    reader: &mut R,
+    writer: &mut W,
     hello: &SessionParams,
     ops: &[CodicOp],
     batch: usize,
 ) -> Result<ClientReport, ClientError> {
     let started = Instant::now();
-    write_frame_crc(&mut writer, &Frame::Hello(*hello))?;
-    writer.flush()?;
-    let params = match read_frame_crc(&mut reader)? {
-        Frame::HelloAck { params, .. } => params,
-        Frame::Error { code, detail } => return Err(ClientError::Server { code, detail }),
-        other => {
-            return Err(ClientError::Protocol(format!(
-                "expected HelloAck, got {other:?}"
-            )))
-        }
-    };
-
-    let mut stream = Absorbed {
-        completions: Vec::with_capacity(ops.len()),
-        ..Absorbed::default()
-    };
-
-    // A batch above MAX_BATCH_OPS would produce a frame the server is
-    // required to reject; clamp rather than die mid-replay.
-    let batch = batch.clamp(1, proto::MAX_BATCH_OPS);
-    for chunk in ops.chunks(batch) {
-        write_frame_crc(&mut writer, &Frame::Batch(chunk.to_vec()))?;
-        writer.flush()?;
-        // Read this batch's completion burst up to its Batched ack.
-        loop {
-            match read_frame_crc(&mut reader)? {
-                Frame::Events(events) => stream.events(&events),
-                Frame::Batched(_) => break,
-                Frame::Error { code, detail } => return Err(ClientError::Server { code, detail }),
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected Events/Batched, got {other:?}"
-                    )))
-                }
-            }
-        }
-    }
-
-    write_frame_crc(&mut writer, &Frame::Bye)?;
-    writer.flush()?;
-    let summary = loop {
-        match read_frame_crc(&mut reader)? {
-            Frame::Events(events) => stream.events(&events),
-            Frame::Summary(summary) => break summary,
-            Frame::Error { code, detail } => return Err(ClientError::Server { code, detail }),
-            other => {
-                return Err(ClientError::Protocol(format!(
-                    "expected Events/Summary, got {other:?}"
-                )))
-            }
-        }
-    };
-    let host_seconds = started.elapsed().as_secs_f64();
-    stream.into_report(params, summary, host_seconds, 1)
+    let mut run = ResumableRun::new(ops, batch);
+    run.attempt(reader, writer, hello)?;
+    run.into_report(started, 1)
 }
 
-/// How [`replay_resumable`] survives cuts.
+/// How [`replay_resumable_with`] survives cuts.
 #[derive(Debug, Clone, Copy)]
 pub struct ResumePolicy {
     /// Reconnect-and-resume attempts allowed across the whole session
@@ -426,7 +316,25 @@ struct ResumableRun<'a> {
     summary: Option<Summary>,
 }
 
-impl ResumableRun<'_> {
+impl<'a> ResumableRun<'a> {
+    /// A run that has not yet connected. A batch above `MAX_BATCH_OPS`
+    /// would produce a frame the server is required to reject, so the
+    /// batch is clamped rather than dying mid-replay.
+    fn new(ops: &'a [CodicOp], batch: usize) -> Self {
+        ResumableRun {
+            ops,
+            batch: batch.clamp(1, proto::MAX_BATCH_OPS),
+            absorbed: Absorbed {
+                completions: Vec::with_capacity(ops.len()),
+                ..Absorbed::default()
+            },
+            token: None,
+            params: None,
+            next_op: 0,
+            summary: None,
+        }
+    }
+
     /// Drives one connection as far as it will go: handshake (fresh
     /// `Hello` or `Resume`), remaining batches, `Bye`, `Summary`.
     fn attempt<R: Read, W: Write>(
@@ -539,39 +447,64 @@ impl ResumableRun<'_> {
             }
         }
     }
+
+    /// Checks the finished session's stream against the server's
+    /// `Summary` and builds the report.
+    fn into_report(self, started: Instant, connections: u32) -> Result<ClientReport, ClientError> {
+        let params = self
+            .params
+            .ok_or_else(|| ClientError::Protocol("session ended without a HelloAck".to_string()))?;
+        let summary = self
+            .summary
+            .ok_or_else(|| ClientError::Protocol("session ended without a Summary".to_string()))?;
+        let host_seconds = started.elapsed().as_secs_f64();
+        let absorbed = self.absorbed;
+        let checksum = absorbed.checksum.value();
+        if checksum != summary.checksum {
+            return Err(ClientError::Verification(format!(
+                "stream checksum {checksum:#018x} != summary checksum {:#018x}",
+                summary.checksum
+            )));
+        }
+        if summary.ops != absorbed.completions.len() as u64 {
+            return Err(ClientError::Verification(format!(
+                "summary counts {} ops, stream carried {}",
+                summary.ops,
+                absorbed.completions.len()
+            )));
+        }
+        if summary.failed != absorbed.failures.len() as u64 {
+            return Err(ClientError::Verification(format!(
+                "summary counts {} failures, stream carried {}",
+                summary.failed,
+                absorbed.failures.len()
+            )));
+        }
+        Ok(ClientReport {
+            params,
+            completions: absorbed.completions,
+            failures: absorbed.failures,
+            summary,
+            checksum,
+            host_seconds,
+            connections,
+        })
+    }
 }
 
-/// [`replay`] with automatic reconnect-and-resume: a connection cut (or
-/// CRC-detected corruption) mid-session reconnects to `socket` with
-/// capped backoff and continues the *same* session from the last
-/// absorbed event, exactly once. The final report's checksum is
-/// bit-identical to an uninterrupted run — the chaos-transport suite
-/// pins this.
+/// [`replay_stream`] with automatic reconnect-and-resume over any
+/// transport: `connect` opens connection `attempt` (0 = the first) as a
+/// `(reader, writer)` pair sharing one stream — the chaos tests hand in
+/// fault-injecting wrappers here. A connection cut (or CRC-detected
+/// corruption) mid-session reconnects with capped backoff and continues
+/// the *same* session from the last absorbed event, exactly once. The
+/// final report's checksum is bit-identical to an uninterrupted run —
+/// the chaos-transport suite pins this.
 ///
 /// # Errors
 ///
 /// As [`replay`], once `policy.max_resumes` recovery attempts are
 /// exhausted (or immediately on a non-recoverable failure).
-pub fn replay_resumable(
-    socket: &Path,
-    hello: &SessionParams,
-    ops: &[CodicOp],
-    batch: usize,
-    policy: ResumePolicy,
-) -> Result<ClientReport, ClientError> {
-    replay_resumable_with(hello, ops, batch, policy, |_attempt| {
-        let stream = connect_with_retry(socket, 2, Duration::from_millis(5))?;
-        Ok((BufReader::new(stream.try_clone()?), BufWriter::new(stream)))
-    })
-}
-
-/// [`replay_resumable`] over any transport: `connect` opens connection
-/// `attempt` (0 = the first) as a `(reader, writer)` pair sharing one
-/// stream — the chaos tests hand in fault-injecting wrappers here.
-///
-/// # Errors
-///
-/// As [`replay_resumable`].
 pub fn replay_resumable_with<R, W, F>(
     hello: &SessionParams,
     ops: &[CodicOp],
@@ -585,18 +518,7 @@ where
     F: FnMut(u32) -> io::Result<(R, W)>,
 {
     let started = Instant::now();
-    let mut run = ResumableRun {
-        ops,
-        batch: batch.clamp(1, proto::MAX_BATCH_OPS),
-        absorbed: Absorbed {
-            completions: Vec::with_capacity(ops.len()),
-            ..Absorbed::default()
-        },
-        token: None,
-        params: None,
-        next_op: 0,
-        summary: None,
-    };
+    let mut run = ResumableRun::new(ops, batch);
     let mut attempt = 0u32;
     loop {
         let outcome = match connect(attempt) {
@@ -612,15 +534,7 @@ where
             Err(e) => return Err(e),
         }
     }
-    let params = run
-        .params
-        .ok_or_else(|| ClientError::Protocol("session ended without a HelloAck".to_string()))?;
-    let summary = run
-        .summary
-        .ok_or_else(|| ClientError::Protocol("session ended without a Summary".to_string()))?;
-    let host_seconds = started.elapsed().as_secs_f64();
-    run.absorbed
-        .into_report(params, summary, host_seconds, attempt + 1)
+    run.into_report(started, attempt + 1)
 }
 
 /// Replays the same `(ops, batch)` discipline in process through

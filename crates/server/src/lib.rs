@@ -31,7 +31,7 @@
 //! - [`governor`] — the replay-rate governor (host-side pacing that
 //!   never perturbs device cycles);
 //! - [`client`] — [`replay`], the cut-tolerant
-//!   [`replay_resumable`](client::replay_resumable), and
+//!   [`replay_resumable_with`](client::replay_resumable_with), and
 //!   [`verify_against_reference`](client::verify_against_reference);
 //! - [`chaos`] — the deterministic seeded chaos transport (corruption,
 //!   mid-frame cuts, short I/O, stalls) the recovery tests run over.

@@ -610,25 +610,13 @@ pub fn serve_session<R: Read, W: Write>(
     writer: &mut W,
     config: &ServerConfig,
 ) -> io::Result<SessionEnd> {
-    serve_session_until(reader, writer, config, &AtomicBool::new(false))
-}
-
-/// [`serve_session`] with a shutdown flag: when `shutdown` becomes true
-/// the session stops reading, drains every in-flight operation (failing
-/// what cannot finish, with typed causes), sends the honest `Summary`
-/// of everything actually delivered, and ends with
-/// [`SessionEnd::Shutdown`].
-///
-/// # Errors
-///
-/// Returns the socket failure that ended the session, if any.
-pub fn serve_session_until<R: Read, W: Write>(
-    reader: &mut R,
-    writer: &mut W,
-    config: &ServerConfig,
-    shutdown: &AtomicBool,
-) -> io::Result<SessionEnd> {
-    serve_connection(reader, writer, config, shutdown, &SessionRegistry::new())
+    serve_connection(
+        reader,
+        writer,
+        config,
+        &AtomicBool::new(false),
+        &SessionRegistry::new(),
+    )
 }
 
 /// What the serving loop pulled from the stream between frames.
@@ -666,8 +654,8 @@ fn next_input<R: Read>(
 /// Serves one *connection* against a shared [`SessionRegistry`]: a
 /// `Hello` opens a fresh session; a `Resume` re-attaches a parked one.
 /// This is the entry point the [`ReplayServer`] runs per
-/// accepted socket — [`serve_session_until`] is this with a throwaway
-/// registry (no cross-connection resume).
+/// accepted socket — [`serve_session`] is this with a throwaway
+/// registry (no cross-connection resume) and no shutdown flag.
 ///
 /// # Errors
 ///

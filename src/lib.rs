@@ -57,7 +57,7 @@ pub use codic_core::device::{
 pub use codic_core::error::CodicError;
 pub use codic_core::executor::{block_on, OpFuture};
 pub use codic_core::ops::{CodicOp, InDramMechanism, RowRegion, VariantId};
-pub use codic_core::pool::{DevicePool, PoolOutcome, PoolToken};
+pub use codic_core::pool::{DevicePool, PoolOutcome};
 
 /// Compiles and runs the README's code snippets as doctests, so the
 /// front-page examples can never drift from the live API again.
