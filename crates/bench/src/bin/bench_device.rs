@@ -33,26 +33,19 @@
 //! command statistics; the report carries their host-throughput ratio
 //! (`sched_speedup`).
 //!
-//! A fifth — **bulk-bitwise compute serving** — replays the
-//! deterministic SIMD workload (planned vector AND/OR/XOR/ADD over
-//! vertically bit-sliced lanes) inside a compute region at the top of
-//! the module, with the first session's row fingerprints verified
-//! against the in-process reference — the measured stream is
-//! value-checked, not just cycle-checked.
-//!
 //! Every timed row reports the median host time over `--reps` runs
 //! (after one warm-up), with the fastest and slowest run beside it as
 //! `*_min`/`*_max`; rates are computed from the median. End-to-end
-//! serving throughput (trace replay over the socket, the shared fleet)
-//! is measured by `perfbench/`, not here.
+//! serving throughput (trace replay over the socket — mixed and
+//! bulk-bitwise — and the shared fleet) is measured by `perfbench/`,
+//! not here.
 //!
 //! Usage: `cargo run --release --bin bench_device [-- --rows N --shards S --reps R]`
 //!
 //! `--quick` runs only the engine cross-checks — the sweep tick-vs-event
-//! comparison, the queue-depth workload's tick-vs-event and
-//! legacy-vs-indexed identity checks, and one value-verified
-//! bulk-bitwise serving session — and exits non-zero on any divergence;
-//! the CI smoke step.
+//! comparison and the queue-depth workload's tick-vs-event and
+//! legacy-vs-indexed identity checks — and exits non-zero on any
+//! divergence; the CI smoke step.
 
 use std::time::Instant;
 
@@ -66,10 +59,6 @@ use codic_dram::request::{QueueFull, ReqId, RowOpKind};
 use codic_dram::{DramGeometry, MemRequest, MemStats, MemoryController, ReqKind, TimingParams};
 use codic_power::accounting;
 use codic_secdealloc::ZeroingMechanism;
-use codic_server::client::{replay, verify_against_reference};
-use codic_server::proto::SessionParams;
-use codic_server::server::{ReplayServer, ServerConfig};
-use codic_server::trace::generate_bulk_bitwise;
 
 fn arg(flag: &str) -> Option<u64> {
     let args: Vec<String> = std::env::args().collect();
@@ -170,54 +159,6 @@ fn coldboot_sweep(config: &DeviceConfig, shards: usize, reps: u64) -> Measured {
         dram_ns,
         rows,
         energy_nj: reports.iter().map(|r| r.energy_nj).sum(),
-    }
-}
-
-/// Bulk-bitwise compute serving: the deterministic SIMD workload
-/// (planned vector AND/OR/XOR/ADD over 8-bit lanes) replayed inside a
-/// 64-row compute region at the top of the module, fingerprint-carrying
-/// completions and all. The first session is verified bit-identical —
-/// including every row fingerprint, i.e. computed *values* — against
-/// the in-process reference replay.
-fn bulk_bitwise_serving(
-    shards: usize,
-    rounds: usize,
-    reps: u64,
-    timing: &TimingParams,
-) -> Measured {
-    const COMPUTE_ROWS: u64 = 64;
-    let geometry = DramGeometry::module_mib(64);
-    let base = (geometry.total_rows() - COMPUTE_ROWS) * DramGeometry::ROW_BYTES;
-    let ops = generate_bulk_bitwise(rounds, base, 8, 42);
-    let socket = std::env::temp_dir().join(format!(
-        "codic-bench-bitwise-{}-{}.sock",
-        std::process::id(),
-        shards
-    ));
-    let server = ReplayServer::bind(&socket, ServerConfig::default()).expect("bind bench socket");
-    let sessions = reps as usize + 1;
-    let serving = std::thread::spawn(move || server.serve_connections(sessions).expect("serve"));
-    let batch = 1024;
-    let hello = SessionParams {
-        shards: shards as u16,
-        compute_rows: COMPUTE_ROWS as u32,
-        ..SessionParams::defaults()
-    };
-    let mut first = true;
-    let (host_s, report) = time(reps, || {
-        let report = replay(&socket, &hello, &ops, batch).expect("bitwise bench session");
-        if first {
-            verify_against_reference(&report, &ops, batch).expect("served values diverged");
-            first = false;
-        }
-        report
-    });
-    serving.join().expect("server thread");
-    Measured {
-        host_s,
-        dram_ns: timing.ns(report.summary.max_finish_cycle),
-        rows: report.summary.ops,
-        energy_nj: report.summary.total_energy_nj,
     }
 }
 
@@ -610,10 +551,6 @@ fn main() {
         let lisa = compare_engines(RowOpKind::LisaClone, rows, 1, &timing);
         let depth = arg("--outstanding").unwrap_or(512);
         let depth_finish = queue_depth_smoke(depth, geometry, &timing);
-        // One bulk-bitwise compute session over the socket transport,
-        // value-verified against the scalar-backed reference replay
-        // (bulk_bitwise_serving asserts, so a divergence exits non-zero).
-        let bitwise = bulk_bitwise_serving(1, 1, 1, &timing);
         println!("{{");
         println!("  \"bench\": \"device_engine_smoke\",");
         println!("  \"results\": [");
@@ -624,11 +561,6 @@ fn main() {
         println!("    \"outstanding\": {depth},");
         println!("    \"finish_cycle\": {depth_finish},");
         println!("    \"identical\": [\"tick_vs_event\", \"legacy_vs_indexed\"]");
-        println!("  }},");
-        println!("  \"bulk_bitwise_smoke\": {{");
-        println!("    \"ops\": {},", bitwise.rows);
-        println!("    \"dram_ms\": {:.4},", bitwise.dram_ns * 1e-6);
-        println!("    \"value_verified\": true");
         println!("  }}");
         println!("}}");
         return;
@@ -669,15 +601,9 @@ fn main() {
         .iter()
         .map(|&d| queue_depth_at(d, reps, geometry, &timing))
         .collect();
-    for m in &depth_results {
-        print_depth_entry(m, &timing, false);
+    for (i, m) in depth_results.iter().enumerate() {
+        print_depth_entry(m, &timing, i + 1 == depth_results.len());
     }
-    // Bulk-bitwise compute serving: the SIMD workload over the socket,
-    // value-verified via row fingerprints on the first session.
-    let bitwise1 = bulk_bitwise_serving(1, 4, reps, &timing);
-    print_entry("bulk_bitwise", 1, &bitwise1, false);
-    let bitwisen = bulk_bitwise_serving(max_shards, 4, reps, &timing);
-    print_entry("bulk_bitwise", max_shards, &bitwisen, true);
     println!("  ],");
     println!(
         "  \"dram_speedup_secdealloc\": {:.2},",
@@ -697,12 +623,8 @@ fn main() {
         deepest.legacy_s.median / deepest.live_mc_s.median
     );
     println!(
-        "  \"serve_speedup_depth8192\": {:.2},",
+        "  \"serve_speedup_depth8192\": {:.2}",
         deepest.legacy_s.median / deepest.device_s.median
-    );
-    println!(
-        "  \"bulk_bitwise_rows_per_s\": {:.0}",
-        bitwisen.rows as f64 / bitwisen.host_s.median
     );
     println!("}}");
 }

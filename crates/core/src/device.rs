@@ -833,9 +833,10 @@ impl CodicDevice {
     /// # Errors
     ///
     /// Returns the policy error when a destructive `proto` is not allowed
-    /// over the full module range, and
+    /// over the full module range,
     /// [`CodicError::NotARowOperation`] when `proto` is an ordinary data
-    /// access.
+    /// access, and [`CodicError::DeviceStalled`] when the clock wedges
+    /// with the queue full.
     pub fn sweep_all_rows(&mut self, proto: CodicOp) -> Result<SweepReport, CodicError> {
         let geometry = *self.mc.geometry();
         if proto.is_data_access() {
@@ -870,8 +871,12 @@ impl CodicDevice {
         while pushed < rows {
             match self.mc.push(request_at(pushed)) {
                 Ok(_) => pushed += 1,
+                // A device that can make no progress (injected stuck
+                // clock) reports the stall instead of spinning forever.
                 Err(_) => {
-                    self.step();
+                    if !self.step() {
+                        return Err(CodicError::DeviceStalled);
+                    }
                 }
             }
         }

@@ -1,24 +1,22 @@
-//! A shared device fleet multiplexing many tenants over one
-//! [`DevicePool`].
+//! A shared device fleet multiplexing many tenants, each on a
+//! [`DevicePool`] of its own.
 //!
-//! [`SharedFleet`] is the one serving substrate: one sharded fleet of
-//! devices, carved into fixed-size *slots* of contiguous shards, with
-//! each tenant holding an exclusive [`ShardLease`] over its slot. A
-//! multi-tenant server shares one fleet of N slots between its
-//! sessions; a private session is simply a one-slot fleet of its own.
-//! Either way the session drains [`FleetEvent`]s. Three properties
+//! [`SharedFleet`] is the one serving substrate: a fixed number of
+//! tenant *slots*, each held slot owning a pool of `shards_per_slot`
+//! devices. A multi-tenant server shares one fleet of N slots between
+//! its sessions; a private session is simply a one-slot fleet of its
+//! own. Either way the session drains [`FleetEvent`]s. Three properties
 //! define the design:
 //!
-//! - **Isolation by construction.** A tenant's lease routes, quarantines,
-//!   and drives clocks with the *same* [`ShardLease`] machinery a private
-//!   [`DevicePool`] uses over its own shards, against factory-fresh
-//!   devices with lease-local fault seeding (built once per slot, and
-//!   rebuilt only for a slot an earlier tenant used). A tenant's
-//!   demultiplexed event stream — sequence numbers, lease-local shard
-//!   indices, finish cycles, energy bits, fingerprints, typed failures —
-//!   is therefore bit-identical to a solo run on an equivalent private
-//!   pool, regardless of what other tenants do. The test battery in
-//!   `tests/fleet_isolation.rs` pins this, not just claims it.
+//! - **Isolation by construction.** Acquiring a slot builds the tenant's
+//!   pool with [`DevicePool::new`] — the constructor a private pool of
+//!   the same shape uses, fault seeding included — and releasing the
+//!   slot drops it. A tenant's pool routes, quarantines, and drives
+//!   clocks on its own devices only, so its demultiplexed event stream —
+//!   sequence numbers, pool-local shard indices, finish cycles, energy
+//!   bits, fingerprints, typed failures — is bit-identical to a solo run
+//!   on a private pool, regardless of what other tenants do. The test
+//!   battery in `tests/fleet_isolation.rs` pins this, not just claims it.
 //! - **Fair admission.** Queued batches are admitted by deficit
 //!   round-robin over the slots: each rotation visit grants a tenant
 //!   `weight × quantum` ops of credit, batches are admitted while the
@@ -28,7 +26,7 @@
 //!   bound `tests/fleet_fairness.rs` asserts.
 //! - **Quota backpressure.** Each tenant's outstanding-op quota is
 //!   enforced the way a private serving engine bounds its own window:
-//!   after admission, the tenant's *own* lease is stepped until its
+//!   after admission, the tenant's *own* pool is stepped until its
 //!   outstanding count is back under quota. Fairness and quotas shape
 //!   host-side admission order only; they never touch device timing.
 //!
@@ -79,20 +77,19 @@ use crate::error::CodicError;
 use crate::fault::HealthPolicy;
 use crate::idmap::IdMap;
 use crate::ops::CodicOp;
-use crate::pool::{DevicePool, ShardHealth, ShardLease};
+use crate::pool::{DevicePool, ShardHealth};
 
 /// Static shape of a [`SharedFleet`].
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of tenant slots. Each holds at most one tenant.
     pub slots: usize,
-    /// Contiguous shards leased to each slot.
+    /// Shards in each tenant's pool.
     pub shards_per_slot: usize,
     /// Device configuration for every shard. A
     /// [`FaultPlan`](crate::fault::FaultPlan) here is the *base* plan:
-    /// each tenant's shards derive per-shard schedules from it by
-    /// **lease-local** index, so every tenant sees the schedule a
-    /// private pool built from the same config would see.
+    /// each tenant's pool derives per-shard schedules from it exactly as
+    /// a private pool built from the same config would.
     pub device: DeviceConfig,
     /// Default per-tenant outstanding-op quota
     /// (see [`SharedFleet::acquire_with`] to override per tenant).
@@ -101,7 +98,7 @@ pub struct FleetConfig {
     /// weight unit per rotation visit. Any quantum at least the largest
     /// batch cost bounds every pending tenant's wait to one rotation.
     pub quantum: u32,
-    /// Self-quarantine policy applied to every tenant's lease.
+    /// Self-quarantine policy applied to every tenant's pool.
     pub health: HealthPolicy,
 }
 
@@ -160,15 +157,15 @@ impl TenantId {
     }
 }
 
-/// One demultiplexed completion event of a tenant's stream. `shard` is
-/// **lease-local** — the same index an equivalent private pool would
-/// report — so the stream carries no trace of where in the fleet the
-/// tenant's slot happens to sit.
+/// One demultiplexed completion event of a tenant's stream. `shard`
+/// indexes the tenant's own pool — the same index an equivalent private
+/// pool would report — so the stream carries no trace of which slot the
+/// tenant holds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetEvent {
     /// Tenant-stream sequence number (dense from 0, submission order).
     pub seq: u64,
-    /// Lease-local shard that served the operation.
+    /// Shard of the tenant's pool that served the operation.
     pub shard: u16,
     /// The device-level completion, bit-for-bit.
     pub completion: OpCompletion,
@@ -191,15 +188,15 @@ struct PendingBatch {
     ops: Vec<CodicOp>,
 }
 
-/// One live tenancy: the lease plus everything a private serving engine
-/// would keep per session.
+/// One live tenancy: its own pool plus everything a private serving
+/// engine would keep per session.
 #[derive(Debug)]
 struct Tenant {
     epoch: u64,
-    lease: ShardLease,
+    pool: DevicePool,
     /// QoS weight: admission credit per rotation is `weight × quantum`.
     weight: u32,
-    /// Outstanding-op quota enforced by stepping the tenant's own lease.
+    /// Outstanding-op quota enforced by stepping the tenant's own pool.
     quota: usize,
     /// Deficit-round-robin credit, in ops.
     deficit: u64,
@@ -207,7 +204,7 @@ struct Tenant {
     next_seq: u64,
     /// Batches enqueued but not yet admitted.
     pending: VecDeque<PendingBatch>,
-    /// Admitted, not yet completed: `(seq, lease-local shard, future)`.
+    /// Admitted, not yet completed: `(seq, shard, future)`.
     inflight: Vec<(u64, u16, crate::executor::OpFuture)>,
     scratch: Vec<(u64, u16, crate::executor::OpFuture)>,
     /// Completed events awaiting collection, in emission order.
@@ -216,25 +213,14 @@ struct Tenant {
     admitted: u64,
 }
 
-#[derive(Debug)]
-enum Slot {
-    /// No tenant. `used` marks a slot whose devices an earlier tenant
-    /// ran, so the next acquisition must rebuild them; an unused slot
-    /// still holds the devices [`SharedFleet::new`] built.
-    Free {
-        used: bool,
-    },
-    Held(Box<Tenant>),
-}
-
-/// The shared fleet: one [`DevicePool`] carved into per-tenant
-/// [`ShardLease`]s, with deficit-round-robin admission at the pool
+/// The shared fleet: tenant slots, each held one owning its own
+/// [`DevicePool`], with deficit-round-robin admission at the pool
 /// boundary. See the [module docs](self) for the design contract.
 #[derive(Debug)]
 pub struct SharedFleet {
-    pool: DevicePool,
     config: FleetConfig,
-    slots: Vec<Slot>,
+    /// `None` is a free slot: it holds no devices.
+    slots: Vec<Option<Tenant>>,
     /// Next slot the round-robin visits.
     cursor: usize,
     /// Monotonic tenancy counter backing [`TenantId`] staleness checks.
@@ -245,11 +231,8 @@ pub struct SharedFleet {
 }
 
 impl SharedFleet {
-    /// Builds the fleet: `slots × shards_per_slot` devices, all slots
-    /// free. Each slot's devices are built once, here, exactly as
-    /// [`SharedFleet::acquire_with`] would rebuild them — fault plans
-    /// derived by lease-local index — so a slot's first tenant needs no
-    /// rebuild.
+    /// Builds the fleet with every slot free. Devices are built per
+    /// tenant, by [`SharedFleet::acquire_with`].
     ///
     /// # Panics
     ///
@@ -261,16 +244,8 @@ impl SharedFleet {
             config.shards_per_slot > 0,
             "a slot needs at least one shard"
         );
-        let pool = DevicePool::tiled(
-            config.slots * config.shards_per_slot,
-            config.shards_per_slot,
-            &config.device,
-        );
         SharedFleet {
-            pool,
-            slots: (0..config.slots)
-                .map(|_| Slot::Free { used: false })
-                .collect(),
+            slots: (0..config.slots).map(|_| None).collect(),
             cursor: 0,
             epoch: 0,
             next_ticket: 0,
@@ -288,13 +263,10 @@ impl SharedFleet {
     /// Slots currently free.
     #[must_use]
     pub fn free_slots(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| matches!(s, Slot::Free { .. }))
-            .count()
+        self.slots.iter().filter(|s| s.is_none()).count()
     }
 
-    /// Shards leased to each slot.
+    /// Shards in each tenant's pool.
     #[must_use]
     pub fn shards_per_slot(&self) -> usize {
         self.config.shards_per_slot
@@ -309,33 +281,18 @@ impl SharedFleet {
     /// `weight` and outstanding-op `quota` (both clamped to at least 1),
     /// or `None` when the fleet is full.
     ///
-    /// The tenant gets factory-fresh shards, with the base fault plan
-    /// (if any) derived by **lease-local** shard index — local shard `l`
-    /// runs `plan.for_shard(l)` — exactly what [`DevicePool::new`] would
-    /// build for a private pool of `shards_per_slot` shards. A slot an
-    /// earlier tenant used is rebuilt that way here; an unused slot
-    /// already is that way from [`SharedFleet::new`]. That, plus the
-    /// lease's own routing and health state, is the whole
+    /// The tenant gets a pool of its own, built by [`DevicePool::new`]
+    /// from the fleet's device config — the very pool a private session
+    /// of `shards_per_slot` shards would build. That is the whole
     /// solo-equivalence argument.
     pub fn acquire_with(&mut self, weight: u32, quota: usize) -> Option<TenantId> {
-        let slot = self
-            .slots
-            .iter()
-            .position(|s| matches!(s, Slot::Free { .. }))?;
-        let base = slot * self.config.shards_per_slot;
-        if matches!(self.slots[slot], Slot::Free { used: true }) {
-            for local in 0..self.config.shards_per_slot {
-                let mut cfg = self.config.device.clone();
-                cfg.fault = cfg.fault.map(|plan| plan.for_shard(local));
-                self.pool.reset_shard(base + local, &cfg);
-            }
-        }
-        let mut lease = ShardLease::new(base, self.config.shards_per_slot, &self.config.device);
-        lease.set_health_policy(self.config.health);
+        let slot = self.slots.iter().position(Option::is_none)?;
+        let mut pool = DevicePool::new(self.config.shards_per_slot, &self.config.device);
+        pool.set_health_policy(self.config.health);
         self.epoch += 1;
-        self.slots[slot] = Slot::Held(Box::new(Tenant {
+        self.slots[slot] = Some(Tenant {
             epoch: self.epoch,
-            lease,
+            pool,
             weight: weight.max(1),
             quota: quota.max(1),
             deficit: 0,
@@ -345,52 +302,41 @@ impl SharedFleet {
             scratch: Vec::new(),
             events: Vec::new(),
             admitted: 0,
-        }));
+        });
         Some(TenantId {
             slot,
             epoch: self.epoch,
         })
     }
 
-    /// Releases the tenancy, freeing its slot for the next tenant (whose
-    /// acquisition rebuilds the devices). Batches still pending resolve
-    /// their tickets as [`CodicError::NoHealthyShards`] — a released
-    /// tenant has no shards left to admit to.
+    /// Releases the tenancy: its slot is freed and its pool dropped.
+    /// Batches still pending resolve their tickets as
+    /// [`CodicError::NoHealthyShards`] — a released tenant has no shards
+    /// left to admit to.
     ///
     /// # Panics
     ///
     /// Panics on a stale [`TenantId`].
     pub fn release(&mut self, id: TenantId) {
-        let slot = self.checked_slot(id);
-        if let Slot::Held(tenant) = &mut self.slots[slot] {
-            for batch in tenant.pending.drain(..) {
-                self.tickets
-                    .insert(batch.ticket, Err(CodicError::NoHealthyShards));
-            }
-        }
-        self.slots[slot] = Slot::Free { used: true };
-    }
-
-    fn checked_slot(&self, id: TenantId) -> usize {
-        match &self.slots[id.slot] {
-            Slot::Held(t) if t.epoch == id.epoch => id.slot,
-            _ => panic!("stale tenant handle for slot {}", id.slot),
+        let pending = std::mem::take(&mut self.tenant_mut(id).pending);
+        self.slots[id.slot] = None;
+        for batch in pending {
+            self.tickets
+                .insert(batch.ticket, Err(CodicError::NoHealthyShards));
         }
     }
 
     fn tenant_mut(&mut self, id: TenantId) -> &mut Tenant {
-        let slot = self.checked_slot(id);
-        match &mut self.slots[slot] {
-            Slot::Held(t) => t,
-            Slot::Free { .. } => unreachable!("checked_slot verified occupancy"),
+        match &mut self.slots[id.slot] {
+            Some(t) if t.epoch == id.epoch => t,
+            _ => panic!("stale tenant handle for slot {}", id.slot),
         }
     }
 
     fn tenant(&self, id: TenantId) -> &Tenant {
-        let slot = self.checked_slot(id);
-        match &self.slots[slot] {
-            Slot::Held(t) => t,
-            Slot::Free { .. } => unreachable!("checked_slot verified occupancy"),
+        match &self.slots[id.slot] {
+            Some(t) if t.epoch == id.epoch => t,
+            _ => panic!("stale tenant handle for slot {}", id.slot),
         }
     }
 
@@ -416,10 +362,7 @@ impl SharedFleet {
     /// True while any tenant has batches awaiting admission.
     #[must_use]
     pub fn has_pending(&self) -> bool {
-        self.slots.iter().any(|s| match s {
-            Slot::Held(t) => !t.pending.is_empty(),
-            Slot::Free { .. } => false,
-        })
+        self.slots.iter().flatten().any(|t| !t.pending.is_empty())
     }
 
     /// One deficit-round-robin visit: grants the cursor slot's tenant its
@@ -436,7 +379,7 @@ impl SharedFleet {
         let slot = self.cursor;
         self.cursor = (self.cursor + 1) % self.slots.len();
         let quantum = self.config.quantum;
-        let Slot::Held(tenant) = &mut self.slots[slot] else {
+        let Some(tenant) = &mut self.slots[slot] else {
             return 0;
         };
         if tenant.pending.is_empty() {
@@ -454,7 +397,7 @@ impl SharedFleet {
             }
             let batch = tenant.pending.pop_front().expect("front exists");
             tenant.deficit -= cost;
-            let result = Self::admit(&mut self.pool, tenant, &batch.ops);
+            let result = Self::admit(tenant, &batch.ops);
             self.tickets.insert(batch.ticket, result);
             admitted += 1;
         }
@@ -496,33 +439,23 @@ impl SharedFleet {
         total
     }
 
-    /// The private serving engine's submission discipline, confined to
-    /// the tenant's lease: all-or-nothing routed submission, quota
+    /// The private serving engine's submission discipline on the
+    /// tenant's own pool: all-or-nothing routed submission, quota
     /// backpressure stepping only this tenant's shards, health check at
     /// the batch boundary, then a non-blocking drain. Because every
-    /// clock this touches belongs to the tenant's own slot, admission
-    /// order across tenants cannot perturb any tenant's device timeline.
-    fn admit(
-        pool: &mut DevicePool,
-        tenant: &mut Tenant,
-        ops: &[CodicOp],
-    ) -> Result<AdmitReceipt, CodicError> {
-        let routed = tenant
-            .lease
-            .submit_all_async_routed(pool.devices_mut(), ops)?;
+    /// clock this touches belongs to the tenant, admission order across
+    /// tenants cannot perturb any tenant's device timeline.
+    fn admit(tenant: &mut Tenant, ops: &[CodicOp]) -> Result<AdmitReceipt, CodicError> {
+        let routed = tenant.pool.submit_all_async_routed(ops)?;
         let seq_base = tenant.next_seq;
-        for (local, future) in routed {
+        for (shard, future) in routed {
             tenant
                 .inflight
-                .push((tenant.next_seq, local as u16, future));
+                .push((tenant.next_seq, shard as u16, future));
             tenant.next_seq += 1;
         }
-        while tenant.lease.outstanding(pool.devices()) > tenant.quota {
-            if !tenant.lease.step(pool.devices_mut()) {
-                break;
-            }
-        }
-        tenant.lease.check_health(pool.devices_mut());
+        while tenant.pool.outstanding() > tenant.quota && tenant.pool.step() {}
+        tenant.pool.check_health();
         tenant.admitted += 1;
         Self::drain(tenant);
         Ok(AdmitReceipt {
@@ -552,18 +485,15 @@ impl SharedFleet {
         tenant.events.extend(ready);
     }
 
-    /// Flushes the tenancy: runs its lease to idle, applies the health
-    /// policy, drains every event. Returns the slowest leased shard's
-    /// cycle. Other tenants' clocks don't move.
+    /// Flushes the tenancy: drives its pool to idle, applies the health
+    /// policy, drains every event. Returns the slowest shard's cycle in
+    /// the tenant's pool. Other tenants' clocks don't move.
     pub fn flush(&mut self, id: TenantId) -> u64 {
-        let slot = self.checked_slot(id);
-        let Slot::Held(tenant) = &mut self.slots[slot] else {
-            unreachable!("checked_slot verified occupancy")
-        };
-        tenant.lease.run_to_idle(self.pool.devices_mut());
-        tenant.lease.check_health(self.pool.devices_mut());
+        let tenant = self.tenant_mut(id);
+        tenant.pool.drive();
+        tenant.pool.check_health();
         Self::drain(tenant);
-        tenant.lease.now_max(self.pool.devices())
+        tenant.pool.now_max()
     }
 
     /// Takes the tenant's buffered events (emission order).
@@ -571,28 +501,22 @@ impl SharedFleet {
         std::mem::take(&mut self.tenant_mut(id).events)
     }
 
-    /// Operations admitted but not yet completed on the tenant's lease.
+    /// Operations admitted but not yet completed in the tenant's pool.
     #[must_use]
     pub fn outstanding(&self, id: TenantId) -> usize {
-        self.tenant(id).lease.outstanding(self.pool.devices())
+        self.tenant(id).pool.outstanding()
     }
 
-    /// The slowest shard cycle on the tenant's lease.
+    /// The slowest shard cycle in the tenant's pool.
     #[must_use]
     pub fn now_max(&self, id: TenantId) -> u64 {
-        self.tenant(id).lease.now_max(self.pool.devices())
+        self.tenant(id).pool.now_max()
     }
 
-    /// The tenant's per-shard health, lease-local indices.
+    /// The per-shard health of the tenant's pool.
     #[must_use]
     pub fn health(&self, id: TenantId) -> &[ShardHealth] {
-        self.tenant(id).lease.health()
-    }
-
-    /// Next sequence number of the tenant's stream.
-    #[must_use]
-    pub fn next_seq(&self, id: TenantId) -> u64 {
-        self.tenant(id).next_seq
+        self.tenant(id).pool.health()
     }
 
     /// The tenant's current deficit-round-robin credit, in ops.
@@ -605,12 +529,6 @@ impl SharedFleet {
     #[must_use]
     pub fn admitted_batches(&self, id: TenantId) -> u64 {
         self.tenant(id).admitted
-    }
-
-    /// Batches queued but not yet admitted.
-    #[must_use]
-    pub fn pending_batches(&self, id: TenantId) -> usize {
-        self.tenant(id).pending.len()
     }
 }
 
@@ -647,11 +565,10 @@ impl FleetHandle {
         }
     }
 
-    /// Locks the fleet for direct driving (benchmarks, tests). A
-    /// panicked holder's poison is ignored: the fleet's state is only
-    /// mutated under methods that keep it consistent at every await-free
-    /// step.
-    pub fn lock(&self) -> MutexGuard<'_, SharedFleet> {
+    /// Locks the fleet. A panicked holder's poison is ignored: the
+    /// fleet's state is only mutated under methods that keep it
+    /// consistent at every await-free step.
+    fn lock(&self) -> MutexGuard<'_, SharedFleet> {
         self.inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -687,7 +604,7 @@ impl FleetHandle {
         Ok((receipt, fleet.take_events(id)))
     }
 
-    /// Flushes the tenancy; returns the slowest leased shard's cycle and
+    /// Flushes the tenancy; returns its pool's slowest shard cycle and
     /// the drained events (see [`SharedFleet::flush`]).
     pub fn flush(&self, id: TenantId) -> (u64, Vec<FleetEvent>) {
         let mut fleet = self.lock();

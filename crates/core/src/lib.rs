@@ -35,8 +35,8 @@
 //!   throughput-style workloads, with the async
 //!   [`submit_all_async`](pool::DevicePool::submit_all_async) /
 //!   [`drive`](pool::DevicePool::drive) pair;
-//! - [`fleet`]: the [`SharedFleet`], the one serving substrate — one
-//!   pool carved into exclusive per-tenant shard leases with
+//! - [`fleet`]: the [`SharedFleet`], the one serving substrate — tenant
+//!   slots, each owning its own [`DevicePool`], with
 //!   deficit-round-robin admission and per-tenant quotas, each tenant's
 //!   stream bit-identical to a private pool's (a private session is a
 //!   one-slot fleet), drained as [`FleetEvent`]s;

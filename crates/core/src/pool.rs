@@ -26,6 +26,13 @@
 //! [`DevicePool::step`], which advances every busy shard by one engine
 //! event instead of running all the way to idle.
 //!
+//! The pool owns its shards' routing table and health state too
+//! ([`DevicePool::shard_of`], [`DevicePool::quarantine`],
+//! [`DevicePool::check_health`]), and it is the unit of tenancy: every
+//! held slot of a [`SharedFleet`](crate::fleet::SharedFleet) owns one
+//! pool built by [`DevicePool::new`], so a tenant's stream is a private
+//! pool's stream by construction.
+//!
 //! # Example
 //!
 //! The async serving pattern end to end — submit a batch, drive the
@@ -134,33 +141,20 @@ impl PoolOutcome {
     }
 }
 
-/// Routing and health state over a contiguous range of a pool's shards,
-/// with *lease-local* shard indices.
-///
-/// A lease is the pool's routing machinery made relocatable: shard
-/// index `local` backs onto device `base + local` of the owning
-/// [`DevicePool`], and every routing, quarantine, and clock-driving
-/// decision consults only the lease's own health table. A `DevicePool`
-/// routes all of its own traffic through one whole-pool lease
-/// (`base = 0`), and the shared fleet
-/// ([`SharedFleet`](crate::fleet::SharedFleet)) carves one pool into
-/// disjoint per-tenant leases — the *same code path* either way, which
-/// is what makes a tenant's stream on a shared fleet bit-identical to a
-/// private pool's by construction rather than by re-implementation.
+/// A pool of identical devices, one per channel/rank shard, with the
+/// routing table and per-shard health that steer traffic over them.
 #[derive(Debug)]
-pub struct ShardLease {
-    /// First backing shard in the owning pool.
-    base: usize,
+pub struct DevicePool {
+    devices: Vec<CodicDevice>,
     /// Rows per distribution block: one block spans every bank of a
     /// shard, so consecutive blocks rotate shards without starving any
     /// shard's bank-level parallelism.
     block_rows: u64,
-    /// Per-shard health (lease-local); quarantined shards take no new
-    /// traffic.
+    /// Per-shard health; quarantined shards take no new traffic.
     health: Vec<ShardHealth>,
-    /// Cache of healthy lease-local indices, in order — the re-routing
-    /// table consulted by [`ShardLease::shard_of`] when a primary shard
-    /// is quarantined.
+    /// Cache of healthy shard indices, in order — the re-routing table
+    /// consulted by [`DevicePool::shard_of`] when a primary shard is
+    /// quarantined.
     healthy: Vec<usize>,
     /// Byte address anchoring every bulk-bitwise compute op's route when
     /// the configuration carries a compute region. Compute state lives in
@@ -172,276 +166,9 @@ pub struct ShardLease {
     health_policy: HealthPolicy,
 }
 
-impl ShardLease {
-    /// A lease over shards `base..base + shards` of a pool whose devices
-    /// were built from `config`, all healthy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    #[must_use]
-    pub(crate) fn new(base: usize, shards: usize, config: &DeviceConfig) -> Self {
-        assert!(shards > 0, "a lease needs at least one shard");
-        ShardLease {
-            base,
-            block_rows: u64::from(config.geometry.total_banks()).max(1),
-            health: vec![ShardHealth::Healthy; shards],
-            healthy: (0..shards).collect(),
-            compute_base: {
-                let region = config.compute_range();
-                (!region.is_empty()).then_some(region.start)
-            },
-            health_policy: HealthPolicy::default(),
-        }
-    }
-
-    /// First backing shard in the owning pool.
-    #[must_use]
-    pub fn base(&self) -> usize {
-        self.base
-    }
-
-    /// Number of leased shards.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.health.len()
-    }
-
-    /// Per-shard health states, lease-local indices.
-    #[must_use]
-    pub fn health(&self) -> &[ShardHealth] {
-        &self.health
-    }
-
-    pub(crate) fn set_health_policy(&mut self, policy: HealthPolicy) {
-        self.health_policy = policy;
-    }
-
-    /// The lease-local shard that owns `op`'s row (see
-    /// [`DevicePool::shard_of`] for the routing contract — identical
-    /// here, computed over the lease's own shard count and health).
-    #[must_use]
-    pub fn shard_of(&self, op: CodicOp) -> usize {
-        let addr = match self.compute_base {
-            Some(base) if op.is_compute() => base,
-            _ => op.row_addr(),
-        };
-        let block = addr / DramGeometry::ROW_BYTES / self.block_rows;
-        let primary = (block % self.health.len() as u64) as usize;
-        if self.health[primary].is_healthy() || self.healthy.is_empty() {
-            primary
-        } else {
-            self.healthy[(block % self.healthy.len() as u64) as usize]
-        }
-    }
-
-    /// Re-admits `local` to the routing table with a factory-fresh
-    /// health record (the pool resets the backing device).
-    fn mark_healthy(&mut self, local: usize) {
-        self.health[local] = ShardHealth::Healthy;
-        self.healthy = (0..self.health.len())
-            .filter(|&s| self.health[s].is_healthy())
-            .collect();
-    }
-
-    /// Quarantines lease-local `shard` (see [`DevicePool::quarantine`]).
-    /// `devices` is the owning pool's full device slice.
-    pub(crate) fn quarantine(
-        &mut self,
-        devices: &mut [CodicDevice],
-        shard: usize,
-        cause: FaultCause,
-    ) -> usize {
-        if !self.health[shard].is_healthy() {
-            return 0;
-        }
-        let device = &mut devices[self.base + shard];
-        if !device.is_stalled() {
-            device.run_to_idle();
-        }
-        let failed = device.fail_all_pending(cause);
-        self.health[shard] = ShardHealth::Quarantined { cause };
-        self.healthy = (0..self.health.len())
-            .filter(|&s| self.health[s].is_healthy())
-            .collect();
-        failed
-    }
-
-    /// Applies the health policy to every healthy leased shard (see
-    /// [`DevicePool::check_health`]).
-    pub(crate) fn check_health(&mut self, devices: &mut [CodicDevice]) -> usize {
-        let mut condemned = 0;
-        for shard in 0..self.health.len() {
-            if !self.health[shard].is_healthy() {
-                continue;
-            }
-            let device = &devices[self.base + shard];
-            let cause = if device.is_stalled() {
-                Some(FaultCause::ClockStuck)
-            } else {
-                let stats = device.fault_stats();
-                let breached = stats.delivered() >= self.health_policy.min_ops
-                    && stats.failed_per_64k() > self.health_policy.max_failed_per_64k;
-                breached.then_some(FaultCause::Quarantined)
-            };
-            if let Some(cause) = cause {
-                self.quarantine(devices, shard, cause);
-                condemned += 1;
-            }
-        }
-        condemned
-    }
-
-    /// Submits `op` to lease-local `shard` (re-routing through
-    /// [`ShardLease::shard_of`] if the precomputed route went stale),
-    /// quarantining any shard that reports a wedged clock at submission
-    /// and re-routing to a survivor.
-    pub(crate) fn submit_routed<T>(
-        &mut self,
-        devices: &mut [CodicDevice],
-        op: CodicOp,
-        shard: usize,
-        submit: impl Fn(&mut CodicDevice, CodicOp) -> Result<T, CodicError>,
-    ) -> Result<(usize, T), CodicError> {
-        let mut shard = if self.health[shard].is_healthy() {
-            shard
-        } else {
-            self.shard_of(op)
-        };
-        loop {
-            if self.healthy.is_empty() {
-                return Err(CodicError::NoHealthyShards);
-            }
-            match submit(&mut devices[self.base + shard], op) {
-                Err(CodicError::DeviceStalled) => {
-                    // The shard can make no progress with a full queue:
-                    // condemn it here rather than bounce the batch; its
-                    // stranded ops resolve as typed ClockStuck failures.
-                    self.quarantine(devices, shard, FaultCause::ClockStuck);
-                    shard = self.shard_of(op);
-                }
-                result => return result.map(|t| (shard, t)),
-            }
-        }
-    }
-
-    /// Computes every op's lease-local shard and policy-checks it there,
-    /// before anything is enqueued anywhere (the all-or-nothing
-    /// pre-flight).
-    pub(crate) fn route_checked(
-        &self,
-        devices: &[CodicDevice],
-        ops: &[CodicOp],
-    ) -> Result<Vec<usize>, CodicError> {
-        if self.healthy.is_empty() && !ops.is_empty() {
-            return Err(CodicError::NoHealthyShards);
-        }
-        ops.iter()
-            .map(|&op| {
-                let shard = self.shard_of(op);
-                devices[self.base + shard]
-                    .controller()
-                    .check_safe_range(op)?;
-                Ok(shard)
-            })
-            .collect()
-    }
-
-    /// [`DevicePool::submit_all_async_routed`] confined to the lease:
-    /// shard indices in and out are lease-local.
-    pub(crate) fn submit_all_async_routed(
-        &mut self,
-        devices: &mut [CodicDevice],
-        ops: &[CodicOp],
-    ) -> Result<Vec<(usize, OpFuture)>, CodicError> {
-        let shards = self.route_checked(devices, ops)?;
-        // `route_checked` already ran every op through the safe-range
-        // policy (same config on every shard, so a mid-batch re-route
-        // cannot invalidate the check): the per-op loop takes the
-        // prechecked path and skips the redundant policy pass.
-        ops.iter()
-            .zip(&shards)
-            .map(|(&op, &shard)| {
-                self.submit_routed(devices, op, shard, CodicDevice::submit_async_prechecked)
-            })
-            .collect()
-    }
-
-    /// Advances every busy leased shard by one engine event (see
-    /// [`DevicePool::step`]). Returns `false` when every leased shard
-    /// was already idle.
-    pub(crate) fn step(&self, devices: &mut [CodicDevice]) -> bool {
-        let mut advanced = false;
-        for device in &mut devices[self.base..self.base + self.health.len()] {
-            // `u64::MAX` guarantees `step()` would be a no-op; skipping
-            // the shard is state-identical and keeps the backpressure
-            // loop from re-visiting drained shards every iteration.
-            if device.next_event_cycle() != u64::MAX {
-                advanced |= device.step();
-            }
-        }
-        advanced
-    }
-
-    /// Runs every leased shard to idle on rayon worker threads; returns
-    /// the slowest leased shard's finish cycle (see
-    /// [`DevicePool::drive`]).
-    pub(crate) fn run_to_idle(&self, devices: &mut [CodicDevice]) -> u64 {
-        let mine = &mut devices[self.base..self.base + self.health.len()];
-        // Shards with no actionable event would run-to-idle as a no-op;
-        // skip them (their clocks stay put, contributing only `now`)
-        // and skip the rayon dispatch entirely when every shard is
-        // quiet — serving loops flush at every batch boundary, where
-        // most shards are usually already drained.
-        if mine.iter().all(|d| d.next_event_cycle() == u64::MAX) {
-            return mine.iter().map(CodicDevice::now).max().unwrap_or(0);
-        }
-        mine.iter_mut()
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|d| {
-                if d.next_event_cycle() == u64::MAX {
-                    d.now()
-                } else {
-                    d.run_to_idle()
-                }
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Operations submitted but not yet completed across the leased
-    /// shards — the lease's backpressure signal.
-    pub(crate) fn outstanding(&self, devices: &[CodicDevice]) -> usize {
-        devices[self.base..self.base + self.health.len()]
-            .iter()
-            .map(CodicDevice::outstanding)
-            .sum()
-    }
-
-    /// The slowest leased shard's current cycle.
-    pub(crate) fn now_max(&self, devices: &[CodicDevice]) -> u64 {
-        devices[self.base..self.base + self.health.len()]
-            .iter()
-            .map(CodicDevice::now)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// A pool of identical devices, one per channel/rank shard.
-#[derive(Debug)]
-pub struct DevicePool {
-    devices: Vec<CodicDevice>,
-    /// Whole-pool routing and health state (`base = 0`) — the same
-    /// [`ShardLease`] machinery the shared fleet carves per tenant.
-    lease: ShardLease,
-}
-
 impl DevicePool {
-    /// Builds a pool of `shards` devices, each configured from `config`.
+    /// Builds a pool of `shards` devices, each configured from `config`,
+    /// all healthy.
     ///
     /// When `config` carries a [`FaultPlan`](crate::fault::FaultPlan),
     /// each shard receives its *derived* per-shard plan
@@ -454,29 +181,21 @@ impl DevicePool {
     /// Panics if `shards` is zero.
     #[must_use]
     pub fn new(shards: usize, config: &DeviceConfig) -> Self {
-        DevicePool::tiled(shards, shards, config)
-    }
-
-    /// A pool of `shards` devices whose fault plans are derived by index
-    /// *within* consecutive runs of `tile` shards: device `s` runs
-    /// `plan.for_shard(s % tile)`. The shared fleet builds its slots
-    /// this way, so every `tile`-shard lease starts out exactly as a
-    /// private pool of `tile` shards would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` or `tile` is zero.
-    pub(crate) fn tiled(shards: usize, tile: usize, config: &DeviceConfig) -> Self {
         assert!(shards > 0, "a pool needs at least one shard");
+        let region = config.compute_range();
         DevicePool {
             devices: (0..shards)
                 .map(|shard| {
                     let mut config = config.clone();
-                    config.fault = config.fault.map(|plan| plan.for_shard(shard % tile));
+                    config.fault = config.fault.map(|plan| plan.for_shard(shard));
                     CodicDevice::new(config)
                 })
                 .collect(),
-            lease: ShardLease::new(0, shards, config),
+            block_rows: u64::from(config.geometry.total_banks()).max(1),
+            health: vec![ShardHealth::Healthy; shards],
+            healthy: (0..shards).collect(),
+            compute_base: (!region.is_empty()).then_some(region.start),
+            health_policy: HealthPolicy::default(),
         }
     }
 
@@ -504,19 +223,29 @@ impl DevicePool {
     /// which compute row they touch.
     #[must_use]
     pub fn shard_of(&self, op: CodicOp) -> usize {
-        self.lease.shard_of(op)
+        let addr = match self.compute_base {
+            Some(base) if op.is_compute() => base,
+            _ => op.row_addr(),
+        };
+        let block = addr / DramGeometry::ROW_BYTES / self.block_rows;
+        let primary = (block % self.health.len() as u64) as usize;
+        if self.health[primary].is_healthy() || self.healthy.is_empty() {
+            primary
+        } else {
+            self.healthy[(block % self.healthy.len() as u64) as usize]
+        }
     }
 
     /// Per-shard health states, indexed by shard.
     #[must_use]
     pub fn health(&self) -> &[ShardHealth] {
-        self.lease.health()
+        &self.health
     }
 
     /// Replaces the self-quarantine policy (defaults to
     /// [`HealthPolicy::default`]).
     pub fn set_health_policy(&mut self, policy: HealthPolicy) {
-        self.lease.set_health_policy(policy);
+        self.health_policy = policy;
     }
 
     /// Quarantines `shard`: drains it if its clock still advances
@@ -527,7 +256,17 @@ impl DevicePool {
     /// operations failed; quarantining an already-quarantined shard is a
     /// no-op returning 0.
     pub fn quarantine(&mut self, shard: usize, cause: FaultCause) -> usize {
-        self.lease.quarantine(&mut self.devices, shard, cause)
+        if !self.health[shard].is_healthy() {
+            return 0;
+        }
+        let device = &mut self.devices[shard];
+        if !device.is_stalled() {
+            device.run_to_idle();
+        }
+        let failed = device.fail_all_pending(cause);
+        self.health[shard] = ShardHealth::Quarantined { cause };
+        self.healthy.retain(|&s| s != shard);
+        failed
     }
 
     /// Applies the health policy to every healthy shard: a stalled clock
@@ -537,38 +276,32 @@ impl DevicePool {
     /// boundaries — never on the per-op hot path. Returns the number of
     /// shards newly quarantined.
     pub fn check_health(&mut self) -> usize {
-        self.lease.check_health(&mut self.devices)
+        let mut condemned = 0;
+        for shard in 0..self.devices.len() {
+            if !self.health[shard].is_healthy() {
+                continue;
+            }
+            let device = &self.devices[shard];
+            let cause = if device.is_stalled() {
+                Some(FaultCause::ClockStuck)
+            } else {
+                let stats = device.fault_stats();
+                let breached = stats.delivered() >= self.health_policy.min_ops
+                    && stats.failed_per_64k() > self.health_policy.max_failed_per_64k;
+                breached.then_some(FaultCause::Quarantined)
+            };
+            if let Some(cause) = cause {
+                self.quarantine(shard, cause);
+                condemned += 1;
+            }
+        }
+        condemned
     }
 
     /// One shard's device, for inspection.
     #[must_use]
     pub fn device(&self, shard: usize) -> &CodicDevice {
         &self.devices[shard]
-    }
-
-    /// The pool's full device slice, for lease holders (the shared fleet)
-    /// that drive disjoint shard ranges through per-tenant
-    /// [`ShardLease`]s.
-    pub(crate) fn devices(&self) -> &[CodicDevice] {
-        &self.devices
-    }
-
-    /// Mutable access to the full device slice (see
-    /// [`DevicePool::devices`]).
-    pub(crate) fn devices_mut(&mut self) -> &mut [CodicDevice] {
-        &mut self.devices
-    }
-
-    /// Rebuilds `shard` from `config` exactly as given — **no** per-shard
-    /// fault derivation; callers that want one pass a `config.fault`
-    /// already derived — and re-admits it to the pool's own routing table
-    /// as healthy. The shared fleet uses this to hand the next tenant of
-    /// a used slot factory-fresh devices whose fault schedules are seeded by
-    /// *lease-local* shard index, so a leased range behaves
-    /// bit-identically to a freshly built private pool of the same size.
-    pub(crate) fn reset_shard(&mut self, shard: usize, config: &DeviceConfig) {
-        self.devices[shard] = CodicDevice::new(config.clone());
-        self.lease.mark_healthy(shard);
     }
 
     /// Distributes a batch across the shards, all-or-nothing, and returns
@@ -613,7 +346,59 @@ impl DevicePool {
         &mut self,
         ops: &[CodicOp],
     ) -> Result<Vec<(usize, OpFuture)>, CodicError> {
-        self.lease.submit_all_async_routed(&mut self.devices, ops)
+        let routes = self.route_checked(ops)?;
+        // `route_checked` already ran every op through the safe-range
+        // policy (same config on every shard, so a mid-batch re-route
+        // cannot invalidate the check): the per-op loop takes the
+        // prechecked path and skips the redundant policy pass.
+        ops.iter()
+            .zip(routes)
+            .map(|(&op, shard)| self.submit_routed(op, shard))
+            .collect()
+    }
+
+    /// Submits `op` to `shard` (re-routing through
+    /// [`DevicePool::shard_of`] if the precomputed route went stale),
+    /// quarantining any shard that reports a wedged clock at submission
+    /// and re-routing to a survivor.
+    fn submit_routed(
+        &mut self,
+        op: CodicOp,
+        mut shard: usize,
+    ) -> Result<(usize, OpFuture), CodicError> {
+        if !self.health[shard].is_healthy() {
+            shard = self.shard_of(op);
+        }
+        loop {
+            if self.healthy.is_empty() {
+                return Err(CodicError::NoHealthyShards);
+            }
+            match self.devices[shard].submit_async_prechecked(op) {
+                Err(CodicError::DeviceStalled) => {
+                    // The shard can make no progress with a full queue:
+                    // condemn it here rather than bounce the batch; its
+                    // stranded ops resolve as typed ClockStuck failures.
+                    self.quarantine(shard, FaultCause::ClockStuck);
+                    shard = self.shard_of(op);
+                }
+                result => return result.map(|future| (shard, future)),
+            }
+        }
+    }
+
+    /// Computes every op's shard and policy-checks it there, before
+    /// anything is enqueued anywhere (the all-or-nothing pre-flight).
+    fn route_checked(&self, ops: &[CodicOp]) -> Result<Vec<usize>, CodicError> {
+        if self.healthy.is_empty() && !ops.is_empty() {
+            return Err(CodicError::NoHealthyShards);
+        }
+        ops.iter()
+            .map(|&op| {
+                let shard = self.shard_of(op);
+                self.devices[shard].controller().check_safe_range(op)?;
+                Ok(shard)
+            })
+            .collect()
     }
 
     /// The pool's clock driver: advances every shard's event engine to
@@ -621,7 +406,33 @@ impl DevicePool {
     /// [`OpFuture`] along the way (wakers fire from the worker threads).
     /// Returns the slowest shard's finish cycle.
     pub fn drive(&mut self) -> u64 {
-        self.lease.run_to_idle(&mut self.devices)
+        // Shards with no actionable event would run-to-idle as a no-op;
+        // skip them (their clocks stay put, contributing only `now`)
+        // and skip the rayon dispatch entirely when every shard is
+        // quiet — serving loops flush at every batch boundary, where
+        // most shards are usually already drained.
+        if self
+            .devices
+            .iter()
+            .all(|d| d.next_event_cycle() == u64::MAX)
+        {
+            return self.now_max();
+        }
+        self.devices
+            .iter_mut()
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .map(|d| {
+                if d.next_event_cycle() == u64::MAX {
+                    d.now()
+                } else {
+                    d.run_to_idle()
+                }
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .max()
+            .unwrap_or(0)
     }
 
     /// Advances every busy shard by one engine event — the incremental
@@ -633,7 +444,16 @@ impl DevicePool {
     /// work, so it runs on the caller's thread (no rayon dispatch) and its
     /// effect is deterministic for a given submission sequence.
     pub fn step(&mut self) -> bool {
-        self.lease.step(&mut self.devices)
+        let mut advanced = false;
+        for device in &mut self.devices {
+            // `u64::MAX` guarantees `step()` would be a no-op; skipping
+            // the shard is state-identical and keeps the backpressure
+            // loop from re-visiting drained shards every iteration.
+            if device.next_event_cycle() != u64::MAX {
+                advanced |= device.step();
+            }
+        }
+        advanced
     }
 
     /// Total operations submitted but not yet completed across all shards
@@ -645,6 +465,11 @@ impl DevicePool {
         self.devices.iter().map(CodicDevice::outstanding).sum()
     }
 
+    /// The slowest shard's current cycle.
+    pub(crate) fn now_max(&self) -> u64 {
+        self.devices.iter().map(CodicDevice::now).max().unwrap_or(0)
+    }
+
     /// Distributes `ops` across the shards and runs them all to
     /// completion in parallel — the batched serving path.
     ///
@@ -652,19 +477,24 @@ impl DevicePool {
     ///
     /// Returns the first policy error without enqueuing anything.
     pub fn execute_all(&mut self, ops: &[CodicOp]) -> Result<PoolOutcome, CodicError> {
-        let routes = self.lease.route_checked(&self.devices, ops)?;
+        let routes = self.route_checked(ops)?;
         let mut per_shard_ops: Vec<Vec<CodicOp>> = vec![Vec::new(); self.devices.len()];
-        for (&op, &shard) in ops.iter().zip(&routes) {
+        for (&op, shard) in ops.iter().zip(routes) {
             per_shard_ops[shard].push(op);
         }
-        let outcomes = self.zip_map_devices(per_shard_ops, |device, ops| {
-            device
-                .execute_all(&ops)
-                .expect("ops were policy-checked before distribution")
-        });
-        Ok(PoolOutcome {
-            per_shard: outcomes,
-        })
+        let per_shard = self
+            .devices
+            .iter_mut()
+            .zip(per_shard_ops)
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .map(|(device, ops)| {
+                device
+                    .execute_all(&ops)
+                    .expect("ops were policy-checked before distribution")
+            })
+            .collect();
+        Ok(PoolOutcome { per_shard })
     }
 
     /// Runs an event-driven full-module sweep on every shard in parallel.
@@ -678,50 +508,16 @@ impl DevicePool {
     ///
     /// # Errors
     ///
-    /// Returns the policy error when the sweep is not allowed on a shard.
+    /// Returns the policy error when the sweep is not allowed on a shard,
+    /// or [`CodicError::DeviceStalled`] when a shard's clock wedges
+    /// mid-sweep.
     pub fn sweep_all_rows(&mut self, proto: CodicOp) -> Result<Vec<SweepReport>, CodicError> {
-        self.map_devices(|d| d.sweep_all_rows(proto))
-            .into_iter()
+        self.devices
+            .iter_mut()
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .map(|d| d.sweep_all_rows(proto))
             .collect()
-    }
-
-    /// Applies `f` to every device on rayon worker threads, preserving
-    /// shard order.
-    fn map_devices<R: Send>(&mut self, f: impl Fn(&mut CodicDevice) -> R + Sync) -> Vec<R> {
-        let devices = std::mem::take(&mut self.devices);
-        let (devices, results): (Vec<_>, Vec<_>) = devices
-            .into_par_iter()
-            .map(|mut d| {
-                let r = f(&mut d);
-                (d, r)
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .unzip();
-        self.devices = devices;
-        results
-    }
-
-    fn zip_map_devices<T: Send, R: Send>(
-        &mut self,
-        inputs: Vec<T>,
-        f: impl Fn(&mut CodicDevice, T) -> R + Sync,
-    ) -> Vec<R> {
-        let devices = std::mem::take(&mut self.devices);
-        let (devices, results): (Vec<_>, Vec<_>) = devices
-            .into_iter()
-            .zip(inputs)
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|(mut d, input)| {
-                let r = f(&mut d, input);
-                (d, r)
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .unzip();
-        self.devices = devices;
-        results
     }
 }
 
@@ -937,6 +733,40 @@ mod tests {
         let shards: std::collections::HashSet<usize> =
             zero_ops(32).iter().map(|&op| p.shard_of(op)).collect();
         assert_eq!(shards.len(), 4);
+    }
+
+    #[test]
+    fn sweeps_on_a_stuck_clock_report_the_stall() {
+        use crate::fault::FaultPlan;
+        use std::time::Duration;
+        // A sweep that spins on a wedged clock never returns: run each
+        // input on a worker thread so a hang fails the test instead.
+        fn within_30s(
+            what: &str,
+            sweep: impl FnOnce() -> Result<(), CodicError> + Send + 'static,
+        ) -> Result<(), CodicError> {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || tx.send(sweep()));
+            rx.recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("{what}: the sweep hung on a stuck clock"))
+        }
+        let config = DeviceConfig::new(DramGeometry::module_mib(64), TimingParams::ddr3_1600_11())
+            .with_refresh(false);
+        let proto = CodicOp::command(VariantId::DetZero, 0);
+        let stuck = config
+            .clone()
+            .with_faults(FaultPlan::new(1).with_stuck_clock(100));
+        let device = within_30s("device", move || {
+            CodicDevice::new(stuck).sweep_all_rows(proto).map(drop)
+        });
+        assert_eq!(device, Err(CodicError::DeviceStalled));
+        let stuck_shard = config.with_faults(FaultPlan::new(1).with_stuck_shard(1, 100));
+        let pool = within_30s("pool", move || {
+            DevicePool::new(2, &stuck_shard)
+                .sweep_all_rows(proto)
+                .map(drop)
+        });
+        assert_eq!(pool, Err(CodicError::DeviceStalled));
     }
 
     #[test]

@@ -2,17 +2,18 @@
 //! tenancy of a sharded device [`FleetHandle`].
 //!
 //! Each connection is one independent session served on its own
-//! thread. Its substrate is a lease of shards with their own clocks,
-//! mode registers, and policy state: the only slot of a fleet built for
-//! the session, or one slot of the server's shared fleet
-//! ([`ServerConfig::fleet_slots`]). The per-session serving loop is
-//! [`ReplayEngine`], and the fleet runs its discipline inside the lease:
+//! thread. Its substrate is a pool of shards with their own clocks,
+//! mode registers, and policy state, owned by the session's slot: the
+//! only slot of a fleet built for the session, or one slot of the
+//! server's shared fleet ([`ServerConfig::fleet_slots`]). The
+//! per-session serving loop is [`ReplayEngine`], and the fleet runs its
+//! discipline on the slot's pool:
 //!
 //! 1. a decoded [`Frame::Batch`] is submitted through
 //!    [`FleetHandle::submit`] (all-or-nothing policy: a rejected batch
 //!    turns into one `Error` frame and touches nothing);
-//! 2. backpressure: while the lease's outstanding ops exceed the
-//!    session's `max_outstanding`, the fleet steps the lease's shards
+//! 2. backpressure: while the pool's outstanding ops exceed the
+//!    session's `max_outstanding`, the fleet steps the pool's shards
 //!    one event at a time, never blocking the socket;
 //! 3. resolved operations drain as [`FleetEvent`]s and stream back as
 //!    typed completion units of `Events` frames in completion order
@@ -49,7 +50,6 @@ use codic_core::error::CodicError;
 use codic_core::fault::{FaultPlan, HealthPolicy, RetryPolicy};
 use codic_core::fleet::{FleetConfig, FleetEvent, FleetHandle, TenantId};
 use codic_core::ops::CodicOp;
-use codic_core::pool::ShardHealth;
 use codic_dram::{DramGeometry, TimingParams};
 
 use crate::governor::RateGovernor;
@@ -100,12 +100,12 @@ pub struct ServerConfig {
     pub journal_max_bytes: usize,
     /// Tenant slots in the shared fleet (`--fleet-slots`). With `N > 0`
     /// every session is served from one
-    /// [`SharedFleet`](codic_core::fleet::SharedFleet) carved into `N`
-    /// leases of [`ServerConfig::shards`] shards each: sessions share
-    /// the pool's machinery but each tenant's event stream stays
-    /// bit-identical to a private pool of its slot shape. 0 (the
-    /// default) means each session gets its own one-slot fleet, shaped
-    /// by its own `Hello`.
+    /// [`SharedFleet`](codic_core::fleet::SharedFleet) of `N` slots,
+    /// each tenant on its own pool of [`ServerConfig::shards`] shards:
+    /// sessions share the fleet's admission but each tenant's event
+    /// stream stays bit-identical to a private pool of its slot shape.
+    /// 0 (the default) means each session gets its own one-slot fleet,
+    /// shaped by its own `Hello`.
     pub fleet_slots: usize,
 }
 
@@ -261,7 +261,7 @@ impl From<FleetEvent> for ReplayCompletion {
     }
 }
 
-/// The fleet shape a session with `params` runs on: `slots` leases of
+/// The fleet shape a session with `params` runs on: `slots` slots of
 /// `params.shards` shards each, carrying the fault plan, retry policy,
 /// and health policy, with the session's outstanding cap as the
 /// per-tenant quota. A private session's fleet has one slot; a shared
@@ -289,7 +289,7 @@ fn fleet_config(
 /// Every engine is one tenancy on a [`FleetHandle`]: a private session
 /// holds the only slot of a fleet built for it, a shared-fleet session
 /// one slot of the server's fleet. The fleet runs the whole discipline
-/// inside the tenant's lease — routed all-or-nothing submission,
+/// on the tenant's own pool — routed all-or-nothing submission,
 /// step-wise quota backpressure, a health check at every batch
 /// boundary, a `(finish_cycle, seq)` drain — so both serve the same
 /// stream. This is exactly what the wire server runs, factored out so
@@ -302,9 +302,6 @@ fn fleet_config(
 pub struct ReplayEngine {
     handle: FleetHandle,
     tenant: TenantId,
-    /// Lease-local shard health as of the last batch/flush boundary —
-    /// exactly the points the serving loop reads it.
-    health: Vec<ShardHealth>,
     next_seq: u64,
 }
 
@@ -351,11 +348,9 @@ impl ReplayEngine {
     pub fn for_fleet(params: &SessionParams, handle: &FleetHandle) -> Option<Self> {
         let quota = (params.max_outstanding as usize).max(1);
         let tenant = handle.acquire_with(u32::from(params.qos_weight.max(1)), quota)?;
-        let health = handle.health(tenant);
         Some(ReplayEngine {
             handle: handle.clone(),
             tenant,
-            health,
             next_seq: 0,
         })
     }
@@ -370,7 +365,6 @@ impl ReplayEngine {
     pub fn submit_batch(&mut self, ops: &[CodicOp]) -> Result<Vec<ReplayCompletion>, CodicError> {
         let (receipt, events) = self.handle.submit(self.tenant, ops)?;
         self.next_seq += u64::from(receipt.accepted);
-        self.health = self.handle.health(self.tenant);
         Ok(events.into_iter().map(ReplayCompletion::from).collect())
     }
 
@@ -381,15 +375,7 @@ impl ReplayEngine {
     /// pending operation one way or the other.
     pub fn flush(&mut self) -> Vec<ReplayCompletion> {
         let (_, events) = self.handle.flush(self.tenant);
-        self.health = self.handle.health(self.tenant);
         events.into_iter().map(ReplayCompletion::from).collect()
-    }
-
-    /// Per-shard health of the serving lease, as of the last batch or
-    /// flush boundary.
-    #[must_use]
-    pub fn health(&self) -> &[ShardHealth] {
-        &self.health
     }
 
     /// Operations submitted but not yet completed (the backpressure
@@ -1338,7 +1324,7 @@ pub struct ReplayServer {
     /// for resume, reaped on the idle deadline by the accept loop.
     registry: Arc<SessionRegistry>,
     /// The shared tenant fleet ([`ServerConfig::fleet_slots`] > 0):
-    /// built once at bind, leased per session.
+    /// built at bind; each session's slot builds its own pool.
     fleet: Option<FleetHandle>,
     /// Threads of the sessions the accept loop has spawned and not yet
     /// joined: one per *live* session, because each accept round joins
@@ -1424,7 +1410,7 @@ impl ReplayServer {
     }
 
     /// Assembles the server, building the shared fleet when
-    /// [`ServerConfig::fleet_slots`] asks for one: `fleet_slots` leases
+    /// [`ServerConfig::fleet_slots`] asks for one: `fleet_slots` slots
     /// of the configured shard count, on the substrate the server's
     /// defaults negotiate (fault plan, retry and health policy
     /// included), with the server's outstanding cap as the default
