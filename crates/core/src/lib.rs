@@ -35,11 +35,11 @@
 //!   throughput-style workloads, with the async
 //!   [`submit_all_async`](pool::DevicePool::submit_all_async) /
 //!   [`drive`](pool::DevicePool::drive) pair;
-//! - [`fleet`]: the [`SharedFleet`], the one serving substrate — tenant
-//!   slots, each owning its own [`DevicePool`], with
-//!   deficit-round-robin admission and per-tenant quotas, each tenant's
-//!   stream bit-identical to a private pool's (a private session is a
-//!   one-slot fleet), drained as [`FleetEvent`]s;
+//! - [`fleet`]: the [`FleetHandle`], the one serving substrate — tenant
+//!   slots, each owning its own [`DevicePool`] behind a lock of its own,
+//!   with per-tenant quotas; a tenant's batch runs straight on its own
+//!   pool, so its stream is bit-identical to a private pool's (a private
+//!   session is a one-slot fleet), drained as [`FleetEvent`]s;
 //! - [`data`]: the lazily materialized compute-region data plane, so
 //!   bulk-bitwise results are value-checked rather than only timed;
 //! - [`simd`]: the bit-serial SIMD planner compiling element-wise vector
@@ -88,7 +88,7 @@ pub use device::{
 pub use error::CodicError;
 pub use executor::{block_on, OpFuture};
 pub use fault::{FaultCause, FaultPlan, FaultStats, HealthPolicy, OpOutcome, RetryPolicy};
-pub use fleet::{FleetConfig, FleetEvent, FleetHandle, SharedFleet, TenantId};
+pub use fleet::{FleetConfig, FleetEvent, FleetHandle, TenantId};
 pub use latency::CommandCost;
 pub use mode_register::{ModeRegister, ModeRegisterFile};
 pub use ops::{CodicOp, InDramMechanism, RowRegion, VariantId};

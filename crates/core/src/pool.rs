@@ -29,7 +29,7 @@
 //! The pool owns its shards' routing table and health state too
 //! ([`DevicePool::shard_of`], [`DevicePool::quarantine`],
 //! [`DevicePool::check_health`]), and it is the unit of tenancy: every
-//! held slot of a [`SharedFleet`](crate::fleet::SharedFleet) owns one
+//! held slot of a [`FleetHandle`](crate::fleet::FleetHandle) owns one
 //! pool built by [`DevicePool::new`], so a tenant's stream is a private
 //! pool's stream by construction.
 //!

@@ -1,5 +1,5 @@
 //! The tenant-isolation pin: property tests asserting that a tenant's
-//! demultiplexed event stream on a [`SharedFleet`] is **bit-identical**
+//! demultiplexed event stream on a [`FleetHandle`] is **bit-identical**
 //! to a solo run of the same operations on an equivalent private
 //! [`DevicePool`] — sequence numbers, lease-local shards, finish
 //! cycles, busy cycles, energy bits, outcomes, attempts, fingerprints —
@@ -17,7 +17,7 @@
 use codic_core::device::{DeviceConfig, OpCompletion};
 use codic_core::executor::OpFuture;
 use codic_core::fault::{FaultPlan, RetryPolicy};
-use codic_core::fleet::{FleetConfig, FleetEvent, SharedFleet};
+use codic_core::fleet::{FleetConfig, FleetEvent, FleetHandle};
 use codic_core::ops::{CodicOp, VariantId};
 use codic_core::pool::DevicePool;
 use codic_dram::geometry::DramGeometry;
@@ -148,7 +148,7 @@ fn fleet_run(
     order: &[u8],
     check_quota: bool,
 ) -> Vec<Vec<Emitted>> {
-    let mut fleet = SharedFleet::new(FleetConfig::new(
+    let fleet = FleetHandle::new(FleetConfig::new(
         tenants.len(),
         shards_per_slot,
         device.clone(),
@@ -159,7 +159,7 @@ fn fleet_run(
         .collect();
     let mut cursors = vec![0usize; tenants.len()];
     let mut streams: Vec<Vec<Emitted>> = tenants.iter().map(|_| Vec::new()).collect();
-    let mut submit_next = |fleet: &mut SharedFleet, t: usize| -> bool {
+    let mut submit_next = |fleet: &FleetHandle, t: usize| -> bool {
         let load = &tenants[t];
         if cursors[t] >= load.ops.len() {
             return false;
@@ -167,8 +167,7 @@ fn fleet_run(
         let end = (cursors[t] + load.batch).min(load.ops.len());
         let chunk = &load.ops[cursors[t]..end];
         cursors[t] = end;
-        let ticket = fleet.enqueue(ids[t], chunk);
-        let receipt = fleet.pump_until(ticket).expect("in range");
+        let (receipt, events) = fleet.submit(ids[t], chunk).expect("in range");
         assert_eq!(receipt.accepted as usize, chunk.len());
         if check_quota {
             assert!(
@@ -176,25 +175,25 @@ fn fleet_run(
                 "tenant {t} quota violated after admission"
             );
         }
-        streams[t].extend(emitted(&fleet.take_events(ids[t])));
+        streams[t].extend(emitted(&events));
         true
     };
     for &pick in order {
-        submit_next(&mut fleet, usize::from(pick) % tenants.len());
+        submit_next(&fleet, usize::from(pick) % tenants.len());
     }
     // Whatever the interleaving didn't cover drains round-robin.
     loop {
         let mut any = false;
         for t in 0..tenants.len() {
-            any |= submit_next(&mut fleet, t);
+            any |= submit_next(&fleet, t);
         }
         if !any {
             break;
         }
     }
     for (t, &id) in ids.iter().enumerate() {
-        fleet.flush(id);
-        streams[t].extend(emitted(&fleet.take_events(id)));
+        let (_, events) = fleet.flush(id);
+        streams[t].extend(emitted(&events));
         if check_quota {
             assert_eq!(fleet.outstanding(id), 0, "flush drains tenant {t}");
         }

@@ -22,13 +22,14 @@
 //! beside the Unix socket; the protocol is identical over both.
 //!
 //! `--fleet-slots N` serves every session from one shared device fleet
-//! carved into N tenant leases of `--shards` shards each, with
-//! deficit-round-robin admission across tenants; each session's stream
-//! stays bit-identical to a private pool of its slot shape.
+//! of N tenant slots, each a pool of `--shards` shards behind its own
+//! lock; a session's batches run straight on its own slot's pool, so its
+//! stream stays bit-identical to a private pool of its slot shape.
 //!
 //! The deadline flags tune session robustness: `--read-timeout-ms` is
 //! how long a session thread parks inside a socket read before
-//! re-checking the shutdown flag and the idle deadline,
+//! re-checking the shutdown flag and the idle deadline (and how often
+//! parked sessions are checked for reaping),
 //! `--session-idle-ms` tears down silent clients (and reaps parked
 //! resume state) honestly, and `--journal-max-kib` caps each
 //! session's resume journal.

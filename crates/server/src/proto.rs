@@ -75,8 +75,9 @@ pub const MAX_TENANT_CLAIM: u16 = 4096;
 pub const MAX_QUOTA_CLAIM: u32 = 1 << 20;
 
 /// Largest QoS weight a session can negotiate; a `Hello` asking for
-/// more is clamped here (weights shape fair-admission credit only, so
-/// clamping is honest — the ack carries the effective weight).
+/// more is clamped here and the ack carries the clamped value. The
+/// weight is carried for wire compatibility and has no scheduling
+/// effect, so clamping it changes nothing a session can observe.
 pub const MAX_QOS_WEIGHT: u8 = 16;
 
 /// Frame-type tags (the `u8` after the length prefix). `0x82` and
@@ -178,10 +179,10 @@ pub struct SessionParams {
     /// default (which is itself 0 — compute disabled — unless the server
     /// was started with a region).
     pub compute_rows: u32,
-    /// QoS weight for shared-fleet fair admission: a weight-w tenant
-    /// earns w× the deficit-round-robin credit per rotation. 0 in a
-    /// `Hello` = server default (1); values past [`MAX_QOS_WEIGHT`] are
-    /// clamped.
+    /// QoS weight, carried for wire compatibility: it is negotiated and
+    /// echoed but has no scheduling effect — every tenant's batches run
+    /// on its own pool as they arrive. 0 in a `Hello` = server default
+    /// (1); values past [`MAX_QOS_WEIGHT`] are clamped.
     pub qos_weight: u8,
     /// Tenant-slot count. In a `Hello`: the most co-tenants the client
     /// will accept sharing a fleet with (0 = any); claims past

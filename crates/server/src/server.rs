@@ -85,7 +85,8 @@ pub struct ServerConfig {
     pub compute_rows: u64,
     /// Socket read timeout in milliseconds: how long a session thread
     /// parks inside a read before re-checking the shutdown flag and the
-    /// idle deadline (`--read-timeout-ms`).
+    /// idle deadline (`--read-timeout-ms`). The accept loop also runs
+    /// the parked-session reaper at this interval.
     pub read_timeout_ms: u64,
     /// Idle deadline in milliseconds (`--session-idle-ms`): a connected
     /// session that sends no frame for this long is torn down with an
@@ -99,11 +100,11 @@ pub struct ServerConfig {
     /// retained window is honestly rejected (`--journal-max-kib`).
     pub journal_max_bytes: usize,
     /// Tenant slots in the shared fleet (`--fleet-slots`). With `N > 0`
-    /// every session is served from one
-    /// [`SharedFleet`](codic_core::fleet::SharedFleet) of `N` slots,
-    /// each tenant on its own pool of [`ServerConfig::shards`] shards:
-    /// sessions share the fleet's admission but each tenant's event
-    /// stream stays bit-identical to a private pool of its slot shape.
+    /// every session is served from one [`FleetHandle`] of `N` slots,
+    /// each tenant on its own pool of [`ServerConfig::shards`] shards
+    /// behind its own slot lock: sessions share only the slot count, and
+    /// each tenant's event stream stays bit-identical to a private pool
+    /// of its slot shape.
     /// 0 (the default) means each session gets its own one-slot fleet,
     /// shaped by its own `Hello`.
     pub fleet_slots: usize,
@@ -341,9 +342,10 @@ impl ReplayEngine {
     }
 
     /// An engine serving one tenant of a shared fleet: acquires a slot
-    /// with the session's negotiated QoS weight and outstanding-op quota
-    /// and returns `None` when every slot is taken. The slot is released
-    /// when the engine drops.
+    /// with the session's outstanding-op quota and returns `None` when
+    /// every slot is taken. The negotiated QoS weight is passed along
+    /// but has no scheduling effect. The slot is released when the
+    /// engine drops.
     #[must_use]
     pub fn for_fleet(params: &SessionParams, handle: &FleetHandle) -> Option<Self> {
         let quota = (params.max_outstanding as usize).max(1);
@@ -1498,15 +1500,18 @@ impl ReplayServer {
             listener.set_nonblocking(true)?;
         }
         let idle = Duration::from_millis(self.config.session_idle_ms.max(1));
+        // The reaper ticks on wall time, not on quiet rounds, so a
+        // steady stream of connects cannot starve it.
+        let reap_every = Duration::from_millis(self.config.read_timeout_ms.max(1));
+        let mut last_reap = Instant::now();
         let mut accepted = 0usize;
         'accept: while connections.is_none_or(|n| accepted < n) {
             if self.shutdown.is_shutdown() {
                 break;
             }
             self.join_finished_sessions();
-            // Poll every listener once; a fully quiet round doubles as
-            // the reaper's tick: parked sessions nobody resumed past
-            // the idle deadline are dropped and their journals freed.
+            // Poll every listener once; sleep only after a fully quiet
+            // round.
             let mut quiet = true;
             for listener in &self.listeners {
                 if connections.is_some_and(|n| accepted >= n) {
@@ -1524,8 +1529,13 @@ impl ReplayServer {
                     Err(e) => return Err(e),
                 }
             }
-            if quiet {
+            // Parked sessions nobody resumed past the idle deadline are
+            // dropped and their journals freed.
+            if last_reap.elapsed() >= reap_every {
                 self.registry.reap_idle(idle);
+                last_reap = Instant::now();
+            }
+            if quiet {
                 thread::sleep(Duration::from_millis(5));
             }
         }
@@ -2658,6 +2668,57 @@ mod tests {
             0,
             "finished session threads must not accumulate"
         );
+        server.shutdown_handle().shutdown();
+        serving.join().unwrap();
+    }
+
+    #[test]
+    fn parked_sessions_are_reaped_during_a_connect_storm() {
+        // A steady stream of connects leaves the accept loop no quiet
+        // round; the reaper must still free a parked session at its
+        // idle deadline.
+        let path = std::env::temp_dir().join(format!("codic-storm-{}.sock", std::process::id()));
+        let config = ServerConfig {
+            session_idle_ms: 250,
+            ..ServerConfig::default()
+        };
+        let server = Arc::new(ReplayServer::bind(&path, config).unwrap());
+        let serving = {
+            let server = Arc::clone(&server);
+            thread::spawn(move || server.serve_forever().unwrap())
+        };
+        // Cut a session right after its HelloAck: it parks for resume.
+        {
+            let stream = UnixStream::connect(&path).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = BufWriter::new(stream);
+            let hello = Frame::Hello(SessionParams::defaults());
+            proto::write_frame_crc(&mut writer, &hello).unwrap();
+            writer.flush().unwrap();
+            let ack = proto::read_frame_crc(&mut reader).unwrap();
+            assert!(matches!(ack, Frame::HelloAck { .. }), "got {ack:?}");
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.parked_sessions() == 0 && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(server.parked_sessions(), 1, "the cut session parks");
+        let storming = AtomicBool::new(true);
+        let left = thread::scope(|s| {
+            s.spawn(|| {
+                while storming.load(Ordering::Relaxed) {
+                    let _ = UnixStream::connect(&path);
+                }
+            });
+            let deadline = Instant::now() + Duration::from_secs(3);
+            while server.parked_sessions() > 0 && Instant::now() < deadline {
+                thread::sleep(Duration::from_millis(5));
+            }
+            let left = server.parked_sessions();
+            storming.store(false, Ordering::Relaxed);
+            left
+        });
+        assert_eq!(left, 0, "the reaper ran while connects kept arriving");
         server.shutdown_handle().shutdown();
         serving.join().unwrap();
     }
