@@ -480,6 +480,16 @@ impl<'a> ResumableRun<'a> {
                 absorbed.failures.len()
             )));
         }
+        // Sequence conservation: every op sent comes back exactly once,
+        // as a completion or a failure — a short stream whose Summary
+        // agrees with it is still short.
+        let events = absorbed.completions.len() + absorbed.failures.len();
+        if events != self.ops.len() {
+            return Err(ClientError::Verification(format!(
+                "stream carried {events} events for {} ops sent",
+                self.ops.len()
+            )));
+        }
         Ok(ClientReport {
             params,
             completions: absorbed.completions,
@@ -615,4 +625,67 @@ pub fn verify_against_reference(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::BatchAck;
+    use crate::server::ServerConfig;
+    use codic_core::ops::VariantId;
+
+    #[test]
+    fn short_but_self_consistent_streams_fail_verification() {
+        // Two ops sent, one completion back, and a Summary (checksum
+        // included) that agrees with that one completion.
+        let ops = [
+            CodicOp::command(VariantId::DetZero, 0),
+            CodicOp::command(VariantId::DetZero, 8192),
+        ];
+        let hello = SessionParams::defaults();
+        let params = ServerConfig::default().negotiate(&hello);
+        let completion = WireCompletion {
+            seq: 0,
+            shard: 0,
+            op: ops[0],
+            finish_cycle: 100,
+            busy_cycles: 24,
+            activations: 1,
+            energy_nj: 3.25,
+            fingerprint: 0,
+        };
+        let mut payload = Vec::new();
+        proto::completion_payload(&completion, &mut payload);
+        let mut checksum = Fnv64::new();
+        checksum.update(&payload);
+        let mut canned = Vec::new();
+        for frame in [
+            Frame::HelloAck { params, token: 1 },
+            Frame::Events(vec![SessionEvent::Completion(completion)]),
+            Frame::Batched(BatchAck {
+                seq_base: 0,
+                accepted: 2,
+                emitted: 1,
+                outstanding: 0,
+            }),
+            Frame::Summary(Summary {
+                ops: 1,
+                row_ops: 1,
+                failed: 0,
+                max_finish_cycle: 100,
+                total_energy_nj: 3.25,
+                checksum: checksum.value(),
+            }),
+        ] {
+            write_frame_crc(&mut canned, &frame).unwrap();
+        }
+        let err = replay_stream(&mut canned.as_slice(), &mut Vec::new(), &hello, &ops, 2)
+            .expect_err("one event for two ops must not verify");
+        match err {
+            ClientError::Verification(detail) => {
+                assert!(detail.contains("1 events for 2 ops"), "detail: {detail}");
+            }
+            other => panic!("expected a verification failure, got {other}"),
+        }
+    }
 }

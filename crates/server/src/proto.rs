@@ -98,8 +98,9 @@ mod tag {
     pub const RESUME_ACK: u8 = 0x89;
 }
 
-/// Kind byte of a completion unit inside [`Frame::Events`] (the
-/// server's resume journal records units as `(kind, payload)` pairs).
+/// Kind byte of a completion unit inside [`Frame::Events`]. The
+/// server's resume journal stores each unit exactly as it goes on the
+/// wire: this kind byte, then the payload.
 pub const EVENT_COMPLETION: u8 = 0;
 
 /// Kind byte of a failure unit inside [`Frame::Events`].
@@ -110,12 +111,6 @@ pub const EVENT_FAILURE: u8 = 1;
 /// count-versus-length pre-check divides by this, so a hostile count
 /// cannot reserve more memory than the payload itself justifies.
 const EVENT_UNIT_MIN: usize = 30;
-
-/// Wire size of the widest [`Frame::Events`] unit: a kind byte plus the
-/// 56-byte completion payload of a 17-byte compute op with fingerprint.
-/// [`EventBuffer::is_full`] keeps this much headroom under
-/// [`MAX_FRAME_LEN`], so any next push is guaranteed to fit.
-const EVENT_UNIT_MAX: usize = 57;
 
 /// Operation codes of the wire operation unit. Codes `0x00..=0x07` are
 /// 9-byte units (code + one `u64` address); `0x08..=0x0A` are 17-byte
@@ -1094,146 +1089,88 @@ pub fn write_frame_crc<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
     w.write_all(&crc.to_le_bytes())
 }
 
-/// The server's reusable emission buffer: completions and failures are
-/// encoded once into one growing byte buffer (no per-op `Vec`), and
-/// [`EventBuffer::flush_to_crc`] ships the whole run as a single
-/// [`Frame::Events`] frame with one vectored write.
+/// Writes encoded event units as [`Frame::Events`] frames carrying at
+/// most `frame_bytes` unit bytes each (whole units, at least one per
+/// frame, never past [`MAX_FRAME_LEN`]). `units` holds each unit's kind
+/// byte and payload back to back and `lens[i]` is unit `i`'s length.
+/// Every frame is exactly what [`write_frame_crc`] would produce for the
+/// same events (a unit test pins the byte identity) and goes out in one
+/// vectored write where the stream allows. No units write nothing.
 ///
-/// Each `push_*` returns the slice of the unit's *payload* bytes (the
-/// kind byte excluded) so the caller can feed the session checksum with
-/// exactly the hashed bytes — a unit test pins that the flushed frame is
-/// byte-identical to `write_frame_crc(w, &Frame::Events(..))`.
-#[derive(Debug, Default)]
-pub struct EventBuffer {
-    /// Encoded units: kind byte + payload, back to back.
-    buf: Vec<u8>,
-    /// Units currently buffered.
-    count: u32,
+/// # Errors
+///
+/// Propagates the stream's I/O error; a short write that makes no
+/// progress surfaces as [`io::ErrorKind::WriteZero`].
+pub fn write_events_crc<W: Write>(
+    w: &mut W,
+    mut units: &[u8],
+    mut lens: &[u8],
+    frame_bytes: usize,
+) -> io::Result<()> {
+    // The length prefix covers the tag, the u32 count, the units and
+    // the 4-byte CRC trailer.
+    let frame_bytes = frame_bytes.min(MAX_FRAME_LEN as usize - 9);
+    while !lens.is_empty() {
+        let (mut count, mut size) = (0, 0);
+        for &len in lens {
+            if count > 0 && size + usize::from(len) > frame_bytes {
+                break;
+            }
+            count += 1;
+            size += usize::from(len);
+        }
+        let (frame, rest) = units.split_at(size);
+        write_events_frame(w, frame, count as u32)?;
+        units = rest;
+        lens = &lens[count..];
+    }
+    debug_assert!(units.is_empty(), "`lens` must cover every unit byte");
+    Ok(())
 }
 
-impl EventBuffer {
-    /// An empty buffer; its allocation grows once and is then reused
-    /// across flushes.
-    #[must_use]
-    pub fn new() -> Self {
-        EventBuffer::default()
-    }
-
-    /// Units currently buffered.
-    #[must_use]
-    pub fn len(&self) -> u32 {
-        self.count
-    }
-
-    /// True when nothing is buffered (a flush would be a no-op).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Encoded unit bytes currently buffered (frame header excluded).
-    #[must_use]
-    pub fn byte_len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when one more unit — even the widest — might not fit under
-    /// [`MAX_FRAME_LEN`]; the caller flushes, then keeps pushing.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        // Frame body = type byte + u32 count + the units, plus the
-        // 4-byte CRC trailer inside the length.
-        5 + self.buf.len() + EVENT_UNIT_MAX + 4 > MAX_FRAME_LEN as usize
-    }
-
-    /// Appends a completion unit, returning its payload bytes (the
-    /// slice the session checksum hashes).
-    pub fn push_completion(&mut self, c: &WireCompletion) -> &[u8] {
-        self.buf.push(EVENT_COMPLETION);
-        let start = self.buf.len();
-        completion_payload(c, &mut self.buf);
-        self.count += 1;
-        &self.buf[start..]
-    }
-
-    /// Appends a failure unit, returning its payload bytes (the slice
-    /// the session checksum hashes).
-    pub fn push_failure(&mut self, x: &WireFailure) -> &[u8] {
-        self.buf.push(EVENT_FAILURE);
-        let start = self.buf.len();
-        failure_payload(x, &mut self.buf);
-        self.count += 1;
-        &self.buf[start..]
-    }
-
-    /// Appends an already-encoded unit — the journal replay path of a
-    /// resumed session, re-emitting the exact payload bytes the
-    /// original emission produced so the resumed stream is
-    /// byte-identical to an uninterrupted one.
-    pub fn push_raw(&mut self, kind: u8, payload: &[u8]) {
-        self.buf.push(kind);
-        self.buf.extend_from_slice(payload);
-        self.count += 1;
-    }
-
-    /// Writes the buffered run as one [`Frame::Events`] frame (header,
-    /// units and trailer in a single vectored write where the stream
-    /// allows) and resets the buffer for reuse. The frame is exactly
-    /// what [`write_frame_crc`] would produce (a unit test pins the
-    /// byte identity). Empty buffers write nothing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the stream's I/O error; a short write that makes no
-    /// progress surfaces as [`io::ErrorKind::WriteZero`].
-    pub fn flush_to_crc<W: Write>(&mut self, w: &mut W) -> io::Result<()> {
-        if self.count == 0 {
-            return Ok(());
-        }
-        let mut header = [0u8; 9];
-        header[0..4].copy_from_slice(&(self.buf.len() as u32 + 9).to_le_bytes());
-        header[4] = tag::EVENTS;
-        header[5..9].copy_from_slice(&self.count.to_le_bytes());
-        // The trailer hashes the frame *body* (tag + count + units),
-        // not the length prefix — computed incrementally so the units
-        // are never re-walked or copied.
-        let trailer = (!crc32c_append(crc32c_append(!0, &header[4..9]), &self.buf)).to_le_bytes();
-        // A write-all loop over the vectored [header, units, trailer]
-        // triple: `write_vectored` may land anywhere, so resume from
-        // the exact byte offset it reached.
-        let total = header.len() + self.buf.len() + trailer.len();
-        let mut written = 0usize;
-        while written < total {
-            let result = if written < header.len() {
-                w.write_vectored(&[
-                    IoSlice::new(&header[written..]),
-                    IoSlice::new(&self.buf),
-                    IoSlice::new(&trailer),
-                ])
-            } else if written < header.len() + self.buf.len() {
-                w.write_vectored(&[
-                    IoSlice::new(&self.buf[written - header.len()..]),
-                    IoSlice::new(&trailer),
-                ])
-            } else {
-                w.write(&trailer[written - header.len() - self.buf.len()..])
-            };
-            match result {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::WriteZero,
-                        "failed to write the whole events frame",
-                    ))
-                }
-                Ok(n) => written += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+/// Writes one [`Frame::Events`] frame of `count` encoded `units`.
+fn write_events_frame<W: Write>(w: &mut W, units: &[u8], count: u32) -> io::Result<()> {
+    let mut header = [0u8; 9];
+    header[0..4].copy_from_slice(&(units.len() as u32 + 9).to_le_bytes());
+    header[4] = tag::EVENTS;
+    header[5..9].copy_from_slice(&count.to_le_bytes());
+    // The trailer hashes the frame *body* (tag + count + units), not
+    // the length prefix — computed incrementally so the units are never
+    // re-walked or copied.
+    let trailer = (!crc32c_append(crc32c_append(!0, &header[4..9]), units)).to_le_bytes();
+    // A write-all loop over the vectored [header, units, trailer]
+    // triple: `write_vectored` may land anywhere, so resume from the
+    // exact byte offset it reached.
+    let total = header.len() + units.len() + trailer.len();
+    let mut written = 0usize;
+    while written < total {
+        let result = if written < header.len() {
+            w.write_vectored(&[
+                IoSlice::new(&header[written..]),
+                IoSlice::new(units),
+                IoSlice::new(&trailer),
+            ])
+        } else if written < header.len() + units.len() {
+            w.write_vectored(&[
+                IoSlice::new(&units[written - header.len()..]),
+                IoSlice::new(&trailer),
+            ])
+        } else {
+            w.write(&trailer[written - header.len() - units.len()..])
+        };
+        match result {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write the whole events frame",
+                ))
             }
+            Ok(n) => written += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
-        self.buf.clear();
-        self.count = 0;
-        Ok(())
     }
+    Ok(())
 }
 
 /// Reads one frame from `r`, enforcing [`MAX_FRAME_LEN`] and verifying
@@ -1541,45 +1478,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn event_buffer_crc_flush_matches_write_frame_crc_byte_for_byte() {
-        let events = sample_events();
-        let mut via_frame = Vec::new();
-        write_frame_crc(&mut via_frame, &Frame::Events(events.clone())).unwrap();
-        let mut buffer = EventBuffer::new();
-        for event in &events {
+    /// `events` encoded as the server's journal holds them: each unit's
+    /// kind byte and payload back to back, plus each unit's length.
+    fn encode_units(events: &[SessionEvent]) -> (Vec<u8>, Vec<u8>) {
+        let (mut units, mut lens) = (Vec::new(), Vec::new());
+        for event in events {
+            let start = units.len();
             match event {
-                SessionEvent::Completion(c) => buffer.push_completion(c),
-                SessionEvent::Failure(x) => buffer.push_failure(x),
-            };
+                SessionEvent::Completion(c) => {
+                    units.push(EVENT_COMPLETION);
+                    completion_payload(c, &mut units);
+                }
+                SessionEvent::Failure(x) => {
+                    units.push(EVENT_FAILURE);
+                    failure_payload(x, &mut units);
+                }
+            }
+            lens.push((units.len() - start) as u8);
         }
-        let mut via_buffer = Vec::new();
-        buffer.flush_to_crc(&mut via_buffer).unwrap();
-        assert_eq!(via_buffer, via_frame);
-        assert!(buffer.is_empty());
+        (units, lens)
     }
 
     #[test]
-    fn push_raw_reemits_journaled_units_byte_identically() {
+    fn events_crc_write_matches_write_frame_crc_byte_for_byte() {
         let events = sample_events();
-        let mut original = EventBuffer::new();
-        let mut journal: Vec<(u8, Vec<u8>)> = Vec::new();
-        for event in &events {
-            let (kind, payload) = match event {
-                SessionEvent::Completion(c) => (EVENT_COMPLETION, original.push_completion(c)),
-                SessionEvent::Failure(x) => (EVENT_FAILURE, original.push_failure(x)),
-            };
-            journal.push((kind, payload.to_vec()));
-        }
-        let mut first = Vec::new();
-        original.flush_to_crc(&mut first).unwrap();
-        let mut replayed = EventBuffer::new();
-        for (kind, payload) in &journal {
-            replayed.push_raw(*kind, payload);
-        }
-        let mut second = Vec::new();
-        replayed.flush_to_crc(&mut second).unwrap();
-        assert_eq!(first, second);
+        let mut via_frame = Vec::new();
+        write_frame_crc(&mut via_frame, &Frame::Events(events.clone())).unwrap();
+        let (units, lens) = encode_units(&events);
+        let mut via_units = Vec::new();
+        write_events_crc(&mut via_units, &units, &lens, usize::MAX).unwrap();
+        assert_eq!(via_units, via_frame);
     }
 
     #[test]
@@ -1877,46 +1805,22 @@ mod tests {
     }
 
     #[test]
-    fn event_buffer_flush_matches_write_frame_byte_for_byte() {
+    fn events_crc_write_decodes_back_and_no_units_write_nothing() {
         let events = sample_events();
-        let mut buffer = EventBuffer::new();
-        let mut hashed = Fnv64::new();
-        let mut reference = Fnv64::new();
-        for event in &events {
-            // The returned slice is exactly the unit's payload, so the
-            // session checksum folds the same bytes the client decodes.
-            let mut standalone = Vec::new();
-            let slice = match event {
-                SessionEvent::Completion(c) => {
-                    completion_payload(c, &mut standalone);
-                    buffer.push_completion(c)
-                }
-                SessionEvent::Failure(x) => {
-                    failure_payload(x, &mut standalone);
-                    buffer.push_failure(x)
-                }
-            };
-            assert_eq!(slice, standalone.as_slice());
-            hashed.update(slice);
-            reference.update(&standalone);
-        }
-        assert_eq!(hashed.value(), reference.value());
-        assert_eq!(buffer.len(), events.len() as u32);
-        let mut via_buffer = Vec::new();
-        buffer.flush_to_crc(&mut via_buffer).unwrap();
+        let (units, lens) = encode_units(&events);
+        let mut wire = Vec::new();
+        write_events_crc(&mut wire, &units, &lens, usize::MAX).unwrap();
         assert_eq!(
-            read_frame_crc(&mut via_buffer.as_slice()).unwrap(),
+            read_frame_crc(&mut wire.as_slice()).unwrap(),
             Frame::Events(events)
         );
-        // The buffer resets for reuse, and an empty flush writes nothing.
-        assert!(buffer.is_empty());
         let mut empty = Vec::new();
-        buffer.flush_to_crc(&mut empty).unwrap();
+        write_events_crc(&mut empty, &[], &[], usize::MAX).unwrap();
         assert!(empty.is_empty());
     }
 
     #[test]
-    fn event_buffer_flush_survives_one_byte_writes() {
+    fn events_crc_write_survives_one_byte_writes() {
         // A stream that accepts one byte per call (with interruptions)
         // exercises the vectored write-all resume path.
         struct OneByte {
@@ -1940,23 +1844,17 @@ mod tests {
         let events = sample_events();
         let mut via_frame = Vec::new();
         write_frame_crc(&mut via_frame, &Frame::Events(events.clone())).unwrap();
-        let mut buffer = EventBuffer::new();
-        for event in &events {
-            match event {
-                SessionEvent::Completion(c) => buffer.push_completion(c),
-                SessionEvent::Failure(x) => buffer.push_failure(x),
-            };
-        }
+        let (units, lens) = encode_units(&events);
         let mut stream = OneByte {
             bytes: Vec::new(),
             interrupted: false,
         };
-        buffer.flush_to_crc(&mut stream).unwrap();
+        write_events_crc(&mut stream, &units, &lens, usize::MAX).unwrap();
         assert_eq!(stream.bytes, via_frame);
     }
 
     #[test]
-    fn event_buffer_full_frames_stay_under_the_cap() {
+    fn events_crc_write_splits_large_runs_under_the_cap() {
         let widest = WireCompletion {
             seq: 0,
             shard: 0,
@@ -1970,25 +1868,25 @@ mod tests {
             energy_nj: 1.0,
             fingerprint: 1,
         };
-        let mut buffer = EventBuffer::new();
-        while !buffer.is_full() {
-            buffer.push_completion(&widest);
-        }
+        // 80,000 widest units (57 bytes each) overflow one 4 MiB frame.
+        let run = vec![SessionEvent::Completion(widest); 80_000];
+        let (units, lens) = encode_units(&run);
         let mut wire = Vec::new();
-        buffer.flush_to_crc(&mut wire).unwrap();
-        let len = u32::from_le_bytes(wire[0..4].try_into().unwrap());
-        assert!(len <= MAX_FRAME_LEN, "full buffer still fits one frame");
-        // And the giant frame decodes back to the same run.
+        write_events_crc(&mut wire, &units, &lens, usize::MAX).unwrap();
         let mut reader = wire.as_slice();
-        match read_frame_crc(&mut reader).unwrap() {
-            Frame::Events(events) => {
-                assert!(events.len() > 70_000, "the cap admits a large run");
-                assert!(events
-                    .iter()
-                    .all(|e| *e == SessionEvent::Completion(widest)));
+        let mut frames = Vec::new();
+        while !reader.is_empty() {
+            let len = u32::from_le_bytes(reader[0..4].try_into().unwrap());
+            assert!(len <= MAX_FRAME_LEN, "every frame fits under the cap");
+            // And each giant frame decodes back to its part of the run.
+            match read_frame_crc(&mut reader).unwrap() {
+                Frame::Events(events) => frames.push(events),
+                other => panic!("expected an events frame, got {other:?}"),
             }
-            other => panic!("expected an events frame, got {other:?}"),
         }
+        assert_eq!(frames.len(), 2, "the run splits into two frames");
+        assert!(frames[0].len() > 70_000, "the cap admits a large run");
+        assert_eq!(frames.concat(), run);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! However the units are packed into `Events` frames, the session
 //! checksum hashes only their payload bytes, in emission order.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -54,8 +54,8 @@ use codic_dram::{DramGeometry, TimingParams};
 
 use crate::governor::RateGovernor;
 use crate::proto::{
-    self, write_frame_crc, BatchAck, ErrorCode, EventBuffer, FlushAck, Fnv64, Frame, FrameReader,
-    ProtoError, ResumeAck, SessionParams, Summary, WireCompletion, WireFailure, MAX_QOS_WEIGHT,
+    self, write_frame_crc, BatchAck, ErrorCode, FlushAck, Fnv64, Frame, FrameReader, ProtoError,
+    ResumeAck, SessionParams, Summary, WireCompletion, WireFailure, MAX_QOS_WEIGHT,
     MAX_QUOTA_CLAIM, MAX_TENANT_CLAIM, PROTOCOL_VERSION,
 };
 
@@ -95,9 +95,12 @@ pub struct ServerConfig {
     /// freed.
     pub session_idle_ms: u64,
     /// Per-session cap on the resume journal, in bytes: the journal
-    /// keeps the most recent event payloads up to this bound, evicting
-    /// the oldest whole events first. A `Resume` pointing before the
-    /// retained window is honestly rejected (`--journal-max-kib`).
+    /// keeps the most recent encoded event units up to this bound,
+    /// evicting the oldest whole units first. The cap applies once an
+    /// emission (or a resume replay) has been written, so a session
+    /// briefly holds the cap plus one emission (at most [`proto::MAX_BATCH_OPS`] +
+    /// `max_outstanding` units). A `Resume` pointing before the retained
+    /// window is honestly rejected (`--journal-max-kib`).
     pub journal_max_bytes: usize,
     /// Tenant slots in the shared fleet (`--fleet-slots`). With `N > 0`
     /// every session is served from one [`FleetHandle`] of `N` slots,
@@ -837,7 +840,6 @@ fn resume_session<R: Read, W: Write>(
     if handoff.is_err() {
         // The replacement connection died too: park again for the next
         // attempt (the journal still covers everything unacknowledged).
-        session.tally.reset_wire_state();
         registry.park(session);
         return Ok(SessionEnd::Suspended);
     }
@@ -878,9 +880,9 @@ fn run_session<R: Read, W: Write>(
                 // Resume re-delivers journal + Summary.
                 Ok(Flow::End(SessionEnd::Bye)) => SessionEnd::Bye,
                 Ok(Flow::End(end)) => return Ok(end),
-                // The write path died mid-emission: everything emitted
-                // (and half-emitted) is already journaled, so park for
-                // resume instead of losing the session.
+                // The write path died mid-emission: the whole emission
+                // was journaled before its first byte went out, so park
+                // for resume instead of losing the session.
                 Err(_) => SessionEnd::Suspended,
             },
             Ok(Input::Shutdown) => {
@@ -924,7 +926,6 @@ fn run_session<R: Read, W: Write>(
             // client that never does is bounded by the idle reaper.
             Err(_) => SessionEnd::Suspended,
         };
-        session.tally.reset_wire_state();
         registry.park(session);
         return Ok(end);
     }
@@ -1003,58 +1004,91 @@ fn handle_frame<W: Write>(
     }
 }
 
-/// The bounded resume journal: the most recent event payloads of a
-/// session, exactly as encoded (and checksummed) on first emission, so
-/// a resumed connection can re-send the bytes an interrupted one lost.
+/// The session's event stream, encoded once: every emitted unit (kind
+/// byte + payload) back to back in one buffer. Live `Events` frames are
+/// written from these bytes, and after a cut the same bytes are
+/// replayed to the next connection, so a resumed stream is
+/// byte-identical to an uninterrupted one.
 ///
-/// Bounded by a byte cap: pushing past it evicts the oldest whole
-/// events, sliding the retained window's base forward. A resume
-/// pointing before the base is honestly rejected — nothing here ever
-/// allocates from a client-supplied number.
+/// Bounded by a byte cap that [`EventJournal::trim`] applies once an
+/// emission or a resume replay has been written: the oldest whole units are evicted,
+/// sliding the retained window's base forward, so a unit is never
+/// evicted before it was sent. A resume pointing before the base is
+/// honestly rejected — nothing here ever allocates from a
+/// client-supplied number.
 #[derive(Debug)]
 struct EventJournal {
-    /// `(unit kind, payload bytes)` per event, oldest first.
-    events: VecDeque<(u8, Box<[u8]>)>,
-    /// Index of the oldest retained event in the session's full stream.
+    /// Encoded units, oldest first; the first `dead_bytes` are evicted.
+    units: Vec<u8>,
+    /// Each unit's encoded length; the first `dead` are evicted.
+    lens: Vec<u8>,
+    /// Evicted units still at the front of `units`/`lens`, reclaimed in
+    /// bulk once they outweigh the retained ones.
+    dead: usize,
+    dead_bytes: usize,
+    /// Index of the oldest retained unit in the session's full stream.
     base: u64,
-    /// Retained payload bytes (plus one kind byte per event).
-    bytes: usize,
     cap: usize,
 }
 
 impl EventJournal {
     fn new(cap: usize) -> Self {
         EventJournal {
-            events: VecDeque::new(),
+            units: Vec::new(),
+            lens: Vec::new(),
+            dead: 0,
+            dead_bytes: 0,
             base: 0,
-            bytes: 0,
             cap: cap.max(1),
         }
     }
 
-    fn push(&mut self, kind: u8, payload: &[u8]) {
-        self.bytes += payload.len() + 1;
-        self.events.push_back((kind, payload.into()));
-        // Keep at least the newest event even if it alone exceeds the
-        // cap: a journal that can't hold one event is useless.
-        while self.bytes > self.cap && self.events.len() > 1 {
-            let (_, old) = self.events.pop_front().expect("len > 1");
-            self.bytes -= old.len() + 1;
+    /// Appends one unit of `kind` whose payload `encode` writes, and
+    /// returns the payload bytes (the slice the session checksum
+    /// hashes).
+    fn push(&mut self, kind: u8, encode: impl FnOnce(&mut Vec<u8>)) -> &[u8] {
+        self.units.push(kind);
+        let start = self.units.len();
+        encode(&mut self.units);
+        let len = u8::try_from(self.units.len() + 1 - start).expect("event units fit a u8 length");
+        self.lens.push(len);
+        &self.units[start..]
+    }
+
+    /// Evicts the oldest whole units until the retained bytes fit the
+    /// cap, keeping at least the newest unit even if it alone exceeds
+    /// it: a journal that can't hold one unit is useless.
+    fn trim(&mut self) {
+        let mut retained = self.units.len() - self.dead_bytes;
+        while retained > self.cap && self.dead + 1 < self.lens.len() {
+            let len = usize::from(self.lens[self.dead]);
+            retained -= len;
+            self.dead_bytes += len;
+            self.dead += 1;
             self.base += 1;
+        }
+        if self.dead_bytes > retained {
+            self.units.drain(..self.dead_bytes);
+            self.lens.drain(..self.dead);
+            self.dead = 0;
+            self.dead_bytes = 0;
         }
     }
 
-    /// The retained window as `(base, total)`: events `base..total` of
+    /// The retained window as `(base, total)`: units `base..total` of
     /// the session's stream can be replayed; `total` is the count of
-    /// all events ever emitted.
+    /// all units ever emitted.
     fn window(&self) -> (u64, u64) {
-        (self.base, self.base + self.events.len() as u64)
+        (self.base, self.base + (self.lens.len() - self.dead) as u64)
     }
 
-    /// Events from stream index `from` (clamped to the base) onward.
-    fn iter_from(&self, from: u64) -> impl Iterator<Item = (u8, &[u8])> {
-        let skip = usize::try_from(from.saturating_sub(self.base)).unwrap_or(usize::MAX);
-        self.events.iter().skip(skip).map(|(k, p)| (*k, p.as_ref()))
+    /// The encoded units from stream index `from` (clamped to the
+    /// window) onward, with their lengths.
+    fn tail(&self, from: u64) -> (&[u8], &[u8]) {
+        let (base, total) = self.window();
+        let lens = &self.lens[self.lens.len() - (total - from.clamp(base, total)) as usize..];
+        let bytes: usize = lens.iter().map(|&len| usize::from(len)).sum();
+        (&self.units[self.units.len() - bytes..], lens)
     }
 }
 
@@ -1062,9 +1096,7 @@ impl EventJournal {
 #[derive(Debug)]
 struct SessionTally {
     checksum: Fnv64,
-    /// The reusable emission buffer.
-    events: EventBuffer,
-    /// The resume journal.
+    /// The resume journal, which every `Events` frame is written from.
     journal: EventJournal,
     ops: u64,
     row_ops: u64,
@@ -1077,7 +1109,6 @@ impl SessionTally {
     fn new(journal_max_bytes: usize) -> Self {
         SessionTally {
             checksum: Fnv64::new(),
-            events: EventBuffer::new(),
             journal: EventJournal::new(journal_max_bytes),
             ops: 0,
             row_ops: 0,
@@ -1087,69 +1118,62 @@ impl SessionTally {
         }
     }
 
-    /// Streams `completions` as `Events` frames, folding each unit's
-    /// *payload* into the totals, the session checksum and the resume
-    /// journal. Successes count toward `ops`/`row_ops`/energy; failures
-    /// only toward `failed` — the `Summary` reports what the session
-    /// really delivered, not what it attempted.
+    /// Streams `completions` as `Events` frames. Every unit is first
+    /// encoded into the resume journal and its *payload* folded into the
+    /// totals and the session checksum; only then is any byte written,
+    /// so a failed write leaves the whole emission journaled for resume.
+    /// Successes count toward `ops`/`row_ops`/energy; failures only
+    /// toward `failed` — the `Summary` reports what the session really
+    /// delivered, not what it attempted.
     fn emit<W: Write>(
         &mut self,
         writer: &mut W,
         completions: &[ReplayCompletion],
     ) -> io::Result<()> {
+        let (_, first) = self.journal.window();
         for c in completions {
-            if self.events.is_full() {
-                self.events.flush_to_crc(writer)?;
-            }
-            // Encode once into the reusable buffer: the returned slice
-            // is the checksummed, the sent and the journaled bytes.
-            if let Some(failure) = c.to_wire_failure() {
+            let payload = if let Some(failure) = c.to_wire_failure() {
                 self.failed += 1;
                 self.max_finish_cycle = self.max_finish_cycle.max(failure.at_cycle);
-                let payload = self.events.push_failure(&failure);
-                self.checksum.update(payload);
-                self.journal.push(proto::EVENT_FAILURE, payload);
-                continue;
-            }
-            let wire = c.to_wire();
-            self.ops += 1;
-            self.row_ops += u64::from(wire.op.row_op_kind().is_some());
-            self.max_finish_cycle = self.max_finish_cycle.max(wire.finish_cycle);
-            self.total_energy_nj += wire.energy_nj;
-            let payload = self.events.push_completion(&wire);
+                self.journal.push(proto::EVENT_FAILURE, |buf| {
+                    proto::failure_payload(&failure, buf);
+                })
+            } else {
+                let wire = c.to_wire();
+                self.ops += 1;
+                self.row_ops += u64::from(wire.op.row_op_kind().is_some());
+                self.max_finish_cycle = self.max_finish_cycle.max(wire.finish_cycle);
+                self.total_energy_nj += wire.energy_nj;
+                self.journal.push(proto::EVENT_COMPLETION, |buf| {
+                    proto::completion_payload(&wire, buf);
+                })
+            };
             self.checksum.update(payload);
-            self.journal.push(proto::EVENT_COMPLETION, payload);
         }
-        // The whole run ships before the caller's ack frame.
-        self.events.flush_to_crc(writer)
+        // The whole run ships, in as few frames as the cap allows,
+        // before the caller's ack frame.
+        let (units, lens) = self.journal.tail(first);
+        proto::write_events_crc(writer, units, lens, usize::MAX)?;
+        self.journal.trim();
+        Ok(())
     }
 
-    /// Re-emits journaled events from stream index `from` onward as
-    /// `Events` frames — byte-identical payloads to their first
-    /// emission, so the client-side checksum can't tell a resumed
-    /// stream from an uninterrupted one.
-    fn replay_journal<W: Write>(&self, writer: &mut W, from: u64) -> io::Result<()> {
+    /// Re-emits journaled units from stream index `from` onward as
+    /// `Events` frames — the very bytes of their first emission, so the
+    /// client-side checksum can't tell a resumed stream from an
+    /// uninterrupted one. Trims once the replay is written, so an
+    /// emission whose own write failed is capped too.
+    fn replay_journal<W: Write>(&mut self, writer: &mut W, from: u64) -> io::Result<()> {
         // Replay frames are deliberately small: a resuming client must
         // be able to absorb at least one whole frame per connection to
         // make forward progress, even over a wire that keeps dying.
         // Packing the tail into one maximal frame would livelock resume
         // whenever that frame outlives every connection attempt.
         const REPLAY_FRAME_BYTES: usize = 8 << 10;
-        let mut buffer = EventBuffer::new();
-        for (kind, payload) in self.journal.iter_from(from) {
-            if buffer.byte_len() >= REPLAY_FRAME_BYTES {
-                buffer.flush_to_crc(writer)?;
-            }
-            buffer.push_raw(kind, payload);
-        }
-        buffer.flush_to_crc(writer)
-    }
-
-    /// Drops any half-flushed emission buffer before parking: its units
-    /// are already journaled and checksummed, and the next connection
-    /// re-emits them from the journal.
-    fn reset_wire_state(&mut self) {
-        self.events = EventBuffer::new();
+        let (units, lens) = self.journal.tail(from);
+        proto::write_events_crc(writer, units, lens, REPLAY_FRAME_BYTES)?;
+        self.journal.trim();
+        Ok(())
     }
 
     fn summary(&self) -> Summary {
@@ -2188,6 +2212,176 @@ mod tests {
         assert_eq!(registry.parked_sessions(), 0);
     }
 
+    /// A stream that keeps `left` bytes, then fails every write.
+    struct CutAfter {
+        bytes: Vec<u8>,
+        left: usize,
+    }
+
+    impl Write for CutAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.left == 0 {
+                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "cut"));
+            }
+            let n = buf.len().min(self.left);
+            self.bytes.extend_from_slice(&buf[..n]);
+            self.left -= n;
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_write_cut_mid_emission_loses_no_events() {
+        const OPS: u64 = 120_000;
+        let config = ServerConfig::default();
+        let shutdown = AtomicBool::new(false);
+        let registry = SessionRegistry::new();
+        // One batch cycling the 64 MiB module's 8192 rows, whose events
+        // (~4.9 MB) outgrow one 4 MiB frame; the wire dies after 2 MiB.
+        let ops: Vec<CodicOp> = (0..OPS)
+            .map(|i| CodicOp::command(VariantId::DetZero, (i % 8192) * DramGeometry::ROW_BYTES))
+            .collect();
+        let input = crc_input(&[Frame::Hello(SessionParams::defaults()), Frame::Batch(ops)]);
+        let mut cut = CutAfter {
+            bytes: Vec::new(),
+            left: 2 << 20,
+        };
+        let end = serve_connection(
+            &mut input.as_slice(),
+            &mut cut,
+            &config,
+            &shutdown,
+            &registry,
+        )
+        .unwrap();
+        assert!(matches!(end, SessionEnd::Suspended), "cut parks: {end:?}");
+        assert_eq!(registry.parked_sessions(), 1);
+        let token = match proto::read_frame_crc(&mut cut.bytes.as_slice()).unwrap() {
+            Frame::HelloAck { token, .. } => token,
+            other => panic!("expected HelloAck, got {other:?}"),
+        };
+
+        let input = crc_input(&[
+            Frame::Resume(proto::ResumeRequest {
+                version: PROTOCOL_VERSION,
+                token,
+                events_received: 0,
+            }),
+            Frame::Bye,
+        ]);
+        let mut output = Vec::new();
+        let end = serve_connection(
+            &mut input.as_slice(),
+            &mut output,
+            &config,
+            &shutdown,
+            &registry,
+        )
+        .unwrap();
+        assert!(matches!(end, SessionEnd::Bye), "resumed run: {end:?}");
+        let frames = crc_frames(&output);
+        match &frames[0] {
+            Frame::ResumeAck(ack) => assert_eq!(ack.next_seq, OPS),
+            other => panic!("expected ResumeAck, got {other:?}"),
+        }
+        let mut seen = vec![false; OPS as usize];
+        for unit in event_units(&frames) {
+            let seq = match unit {
+                proto::SessionEvent::Completion(c) => c.seq,
+                proto::SessionEvent::Failure(x) => x.seq,
+            };
+            assert!(!seen[seq as usize], "seq {seq} arrived twice");
+            seen[seq as usize] = true;
+        }
+        let arrived = seen.iter().filter(|&&s| s).count();
+        assert_eq!(arrived, OPS as usize, "every seq arrives exactly once");
+        assert_eq!(summary_of(&frames).ops, OPS);
+    }
+
+    #[test]
+    fn repeated_write_cuts_hold_the_journal_to_the_cap_plus_one_emission() {
+        // Every connection resumes at the window top, then dies on its
+        // batch's `Events` write: each emission is journaled unsent.
+        const CAP: usize = 256;
+        let config = ServerConfig {
+            journal_max_bytes: CAP,
+            ..ServerConfig::default()
+        };
+        let shutdown = AtomicBool::new(false);
+        let registry = SessionRegistry::new();
+        let ops = zero_ops(256);
+        let hello = SessionParams {
+            max_outstanding: 8,
+            ..SessionParams::defaults()
+        };
+        let mut cut = CutAfter {
+            bytes: Vec::new(),
+            left: crc_input(&[Frame::HelloAck {
+                params: config.negotiate(&hello),
+                token: 1,
+            }])
+            .len(),
+        };
+        let input = crc_input(&[Frame::Hello(hello), Frame::Batch(ops[..64].to_vec())]);
+        serve_connection(
+            &mut input.as_slice(),
+            &mut cut,
+            &config,
+            &shutdown,
+            &registry,
+        )
+        .unwrap();
+        let token = match proto::read_frame_crc(&mut cut.bytes.as_slice()).unwrap() {
+            Frame::HelloAck { token, .. } => token,
+            other => panic!("expected HelloAck, got {other:?}"),
+        };
+        // The parked journal as `(units ever emitted, retained bytes)`.
+        let parked_journal = |registry: &SessionRegistry| {
+            let parked = registry.lock();
+            let journal = &parked[&token].session.tally.journal;
+            (journal.window().1, journal.units.len() - journal.dead_bytes)
+        };
+        for batch in ops[64..].chunks(64) {
+            let (total, _) = parked_journal(&registry);
+            let resume = Frame::Resume(proto::ResumeRequest {
+                version: PROTOCOL_VERSION,
+                token,
+                events_received: total,
+            });
+            let input = crc_input(&[resume, Frame::Batch(batch.to_vec())]);
+            let ack = crc_input(&[Frame::ResumeAck(ResumeAck {
+                params: config.negotiate(&hello),
+                token,
+                next_seq: 0,
+                replay_events: 0,
+                finished: 0,
+            })]);
+            let mut cut = CutAfter {
+                bytes: Vec::new(),
+                left: ack.len(),
+            };
+            let end = serve_connection(
+                &mut input.as_slice(),
+                &mut cut,
+                &config,
+                &shutdown,
+                &registry,
+            )
+            .unwrap();
+            assert!(matches!(end, SessionEnd::Suspended), "cut parks: {end:?}");
+            let (after, bytes) = parked_journal(&registry);
+            let emission = (after - total) as usize * 41;
+            assert!(emission > CAP, "the batch emitted {} units", after - total);
+            assert!(
+                bytes <= CAP + emission,
+                "journal holds {bytes} B, cap {CAP} + emission {emission} B"
+            );
+        }
+    }
+
     /// Parks one cut session and returns `(registry, token, events
     /// delivered before the cut)`.
     fn park_cut_session(config: &ServerConfig) -> (SessionRegistry, u64, u64) {
@@ -2391,24 +2585,115 @@ mod tests {
         let mut journal = EventJournal::new(30);
         assert_eq!(journal.window(), (0, 0));
         for i in 0..5u8 {
-            journal.push(i % 2, &[i; 10]);
+            journal.push(i % 2, |buf| buf.extend_from_slice(&[i; 10]));
+            journal.trim();
         }
         assert_eq!(journal.window(), (3, 5), "three oldest evicted");
-        let tail: Vec<(u8, Vec<u8>)> = journal
-            .iter_from(0) // clamped to the base
-            .map(|(k, p)| (k, p.to_vec()))
-            .collect();
-        assert_eq!(tail, vec![(1, vec![3; 10]), (0, vec![4; 10])]);
-        assert_eq!(journal.iter_from(4).count(), 1, "mid-window iteration");
-        assert_eq!(journal.iter_from(5).count(), 0, "nothing past the total");
+        let mut tail = vec![1];
+        tail.extend_from_slice(&[3; 10]);
+        tail.push(0);
+        tail.extend_from_slice(&[4; 10]);
+        // `from` is clamped to the base.
+        assert_eq!(journal.tail(0), (tail.as_slice(), [11u8, 11].as_slice()));
+        assert_eq!(journal.tail(4).1.len(), 1, "mid-window tail");
+        assert!(journal.tail(5).0.is_empty(), "nothing past the total");
 
         // One event larger than the whole cap is still retained: a
         // journal that cannot hold one event could never replay.
         let mut journal = EventJournal::new(4);
-        journal.push(0, &[7; 64]);
+        journal.push(0, |buf| buf.extend_from_slice(&[7; 64]));
+        journal.trim();
         assert_eq!(journal.window(), (0, 1));
-        journal.push(1, &[8; 64]);
+        journal.push(1, |buf| buf.extend_from_slice(&[8; 64]));
+        journal.trim();
         assert_eq!(journal.window(), (1, 2), "the newest always survives");
+    }
+
+    #[test]
+    fn event_journal_push_returns_exactly_the_hashed_payload() {
+        let completion = WireCompletion {
+            seq: 0,
+            shard: 1,
+            op: CodicOp::RowFill {
+                row_addr: 0x2_2000,
+                pattern: 0xA5A5_A5A5_A5A5_A5A5,
+            },
+            finish_cycle: 190,
+            busy_cycles: 61,
+            activations: 4,
+            energy_nj: 27.75,
+            fingerprint: 0x0123_4567_89ab_cdef,
+        };
+        let failure = WireFailure {
+            seq: 1,
+            shard: 0,
+            op: CodicOp::command(VariantId::DetZero, 0x8000),
+            at_cycle: 200,
+            cause: codic_core::fault::FaultCause::Misfire,
+            attempts: 2,
+        };
+        let mut journal = EventJournal::new(1 << 20);
+        let mut hashed = Fnv64::new();
+        let mut reference = Fnv64::new();
+        // The returned slice is exactly the unit's payload, so the
+        // session checksum folds the same bytes the client decodes.
+        let mut standalone = Vec::new();
+        proto::completion_payload(&completion, &mut standalone);
+        let slice = journal.push(proto::EVENT_COMPLETION, |buf| {
+            proto::completion_payload(&completion, buf);
+        });
+        assert_eq!(slice, standalone.as_slice());
+        hashed.update(slice);
+        reference.update(&standalone);
+        let mut standalone = Vec::new();
+        proto::failure_payload(&failure, &mut standalone);
+        let slice = journal.push(proto::EVENT_FAILURE, |buf| {
+            proto::failure_payload(&failure, buf);
+        });
+        assert_eq!(slice, standalone.as_slice());
+        hashed.update(slice);
+        reference.update(&standalone);
+        assert_eq!(hashed.value(), reference.value());
+        assert_eq!(journal.window(), (0, 2));
+    }
+
+    /// The unit bytes of each raw `Events` frame in `wire`.
+    fn raw_event_units(mut wire: &[u8]) -> Vec<&[u8]> {
+        let mut frames = Vec::new();
+        while !wire.is_empty() {
+            let len = u32::from_le_bytes(wire[0..4].try_into().unwrap()) as usize;
+            // Length prefix, tag and count before the units; the CRC
+            // trailer after them.
+            frames.push(&wire[9..4 + len - 4]);
+            wire = &wire[4 + len..];
+        }
+        frames
+    }
+
+    #[test]
+    fn journal_replay_resends_first_emission_bytes_in_small_frames() {
+        let mut engine = ReplayEngine::new(&params(1024));
+        let mut completions = engine.submit_batch(&zero_ops(1000)).unwrap();
+        completions.extend(engine.flush());
+        assert_eq!(completions.len(), 1000);
+        let mut tally = SessionTally::new(ServerConfig::default().journal_max_bytes);
+        let mut live = Vec::new();
+        tally.emit(&mut live, &completions).unwrap();
+        let mut replay = Vec::new();
+        tally.replay_journal(&mut replay, 0).unwrap();
+
+        let live = raw_event_units(&live);
+        assert_eq!(live.len(), 1, "one emission, one live frame");
+        let replayed = raw_event_units(&replay);
+        assert!(replayed.len() > 1, "the replay splits into small frames");
+        for frame in &replayed {
+            assert!(frame.len() <= 8 << 10, "replay frame of {} B", frame.len());
+        }
+        assert_eq!(
+            replayed.concat(),
+            live[0],
+            "the replay resends the same bytes"
+        );
     }
 
     #[test]
