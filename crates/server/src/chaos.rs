@@ -26,8 +26,8 @@ use std::thread;
 use std::time::Duration;
 
 /// splitmix64 — the same generator the fault layer and the fuzz
-/// campaigns use.
-fn mix64(mut x: u64) -> u64 {
+/// campaigns use; the server mints its session tokens with it too.
+pub(crate) fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -32,8 +32,9 @@ use std::time::{Duration, Instant};
 use codic_core::ops::CodicOp;
 
 use crate::proto::{
-    self, read_frame_crc, write_frame_crc, ErrorCode, Fnv64, Frame, ProtoError, ResumeRequest,
-    SessionEvent, SessionParams, Summary, WireCompletion, WireFailure, PROTOCOL_VERSION,
+    self, decode_body, read_body_crc, write_frame_crc, ErrorCode, EventUnits, Fnv64, Frame,
+    ProtoError, ResumeRequest, SessionEvent, SessionParams, Summary, WireCompletion, WireFailure,
+    PROTOCOL_VERSION,
 };
 use crate::server::ReplayEngine;
 
@@ -179,36 +180,46 @@ fn backoff_for(attempt: u32, base: Duration) -> Duration {
 
 /// One running checksum over completion AND failure payloads, in the
 /// exact order the server emitted them — the same rule the server's
-/// tally applies. `events` counts absorbed units: exactly the index the
+/// tally applies. The checksum folds over the payload slices of the
+/// received frames, which are the bytes the server hashed, so no unit
+/// is re-encoded. `events` counts absorbed units: exactly the index the
 /// resume protocol reports back as `events_received`.
 #[derive(Default)]
 struct Absorbed {
     checksum: Fnv64,
-    payload: Vec<u8>,
     completions: Vec<WireCompletion>,
     failures: Vec<WireFailure>,
     events: u64,
 }
 
 impl Absorbed {
-    /// Absorbs an `Events` run unit by unit, in order, hashing each
-    /// unit's payload (never the frame's count or kind bytes).
-    fn events(&mut self, events: &[SessionEvent]) {
-        for event in events {
-            self.payload.clear();
+    /// Absorbs one `Events` payload unit by unit, in order, hashing each
+    /// unit's received payload slice (never the frame's count or kind
+    /// bytes). All or nothing: a malformed frame leaves every field as
+    /// it was, so a resume never claims units of a frame that failed.
+    fn events(&mut self, payload: &[u8]) -> Result<(), ProtoError> {
+        let (checksum, events) = (self.checksum, self.events);
+        let (completions, failures) = (self.completions.len(), self.failures.len());
+        let walked = self.walk(payload);
+        if walked.is_err() {
+            (self.checksum, self.events) = (checksum, events);
+            self.completions.truncate(completions);
+            self.failures.truncate(failures);
+        }
+        walked
+    }
+
+    fn walk(&mut self, payload: &[u8]) -> Result<(), ProtoError> {
+        let mut units = EventUnits::new(payload)?;
+        while let Some((event, bytes)) = units.next_unit()? {
             match event {
-                SessionEvent::Completion(c) => {
-                    proto::completion_payload(c, &mut self.payload);
-                    self.completions.push(*c);
-                }
-                SessionEvent::Failure(x) => {
-                    proto::failure_payload(x, &mut self.payload);
-                    self.failures.push(*x);
-                }
+                SessionEvent::Completion(c) => self.completions.push(c),
+                SessionEvent::Failure(x) => self.failures.push(x),
             }
-            self.checksum.update(&self.payload);
+            self.checksum.update(bytes);
             self.events += 1;
         }
+        Ok(())
     }
 }
 
@@ -306,6 +317,9 @@ struct ResumableRun<'a> {
     ops: &'a [CodicOp],
     batch: usize,
     absorbed: Absorbed,
+    /// Every received frame body lands here: one allocation for the
+    /// whole session, across reconnects.
+    frame: Vec<u8>,
     /// The server-minted session token from the `HelloAck` (`None`
     /// until the handshake completed once).
     token: Option<u64>,
@@ -328,6 +342,7 @@ impl<'a> ResumableRun<'a> {
                 completions: Vec::with_capacity(ops.len()),
                 ..Absorbed::default()
             },
+            frame: Vec::new(),
             token: None,
             params: None,
             next_op: 0,
@@ -347,7 +362,7 @@ impl<'a> ResumableRun<'a> {
             None => {
                 write_frame_crc(writer, &Frame::Hello(*hello))?;
                 writer.flush()?;
-                match read_frame_crc(reader)? {
+                match decode_body(read_body_crc(reader, &mut self.frame)?)? {
                     Frame::HelloAck { params, token } => {
                         self.params = Some(params);
                         self.token = Some(token);
@@ -372,7 +387,7 @@ impl<'a> ResumableRun<'a> {
                     }),
                 )?;
                 writer.flush()?;
-                match read_frame_crc(reader)? {
+                match decode_body(read_body_crc(reader, &mut self.frame)?)? {
                     Frame::ResumeAck(ack) => {
                         self.next_op = usize::try_from(ack.next_seq).map_err(|_| {
                             ClientError::Protocol(format!(
@@ -409,13 +424,13 @@ impl<'a> ResumableRun<'a> {
             write_frame_crc(writer, &Frame::Batch(self.ops[self.next_op..end].to_vec()))?;
             writer.flush()?;
             loop {
-                match read_frame_crc(reader)? {
-                    Frame::Events(events) => self.absorbed.events(&events),
-                    Frame::Batched(_) => break,
-                    Frame::Error { code, detail } => {
+                match self.next_frame(reader)? {
+                    None => {}
+                    Some(Frame::Batched(_)) => break,
+                    Some(Frame::Error { code, detail }) => {
                         return Err(ClientError::Server { code, detail })
                     }
-                    other => {
+                    Some(other) => {
                         return Err(ClientError::Protocol(format!(
                             "expected Events/Batched, got {other:?}"
                         )))
@@ -430,16 +445,32 @@ impl<'a> ResumableRun<'a> {
         self.read_until_summary(reader)
     }
 
+    /// Reads the next frame into the session's buffer. An `Events`
+    /// frame is absorbed straight from the received bytes and yields
+    /// `None`; any other frame is decoded and returned.
+    fn next_frame<R: Read>(&mut self, reader: &mut R) -> Result<Option<Frame>, ClientError> {
+        let body = read_body_crc(reader, &mut self.frame)?;
+        match proto::events_payload(body) {
+            Some(units) => {
+                self.absorbed.events(units)?;
+                Ok(None)
+            }
+            None => Ok(Some(decode_body(body)?)),
+        }
+    }
+
     fn read_until_summary<R: Read>(&mut self, reader: &mut R) -> Result<(), ClientError> {
         loop {
-            match read_frame_crc(reader)? {
-                Frame::Events(events) => self.absorbed.events(&events),
-                Frame::Summary(summary) => {
+            match self.next_frame(reader)? {
+                None => {}
+                Some(Frame::Summary(summary)) => {
                     self.summary = Some(summary);
                     return Ok(());
                 }
-                Frame::Error { code, detail } => return Err(ClientError::Server { code, detail }),
-                other => {
+                Some(Frame::Error { code, detail }) => {
+                    return Err(ClientError::Server { code, detail })
+                }
+                Some(other) => {
                     return Err(ClientError::Protocol(format!(
                         "expected Events/Summary, got {other:?}"
                     )))
@@ -629,10 +660,196 @@ pub fn verify_against_reference(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
-    use crate::proto::BatchAck;
+    use crate::chaos::mix64;
+    use crate::proto::{encode_body, BatchAck};
     use crate::server::ServerConfig;
+    use codic_core::fault::FaultCause;
     use codic_core::ops::VariantId;
+
+    /// `body` as it crosses the wire: length prefix, body, CRC32C
+    /// trailer.
+    fn crc_framed(body: &[u8]) -> Vec<u8> {
+        let mut wire = (body.len() as u32 + 4).to_le_bytes().to_vec();
+        wire.extend_from_slice(body);
+        wire.extend_from_slice(&proto::crc32c(body).to_le_bytes());
+        wire
+    }
+
+    fn events_body(events: &[SessionEvent]) -> Vec<u8> {
+        let mut body = Vec::new();
+        encode_body(&Frame::Events(events.to_vec()), &mut body);
+        body
+    }
+
+    /// The server's rule: [`Fnv64`] over each unit's re-encoded payload.
+    fn payload_fold(events: &[SessionEvent]) -> u64 {
+        let (mut checksum, mut payload) = (Fnv64::new(), Vec::new());
+        for event in events {
+            payload.clear();
+            match event {
+                SessionEvent::Completion(c) => proto::completion_payload(c, &mut payload),
+                SessionEvent::Failure(x) => proto::failure_payload(x, &mut payload),
+            }
+            checksum.update(&payload);
+        }
+        checksum.value()
+    }
+
+    #[test]
+    fn the_received_slice_fold_equals_the_payload_fold() {
+        let mut n = 0u64;
+        let mut roll = || {
+            n += 1;
+            mix64(0xf01d ^ n)
+        };
+        let (mut events, mut widths) = (Vec::new(), BTreeSet::new());
+        let (mut completions, mut failures) = (Vec::new(), Vec::new());
+        for seq in 0..2000 {
+            let (a, b) = (roll(), roll());
+            let op = match roll() % 7 {
+                0 => CodicOp::read(a),
+                1 => CodicOp::command(VariantId::ALL[b as usize % VariantId::ALL.len()], a),
+                2 => CodicOp::RowInit {
+                    row_addr: a,
+                    ones: b % 2 == 1,
+                },
+                3 => CodicOp::MajOr { row_addr: a },
+                4 => CodicOp::Not {
+                    src_addr: a,
+                    dst_addr: b,
+                },
+                5 => CodicOp::RowCopy {
+                    src_addr: a,
+                    dst_addr: b,
+                },
+                _ => CodicOp::RowFill {
+                    row_addr: a,
+                    pattern: b,
+                },
+            };
+            let mut payload = Vec::new();
+            let event = if roll() % 4 == 0 {
+                let failure = WireFailure {
+                    seq,
+                    shard: roll() as u16,
+                    op,
+                    at_cycle: roll(),
+                    cause: [
+                        FaultCause::Misfire,
+                        FaultCause::ClockStuck,
+                        FaultCause::Quarantined,
+                    ][roll() as usize % 3],
+                    attempts: roll() as u8,
+                };
+                proto::failure_payload(&failure, &mut payload);
+                failures.push(failure);
+                SessionEvent::Failure(failure)
+            } else {
+                let completion = WireCompletion {
+                    seq,
+                    shard: roll() as u16,
+                    op,
+                    finish_cycle: roll(),
+                    busy_cycles: roll() as u32,
+                    activations: roll() as u8,
+                    energy_nj: (roll() >> 11) as f64 / 1024.0,
+                    fingerprint: if op.is_compute() { roll() } else { 0 },
+                };
+                proto::completion_payload(&completion, &mut payload);
+                completions.push(completion);
+                SessionEvent::Completion(completion)
+            };
+            widths.insert((matches!(event, SessionEvent::Failure(_)), payload.len()));
+            events.push(event);
+        }
+        // (failure?, payload bytes): 40 classic, 48 and 56 compute with
+        // fingerprint; failures of 9- and 17-byte ops.
+        let every_width = [
+            (false, 40),
+            (false, 48),
+            (false, 56),
+            (true, 29),
+            (true, 37),
+        ];
+        assert_eq!(widths, BTreeSet::from(every_width));
+        // Packed into frames of uneven size, as the server's emission
+        // splits them.
+        let mut absorbed = Absorbed::default();
+        for frame in events.chunks(37) {
+            absorbed.events(&events_body(frame)[1..]).unwrap();
+        }
+        assert_eq!(absorbed.checksum.value(), payload_fold(&events));
+        assert_eq!(absorbed.events, events.len() as u64);
+        assert_eq!(absorbed.completions, completions);
+        assert_eq!(absorbed.failures, failures);
+    }
+
+    #[test]
+    fn a_malformed_events_frame_absorbs_none_of_its_units() {
+        let ops: Vec<CodicOp> = (0..6)
+            .map(|i| CodicOp::command(VariantId::DetZero, i * 8192))
+            .collect();
+        let events: Vec<SessionEvent> = ops
+            .iter()
+            .enumerate()
+            .map(|(i, &op)| {
+                let seq = i as u64;
+                if i % 2 == 1 {
+                    SessionEvent::Failure(WireFailure {
+                        seq,
+                        shard: 0,
+                        op,
+                        at_cycle: 90 + seq,
+                        cause: FaultCause::Misfire,
+                        attempts: 2,
+                    })
+                } else {
+                    SessionEvent::Completion(WireCompletion {
+                        seq,
+                        shard: 0,
+                        op,
+                        finish_cycle: 100 + seq,
+                        busy_cycles: 24,
+                        activations: 1,
+                        energy_nj: 3.25,
+                        fingerprint: 0,
+                    })
+                }
+            })
+            .collect();
+        let hello = SessionParams::defaults();
+        let params = ServerConfig::default().negotiate(&hello);
+        // A good frame of two units, then a frame of four that fails
+        // after the walk has decoded two of its units.
+        let good = events_body(&events[..2]);
+        let mut unknown_kind = events_body(&events[2..]);
+        unknown_kind[events_body(&events[2..4]).len()] = 7;
+        let mut trailing = events_body(&events[2..]);
+        trailing.extend_from_slice(&[0; 3]);
+        let mut before = Absorbed::default();
+        before.events(&good[1..]).unwrap();
+        for (case, bad) in [("unknown kind", unknown_kind), ("trailing bytes", trailing)] {
+            let mut canned = Vec::new();
+            write_frame_crc(&mut canned, &Frame::HelloAck { params, token: 1 }).unwrap();
+            canned.extend(crc_framed(&good));
+            canned.extend(crc_framed(&bad));
+            let mut run = ResumableRun::new(&ops, ops.len());
+            let err = run
+                .attempt(&mut canned.as_slice(), &mut Vec::new(), &hello)
+                .expect_err(case);
+            assert!(matches!(err, ClientError::Proto(_)), "{case}: {err}");
+            // What a resume would report, and everything it rests on,
+            // stands exactly where the good frame left it.
+            let after = &run.absorbed;
+            assert_eq!(after.events, 2, "{case}");
+            assert_eq!(after.checksum, before.checksum, "{case}");
+            assert_eq!(after.completions, before.completions, "{case}");
+            assert_eq!(after.failures, before.failures, "{case}");
+        }
+    }
 
     #[test]
     fn short_but_self_consistent_streams_fail_verification() {

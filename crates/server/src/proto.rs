@@ -840,6 +840,93 @@ fn get_failure(payload: &[u8]) -> Result<(WireFailure, usize), ProtoError> {
     Ok((failure, want))
 }
 
+/// The walk over the units of a [`Frame::Events`] payload (the bytes
+/// after the type byte). Each step decodes one unit and yields it with
+/// the payload slice it was decoded from: the kind byte excluded, so
+/// exactly the bytes the session checksum hashes. [`decode_body`] and
+/// the client's absorb loop both walk `Events` frames through this type.
+#[derive(Debug)]
+pub(crate) struct EventUnits<'a> {
+    /// The units not yet walked.
+    units: &'a [u8],
+    /// Units the frame's count still promises.
+    left: usize,
+    /// Length of the whole payload, which every length error reports.
+    whole: usize,
+}
+
+impl<'a> EventUnits<'a> {
+    /// Starts a walk over `payload`. A hostile count is rejected before
+    /// anything is reserved: even if every unit were the smallest
+    /// possible, `count` of them could not exceed the bytes present.
+    pub(crate) fn new(payload: &'a [u8]) -> Result<Self, ProtoError> {
+        let bad = || ProtoError::BadLength {
+            tag: tag::EVENTS,
+            got: payload.len(),
+        };
+        let (count, units) = payload.split_first_chunk::<4>().ok_or_else(bad)?;
+        let left = u32::from_le_bytes(*count) as usize;
+        if left > units.len() / EVENT_UNIT_MIN {
+            return Err(bad());
+        }
+        Ok(EventUnits {
+            units,
+            left,
+            whole: payload.len(),
+        })
+    }
+
+    /// Units the walk has yet to yield.
+    pub(crate) fn remaining(&self) -> usize {
+        self.left
+    }
+
+    /// The next unit and its payload slice, or `None` once the frame's
+    /// count is walked. Units are variable-length, so the walk must land
+    /// exactly on the payload's end: trailing bytes are an error.
+    pub(crate) fn next_unit(&mut self) -> Result<Option<(SessionEvent, &'a [u8])>, ProtoError> {
+        if self.left == 0 {
+            return if self.units.is_empty() {
+                Ok(None)
+            } else {
+                Err(self.bad())
+            };
+        }
+        let (&kind, rest) = self.units.split_first().ok_or_else(|| self.bad())?;
+        let (event, used) = match kind {
+            EVENT_COMPLETION => {
+                get_completion(rest).map(|(c, used)| (SessionEvent::Completion(c), used))
+            }
+            EVENT_FAILURE => get_failure(rest).map(|(x, used)| (SessionEvent::Failure(x), used)),
+            other => return Err(ProtoError::UnknownEventKind(other)),
+        }
+        .map_err(|e| match e {
+            ProtoError::Empty | ProtoError::BadLength { .. } => self.bad(),
+            e => e,
+        })?;
+        let (unit, tail) = rest.split_at(used);
+        self.units = tail;
+        self.left -= 1;
+        Ok(Some((event, unit)))
+    }
+
+    fn bad(&self) -> ProtoError {
+        ProtoError::BadLength {
+            tag: tag::EVENTS,
+            got: self.whole,
+        }
+    }
+}
+
+/// The payload of `body` when it is a [`Frame::Events`] body, for
+/// [`EventUnits::new`]; `None` for every other frame type.
+pub(crate) fn events_payload(body: &[u8]) -> Option<&[u8]> {
+    match body.split_first() {
+        Some((&tag::EVENTS, payload)) => Some(payload),
+        _ => None,
+    }
+}
+
 /// Decodes a `type byte + payload` body (everything after the length
 /// prefix) back into a [`Frame`].
 ///
@@ -927,38 +1014,10 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, ProtoError> {
             Ok(Frame::Bye)
         }
         tag::EVENTS => {
-            if payload.len() < 4 {
-                return Err(bad(payload.len()));
-            }
-            let count = u32::from_le_bytes(payload[0..4].try_into().expect("sized")) as usize;
-            // Reject a hostile count before reserving anything: even if
-            // every unit were the smallest possible, `count` of them
-            // could not exceed the bytes actually present.
-            if count > (payload.len() - 4) / EVENT_UNIT_MIN {
-                return Err(bad(payload.len()));
-            }
-            let mut units = &payload[4..];
-            let mut events = Vec::with_capacity(count);
-            for _ in 0..count {
-                let (&kind, rest) = units.split_first().ok_or_else(|| bad(payload.len()))?;
-                let (event, used) = match kind {
-                    EVENT_COMPLETION => {
-                        get_completion(rest).map(|(c, used)| (SessionEvent::Completion(c), used))
-                    }
-                    EVENT_FAILURE => {
-                        get_failure(rest).map(|(x, used)| (SessionEvent::Failure(x), used))
-                    }
-                    other => return Err(ProtoError::UnknownEventKind(other)),
-                }
-                .map_err(|e| match e {
-                    ProtoError::Empty | ProtoError::BadLength { .. } => bad(payload.len()),
-                    e => e,
-                })?;
+            let mut units = EventUnits::new(payload)?;
+            let mut events = Vec::with_capacity(units.remaining());
+            while let Some((event, _)) = units.next_unit()? {
                 events.push(event);
-                units = &rest[used..];
-            }
-            if !units.is_empty() {
-                return Err(bad(payload.len()));
             }
             Ok(Frame::Events(events))
         }
@@ -1039,10 +1098,51 @@ const CRC32C_TABLE: [u32; 256] = {
 };
 
 /// Continues a CRC32C computation over `bytes` from `state` (the raw
-/// shift-register value, i.e. the complement of the digest so far).
-fn crc32c_append(mut state: u32, bytes: &[u8]) -> u32 {
+/// shift-register value, i.e. the complement of the digest so far):
+/// through the SSE4.2 `crc32` instruction when the running CPU has it,
+/// the byte-at-a-time table loop everywhere else. Both compute the same
+/// function (a differential unit test pins it).
+fn crc32c_append(state: u32, bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("sse4.2") {
+        // SAFETY: the `target_feature` contract of `crc32c_append_sse42`
+        // is that the CPU supports SSE4.2, which the runtime check on
+        // the line above just established.
+        return unsafe { crc32c_append_sse42(state, bytes) };
+    }
+    crc32c_append_table(state, bytes)
+}
+
+/// The portable CRC32C kernel: one table lookup per byte.
+fn crc32c_append_table(mut state: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         state = (state >> 8) ^ CRC32C_TABLE[((state ^ u32::from(b)) & 0xFF) as usize];
+    }
+    state
+}
+
+/// The SSE4.2 CRC32C kernel: the `crc32` instruction over 8-byte
+/// little-endian words, then byte by byte over the tail. The instruction
+/// computes the reflected Castagnoli polynomial on the raw register, with
+/// no initial or final complement, exactly like [`crc32c_append_table`].
+///
+/// # Safety
+///
+/// The running CPU must support SSE4.2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+unsafe fn crc32c_append_sse42(state: u32, bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let mut words = bytes.chunks_exact(8);
+    let mut wide = u64::from(state);
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        wide = _mm_crc32_u64(wide, word);
+    }
+    // The instruction leaves the 32-bit register zero-extended.
+    let mut state = wide as u32;
+    for &b in words.remainder() {
+        state = _mm_crc32_u8(state, b);
     }
     state
 }
@@ -1183,18 +1283,36 @@ fn write_events_frame<W: Write>(w: &mut W, units: &[u8], count: u32) -> io::Resu
 /// [`io::ErrorKind::UnexpectedEof`]), [`ProtoError::Crc`] on a trailer
 /// mismatch, and the matching decode error on a malformed frame.
 pub fn read_frame_crc<R: Read>(r: &mut R) -> Result<Frame, ProtoError> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len);
-    if len > MAX_FRAME_LEN {
-        return Err(ProtoError::Oversized(len));
+    read_body_crc(r, &mut Vec::new()).and_then(decode_body)
+}
+
+/// Reads one frame's body into `buf` (reusing its allocation across
+/// calls), enforces [`MAX_FRAME_LEN`], verifies the CRC32C trailer and
+/// returns the verified body — the type byte plus payload that
+/// [`decode_body`] takes — without decoding it.
+///
+/// # Errors
+///
+/// As [`read_frame_crc`], minus the decode errors.
+pub fn read_body_crc<'b, R: Read>(r: &mut R, buf: &'b mut Vec<u8>) -> Result<&'b [u8], ProtoError> {
+    let mut prefix = [0u8; 4];
+    r.read_exact(&mut prefix)?;
+    let len = body_len(prefix)?;
+    // Every byte up to `len` is overwritten by the read, so only growth
+    // needs zero-filling.
+    buf.resize(len, 0);
+    r.read_exact(buf)?;
+    check_crc(buf)
+}
+
+/// Validates a frame's length prefix, returning the body length (which
+/// includes the CRC trailer).
+fn body_len(prefix: [u8; 4]) -> Result<usize, ProtoError> {
+    match u32::from_le_bytes(prefix) {
+        0 => Err(ProtoError::Empty),
+        len if len > MAX_FRAME_LEN => Err(ProtoError::Oversized(len)),
+        len => Ok(len as usize),
     }
-    if len == 0 {
-        return Err(ProtoError::Empty);
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    check_crc(&body).and_then(decode_body)
 }
 
 /// An incremental, restartable frame decoder for streams with read
@@ -1247,17 +1365,11 @@ impl FrameReader {
         if self.need.is_none() {
             match self.fill(r, true)? {
                 Filled::Complete => {
-                    let len = u32::from_le_bytes(self.header);
                     self.header_filled = 0;
-                    if len > MAX_FRAME_LEN {
-                        return Err(ProtoError::Oversized(len));
-                    }
-                    if len == 0 {
-                        return Err(ProtoError::Empty);
-                    }
-                    self.need = Some(len as usize);
+                    let len = body_len(self.header)?;
+                    self.need = Some(len);
                     self.body.clear();
-                    self.body.resize(len as usize, 0);
+                    self.body.resize(len, 0);
                     self.body_filled = 0;
                 }
                 Filled::WouldBlock => return Ok(None),
@@ -1449,6 +1561,92 @@ mod tests {
         assert_eq!(crc32c(b""), 0);
         assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
         assert_eq!(crc32c(&[0xFFu8; 32]), 0x62A8_AB43);
+    }
+
+    /// `len` bytes of a splitmix64 stream keyed on `seed`.
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        (0..len as u64)
+            .map(|i| crate::chaos::mix64(seed ^ i) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn crc32c_equals_the_table_loop_at_every_length_and_offset() {
+        // Every alignment of the 8-byte word loop and every tail length.
+        let buf = seeded_bytes(0x00c0_ffee, 256 + 8);
+        for start in 0..8 {
+            for len in 0..=256 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32c_append(!0, bytes),
+                    crc32c_append_table(!0, bytes),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crc32c_equals_the_table_loop_on_one_mebibyte() {
+        let buf = seeded_bytes(0x0001_0000_0000, 1 << 20);
+        assert_eq!(crc32c_append(!0, &buf), crc32c_append_table(!0, &buf));
+    }
+
+    #[test]
+    fn crc32c_append_composes_over_every_split() {
+        // `write_events_frame` hashes the frame header and the units in
+        // two appends; every split must give the one-pass digest.
+        let buf = seeded_bytes(0x5eed, 200);
+        let whole = crc32c_append_table(!0, &buf);
+        assert_eq!(crc32c_append(!0, &buf), whole);
+        for split in 0..=buf.len() {
+            let (a, b) = buf.split_at(split);
+            assert_eq!(
+                crc32c_append(crc32c_append(!0, a), b),
+                whole,
+                "split {split}"
+            );
+            assert_eq!(
+                crc32c_append_table(crc32c_append_table(!0, a), b),
+                whole,
+                "table split {split}"
+            );
+        }
+    }
+
+    #[test]
+    fn read_body_crc_reuses_one_buffer_across_frames() {
+        let frames = [
+            Frame::Events(sample_events()),
+            Frame::Bye,
+            Frame::Batch(vec![CodicOp::read(0x40); 3]),
+            Frame::Events(sample_events()),
+        ];
+        let mut wire = Vec::new();
+        for frame in &frames {
+            write_frame_crc(&mut wire, frame).unwrap();
+        }
+        let mut reader = wire.as_slice();
+        let mut buf = Vec::new();
+        let mut capacity = None;
+        for frame in &frames {
+            // A shorter frame after a longer one must not see its bytes.
+            let body = read_body_crc(&mut reader, &mut buf).unwrap();
+            assert_eq!(&decode_body(body).unwrap(), frame);
+            assert_eq!(*capacity.get_or_insert(buf.capacity()), buf.capacity());
+        }
+        assert!(reader.is_empty());
+        // Corruption is caught exactly as `read_frame_crc` catches it.
+        let last = wire.len() - 1;
+        wire[last] ^= 1;
+        let mut reader = wire.as_slice();
+        for _ in 1..frames.len() {
+            read_body_crc(&mut reader, &mut buf).unwrap();
+        }
+        assert!(matches!(
+            read_body_crc(&mut reader, &mut buf),
+            Err(ProtoError::Crc { .. })
+        ));
     }
 
     #[test]

@@ -52,6 +52,7 @@ use codic_core::fleet::{FleetConfig, FleetEvent, FleetHandle, TenantId};
 use codic_core::ops::CodicOp;
 use codic_dram::{DramGeometry, TimingParams};
 
+use crate::chaos::mix64;
 use crate::governor::RateGovernor;
 use crate::proto::{
     self, write_frame_crc, BatchAck, ErrorCode, FlushAck, Fnv64, Frame, FrameReader, ProtoError,
@@ -435,15 +436,6 @@ pub enum SessionEnd {
     Suspended,
     /// The socket failed.
     Io(io::Error),
-}
-
-/// splitmix64 — the deterministic generator shared with the fault and
-/// chaos layers, used here to mint session tokens from a counter.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// The full state of one live session, detached from any particular
