@@ -781,7 +781,10 @@ impl CodicDevice {
     ///
     /// # Errors
     ///
-    /// Returns the first policy error without enqueuing anything.
+    /// Returns the first policy error without enqueuing anything, or
+    /// [`CodicError::DeviceStalled`] when the clock wedges with a full
+    /// queue. A stall is not all-or-nothing: the operations enqueued
+    /// before it stay outstanding.
     pub fn execute_all(&mut self, ops: &[CodicOp]) -> Result<BatchOutcome, CodicError> {
         let tokens: std::collections::HashSet<OpToken> =
             self.submit_all(ops)?.into_iter().collect();

@@ -6,7 +6,9 @@
 //! devices behind a lock of its own. A multi-tenant server shares one
 //! fleet of N slots between its sessions; a private session is simply a
 //! one-slot fleet of its own. Either way the session drains
-//! [`FleetEvent`]s. Three properties define the design:
+//! [`FleetEvent`]s — the one in-process event record — and projects each
+//! to the client-visible [`WireCompletion`] or [`WireFailure`]. Three
+//! properties define the design:
 //!
 //! - **Isolation by construction.** Acquiring a slot builds the tenant's
 //!   pool with [`DevicePool::new`] — the constructor a private pool of
@@ -67,7 +69,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use crate::device::{DeviceConfig, OpCompletion};
 use crate::error::CodicError;
 use crate::executor::OpFuture;
-use crate::fault::HealthPolicy;
+use crate::fault::{FaultCause, HealthPolicy};
 use crate::ops::CodicOp;
 use crate::pool::{DevicePool, ShardHealth};
 
@@ -150,6 +152,84 @@ pub struct FleetEvent {
     pub completion: OpCompletion,
 }
 
+impl FleetEvent {
+    /// The client-visible record of this event as a completion.
+    #[must_use]
+    pub fn to_wire(&self) -> WireCompletion {
+        WireCompletion {
+            seq: self.seq,
+            shard: self.shard,
+            op: self.completion.op,
+            finish_cycle: self.completion.finish_cycle,
+            busy_cycles: self.completion.cost.busy_cycles,
+            activations: self.completion.cost.activations,
+            energy_nj: self.completion.cost.energy_nj,
+            fingerprint: self.completion.fingerprint,
+        }
+    }
+
+    /// The client-visible record of this event's failure, when it failed.
+    #[must_use]
+    pub fn to_wire_failure(&self) -> Option<WireFailure> {
+        self.completion.outcome.cause().map(|cause| WireFailure {
+            seq: self.seq,
+            shard: self.shard,
+            op: self.completion.op,
+            at_cycle: self.completion.finish_cycle,
+            cause,
+            attempts: self.completion.attempts,
+        })
+    }
+}
+
+/// One finished operation as a serving client sees it: the record a
+/// wire protocol carries for a successful [`FleetEvent`]
+/// ([`FleetEvent::to_wire`]). Plain data; its byte layout belongs to the
+/// protocol that encodes it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WireCompletion {
+    /// Zero-based submission sequence number within the session (events
+    /// arrive in deterministic completion order, not sequence order).
+    pub seq: u64,
+    /// The pool shard that served the operation.
+    pub shard: u16,
+    /// The operation that completed.
+    pub op: CodicOp,
+    /// Memory cycle at which the operation finished on its shard.
+    pub finish_cycle: u64,
+    /// Bank/bus occupancy of the operation in memory cycles.
+    pub busy_cycles: u32,
+    /// Activations charged against the rank's tRRD/tFAW windows.
+    pub activations: u8,
+    /// Accounted energy of the operation in nanojoules.
+    pub energy_nj: f64,
+    /// FNV-1a-64 fingerprint of the written row's simulated contents —
+    /// carried on the wire (and hashed into the session checksum) only
+    /// for bulk-bitwise compute operations; decodes as 0 for everything
+    /// else, and senders must set it to 0 for non-compute operations so
+    /// round trips are exact.
+    pub fingerprint: u64,
+}
+
+/// One failed operation as a serving client sees it — the faulted
+/// sibling of [`WireCompletion`] ([`FleetEvent::to_wire_failure`]). A
+/// session with fault injection disabled never produces one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WireFailure {
+    /// Zero-based submission sequence number within the session.
+    pub seq: u64,
+    /// The pool shard the operation was routed to.
+    pub shard: u16,
+    /// The operation that failed.
+    pub op: CodicOp,
+    /// Memory cycle at which the failure was delivered on its shard.
+    pub at_cycle: u64,
+    /// Why the operation failed.
+    pub cause: FaultCause,
+    /// Issue attempts consumed (1 = failed on the first issue).
+    pub attempts: u8,
+}
+
 /// What the fleet accepted for one submitted batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmitReceipt {
@@ -201,7 +281,9 @@ impl Tenant {
     /// `(finish_cycle, seq)` — the same emission order a private serving
     /// engine produces.
     fn drain(&mut self) -> Vec<FleetEvent> {
-        let mut ready = Vec::new();
+        // Sized for the whole window up front: growing by doubling would
+        // cost allocations that rise with the batch size.
+        let mut ready = Vec::with_capacity(self.inflight.len());
         self.inflight
             .retain_mut(|(seq, shard, future)| match future.try_take() {
                 Some(completion) => {

@@ -350,11 +350,13 @@ impl DevicePool {
         // `route_checked` already ran every op through the safe-range
         // policy (same config on every shard, so a mid-batch re-route
         // cannot invalidate the check): the per-op loop takes the
-        // prechecked path and skips the redundant policy pass.
-        ops.iter()
-            .zip(routes)
-            .map(|(&op, shard)| self.submit_routed(op, shard))
-            .collect()
+        // prechecked path and skips the redundant policy pass. A collect
+        // into `Result` cannot presize its `Vec`, so push into one.
+        let mut routed = Vec::with_capacity(ops.len());
+        for (&op, shard) in ops.iter().zip(routes) {
+            routed.push(self.submit_routed(op, shard)?);
+        }
+        Ok(routed)
     }
 
     /// Submits `op` to `shard` (re-routing through
@@ -392,13 +394,13 @@ impl DevicePool {
         if self.healthy.is_empty() && !ops.is_empty() {
             return Err(CodicError::NoHealthyShards);
         }
-        ops.iter()
-            .map(|&op| {
-                let shard = self.shard_of(op);
-                self.devices[shard].controller().check_safe_range(op)?;
-                Ok(shard)
-            })
-            .collect()
+        let mut routes = Vec::with_capacity(ops.len());
+        for &op in ops {
+            let shard = self.shard_of(op);
+            self.devices[shard].controller().check_safe_range(op)?;
+            routes.push(shard);
+        }
+        Ok(routes)
     }
 
     /// The pool's clock driver: advances every shard's event engine to
@@ -475,7 +477,11 @@ impl DevicePool {
     ///
     /// # Errors
     ///
-    /// Returns the first policy error without enqueuing anything.
+    /// Returns the first policy error without enqueuing anything, or
+    /// [`CodicError::DeviceStalled`] when a shard's clock wedges with a
+    /// full queue. A stall is not all-or-nothing: the stalled shard keeps
+    /// the operations it managed to enqueue outstanding, and other shards
+    /// may have run their share.
     pub fn execute_all(&mut self, ops: &[CodicOp]) -> Result<PoolOutcome, CodicError> {
         let routes = self.route_checked(ops)?;
         let mut per_shard_ops: Vec<Vec<CodicOp>> = vec![Vec::new(); self.devices.len()];
@@ -488,12 +494,8 @@ impl DevicePool {
             .zip(per_shard_ops)
             .collect::<Vec<_>>()
             .into_par_iter()
-            .map(|(device, ops)| {
-                device
-                    .execute_all(&ops)
-                    .expect("ops were policy-checked before distribution")
-            })
-            .collect();
+            .map(|(device, ops)| device.execute_all(&ops))
+            .collect::<Result<_, _>>()?;
         Ok(PoolOutcome { per_shard })
     }
 
@@ -767,6 +769,22 @@ mod tests {
                 .map(drop)
         });
         assert_eq!(pool, Err(CodicError::DeviceStalled));
+    }
+
+    #[test]
+    fn execute_all_on_a_stuck_shard_reports_the_stall() {
+        use crate::fault::FaultPlan;
+        let config = DeviceConfig::new(DramGeometry::module_mib(64), TimingParams::ddr3_1600_11())
+            .with_refresh(false)
+            .with_faults(FaultPlan::new(1).with_stuck_shard(1, 50));
+        let mut p = DevicePool::new(2, &config);
+        assert_eq!(
+            p.execute_all(&zero_ops(1024)).map(drop),
+            Err(CodicError::DeviceStalled)
+        );
+        // Not all-or-nothing: the wedged shard keeps what it enqueued.
+        assert!(p.device(1).outstanding() > 0);
+        assert_eq!(p.device(0).outstanding(), 0);
     }
 
     #[test]

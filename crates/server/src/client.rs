@@ -19,8 +19,8 @@
 //! [`verify_against_reference`] then replays the identical batching
 //! discipline in process (through [`ReplayEngine`], the same core the
 //! server runs) and demands the socket stream be **bit-identical**:
-//! same finish cycle and same energy bits per sequence number, same
-//! per-shard completion order.
+//! the same completion record, energy bits included, at every stream
+//! position.
 
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -579,9 +579,9 @@ where
 }
 
 /// Replays the same `(ops, batch)` discipline in process through
-/// [`ReplayEngine`] and demands the served stream be bit-identical:
-/// per sequence number the same shard, op, finish cycle, and energy
-/// bits; per shard the same completion order.
+/// [`ReplayEngine`] and demands the served stream be bit-identical: at
+/// every stream position the reference's whole completion record, energy
+/// bits included.
 ///
 /// # Errors
 ///
@@ -623,39 +623,20 @@ pub fn verify_against_reference(
     // comparison.
     for (i, (got, want)) in report.completions.iter().zip(&reference).enumerate() {
         let want = want.to_wire();
-        if got.seq != want.seq {
+        if !bit_identical(got, &want) {
             return fail(format!(
-                "stream position {i}: seq {} served, {} expected (order diverged)",
-                got.seq, want.seq
-            ));
-        }
-        if got.shard != want.shard || got.op != want.op {
-            return fail(format!(
-                "seq {}: routed to shard {} as {:?}, expected shard {} {:?}",
-                got.seq, got.shard, got.op, want.shard, want.op
-            ));
-        }
-        if got.finish_cycle != want.finish_cycle {
-            return fail(format!(
-                "seq {}: finish cycle {} served, {} expected",
-                got.seq, got.finish_cycle, want.finish_cycle
-            ));
-        }
-        if got.energy_nj.to_bits() != want.energy_nj.to_bits()
-            || got.busy_cycles != want.busy_cycles
-            || got.activations != want.activations
-        {
-            return fail(format!("seq {}: accounted cost diverged", got.seq));
-        }
-        if got.fingerprint != want.fingerprint {
-            return fail(format!(
-                "seq {}: row fingerprint {:#018x} served, {:#018x} expected \
-                 (computed values diverged)",
-                got.seq, got.fingerprint, want.fingerprint
+                "stream position {i}, seq {}: served {got:?}, expected {want:?}",
+                got.seq
             ));
         }
     }
     Ok(())
+}
+
+/// Whole-record equality with the energy compared by its bits, so
+/// `-0.0` served for `0.0` is a divergence.
+fn bit_identical(got: &WireCompletion, want: &WireCompletion) -> bool {
+    got == want && got.energy_nj.to_bits() == want.energy_nj.to_bits()
 }
 
 #[cfg(test)]
@@ -666,6 +647,7 @@ mod tests {
     use crate::chaos::mix64;
     use crate::proto::{encode_body, BatchAck};
     use crate::server::ServerConfig;
+    use crate::trace::parse_trace;
     use codic_core::fault::FaultCause;
     use codic_core::ops::VariantId;
 
@@ -904,5 +886,82 @@ mod tests {
             }
             other => panic!("expected a verification failure, got {other}"),
         }
+    }
+
+    #[test]
+    fn every_tampered_field_class_fails_verification() {
+        let ops = parse_trace(include_str!("../traces/sample_bitwise.trace")).unwrap();
+        let batch = 64;
+        let params = ServerConfig::default().negotiate(&SessionParams {
+            compute_rows: 64,
+            ..SessionParams::defaults()
+        });
+        // The served stream of a faithful server is the reference's own.
+        let mut engine = ReplayEngine::new(&params);
+        let mut completions = Vec::new();
+        for chunk in ops.chunks(batch) {
+            completions.extend(
+                engine
+                    .submit_batch(chunk)
+                    .unwrap()
+                    .iter()
+                    .map(|e| e.to_wire()),
+            );
+        }
+        completions.extend(engine.flush().iter().map(|e| e.to_wire()));
+        let report = ClientReport {
+            params,
+            completions,
+            failures: Vec::new(),
+            summary: Summary::default(),
+            checksum: 0,
+            host_seconds: 1.0,
+            connections: 1,
+        };
+        verify_against_reference(&report, &ops, batch).expect("the faithful stream verifies");
+
+        let compute = report
+            .completions
+            .iter()
+            .position(|c| c.op.is_compute() && c.fingerprint != 0)
+            .expect("the bitwise trace computes rows");
+        let must_fail = |field: &str, tamper: &dyn Fn(&mut [WireCompletion])| {
+            let mut completions = report.completions.clone();
+            tamper(&mut completions);
+            let tampered = ClientReport {
+                completions,
+                failures: Vec::new(),
+                ..report
+            };
+            match verify_against_reference(&tampered, &ops, batch) {
+                Err(ClientError::Verification(_)) => {}
+                other => panic!("{field}: expected a verification failure, got {other:?}"),
+            }
+        };
+        must_fail("swapped positions", &|c| c.swap(3, 4));
+        must_fail("shard", &|c| c[5].shard ^= 1);
+        must_fail("finish cycle", &|c| c[6].finish_cycle += 1);
+        must_fail("energy, last bit", &|c| {
+            c[7].energy_nj = f64::from_bits(c[7].energy_nj.to_bits() ^ 1);
+        });
+        must_fail("energy, sign", &|c| c[8].energy_nj = -c[8].energy_nj);
+        must_fail("busy cycles", &|c| c[9].busy_cycles += 1);
+        must_fail("fingerprint", &|c| c[compute].fingerprint ^= 1 << 40);
+        // A fault-free stream carries no zero-energy completion, so the
+        // signed-zero case is pinned on the record comparison itself.
+        let zero = WireCompletion {
+            energy_nj: 0.0,
+            ..report.completions[0]
+        };
+        let negative_zero = WireCompletion {
+            energy_nj: -0.0,
+            ..zero
+        };
+        assert_eq!(
+            zero, negative_zero,
+            "PartialEq alone cannot tell them apart"
+        );
+        assert!(!bit_identical(&negative_zero, &zero));
+        assert!(bit_identical(&zero, &zero));
     }
 }

@@ -47,6 +47,11 @@ use std::io::{self, IoSlice, Read, Write};
 use codic_core::fault::FaultCause;
 use codic_core::ops::{CodicOp, VariantId};
 
+/// The client-visible event records, defined beside the fleet's event
+/// record they project ([`codic_core::fleet::FleetEvent::to_wire`]);
+/// this module owns only their byte layout.
+pub use codic_core::fleet::{WireCompletion, WireFailure};
+
 /// The one protocol version this implementation speaks: a `Hello` or
 /// `Resume` carrying any other version is refused with
 /// [`ErrorCode::Version`].
@@ -211,51 +216,6 @@ impl SessionParams {
     }
 }
 
-/// One finished operation as streamed back to the client.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WireCompletion {
-    /// Zero-based submission sequence number within the session (frames
-    /// arrive in deterministic completion order, not sequence order).
-    pub seq: u64,
-    /// The pool shard that served the operation.
-    pub shard: u16,
-    /// The operation that completed.
-    pub op: CodicOp,
-    /// Memory cycle at which the operation finished on its shard.
-    pub finish_cycle: u64,
-    /// Bank/bus occupancy of the operation in memory cycles.
-    pub busy_cycles: u32,
-    /// Activations charged against the rank's tRRD/tFAW windows.
-    pub activations: u8,
-    /// Accounted energy of the operation in nanojoules.
-    pub energy_nj: f64,
-    /// FNV-1a-64 fingerprint of the written row's simulated contents —
-    /// carried on the wire (and hashed into the session checksum) only
-    /// for bulk-bitwise compute operations; decodes as 0 for everything
-    /// else, and senders must set it to 0 for non-compute operations so
-    /// round trips are exact.
-    pub fingerprint: u64,
-}
-
-/// One failed operation as streamed back to the client — the faulted
-/// sibling of [`WireCompletion`]. A session with fault injection
-/// disabled never emits one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireFailure {
-    /// Zero-based submission sequence number within the session.
-    pub seq: u64,
-    /// The pool shard the operation was routed to.
-    pub shard: u16,
-    /// The operation that failed.
-    pub op: CodicOp,
-    /// Memory cycle at which the failure was delivered on its shard.
-    pub at_cycle: u64,
-    /// Why the operation failed.
-    pub cause: FaultCause,
-    /// Issue attempts consumed (1 = failed on the first issue).
-    pub attempts: u8,
-}
-
 /// One unit of a [`Frame::Events`] stream: either a finished or a
 /// failed operation, in the server's deterministic emission order.
 ///
@@ -317,7 +277,7 @@ pub struct FlushAck {
 
 /// Session totals, sent in response to [`Frame::Bye`] before the server
 /// closes the connection.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Summary {
     /// Operations completed *successfully* over the session.
     pub ops: u64,

@@ -56,8 +56,8 @@ use crate::chaos::mix64;
 use crate::governor::RateGovernor;
 use crate::proto::{
     self, write_frame_crc, BatchAck, ErrorCode, FlushAck, Fnv64, Frame, FrameReader, ProtoError,
-    ResumeAck, SessionParams, Summary, WireCompletion, WireFailure, MAX_QOS_WEIGHT,
-    MAX_QUOTA_CLAIM, MAX_TENANT_CLAIM, PROTOCOL_VERSION,
+    ResumeAck, SessionParams, Summary, MAX_QOS_WEIGHT, MAX_QUOTA_CLAIM, MAX_TENANT_CLAIM,
+    PROTOCOL_VERSION,
 };
 
 /// Server-side session defaults and caps.
@@ -214,57 +214,10 @@ impl ServerConfig {
     }
 }
 
-/// One finished operation with its session metadata — the in-process
-/// twin of the wire's completion unit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplayCompletion {
-    /// Zero-based submission sequence number within the session.
-    pub seq: u64,
-    /// The shard that served the operation.
-    pub shard: u16,
-    /// The typed completion from the device layer.
-    pub completion: codic_core::device::OpCompletion,
-}
-
-impl ReplayCompletion {
-    /// The wire form of this completion.
-    #[must_use]
-    pub fn to_wire(&self) -> WireCompletion {
-        WireCompletion {
-            seq: self.seq,
-            shard: self.shard,
-            op: self.completion.op,
-            finish_cycle: self.completion.finish_cycle,
-            busy_cycles: self.completion.cost.busy_cycles,
-            activations: self.completion.cost.activations,
-            energy_nj: self.completion.cost.energy_nj,
-            fingerprint: self.completion.fingerprint,
-        }
-    }
-
-    /// The wire form of this completion's failure, when it failed.
-    #[must_use]
-    pub fn to_wire_failure(&self) -> Option<WireFailure> {
-        self.completion.outcome.cause().map(|cause| WireFailure {
-            seq: self.seq,
-            shard: self.shard,
-            op: self.completion.op,
-            at_cycle: self.completion.finish_cycle,
-            cause,
-            attempts: self.completion.attempts,
-        })
-    }
-}
-
-impl From<FleetEvent> for ReplayCompletion {
-    fn from(e: FleetEvent) -> Self {
-        ReplayCompletion {
-            seq: e.seq,
-            shard: e.shard,
-            completion: e.completion,
-        }
-    }
-}
+/// One finished operation with its session metadata: the fleet's event
+/// record itself, which projects to the client-visible records with
+/// [`FleetEvent::to_wire`] and [`FleetEvent::to_wire_failure`].
+pub type ReplayCompletion = FleetEvent;
 
 /// The fleet shape a session with `params` runs on: `slots` slots of
 /// `params.shards` shards each, carrying the fault plan, retry policy,
@@ -371,7 +324,7 @@ impl ReplayEngine {
     pub fn submit_batch(&mut self, ops: &[CodicOp]) -> Result<Vec<ReplayCompletion>, CodicError> {
         let (receipt, events) = self.handle.submit(self.tenant, ops)?;
         self.next_seq += u64::from(receipt.accepted);
-        Ok(events.into_iter().map(ReplayCompletion::from).collect())
+        Ok(events)
     }
 
     /// Drives every shard to idle and returns everything still pending,
@@ -380,8 +333,7 @@ impl ReplayEngine {
     /// delivered as typed failures, so a flush always resolves every
     /// pending operation one way or the other.
     pub fn flush(&mut self) -> Vec<ReplayCompletion> {
-        let (_, events) = self.handle.flush(self.tenant);
-        events.into_iter().map(ReplayCompletion::from).collect()
+        self.handle.flush(self.tenant).1
     }
 
     /// Operations submitted but not yet completed (the backpressure
@@ -438,55 +390,34 @@ pub enum SessionEnd {
     Io(io::Error),
 }
 
-/// The full state of one live session, detached from any particular
-/// connection so a cut can park it and a [`Frame::Resume`] can pick it
-/// back up.
+/// The state of one session that outlives its connections, so a cut
+/// can park it and a [`Frame::Resume`] can pick it back up. The
+/// session's [`ReplayEngine`] travels beside it: a session parked
+/// without one is a finished tombstone that only re-delivers its
+/// journal tail and `Summary`.
 struct SessionState {
     params: SessionParams,
     token: u64,
-    engine: ReplayEngine,
     governor: RateGovernor,
     tally: SessionTally,
-    /// The summary of a completed session (`Bye` processed), kept so a
-    /// client whose connection died before the `Summary` arrived can
-    /// resume and receive it.
-    finished: Option<Summary>,
 }
 
 impl SessionState {
-    /// A session with a private-pool engine built from the config.
-    #[cfg(test)]
     fn new(params: SessionParams, token: u64, config: &ServerConfig) -> Self {
-        SessionState::from_engine(
-            params,
-            token,
-            config,
-            ReplayEngine::with_faults(&params, config.fault, config.retry, config.health),
-        )
-    }
-
-    /// A session around a pre-built engine — the fleet path constructs
-    /// its engine (acquiring a tenant slot) before the `HelloAck`.
-    fn from_engine(
-        params: SessionParams,
-        token: u64,
-        config: &ServerConfig,
-        engine: ReplayEngine,
-    ) -> Self {
         SessionState {
             params,
             token,
-            engine,
             governor: RateGovernor::new(params.target_rows_per_s),
             tally: SessionTally::new(config.journal_max_bytes),
-            finished: None,
         }
     }
 }
 
-/// A parked session awaiting its client's [`Frame::Resume`].
+/// A parked session awaiting its client's [`Frame::Resume`]: a cut live
+/// session with its engine, or a finished tombstone (`engine: None`).
 struct ParkedSession {
     session: SessionState,
+    engine: Option<ReplayEngine>,
     parked_at: Instant,
 }
 
@@ -542,12 +473,13 @@ impl SessionRegistry {
         mix64(n.wrapping_add(0xc0d1_c0de_5e55_1040)).max(1)
     }
 
-    fn park(&self, session: SessionState) {
+    fn park(&self, session: SessionState, engine: Option<ReplayEngine>) {
         let mut inner = self.lock();
         inner.insert(
             session.token,
             ParkedSession {
                 session,
+                engine,
                 parked_at: Instant::now(),
             },
         );
@@ -557,12 +489,12 @@ impl SessionRegistry {
     /// Removes and returns the parked session with `token`, waiting up
     /// to `grace` for the previous connection's thread to park it (the
     /// reconnect usually wins that race by a few milliseconds).
-    fn claim(&self, token: u64, grace: Duration) -> Option<SessionState> {
+    fn claim(&self, token: u64, grace: Duration) -> Option<(SessionState, Option<ReplayEngine>)> {
         let deadline = Instant::now() + grace;
         let mut inner = self.lock();
         loop {
             if let Some(parked) = inner.remove(&token) {
-                return Some(parked.session);
+                return Some((parked.session, parked.engine));
             }
             let left = deadline.checked_duration_since(Instant::now())?;
             inner = match self.parked.wait_timeout(inner, left) {
@@ -746,9 +678,8 @@ fn serve_connection_inner<R: Read, W: Write>(
             let token = registry.mint_token();
             write_frame_crc(writer, &Frame::HelloAck { params, token })?;
             writer.flush()?;
-            let session = SessionState::from_engine(params, token, config, engine);
             run_session(
-                session,
+                (SessionState::new(params, token, config), engine),
                 reader,
                 writer,
                 &mut frames,
@@ -794,7 +725,7 @@ fn resume_session<R: Read, W: Write>(
     // Wait briefly for the previous connection's thread to notice the
     // cut and park the session — the reconnect usually wins that race.
     let grace = Duration::from_millis((config.read_timeout_ms.max(1) * 8).max(500));
-    let Some(mut session) = registry.claim(req.token, grace) else {
+    let Some((mut session, engine)) = registry.claim(req.token, grace) else {
         let reason = "unknown, expired, or still-active session token".to_string();
         send_error(writer, ErrorCode::Unavailable, &reason)?;
         return Ok(SessionEnd::Rejected(reason));
@@ -813,35 +744,46 @@ fn resume_session<R: Read, W: Write>(
         send_error(writer, ErrorCode::Unavailable, &reason)?;
         return Ok(SessionEnd::Rejected(reason));
     }
-    let finished = session.finished;
+    // A finished session's `Bye` flush resolved every submitted op
+    // into exactly one event, so its journal total is its next seq.
     let ack = Frame::ResumeAck(ResumeAck {
         params: session.params,
         token: session.token,
-        next_seq: session.engine.next_seq(),
+        next_seq: engine.as_ref().map_or(total, ReplayEngine::next_seq),
         replay_events: total - req.events_received,
-        finished: u8::from(finished.is_some()),
+        finished: u8::from(engine.is_none()),
     });
     let handoff = (|| -> io::Result<()> {
         write_frame_crc(writer, &ack)?;
         session.tally.replay_journal(writer, req.events_received)?;
-        if let Some(summary) = finished {
-            write_frame_crc(writer, &Frame::Summary(summary))?;
+        if engine.is_none() {
+            write_frame_crc(writer, &Frame::Summary(session.tally.summary()))?;
         }
         writer.flush()
     })();
     if handoff.is_err() {
         // The replacement connection died too: park again for the next
         // attempt (the journal still covers everything unacknowledged).
-        registry.park(session);
+        registry.park(session, engine);
         return Ok(SessionEnd::Suspended);
     }
-    if finished.is_some() {
-        // Keep the tombstone around until the reaper claims it, in case
-        // this Summary is lost in a cut as well.
-        registry.park(session);
-        return Ok(SessionEnd::Bye);
+    match engine {
+        Some(engine) => run_session(
+            (session, engine),
+            reader,
+            writer,
+            frames,
+            config,
+            shutdown,
+            registry,
+        ),
+        None => {
+            // Keep the tombstone around until the reaper claims it, in
+            // case this Summary is lost in a cut as well.
+            registry.park(session, None);
+            Ok(SessionEnd::Bye)
+        }
     }
-    run_session(session, reader, writer, frames, config, shutdown, registry)
 }
 
 /// Control flow out of one frame's handling.
@@ -851,10 +793,10 @@ enum Flow {
 }
 
 /// The established-session serving loop, generic over how the session
-/// started (fresh `Hello` or `Resume`). Owns the session state so a cut
-/// can move it into the registry.
+/// started (fresh `Hello` or `Resume`). Owns the session state and its
+/// engine so a cut can move both into the registry.
 fn run_session<R: Read, W: Write>(
-    mut session: SessionState,
+    (mut session, mut engine): (SessionState, ReplayEngine),
     reader: &mut R,
     writer: &mut W,
     frames: &mut FrameReader,
@@ -865,12 +807,20 @@ fn run_session<R: Read, W: Write>(
     let idle = Duration::from_millis(config.session_idle_ms.max(1));
     loop {
         let end = match next_input(reader, frames, shutdown, idle) {
-            Ok(Input::Frame(frame)) => match handle_frame(&mut session, frame, writer) {
+            Ok(Input::Frame(frame)) => match handle_frame(&mut session, &mut engine, frame, writer)
+            {
                 Ok(Flow::Continue) => continue,
-                // A finished session parks as a tombstone: if the
-                // Summary was lost in a cut the client never saw, its
-                // Resume re-delivers journal + Summary.
-                Ok(Flow::End(SessionEnd::Bye)) => SessionEnd::Bye,
+                // The Summary wrote cleanly: the finished session gives
+                // its fleet slot and pool back now, and parks as a
+                // tombstone, so a client whose cut ate the Summary can
+                // Resume for journal + Summary. A cut before this point
+                // resumes into the live session, where the re-sent Bye
+                // produces the identical Summary.
+                Ok(Flow::End(SessionEnd::Bye)) => {
+                    drop(engine);
+                    registry.park(session, None);
+                    return Ok(SessionEnd::Bye);
+                }
                 Ok(Flow::End(end)) => return Ok(end),
                 // The write path died mid-emission: the whole emission
                 // was journaled before its first byte went out, so park
@@ -882,7 +832,7 @@ fn run_session<R: Read, W: Write>(
                 // (or failed, with a typed cause) and accounted, then
                 // the client gets the honest totals of what the session
                 // really delivered.
-                let completions = session.engine.flush();
+                let completions = engine.flush();
                 session.tally.emit(writer, &completions)?;
                 write_frame_crc(writer, &Frame::Summary(session.tally.summary()))?;
                 writer.flush()?;
@@ -893,7 +843,7 @@ fn run_session<R: Read, W: Write>(
                 // accounted, told why — and its memory (journal
                 // included) freed. Best-effort writes: the peer may
                 // already be gone, and the reap must happen regardless.
-                let completions = session.engine.flush();
+                let completions = engine.flush();
                 let teardown = (|| -> io::Result<()> {
                     session.tally.emit(writer, &completions)?;
                     send_error(
@@ -918,7 +868,7 @@ fn run_session<R: Read, W: Write>(
             // client that never does is bounded by the idle reaper.
             Err(_) => SessionEnd::Suspended,
         };
-        registry.park(session);
+        registry.park(session, Some(engine));
         return Ok(end);
     }
 }
@@ -927,13 +877,14 @@ fn run_session<R: Read, W: Write>(
 /// can park the session instead of dropping it.
 fn handle_frame<W: Write>(
     session: &mut SessionState,
+    engine: &mut ReplayEngine,
     frame: Frame,
     writer: &mut W,
 ) -> io::Result<Flow> {
     match frame {
         Frame::Batch(ops) => {
-            let seq_base = session.engine.next_seq();
-            match session.engine.submit_batch(&ops) {
+            let seq_base = engine.next_seq();
+            match engine.submit_batch(&ops) {
                 Ok(completions) => {
                     session.tally.emit(writer, &completions)?;
                     write_frame_crc(
@@ -942,7 +893,7 @@ fn handle_frame<W: Write>(
                             seq_base,
                             accepted: ops.len() as u32,
                             emitted: completions.len() as u32,
-                            outstanding: session.engine.outstanding() as u64,
+                            outstanding: engine.outstanding() as u64,
                         }),
                     )?;
                     writer.flush()?;
@@ -964,28 +915,23 @@ fn handle_frame<W: Write>(
             Ok(Flow::Continue)
         }
         Frame::Flush => {
-            let completions = session.engine.flush();
+            let completions = engine.flush();
             session.tally.emit(writer, &completions)?;
             write_frame_crc(
                 writer,
                 &Frame::Flushed(FlushAck {
                     emitted: completions.len() as u64,
-                    now_max: session.engine.now_max(),
+                    now_max: engine.now_max(),
                 }),
             )?;
             writer.flush()?;
             Ok(Flow::Continue)
         }
         Frame::Bye => {
-            let completions = session.engine.flush();
+            let completions = engine.flush();
             session.tally.emit(writer, &completions)?;
-            let summary = session.tally.summary();
-            write_frame_crc(writer, &Frame::Summary(summary))?;
+            write_frame_crc(writer, &Frame::Summary(session.tally.summary()))?;
             writer.flush()?;
-            // Marked finished only once the Summary writes cleanly: a
-            // cut before that resumes into the normal loop, where the
-            // client's re-sent Bye produces the identical Summary.
-            session.finished = Some(summary);
             Ok(Flow::End(SessionEnd::Bye))
         }
         other => {
@@ -1087,26 +1033,20 @@ impl EventJournal {
 /// Running totals and checksum of one session's completion stream.
 #[derive(Debug)]
 struct SessionTally {
+    /// The totals so far. Its `checksum` field stays 0:
+    /// [`SessionTally::summary`] fills it in from the running hash.
+    totals: Summary,
     checksum: Fnv64,
     /// The resume journal, which every `Events` frame is written from.
     journal: EventJournal,
-    ops: u64,
-    row_ops: u64,
-    failed: u64,
-    max_finish_cycle: u64,
-    total_energy_nj: f64,
 }
 
 impl SessionTally {
     fn new(journal_max_bytes: usize) -> Self {
         SessionTally {
+            totals: Summary::default(),
             checksum: Fnv64::new(),
             journal: EventJournal::new(journal_max_bytes),
-            ops: 0,
-            row_ops: 0,
-            failed: 0,
-            max_finish_cycle: 0,
-            total_energy_nj: 0.0,
         }
     }
 
@@ -1123,19 +1063,20 @@ impl SessionTally {
         completions: &[ReplayCompletion],
     ) -> io::Result<()> {
         let (_, first) = self.journal.window();
+        let totals = &mut self.totals;
         for c in completions {
             let payload = if let Some(failure) = c.to_wire_failure() {
-                self.failed += 1;
-                self.max_finish_cycle = self.max_finish_cycle.max(failure.at_cycle);
+                totals.failed += 1;
+                totals.max_finish_cycle = totals.max_finish_cycle.max(failure.at_cycle);
                 self.journal.push(proto::EVENT_FAILURE, |buf| {
                     proto::failure_payload(&failure, buf);
                 })
             } else {
                 let wire = c.to_wire();
-                self.ops += 1;
-                self.row_ops += u64::from(wire.op.row_op_kind().is_some());
-                self.max_finish_cycle = self.max_finish_cycle.max(wire.finish_cycle);
-                self.total_energy_nj += wire.energy_nj;
+                totals.ops += 1;
+                totals.row_ops += u64::from(wire.op.row_op_kind().is_some());
+                totals.max_finish_cycle = totals.max_finish_cycle.max(wire.finish_cycle);
+                totals.total_energy_nj += wire.energy_nj;
                 self.journal.push(proto::EVENT_COMPLETION, |buf| {
                     proto::completion_payload(&wire, buf);
                 })
@@ -1170,12 +1111,8 @@ impl SessionTally {
 
     fn summary(&self) -> Summary {
         Summary {
-            ops: self.ops,
-            row_ops: self.row_ops,
-            failed: self.failed,
-            max_finish_cycle: self.max_finish_cycle,
-            total_energy_nj: self.total_energy_nj,
             checksum: self.checksum.value(),
+            ..self.totals
         }
     }
 }
@@ -1623,6 +1560,7 @@ impl Drop for ReplayServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{WireCompletion, WireFailure};
     use codic_core::executor::OpFuture;
     use codic_core::ops::VariantId;
     use codic_core::pool::DevicePool;
@@ -2704,7 +2642,7 @@ mod tests {
         let config = ServerConfig::default();
         let registry = SessionRegistry::new();
         let token = registry.mint_token();
-        registry.park(SessionState::new(params(16), token, &config));
+        registry.park(SessionState::new(params(16), token, &config), None);
         assert_eq!(registry.parked_sessions(), 1);
 
         // A wrong token times out its grace window empty-handed without
@@ -2715,13 +2653,13 @@ mod tests {
         assert_eq!(registry.parked_sessions(), 1);
 
         // The right token claims exactly its session.
-        let claimed = registry.claim(token, Duration::from_millis(10)).unwrap();
+        let (claimed, engine) = registry.claim(token, Duration::from_millis(10)).unwrap();
         assert_eq!(claimed.token, token);
         assert_eq!(registry.parked_sessions(), 0);
 
         // Reaping honors the idle deadline: a fresh park survives a
         // generous deadline and falls to an expired one.
-        registry.park(claimed);
+        registry.park(claimed, engine);
         assert_eq!(registry.reap_idle(Duration::from_secs(3600)), 0);
         assert_eq!(registry.parked_sessions(), 1);
         assert_eq!(registry.reap_idle(Duration::ZERO), 1);
@@ -2817,11 +2755,11 @@ mod tests {
             // slot (round 1) starts just as fresh.
             assert_eq!(event_units(&served), event_units(&private), "round {round}");
             assert_eq!(summary_of(&served), summary_of(&private), "round {round}");
-            // The Bye parked a resume tombstone that still holds the
-            // slot; the reaper frees both together.
-            assert_eq!(fleet.free_slots(), 1, "tombstone holds the slot");
+            // The Bye gave the slot back and parked a resume tombstone
+            // that holds no slot; the reaper frees only its journal.
+            assert_eq!(fleet.free_slots(), 2, "the finished session's slot is free");
             assert_eq!(registry.reap_idle(Duration::ZERO), 1);
-            assert_eq!(fleet.free_slots(), 2, "reaping releases the slot");
+            assert_eq!(fleet.free_slots(), 2);
         }
     }
 
@@ -2947,6 +2885,49 @@ mod tests {
         );
         server.shutdown_handle().shutdown();
         serving.join().unwrap();
+    }
+
+    #[test]
+    fn a_finished_session_gives_back_its_fleet_slot_at_bye() {
+        let path = std::env::temp_dir().join(format!("codic-slot-{}.sock", std::process::id()));
+        let config = ServerConfig {
+            fleet_slots: 1,
+            ..ServerConfig::default()
+        };
+        let server = Arc::new(ReplayServer::bind(&path, config).unwrap());
+        let serving = {
+            let server = Arc::clone(&server);
+            thread::spawn(move || server.serve_forever().unwrap())
+        };
+        let (hello, ops) = (SessionParams::defaults(), zero_ops(64));
+        crate::client::replay(&path, &hello, &ops, 64).unwrap();
+        // The slot is released just after the Summary is written, so the
+        // next session may race the finishing thread by a moment — but
+        // never by the idle deadline a tombstone would hold it for.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let second = loop {
+            match crate::client::replay(&path, &hello, &ops, 64) {
+                Err(crate::client::ClientError::Server {
+                    code: ErrorCode::Unavailable,
+                    ..
+                }) if Instant::now() < deadline => thread::sleep(Duration::from_millis(10)),
+                other => break other,
+            }
+        };
+        let report = second.expect("the next session gets the only slot");
+        assert_eq!(report.summary.ops, 64);
+        server.shutdown_handle().shutdown();
+        serving.join().unwrap();
+        assert_eq!(
+            server.parked_sessions(),
+            2,
+            "both sessions left a tombstone"
+        );
+        assert_eq!(
+            server.free_tenant_slots(),
+            Some(1),
+            "and neither holds the slot"
+        );
     }
 
     #[test]

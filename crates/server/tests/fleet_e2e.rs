@@ -19,8 +19,9 @@
 //!   private server would.
 //! - Oversized v5 resource claims (tenant count, op quota) are rejected
 //!   with a typed `Policy` error before any allocation, a full fleet
-//!   rejects with `Unavailable`, and a finished tenant's slot is
-//!   recycled to the next Hello once the reaper frees its tombstone.
+//!   rejects with `Unavailable`, and a vanished tenant's slot is
+//!   recycled to the next Hello once the reaper frees its parked
+//!   session (a finished tenant gives its slot back at `Bye`).
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
