@@ -33,6 +33,12 @@
 //! command statistics; the report carries their host-throughput ratio
 //! (`sched_speedup`).
 //!
+//! A fifth — **`data_fingerprint`** — times the bulk-bitwise data plane's
+//! row hash: over 4,096 seeded words plus 0, !0 and every byte in every
+//! lane, the median ns per word of `uniform_fingerprint` (one low-byte
+//! orbit, then squaring) against the byte-serial `row_fingerprint` over
+//! the whole 8 KB row, asserting the two agree on every word.
+//!
 //! Every timed row reports the median host time over `--reps` runs
 //! (after one warm-up), with the fastest and slowest run beside it as
 //! `*_min`/`*_max`; rates are computed from the median. End-to-end
@@ -42,15 +48,18 @@
 //!
 //! Usage: `cargo run --release --bin bench_device [-- --rows N --shards S --reps R]`
 //!
-//! `--quick` runs only the engine cross-checks — the sweep tick-vs-event
-//! comparison and the queue-depth workload's tick-vs-event and
-//! legacy-vs-indexed identity checks — and exits non-zero on any
-//! divergence; the CI smoke step.
+//! `--quick` runs only the cross-checks — the sweep tick-vs-event
+//! comparison, the queue-depth workload's tick-vs-event and
+//! legacy-vs-indexed identity checks, and the uniform-vs-byte-serial
+//! fingerprint identity on 256 of the `data_fingerprint` words — and
+//! exits non-zero on any divergence; the CI smoke step.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use codic_bench::legacy::LegacyController;
 use codic_coldboot::DestructionMechanism;
+use codic_core::data::{row_fingerprint, uniform_fingerprint, WORDS_PER_ROW};
 use codic_core::device::{CodicDevice, DeviceConfig};
 use codic_core::executor::block_on;
 use codic_core::ops::{CodicOp, InDramMechanism, RowRegion, VariantId};
@@ -112,6 +121,16 @@ fn time<R>(reps: u64, mut f: impl FnMut() -> R) -> (Timed, R) {
         max: samples[n - 1],
     };
     (timed, out)
+}
+
+impl Timed {
+    fn scaled(self, k: f64) -> Timed {
+        Timed {
+            median: self.median * k,
+            min: self.min * k,
+            max: self.max * k,
+        }
+    }
 }
 
 /// Prints `"key"` (the median), `"key_min"` and `"key_max"` at one
@@ -438,7 +457,7 @@ fn queue_depth_smoke(outstanding: u64, geometry: DramGeometry, timing: &TimingPa
     event_finish
 }
 
-fn print_depth_entry(m: &DepthMeasured, timing: &TimingParams, last: bool) {
+fn print_depth_entry(m: &DepthMeasured, timing: &TimingParams) {
     println!("    {{");
     println!("      \"workload\": \"queue_depth_mixed\",");
     println!("      \"outstanding\": {},", m.outstanding);
@@ -467,7 +486,7 @@ fn print_depth_entry(m: &DepthMeasured, timing: &TimingParams, last: bool) {
         m.legacy_s.median / m.live_mc_s.median
     );
     println!("      \"energy_mj\": {:.4}", m.energy_nj * 1e-6);
-    println!("    }}{}", if last { "" } else { "," });
+    println!("    }},");
 }
 
 struct EngineComparison {
@@ -518,6 +537,69 @@ fn print_engine_entry(c: &EngineComparison, timing: &TimingParams, last: bool) {
     println!("    }}{}", if last { "" } else { "," });
 }
 
+/// The `data_fingerprint` words: 0, !0, every byte in every lane, then
+/// 4,096 words from a fixed splitmix64 stream.
+fn fingerprint_words() -> Vec<u64> {
+    let mut state = 23;
+    let mut words = vec![0, !0];
+    words.extend((0..8).flat_map(|lane| (0..=255u64).map(move |byte| byte << (8 * lane))));
+    words.extend((0..4096).map(|_| rand::splitmix64(&mut state)));
+    words
+}
+
+/// Hashes every word's uniform row with `hash`.
+fn fingerprints(words: &[u64], hash: impl Fn(u64) -> u64) -> Vec<u64> {
+    words.iter().map(|&word| hash(black_box(word))).collect()
+}
+
+/// Asserts `uniform_fingerprint` equals the byte-serial reference on
+/// every word.
+fn assert_fingerprints_agree(words: &[u64], uniform: &[u64], serial: &[u64]) {
+    for ((word, uniform), serial) in words.iter().zip(uniform).zip(serial) {
+        assert_eq!(
+            uniform, serial,
+            "uniform_fingerprint diverged from row_fingerprint on {word:#018x}"
+        );
+    }
+}
+
+fn byte_serial(word: u64) -> u64 {
+    row_fingerprint(&[word; WORDS_PER_ROW])
+}
+
+struct FingerprintMeasured {
+    words: usize,
+    uniform_ns: Timed,
+    serial_ns: Timed,
+}
+
+/// Times both fingerprints over the `data_fingerprint` words, per word.
+fn data_fingerprint(reps: u64) -> FingerprintMeasured {
+    let words = fingerprint_words();
+    let (uniform_s, uniform) = time(reps, || fingerprints(&words, uniform_fingerprint));
+    let (serial_s, serial) = time(reps, || fingerprints(&words, byte_serial));
+    assert_fingerprints_agree(&words, &uniform, &serial);
+    let per_word_ns = 1e9 / words.len() as f64;
+    FingerprintMeasured {
+        words: words.len(),
+        uniform_ns: uniform_s.scaled(per_word_ns),
+        serial_ns: serial_s.scaled(per_word_ns),
+    }
+}
+
+fn print_fingerprint_entry(m: &FingerprintMeasured) {
+    println!("    {{");
+    println!("      \"workload\": \"data_fingerprint\",");
+    println!("      \"words\": {},", m.words);
+    print_timed("uniform_ns_per_word", m.uniform_ns);
+    print_timed("byte_serial_ns_per_word", m.serial_ns);
+    println!(
+        "      \"speedup\": {:.2}",
+        m.serial_ns.median / m.uniform_ns.median
+    );
+    println!("    }}");
+}
+
 fn print_entry(name: &str, shards: usize, m: &Measured, last: bool) {
     println!("    {{");
     println!("      \"workload\": \"{name}\",");
@@ -551,6 +633,15 @@ fn main() {
         let lisa = compare_engines(RowOpKind::LisaClone, rows, 1, &timing);
         let depth = arg("--outstanding").unwrap_or(512);
         let depth_finish = queue_depth_smoke(depth, geometry, &timing);
+        let all = fingerprint_words();
+        let words: Vec<u64> = all
+            .iter()
+            .step_by(all.len() / 256)
+            .take(256)
+            .copied()
+            .collect();
+        let uniform = fingerprints(&words, uniform_fingerprint);
+        assert_fingerprints_agree(&words, &uniform, &fingerprints(&words, byte_serial));
         println!("{{");
         println!("  \"bench\": \"device_engine_smoke\",");
         println!("  \"results\": [");
@@ -561,6 +652,10 @@ fn main() {
         println!("    \"outstanding\": {depth},");
         println!("    \"finish_cycle\": {depth_finish},");
         println!("    \"identical\": [\"tick_vs_event\", \"legacy_vs_indexed\"]");
+        println!("  }},");
+        println!("  \"data_fingerprint_smoke\": {{");
+        println!("    \"words\": {},", words.len());
+        println!("    \"identical\": [\"uniform_vs_byte_serial\"]");
         println!("  }}");
         println!("}}");
         return;
@@ -601,9 +696,11 @@ fn main() {
         .iter()
         .map(|&d| queue_depth_at(d, reps, geometry, &timing))
         .collect();
-    for (i, m) in depth_results.iter().enumerate() {
-        print_depth_entry(m, &timing, i + 1 == depth_results.len());
+    for m in &depth_results {
+        print_depth_entry(m, &timing);
     }
+    let fingerprint = data_fingerprint(reps);
+    print_fingerprint_entry(&fingerprint);
     println!("  ],");
     println!(
         "  \"dram_speedup_secdealloc\": {:.2},",
@@ -623,8 +720,12 @@ fn main() {
         deepest.legacy_s.median / deepest.live_mc_s.median
     );
     println!(
-        "  \"serve_speedup_depth8192\": {:.2}",
+        "  \"serve_speedup_depth8192\": {:.2},",
         deepest.legacy_s.median / deepest.device_s.median
+    );
+    println!(
+        "  \"fingerprint_speedup\": {:.2}",
+        fingerprint.serial_ns.median / fingerprint.uniform_ns.median
     );
     println!("}}");
 }

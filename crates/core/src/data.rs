@@ -74,46 +74,43 @@ pub const fn row_fingerprint(words: &RowWords) -> u64 {
     hash
 }
 
-/// How many times [`uniform_fingerprint`] composes its step table with
-/// itself; each halves the serial chain left after it.
-const DOUBLINGS: u32 = 3;
-
 /// `row_fingerprint(&[word; WORDS_PER_ROW])`, without walking the row's
 /// 8192 bytes one at a time.
 ///
 /// XOR-ing a byte into an FNV-1a state changes only its low byte, and the
 /// low byte of a product depends only on the low bytes of its factors.
-/// So hashing one more `word` maps a state `h` to `h·P⁸ + step[h & 0xff]`
-/// (`P` the FNV prime), and the next low byte depends only on the current
-/// one. `step` is built from 256 independent eight-byte chains, then
-/// composed with itself `DOUBLINGS` times so that one table step covers
-/// `2^DOUBLINGS` words, which leaves a serial chain of
-/// `WORDS_PER_ROW >> DOUBLINGS` multiply-adds.
+/// So hashing one more `word` maps a state `h` to `h·P⁸ + s(h & 0xff)`
+/// (`P` the FNV prime), and the low byte moves by a map of its own. That
+/// map is a bijective T-function on 8 bits (each byte step is an XOR and
+/// a multiplication by an odd number), and every cycle of such a map has
+/// a power-of-two length. So from the offset basis the low byte comes
+/// back after `period` words, a power of two no larger than 256, which
+/// divides `WORDS_PER_ROW` (asserted at compile time), so no remainder is
+/// left. Hashing that one orbit byte by byte gives the period's affine
+/// map `h ↦ h·a + c`, with `a = P^(8·period)`; the whole row is that map
+/// applied `WORDS_PER_ROW / period` times, by squaring.
 #[must_use]
 pub fn uniform_fingerprint(word: u64) -> u64 {
-    let mut mul = Wrapping(FNV_PRIME.wrapping_pow(8));
-    let mut step = [Wrapping(0u64); 256];
-    for (low, s) in (0u64..).zip(&mut step) {
-        let mut hash = low;
+    const { assert!(WORDS_PER_ROW.is_multiple_of(256) && WORDS_PER_ROW.is_power_of_two()) };
+    let mut hash = FNV_OFFSET;
+    let mut period = 0usize;
+    loop {
         for byte in word.to_le_bytes() {
             hash = (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
         }
-        *s = Wrapping(hash) - Wrapping(low) * mul;
-    }
-    for _ in 0..DOUBLINGS {
-        let once = step;
-        for (low, s) in (0u64..).zip(&mut step) {
-            let first = once[low as usize];
-            let next = (Wrapping(low) * mul + first).0 as u8;
-            *s = first * mul + once[usize::from(next)];
+        period += 1;
+        if hash as u8 == FNV_OFFSET as u8 {
+            break;
         }
-        mul *= mul;
     }
-    let mut hash = Wrapping(FNV_OFFSET);
-    for _ in 0..WORDS_PER_ROW >> DOUBLINGS {
-        hash = hash * mul + step[usize::from(hash.0 as u8)];
+    debug_assert!(period.is_power_of_two() && period <= 256);
+    let mut a = Wrapping(FNV_PRIME.wrapping_pow(8 * period as u32));
+    let mut c = Wrapping(hash) - Wrapping(FNV_OFFSET) * a;
+    for _ in 0..(WORDS_PER_ROW / period).trailing_zeros() {
+        c = c * a + c;
+        a *= a;
     }
-    hash.0
+    (Wrapping(FNV_OFFSET) * a + c).0
 }
 
 /// A materialized row: the word repeated across it and its fingerprint,
@@ -295,6 +292,37 @@ mod tests {
     proptest! {
         #[test]
         fn uniform_fingerprint_is_exact(word in any::<u64>()) {
+            assert_exact(word);
+        }
+    }
+
+    /// Words hashed from the offset basis until the state's low byte
+    /// comes back, walking the low byte alone.
+    fn orbit_length(word: u64) -> u32 {
+        let start = FNV_OFFSET as u8;
+        let mut low = start;
+        for words in 1.. {
+            for byte in word.to_le_bytes() {
+                low = (low ^ byte).wrapping_mul(FNV_PRIME as u8);
+            }
+            if low == start {
+                return words;
+            }
+        }
+        unreachable!("a bijection on 256 states cycles within 256 steps")
+    }
+
+    #[test]
+    fn uniform_fingerprint_is_exact_at_every_orbit_length() {
+        let mut by_length = [None; 8];
+        for i in 0..1024u64 {
+            let word = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let length = orbit_length(word);
+            assert!(length.is_power_of_two() && length <= 128, "orbit {length}");
+            by_length[length.trailing_zeros() as usize].get_or_insert(word);
+        }
+        for (k, word) in by_length.into_iter().enumerate() {
+            let word = word.unwrap_or_else(|| panic!("no word with a {}-word orbit", 1 << k));
             assert_exact(word);
         }
     }
