@@ -18,20 +18,18 @@
 //!
 //! A third comparison pits the **event engine against the tick engine**
 //! on the idle-heavy full-module destruction sweeps: the identical
-//! streaming workload is driven once cycle-by-cycle
-//! (`MemoryController::tick`) and once event-to-event
+//! row-op stream is driven once cycle-by-cycle
+//! (`MemoryController::tick_reference`) and once event-to-event
 //! (`MemoryController::step_event`), asserting bit-identical DRAM time
 //! and reporting the wall-clock speedup (`events_vs_cycles`).
 //!
 //! A fourth — the **queue-depth scaling workload** — streams a mixed
-//! Read/Write/RowOp batch at outstanding depths 64 → 8192 through three
-//! paths serving the identical request stream: the pre-refactor O(n)
-//! scheduler preserved in [`codic_bench::legacy`] (the measurement
-//! baseline), the live indexed scheduler at the raw controller level,
-//! and the full `CodicDevice` async path (`submit_async` + arena-backed
-//! futures). Legacy and live must agree bit-for-bit on DRAM time and
-//! command statistics; the report carries their host-throughput ratio
-//! (`sched_speedup`).
+//! Read/Write/RowOp batch at outstanding depths 64 → 8192 through two
+//! paths serving the identical request stream: the raw controller and
+//! the full `CodicDevice` async path (`submit_async` + arena-backed
+//! futures), asserting they finish on the same cycle. The scheduler's
+//! output itself is pinned per case by `codic_dram`'s `scheduler_pins`
+//! test.
 //!
 //! A fifth — **`data_fingerprint`** — times the bulk-bitwise data plane's
 //! row hash: over 4,096 seeded words plus 0, !0 and every byte in every
@@ -49,23 +47,22 @@
 //! Usage: `cargo run --release --bin bench_device [-- --rows N --shards S --reps R]`
 //!
 //! `--quick` runs only the cross-checks — the sweep tick-vs-event
-//! comparison, the queue-depth workload's tick-vs-event and
-//! legacy-vs-indexed identity checks, and the uniform-vs-byte-serial
-//! fingerprint identity on 256 of the `data_fingerprint` words — and
-//! exits non-zero on any divergence; the CI smoke step.
+//! comparison, the queue-depth workload's tick-vs-event identity check,
+//! and the uniform-vs-byte-serial fingerprint identity on 256 of the
+//! `data_fingerprint` words — and exits non-zero on any divergence; the
+//! CI smoke step.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use codic_bench::legacy::LegacyController;
 use codic_coldboot::DestructionMechanism;
 use codic_core::data::{row_fingerprint, uniform_fingerprint, WORDS_PER_ROW};
 use codic_core::device::{CodicDevice, DeviceConfig};
 use codic_core::executor::block_on;
 use codic_core::ops::{CodicOp, InDramMechanism, RowRegion, VariantId};
 use codic_core::pool::DevicePool;
-use codic_dram::request::{QueueFull, ReqId, RowOpKind};
-use codic_dram::{DramGeometry, MemRequest, MemStats, MemoryController, ReqKind, TimingParams};
+use codic_dram::request::RowOpKind;
+use codic_dram::{DramGeometry, MemRequest, MemoryController, ReqKind, TimingParams};
 use codic_power::accounting;
 use codic_secdealloc::ZeroingMechanism;
 
@@ -181,98 +178,6 @@ fn coldboot_sweep(config: &DeviceConfig, shards: usize, reps: u64) -> Measured {
     }
 }
 
-/// Streams `rows` row operations of `kind` through one controller —
-/// consecutive rows rotating over the banks, queue refilled as slots free
-/// — driven either cycle-by-cycle or event-to-event. Returns the cycle
-/// the last row finished.
-fn stream_sweep(kind: RowOpKind, rows: u64, timing: &TimingParams, event_driven: bool) -> u64 {
-    let mut mc = MemoryController::new(DramGeometry::module_mib(64), *timing);
-    mc.set_refresh_enabled(false);
-    let busy = accounting::row_op_busy_cycles(kind, timing);
-    let mut pushed = 0u64;
-    while pushed < rows {
-        let req = MemRequest::new(
-            pushed * DramGeometry::ROW_BYTES,
-            ReqKind::RowOp {
-                op: kind,
-                busy_cycles: busy,
-            },
-        );
-        if mc.push(req).is_ok() {
-            pushed += 1;
-        } else if event_driven {
-            mc.step_event();
-        } else {
-            // The reference driver: schedules unconditionally every
-            // cycle, exactly the pre-event-engine tick.
-            mc.tick_reference();
-        }
-    }
-    if event_driven {
-        mc.run_to_idle()
-    } else {
-        while !mc.is_idle() {
-            mc.tick_reference();
-        }
-        mc.take_completions()
-            .iter()
-            .map(|c| c.finish_cycle)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// The common driving surface of the live and the legacy scheduler, so
-/// the queue-depth workload runs byte-for-byte the same loop on both.
-trait SchedulerUnderTest {
-    fn push(&mut self, request: MemRequest) -> Result<ReqId, QueueFull>;
-    fn step_event(&mut self) -> bool;
-    fn tick_reference(&mut self);
-    fn run_to_idle(&mut self) -> u64;
-    fn is_idle(&self) -> bool;
-    fn stats(&self) -> &MemStats;
-    fn set_refresh_enabled(&mut self, enabled: bool);
-    fn take_completions(&mut self) -> Vec<codic_dram::controller::Completion>;
-    fn can_accept(&self, kind: ReqKind) -> bool;
-}
-
-macro_rules! impl_scheduler_under_test {
-    ($ty:ty) => {
-        impl SchedulerUnderTest for $ty {
-            fn push(&mut self, request: MemRequest) -> Result<ReqId, QueueFull> {
-                <$ty>::push(self, request)
-            }
-            fn step_event(&mut self) -> bool {
-                <$ty>::step_event(self)
-            }
-            fn tick_reference(&mut self) {
-                <$ty>::tick_reference(self)
-            }
-            fn run_to_idle(&mut self) -> u64 {
-                <$ty>::run_to_idle(self)
-            }
-            fn is_idle(&self) -> bool {
-                <$ty>::is_idle(self)
-            }
-            fn stats(&self) -> &MemStats {
-                <$ty>::stats(self)
-            }
-            fn set_refresh_enabled(&mut self, enabled: bool) {
-                <$ty>::set_refresh_enabled(self, enabled)
-            }
-            fn take_completions(&mut self) -> Vec<codic_dram::controller::Completion> {
-                <$ty>::take_completions(self)
-            }
-            fn can_accept(&self, kind: ReqKind) -> bool {
-                <$ty>::can_accept(self, kind)
-            }
-        }
-    };
-}
-
-impl_scheduler_under_test!(MemoryController);
-impl_scheduler_under_test!(LegacyController);
-
 /// The mixed queue-depth service stream: one DetZero CODIC command, one
 /// read, one write, and one two-activation RowClone per group of four,
 /// rows rotating over the module so every bank and both row-op
@@ -316,40 +221,36 @@ fn mixed_requests(ops: &[CodicOp], timing: &TimingParams) -> Vec<MemRequest> {
         .collect()
 }
 
-/// Streams `requests` through `scheduler` with the 64-deep queues
-/// refilled as slots free, event-driven or via the reference tick loop;
-/// returns the cycle the last request finished.
-fn drive_stream<S: SchedulerUnderTest>(
-    scheduler: &mut S,
-    requests: &[MemRequest],
-    event_driven: bool,
-) -> u64 {
-    scheduler.set_refresh_enabled(false);
+/// Streams `requests` through `mc` with the 64-deep queues refilled as
+/// slots free, event-driven or via the reference tick loop (which
+/// schedules unconditionally every cycle, exactly the pre-event-engine
+/// tick); returns the cycle the last request finished.
+fn drive_stream(mc: &mut MemoryController, requests: &[MemRequest], event_driven: bool) -> u64 {
+    mc.set_refresh_enabled(false);
     for &request in requests {
         // Poll capacity rather than counting bounced pushes: the retry
         // frequency differs between the tick and event drivers, and a
         // bounced push shows up in the (driver-dependent)
         // `queue_rejections` statistic the identity checks compare.
-        while !scheduler.can_accept(request.kind) {
+        while !mc.can_accept(request.kind) {
             if event_driven {
-                scheduler.step_event();
+                mc.step_event();
             } else {
-                scheduler.tick_reference();
+                mc.tick_reference();
             }
         }
-        scheduler.push(request).expect("capacity was just checked");
+        mc.push(request).expect("capacity was just checked");
     }
     if event_driven {
-        scheduler.run_to_idle();
+        mc.run_to_idle();
     } else {
-        while !scheduler.is_idle() {
-            scheduler.tick_reference();
+        while !mc.is_idle() {
+            mc.tick_reference();
         }
     }
     // Derive the finish cycle from the completions themselves, so both
     // driving modes report the identical quantity.
-    scheduler
-        .take_completions()
+    mc.take_completions()
         .iter()
         .map(|c| c.finish_cycle)
         .max()
@@ -360,14 +261,13 @@ struct DepthMeasured {
     outstanding: u64,
     finish_cycle: u64,
     commands: u64,
-    legacy_s: Timed,
     live_mc_s: Timed,
     device_s: Timed,
     energy_nj: f64,
 }
 
-/// Runs the queue-depth workload at one outstanding depth on all three
-/// paths, asserting the legacy and live schedulers agree bit-for-bit.
+/// Runs the queue-depth workload at one outstanding depth on both paths,
+/// asserting they finish on the same cycle.
 fn queue_depth_at(
     outstanding: u64,
     reps: u64,
@@ -377,24 +277,11 @@ fn queue_depth_at(
     let ops = mixed_ops(outstanding, &geometry);
     let requests = mixed_requests(&ops, timing);
 
-    let (legacy_s, (legacy_finish, legacy_stats)) = time(reps, || {
-        let mut mc = LegacyController::new(geometry, *timing);
-        let finish = drive_stream(&mut mc, &requests, true);
-        (finish, *SchedulerUnderTest::stats(&mc))
-    });
-    let (live_mc_s, (live_finish, live_stats)) = time(reps, || {
+    let (live_mc_s, (live_finish, commands)) = time(reps, || {
         let mut mc = MemoryController::new(geometry, *timing);
         let finish = drive_stream(&mut mc, &requests, true);
-        (finish, *SchedulerUnderTest::stats(&mc))
+        (finish, mc.stats().total_commands())
     });
-    assert_eq!(
-        legacy_finish, live_finish,
-        "indexed scheduler diverged from the legacy scheduler at depth {outstanding}"
-    );
-    assert_eq!(
-        legacy_stats, live_stats,
-        "indexed scheduler's command counts diverged at depth {outstanding}"
-    );
 
     let config = DeviceConfig::new(geometry, *timing).with_refresh(false);
     let (device_s, (device_finish, energy_nj)) = time(reps, || {
@@ -421,24 +308,22 @@ fn queue_depth_at(
     DepthMeasured {
         outstanding,
         finish_cycle: live_finish,
-        commands: live_stats.total_commands(),
-        legacy_s,
+        commands,
         live_mc_s,
         device_s,
         energy_nj,
     }
 }
 
-/// The `--quick` identity checks on the queue-depth workload: the live
-/// scheduler's tick and event drivers must agree, and the legacy
-/// scheduler must agree with the live one — all three bit-identical.
+/// The `--quick` identity check on the queue-depth workload: the tick
+/// and event drivers must agree bit-for-bit.
 fn queue_depth_smoke(outstanding: u64, geometry: DramGeometry, timing: &TimingParams) -> u64 {
     let ops = mixed_ops(outstanding, &geometry);
     let requests = mixed_requests(&ops, timing);
     let run = |event_driven: bool| {
         let mut mc = MemoryController::new(geometry, *timing);
         let finish = drive_stream(&mut mc, &requests, event_driven);
-        (finish, *SchedulerUnderTest::stats(&mc))
+        (finish, *mc.stats())
     };
     let (tick_finish, tick_stats) = run(false);
     let (event_finish, event_stats) = run(true);
@@ -446,13 +331,6 @@ fn queue_depth_smoke(outstanding: u64, geometry: DramGeometry, timing: &TimingPa
         (tick_finish, tick_stats),
         (event_finish, event_stats),
         "tick and event engines diverged on the depth-{outstanding} mixed workload"
-    );
-    let mut legacy = LegacyController::new(geometry, *timing);
-    let legacy_finish = drive_stream(&mut legacy, &requests, true);
-    assert_eq!(
-        (legacy_finish, *SchedulerUnderTest::stats(&legacy)),
-        (event_finish, event_stats),
-        "legacy and indexed schedulers diverged on the depth-{outstanding} mixed workload"
     );
     event_finish
 }
@@ -466,13 +344,8 @@ fn print_depth_entry(m: &DepthMeasured, timing: &TimingParams) {
         "      \"dram_ms\": {:.4},",
         timing.ns(m.finish_cycle) * 1e-6
     );
-    print_timed("legacy_sched_host_s", m.legacy_s);
     print_timed("indexed_sched_host_s", m.live_mc_s);
     print_timed("device_async_host_s", m.device_s);
-    println!(
-        "      \"legacy_host_rows_per_s\": {:.0},",
-        m.outstanding as f64 / m.legacy_s.median
-    );
     println!(
         "      \"indexed_host_rows_per_s\": {:.0},",
         m.outstanding as f64 / m.live_mc_s.median
@@ -480,10 +353,6 @@ fn print_depth_entry(m: &DepthMeasured, timing: &TimingParams) {
     println!(
         "      \"device_async_host_rows_per_s\": {:.0},",
         m.outstanding as f64 / m.device_s.median
-    );
-    println!(
-        "      \"sched_speedup\": {:.2},",
-        m.legacy_s.median / m.live_mc_s.median
     );
     println!("      \"energy_mj\": {:.4}", m.energy_nj * 1e-6);
     println!("    }},");
@@ -497,16 +366,28 @@ struct EngineComparison {
     event_s: Timed,
 }
 
-/// Runs the identical sweep workload on both engines, asserting
-/// bit-identical DRAM time.
+/// Streams `rows` row operations of `kind` over consecutive rows (so they
+/// rotate over the banks) through both engines, asserting bit-identical
+/// DRAM time.
 fn compare_engines(
     kind: RowOpKind,
     rows: u64,
     reps: u64,
     timing: &TimingParams,
 ) -> EngineComparison {
-    let (tick_s, tick_finish) = time(reps, || stream_sweep(kind, rows, timing, false));
-    let (event_s, event_finish) = time(reps, || stream_sweep(kind, rows, timing, true));
+    let op = ReqKind::RowOp {
+        op: kind,
+        busy_cycles: accounting::row_op_busy_cycles(kind, timing),
+    };
+    let requests: Vec<MemRequest> = (0..rows)
+        .map(|row| MemRequest::new(row * DramGeometry::ROW_BYTES, op))
+        .collect();
+    let sweep = |event_driven: bool| {
+        let mut mc = MemoryController::new(DramGeometry::module_mib(64), *timing);
+        drive_stream(&mut mc, &requests, event_driven)
+    };
+    let (tick_s, tick_finish) = time(reps, || sweep(false));
+    let (event_s, event_finish) = time(reps, || sweep(true));
     assert_eq!(
         tick_finish, event_finish,
         "event engine diverged from tick engine on the {kind:?} sweep"
@@ -627,7 +508,7 @@ fn main() {
         // the tick engine on the sweep workload (compare_engines asserts,
         // so a divergence exits non-zero), and the queue-depth mixed
         // workload must be bit-identical across tick vs event drivers
-        // and legacy vs indexed schedulers (queue_depth_smoke asserts).
+        // (queue_depth_smoke asserts).
         let rows = arg("--rows").unwrap_or(1024).min(geometry.total_rows());
         let codic = compare_engines(RowOpKind::Codic, rows, 1, &timing);
         let lisa = compare_engines(RowOpKind::LisaClone, rows, 1, &timing);
@@ -651,7 +532,7 @@ fn main() {
         println!("  \"queue_depth_smoke\": {{");
         println!("    \"outstanding\": {depth},");
         println!("    \"finish_cycle\": {depth_finish},");
-        println!("    \"identical\": [\"tick_vs_event\", \"legacy_vs_indexed\"]");
+        println!("    \"identical\": [\"tick_vs_event\"]");
         println!("  }},");
         println!("  \"data_fingerprint_smoke\": {{");
         println!("    \"words\": {},", words.len());
@@ -689,15 +570,10 @@ fn main() {
     print_engine_entry(&codic, &timing, false);
     let lisa = compare_engines(RowOpKind::LisaClone, rows, reps, &timing);
     print_engine_entry(&lisa, &timing, false);
-    // Queue-depth scaling: the same mixed stream through the legacy
-    // scheduler, the indexed scheduler, and the device async path.
-    let depths = [64u64, 512, 2048, 8192];
-    let depth_results: Vec<DepthMeasured> = depths
-        .iter()
-        .map(|&d| queue_depth_at(d, reps, geometry, &timing))
-        .collect();
-    for m in &depth_results {
-        print_depth_entry(m, &timing);
+    // Queue-depth scaling: the same mixed stream through the raw
+    // controller and the device async path.
+    for depth in [64u64, 512, 2048, 8192] {
+        print_depth_entry(&queue_depth_at(depth, reps, geometry, &timing), &timing);
     }
     let fingerprint = data_fingerprint(reps);
     print_fingerprint_entry(&fingerprint);
@@ -713,15 +589,6 @@ fn main() {
     println!(
         "  \"events_vs_cycles_speedup\": {:.2},",
         lisa.tick_s.median / lisa.event_s.median
-    );
-    let deepest = depth_results.last().expect("at least one depth");
-    println!(
-        "  \"sched_speedup_depth8192\": {:.2},",
-        deepest.legacy_s.median / deepest.live_mc_s.median
-    );
-    println!(
-        "  \"serve_speedup_depth8192\": {:.2},",
-        deepest.legacy_s.median / deepest.device_s.median
     );
     println!(
         "  \"fingerprint_speedup\": {:.2}",

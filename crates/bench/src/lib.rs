@@ -1,10 +1,7 @@
 //! Experiment harness for the CODIC reproduction: the binaries in
 //! `src/bin/` regenerate every table and figure of the paper's evaluation,
 //! and `benches/` holds Criterion microbenchmarks of the performance-
-//! critical kernels. The [`legacy`] module preserves the pre-refactor
-//! scheduler as the queue-depth benchmark's measurement baseline.
-
-pub mod legacy;
+//! critical kernels.
 
 /// Prints a Markdown-style table row.
 pub fn row(cells: &[String]) -> String {

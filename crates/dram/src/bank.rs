@@ -53,20 +53,6 @@ impl Bank {
         self.open_row.is_some() && now >= self.next_pre
     }
 
-    /// Whether a read to `row` may issue at `now`.
-    #[inline]
-    #[must_use]
-    pub fn can_read(&self, row: u32, now: u64) -> bool {
-        self.open_row == Some(row) && now >= self.next_rd
-    }
-
-    /// Whether a write to `row` may issue at `now`.
-    #[inline]
-    #[must_use]
-    pub fn can_write(&self, row: u32, now: u64) -> bool {
-        self.open_row == Some(row) && now >= self.next_wr
-    }
-
     /// Whether a row operation may issue at `now` (requires a precharged
     /// bank, like an activate).
     #[inline]
@@ -196,8 +182,9 @@ mod tests {
         let t = t();
         let mut b = Bank::new();
         b.activate(7, 0, &t);
-        assert!(!b.can_read(7, u64::from(t.t_rcd) - 1));
-        assert!(b.can_read(7, u64::from(t.t_rcd)));
+        assert_eq!(b.open_row(), Some(7));
+        assert_eq!(b.next_rd_at(), u64::from(t.t_rcd));
+        assert_eq!(b.next_wr_at(), u64::from(t.t_rcd));
         assert!(!b.can_precharge(u64::from(t.t_ras) - 1));
         let done = b.read(u64::from(t.t_rcd), &t);
         assert_eq!(done, u64::from(t.t_rcd + t.t_cl + t.t_bl));
@@ -212,8 +199,9 @@ mod tests {
         let t = t();
         let mut b = Bank::new();
         b.activate(3, 0, &t);
-        assert!(!b.can_read(4, 100));
-        assert!(b.can_read(3, 100));
+        assert_ne!(b.open_row(), Some(4));
+        assert_eq!(b.open_row(), Some(3));
+        assert!(b.next_rd_at() <= 100);
     }
 
     #[test]
@@ -236,8 +224,9 @@ mod tests {
         b.activate(0, 0, &t);
         let issue = u64::from(t.t_rcd);
         let data_end = b.write(issue, &t);
-        assert!(!b.can_read(0, data_end + u64::from(t.t_wtr) - 1));
-        assert!(b.can_read(0, data_end + u64::from(t.t_wtr)));
+        assert_eq!(b.open_row(), Some(0));
+        assert_eq!(b.next_rd_at(), data_end + u64::from(t.t_wtr));
+        assert_eq!(b.next_wr_at(), issue + u64::from(t.t_ccd));
     }
 
     #[test]
@@ -257,8 +246,8 @@ mod tests {
         b.activate(0, 0, &t);
         let first = u64::from(t.t_rcd);
         let _ = b.read(first, &t);
-        assert!(!b.can_read(0, first + u64::from(t.t_ccd) - 1));
-        assert!(b.can_read(0, first + u64::from(t.t_ccd)));
+        assert_eq!(b.open_row(), Some(0));
+        assert_eq!(b.next_rd_at(), first + u64::from(t.t_ccd));
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //!   sequence (the [`ReqId`] handed out by [`MemoryController::push`]).
 //!   Within a class this equals queue order, so the issued command
 //!   stream is **bit-identical** to a full FR-FCFS scan of global
-//!   arrival-ordered queues — the invariant the engine-equivalence and
-//!   legacy-scheduler property tests pin.
+//!   arrival-ordered queues — the invariant the `scheduler_pins` test
+//!   pins with per-case digests the full-scan scheduler produced.
 //! - **Incremental horizon.** The controller caches one *candidate* per
 //!   (class, bank): the earliest cycle any command for that bank's chain
 //!   could issue, given bank, rank and data-bus state (`u64::MAX` for an

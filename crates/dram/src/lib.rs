@@ -7,8 +7,8 @@
 //!   ([`geometry::DramGeometry`]), with module presets from 64 MB to 64 GB;
 //! - JEDEC DDR3 timing (tRCD, tRP, tRAS, tRC, tRRD, tFAW, tWR, tWTR, tRTP,
 //!   tCCD, tRFC, tREFI, …) via [`timing::TimingParams`], enforced by
-//!   per-bank state machines ([`bank::Bank`]) and per-rank activation
-//!   windows ([`rank::Rank`]);
+//!   the controller's per-bank state machines and per-rank activation
+//!   windows;
 //! - an FR-FCFS memory controller with separate read/write queues, write
 //!   draining, open-page policy, and refresh
 //!   ([`controller::MemoryController`]);
@@ -43,13 +43,13 @@
 //! ```
 
 pub mod address;
-pub mod bank;
+mod bank;
 pub mod cache;
 pub mod command;
 pub mod controller;
 pub mod cpu;
 pub mod geometry;
-pub mod rank;
+mod rank;
 pub mod request;
 pub mod stats;
 pub mod system;
