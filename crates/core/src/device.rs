@@ -246,10 +246,25 @@ pub struct SweepReport {
     pub energy_nj: f64,
 }
 
+/// Where a finished operation's completion is delivered.
+#[derive(Debug, Clone, Copy)]
+enum Waiter {
+    /// The [`CodicDevice::take_completions`] buffer (token submissions).
+    Buffer,
+    /// An async submission's arena slot.
+    Slot(SlotHandle),
+    /// The [`CodicDevice::drain_tagged`] buffer, with the submitter's tag
+    /// (a serving tenant's sequence number). Kept as bytes so the enum
+    /// stays 4-byte aligned and the pending entry no larger than an
+    /// `Option<SlotHandle>` left it: the pending ring grows to thousands
+    /// of entries per shard under a deep write queue.
+    Tag([u8; 8]),
+}
+
 /// One submitted operation awaiting completion: its typed op, accounted
-/// cost, and — for async submissions — the arena slot to fulfil. The
-/// token is the op's *original* request id: a retried op re-enters the
-/// scheduler under a fresh id but keeps the token its submitter holds.
+/// cost, and where to deliver it. The token is the op's *original*
+/// request id: a retried op re-enters the scheduler under a fresh id but
+/// keeps the token its submitter holds.
 #[derive(Debug)]
 struct PendingOp {
     token: OpToken,
@@ -258,7 +273,7 @@ struct PendingOp {
     /// Data-plane fingerprint fixed at submit time (architectural state
     /// advances in submission order, decoupled from the timing model).
     fingerprint: u64,
-    waiter: Option<SlotHandle>,
+    waiter: Waiter,
     /// Issue attempts so far (1 = first issue).
     attempts: u8,
     /// Per-device row-op index the misfire schedule is keyed by.
@@ -266,6 +281,9 @@ struct PendingOp {
     /// Decision of the fault plan for this attempt, fixed at issue time.
     will_fail: bool,
 }
+
+// The pending ring holds thousands of these per shard (see `Waiter::Tag`).
+const _: () = assert!(std::mem::size_of::<PendingOp>() <= 80);
 
 /// A misfired operation waiting out its retry backoff.
 #[derive(Debug)]
@@ -312,6 +330,9 @@ pub struct CodicDevice {
     write_cost: OpCost,
     row_costs: [OpCost; 5],
     ready: Vec<OpCompletion>,
+    /// Completions of tagged submissions, with their tags, in completion
+    /// order.
+    tagged: Vec<(u64, OpCompletion)>,
     /// Fault injection and retry state; `None` (the default) means the
     /// feature is disabled and every completion is [`OpOutcome::Ok`].
     fault: Option<FaultState>,
@@ -323,6 +344,23 @@ pub struct CodicDevice {
     /// the policy still runs per operation; this memo only skips
     /// re-deriving the variant-match decision op after op.
     auth_memo: Option<Option<VariantId>>,
+}
+
+/// Delivers `completion` where `waiter` says: an async submission's
+/// future (in completion order), or one of the device's drainable
+/// buffers.
+fn deliver(
+    waiter: Waiter,
+    completion: OpCompletion,
+    futures: &SlotArena,
+    ready: &mut Vec<OpCompletion>,
+    tagged: &mut Vec<(u64, OpCompletion)>,
+) {
+    match waiter {
+        Waiter::Buffer => ready.push(completion),
+        Waiter::Slot(handle) => futures.fulfil(handle, completion),
+        Waiter::Tag(tag) => tagged.push((u64::from_ne_bytes(tag), completion)),
+    }
 }
 
 /// The `row_costs` slot of a row-operation kind.
@@ -391,6 +429,7 @@ impl CodicDevice {
             write_cost,
             row_costs,
             ready: Vec::new(),
+            tagged: Vec::new(),
             fault,
             data,
             auth_memo: None,
@@ -486,6 +525,7 @@ impl CodicDevice {
             pending,
             futures,
             ready,
+            tagged,
             fault,
             ..
         } = self;
@@ -505,10 +545,7 @@ impl CodicDevice {
                 attempts: p.attempts,
                 fingerprint: p.fingerprint,
             };
-            match p.waiter {
-                Some(handle) => futures.fulfil(handle, completion),
-                None => ready.push(completion),
-            }
+            deliver(p.waiter, completion, futures, ready, tagged);
         };
         pending.drain(|_, p| {
             deliver(p);
@@ -541,7 +578,7 @@ impl CodicDevice {
     /// when §4.4's rules reject the operation.
     pub fn submit(&mut self, op: CodicOp) -> Result<OpToken, CodicError> {
         self.policy.check_safe_range(op)?;
-        self.submit_inner(op, None)
+        self.submit_inner(op, Waiter::Buffer)
     }
 
     /// The post-policy submission path shared by every submit flavor:
@@ -551,11 +588,7 @@ impl CodicDevice {
     /// the queue push. `waiter` is installed into the pending entry at
     /// insert time — the async path no longer pays a second `IdMap`
     /// lookup to attach it after the fact.
-    fn submit_inner(
-        &mut self,
-        op: CodicOp,
-        waiter: Option<SlotHandle>,
-    ) -> Result<OpToken, CodicError> {
+    fn submit_inner(&mut self, op: CodicOp, waiter: Waiter) -> Result<OpToken, CodicError> {
         self.install_for(op);
         // The full §4.4 authorization (variant match + range), memoized
         // by the variant the op requires: the first op of a stream runs
@@ -641,6 +674,17 @@ impl CodicDevice {
         self.submit_async_prechecked(op)
     }
 
+    /// [`CodicDevice::submit`] minus the safe-range check, for callers
+    /// that already pre-flighted the whole batch (the pool's
+    /// all-or-nothing routed path), with the completion delivered to the
+    /// buffer [`CodicDevice::drain_tagged`] empties, beside `tag`. The tag
+    /// rides the pending entry the device keeps anyway, so the caller
+    /// needs no token map of its own.
+    pub(crate) fn submit_tagged(&mut self, op: CodicOp, tag: u64) -> Result<(), CodicError> {
+        self.submit_inner(op, Waiter::Tag(tag.to_ne_bytes()))
+            .map(drop)
+    }
+
     /// [`CodicDevice::submit_async`] minus the safe-range check, for
     /// callers that already pre-flighted the whole batch (the pool's
     /// all-or-nothing routed path). The future's slot is claimed first
@@ -649,7 +693,7 @@ impl CodicDevice {
     /// returned-early future drops and releases its slot.
     pub(crate) fn submit_async_prechecked(&mut self, op: CodicOp) -> Result<OpFuture, CodicError> {
         let (future, handle) = self.futures.claim();
-        self.submit_inner(op, Some(handle))?;
+        self.submit_inner(op, Waiter::Slot(handle))?;
         Ok(future)
     }
 
@@ -685,7 +729,9 @@ impl CodicDevice {
         for op in ops {
             self.policy.check_safe_range(*op)?;
         }
-        ops.iter().map(|&op| self.submit_inner(op, None)).collect()
+        ops.iter()
+            .map(|&op| self.submit_inner(op, Waiter::Buffer))
+            .collect()
     }
 
     /// Advances one memory cycle through the *reference* driver
@@ -771,6 +817,23 @@ impl CodicDevice {
     pub fn take_completions(&mut self) -> Vec<OpCompletion> {
         self.harvest();
         std::mem::take(&mut self.ready)
+    }
+
+    /// Completions of tagged submissions buffered so far.
+    pub(crate) fn tagged_len(&self) -> usize {
+        self.tagged.len()
+    }
+
+    /// Hands every buffered completion of a tagged submission to `f`
+    /// with its tag, in completion order, and empties the buffer in
+    /// place: its capacity is kept, so a serving loop that drains at
+    /// every batch boundary allocates nothing here once warm. Every
+    /// clock driver harvests before it returns, so the buffer is
+    /// already current.
+    pub(crate) fn drain_tagged(&mut self, mut f: impl FnMut(u64, OpCompletion)) {
+        for (tag, completion) in self.tagged.drain(..) {
+            f(tag, completion);
+        }
     }
 
     /// Submits `ops`, runs to idle, and returns the typed batch outcome.
@@ -989,6 +1052,7 @@ impl CodicDevice {
             pending,
             futures,
             ready,
+            tagged,
             fault,
             ..
         } = self;
@@ -1006,13 +1070,7 @@ impl CodicDevice {
                         attempts: p.attempts,
                         fingerprint: p.fingerprint,
                     };
-                    // Async submissions resolve their future (in
-                    // completion order); synchronous ones land in the
-                    // drainable buffer.
-                    match p.waiter {
-                        Some(handle) => futures.fulfil(handle, completion),
-                        None => ready.push(completion),
-                    }
+                    deliver(p.waiter, completion, futures, ready, tagged);
                 }
             }),
             Some(fault) => mc.drain_completions(|c| {
@@ -1046,10 +1104,7 @@ impl CodicDevice {
                         attempts: p.attempts,
                         fingerprint: p.fingerprint,
                     };
-                    match p.waiter {
-                        Some(handle) => futures.fulfil(handle, completion),
-                        None => ready.push(completion),
-                    }
+                    deliver(p.waiter, completion, futures, ready, tagged);
                 }
             }),
         }
@@ -1261,6 +1316,45 @@ mod tests {
         assert_eq!(done.cost.busy_cycles, d.timing().t_rc);
         // Async completions bypass the polling buffer.
         assert!(d.take_completions().is_empty());
+    }
+
+    #[test]
+    fn tagged_completions_carry_their_tags_and_match_the_token_path() {
+        let ops: Vec<CodicOp> = (0..40)
+            .map(|i| match i % 3 {
+                0 => CodicOp::read(i * 4096),
+                1 => CodicOp::write(i * 4096),
+                _ => CodicOp::command(VariantId::DetZero, i * DramGeometry::ROW_BYTES),
+            })
+            .collect();
+        let mut tokens = device();
+        let issued = tokens.submit_all(&ops).unwrap();
+        tokens.run_to_idle();
+        let expected = tokens.take_completions();
+
+        let mut d = device();
+        for (i, &op) in ops.iter().enumerate() {
+            d.submit_tagged(op, 100 + i as u64).unwrap();
+        }
+        d.run_to_idle();
+        assert_eq!(d.tagged_len(), ops.len());
+        assert!(
+            d.take_completions().is_empty(),
+            "tagged ops skip the token buffer"
+        );
+        let mut drained = Vec::new();
+        d.drain_tagged(|tag, c| drained.push((tag, c)));
+        assert_eq!(d.tagged_len(), 0);
+        // Same completions in the same order; each tag names its op.
+        assert_eq!(
+            drained.iter().map(|(_, c)| *c).collect::<Vec<_>>(),
+            expected
+        );
+        for (tag, c) in &drained {
+            let i = issued.iter().position(|&t| t == c.token).unwrap();
+            assert_eq!(*tag, 100 + i as u64);
+            assert_eq!(c.op, ops[i]);
+        }
     }
 
     #[test]

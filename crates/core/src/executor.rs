@@ -54,10 +54,11 @@
 //! assert!(completion.cost.energy_nj > 0.0);
 //! ```
 //!
-//! Serving loops that must not block use the non-blocking drain instead:
+//! Callers that must not block use the non-blocking drain instead:
 //! [`OpFuture::try_take`] consumes the completion only once it has
-//! arrived, so a connection handler can interleave submission, clock
-//! driving, and completion streaming on one thread.
+//! arrived. The fleet's serving loop needs no future at all: it submits
+//! on each device's synchronous path and drains the shards' completion
+//! buffers at every batch boundary (see [`crate::fleet`]).
 
 use std::future::Future;
 use std::pin::Pin;

@@ -68,7 +68,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::device::{DeviceConfig, OpCompletion};
 use crate::error::CodicError;
-use crate::executor::OpFuture;
 use crate::fault::{FaultCause, HealthPolicy};
 use crate::ops::CodicOp;
 use crate::pool::{DevicePool, ShardHealth};
@@ -248,10 +247,10 @@ struct Tenant {
     pool: DevicePool,
     /// Outstanding-op quota enforced by stepping the tenant's own pool.
     quota: usize,
-    /// Next tenant-stream sequence number.
+    /// Next tenant-stream sequence number. Every op is submitted tagged
+    /// with its sequence number, so a completion tagged at or past it
+    /// belongs to no admitted batch.
     next_seq: u64,
-    /// Submitted, not yet completed: `(seq, shard, future)`.
-    inflight: Vec<(u64, u16, OpFuture)>,
 }
 
 impl Tenant {
@@ -262,12 +261,13 @@ impl Tenant {
     /// touches belongs to the tenant, so no other tenant's activity can
     /// perturb its device timeline.
     fn submit(&mut self, ops: &[CodicOp]) -> Result<(AdmitReceipt, Vec<FleetEvent>), CodicError> {
-        let routed = self.pool.submit_all_async_routed(ops)?;
         let seq_base = self.next_seq;
-        for (shard, future) in routed {
-            self.inflight.push((self.next_seq, shard as u16, future));
-            self.next_seq += 1;
-        }
+        // A batch cut short by the last shard wedging is not admitted:
+        // `next_seq` stays put, so its enqueued ops' completions, tagged
+        // from `seq_base` on, are dropped at the next drain. Quarantine
+        // is permanent, so no later batch can reuse those seqs.
+        self.pool.submit_all_tagged(ops, seq_base)?;
+        self.next_seq += ops.len() as u64;
         while self.pool.outstanding() > self.quota && self.pool.step() {}
         self.pool.check_health();
         let receipt = AdmitReceipt {
@@ -277,26 +277,26 @@ impl Tenant {
         Ok((receipt, self.drain()))
     }
 
-    /// Takes every resolved in-flight future, ordered by
-    /// `(finish_cycle, seq)` — the same emission order a private serving
-    /// engine produces.
+    /// Takes every buffered completion of the tenant's shards, ordered
+    /// by `(finish_cycle, seq)` — the same emission order a private
+    /// serving engine produces.
     fn drain(&mut self) -> Vec<FleetEvent> {
-        // Sized for the whole window up front: growing by doubling would
-        // cost allocations that rise with the batch size.
-        let mut ready = Vec::with_capacity(self.inflight.len());
-        self.inflight
-            .retain_mut(|(seq, shard, future)| match future.try_take() {
-                Some(completion) => {
-                    ready.push(FleetEvent {
-                        seq: *seq,
-                        shard: *shard,
-                        completion,
-                    });
-                    false
-                }
-                None => true,
-            });
-        ready.sort_by_key(|e| (e.completion.finish_cycle, e.seq));
+        // Sized for every buffered completion up front: growing by
+        // doubling would cost allocations that rise with the batch size.
+        let mut ready = Vec::with_capacity(self.pool.tagged_len());
+        let admitted = self.next_seq;
+        self.pool.drain_tagged(|shard, seq, completion| {
+            if seq < admitted {
+                ready.push(FleetEvent {
+                    seq,
+                    shard: shard as u16,
+                    completion,
+                });
+            }
+        });
+        // Keys are unique (one seq per event), so the unstable sort's
+        // order is the stable one.
+        ready.sort_unstable_by_key(|e| (e.completion.finish_cycle, e.seq));
         ready
     }
 }
@@ -401,7 +401,6 @@ impl FleetHandle {
                 pool,
                 quota: quota.max(1),
                 next_seq: 0,
-                inflight: Vec::new(),
             });
             Some(TenantId { slot, epoch })
         })
@@ -699,6 +698,62 @@ mod tests {
             assert_eq!(events, solo, "{run}");
         }
         fleet.release(hold);
+    }
+
+    #[test]
+    fn a_mid_batch_wedge_emits_only_the_batches_it_admitted() {
+        // One shard whose clock sticks at cycle 150. The first batch sits
+        // in the queue (the quota never steps it); the second overfills
+        // the 64-deep queue, so submission steps the clock into the
+        // ceiling, the only shard is quarantined, and the batch fails
+        // with `NoHealthyShards` after part of it was enqueued.
+        let device = device_config().with_faults(FaultPlan::new(5).with_stuck_clock(150));
+        let fleet = FleetHandle::new(FleetConfig::new(1, 1, device));
+        let t = fleet.acquire_with(1, 4096).expect("slot");
+        let (receipt, mut events) = fleet.submit(t, &zero_ops(32)).expect("first batch");
+        assert_eq!(receipt.seq_base, 0);
+        let wedged = zero_ops(256)[32..].to_vec();
+        assert_eq!(
+            fleet.submit(t, &wedged).map(|(r, _)| r),
+            Err(CodicError::NoHealthyShards)
+        );
+        assert_eq!(
+            fleet.submit(t, &zero_ops(1)).map(|(r, _)| r),
+            Err(CodicError::NoHealthyShards),
+            "the quarantined pool admits nothing"
+        );
+        let (receipt, ready) = fleet.submit(t, &[]).expect("an empty batch needs no shard");
+        assert_eq!(receipt.seq_base, 32, "the failed batch consumed no seq");
+        events.extend(ready);
+        events.extend(fleet.flush(t).1);
+        assert_eq!(fleet.outstanding(t), 0);
+        let mut seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+        seqs.sort_unstable();
+        assert_eq!(
+            seqs,
+            (0..32).collect::<Vec<_>>(),
+            "the first batch, each op once; the failed batch took no seq"
+        );
+        let stuck = FaultCause::ClockStuck;
+        let failed = events
+            .iter()
+            .filter(|e| e.completion.outcome.cause() == Some(stuck))
+            .count();
+        assert!(
+            events.iter().all(
+                |e| e.completion.outcome.is_ok() || e.completion.outcome.cause() == Some(stuck)
+            ),
+            "an op either completed or failed with the stuck clock"
+        );
+        assert!(
+            failed > 0 && failed < 32,
+            "the wedge lands mid-batch: {failed} of 32 failed"
+        );
+        assert_eq!(
+            fleet.health(t)[0],
+            ShardHealth::Quarantined { cause: stuck }
+        );
+        fleet.release(t);
     }
 
     #[test]

@@ -346,46 +346,90 @@ impl DevicePool {
         &mut self,
         ops: &[CodicOp],
     ) -> Result<Vec<(usize, OpFuture)>, CodicError> {
-        let routes = self.route_checked(ops)?;
-        // `route_checked` already ran every op through the safe-range
-        // policy (same config on every shard, so a mid-batch re-route
-        // cannot invalidate the check): the per-op loop takes the
-        // prechecked path and skips the redundant policy pass. A collect
-        // into `Result` cannot presize its `Vec`, so push into one.
         let mut routed = Vec::with_capacity(ops.len());
-        for (&op, shard) in ops.iter().zip(routes) {
-            routed.push(self.submit_routed(op, shard)?);
-        }
+        self.submit_each(ops, |device, shard, op| {
+            routed.push((shard, device.submit_async_prechecked(op)?));
+            Ok(())
+        })?;
         Ok(routed)
     }
 
-    /// Submits `op` to `shard` (re-routing through
-    /// [`DevicePool::shard_of`] if the precomputed route went stale),
-    /// quarantining any shard that reports a wedged clock at submission
-    /// and re-routing to a survivor.
-    fn submit_routed(
+    /// The tagged twin of [`DevicePool::submit_all_async_routed`]: the
+    /// same routing, quarantine and re-route, but op `i` is submitted on
+    /// its shard's synchronous path tagged `first_tag + i`, and its
+    /// completion lands, with the tag, in the buffer
+    /// [`DevicePool::drain_tagged`] empties. No future, lock or
+    /// allocation per op.
+    ///
+    /// # Errors
+    ///
+    /// As [`DevicePool::submit_all_async`]. On a mid-batch
+    /// [`CodicError::NoHealthyShards`], the ops enqueued before the last
+    /// shard wedged still deliver their (failed) completions, tagged.
+    pub(crate) fn submit_all_tagged(
         &mut self,
-        op: CodicOp,
-        mut shard: usize,
-    ) -> Result<(usize, OpFuture), CodicError> {
-        if !self.health[shard].is_healthy() {
-            shard = self.shard_of(op);
+        ops: &[CodicOp],
+        first_tag: u64,
+    ) -> Result<(), CodicError> {
+        let mut tag = first_tag;
+        self.submit_each(ops, |device, _, op| {
+            device.submit_tagged(op, tag)?;
+            tag += 1;
+            Ok(())
+        })
+    }
+
+    /// Completions of tagged submissions buffered across all shards.
+    pub(crate) fn tagged_len(&self) -> usize {
+        self.devices.iter().map(CodicDevice::tagged_len).sum()
+    }
+
+    /// Hands every shard's buffered tagged completions to `f` as
+    /// `(shard, tag, completion)`, shard by shard, each in completion
+    /// order.
+    pub(crate) fn drain_tagged(&mut self, mut f: impl FnMut(usize, u64, OpCompletion)) {
+        for (shard, device) in self.devices.iter_mut().enumerate() {
+            device.drain_tagged(|tag, completion| f(shard, tag, completion));
         }
-        loop {
-            if self.healthy.is_empty() {
-                return Err(CodicError::NoHealthyShards);
+    }
+
+    /// The one routed submission loop behind both flavours. Every op is
+    /// routed and policy-checked first (`route_checked`; the config is
+    /// the same on every shard, so a mid-batch re-route cannot
+    /// invalidate the check), then handed to `submit` with its shard —
+    /// re-routed through [`DevicePool::shard_of`] if the precomputed
+    /// route went stale. A shard that reports a wedged clock at
+    /// submission ([`CodicError::DeviceStalled`]: the op was not
+    /// enqueued) is quarantined on the spot and the op re-routes to a
+    /// survivor.
+    fn submit_each(
+        &mut self,
+        ops: &[CodicOp],
+        mut submit: impl FnMut(&mut CodicDevice, usize, CodicOp) -> Result<(), CodicError>,
+    ) -> Result<(), CodicError> {
+        let routes = self.route_checked(ops)?;
+        for (&op, mut shard) in ops.iter().zip(routes) {
+            if !self.health[shard].is_healthy() {
+                shard = self.shard_of(op);
             }
-            match self.devices[shard].submit_async_prechecked(op) {
-                Err(CodicError::DeviceStalled) => {
-                    // The shard can make no progress with a full queue:
-                    // condemn it here rather than bounce the batch; its
-                    // stranded ops resolve as typed ClockStuck failures.
-                    self.quarantine(shard, FaultCause::ClockStuck);
-                    shard = self.shard_of(op);
+            loop {
+                if self.healthy.is_empty() {
+                    return Err(CodicError::NoHealthyShards);
                 }
-                result => return result.map(|future| (shard, future)),
+                match submit(&mut self.devices[shard], shard, op) {
+                    Err(CodicError::DeviceStalled) => {
+                        // The shard can make no progress with a full
+                        // queue: condemn it here rather than bounce the
+                        // batch; its stranded ops resolve as typed
+                        // ClockStuck failures.
+                        self.quarantine(shard, FaultCause::ClockStuck);
+                        shard = self.shard_of(op);
+                    }
+                    result => break result?,
+                }
             }
         }
+        Ok(())
     }
 
     /// Computes every op's shard and policy-checks it there, before

@@ -421,7 +421,7 @@ impl<'a> ResumableRun<'a> {
         // exactly-once contract of `events_received`.
         while self.next_op < self.ops.len() {
             let end = (self.next_op + self.batch).min(self.ops.len());
-            write_frame_crc(writer, &Frame::Batch(self.ops[self.next_op..end].to_vec()))?;
+            proto::write_batch_crc(writer, &self.ops[self.next_op..end])?;
             writer.flush()?;
             loop {
                 match self.next_frame(reader)? {

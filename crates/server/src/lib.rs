@@ -14,12 +14,13 @@
 //! The crate is std-only (no network or async-runtime dependencies):
 //! transport is [`std::os::unix::net`], framing is the length-prefixed
 //! binary protocol of [`proto`] (specified in `docs/PROTOCOL.md`), and
-//! completions resolve through the repository's own
-//! [`OpFuture`](codic_core::executor::OpFuture) machinery.
+//! completions are drained from the devices' own completion buffers by
+//! the session's [`FleetHandle`](codic_core::fleet::FleetHandle)
+//! tenancy.
 //!
 //! The layer map and the life of one operation — from policy check and
 //! MRS install through FR-FCFS scheduling, the event horizon, and
-//! future resolution — are documented in `docs/ARCHITECTURE.md`.
+//! completion — are documented in `docs/ARCHITECTURE.md`.
 //!
 //! - [`proto`] — the wire protocol (frames, op/completion encoding,
 //!   session checksum), in lockstep with `docs/PROTOCOL.md`;

@@ -507,20 +507,32 @@ fn op_code(op: CodicOp) -> u8 {
     }
 }
 
-/// Encodes one operation as its wire unit (9 or 17 bytes).
-fn put_op(buf: &mut Vec<u8>, op: CodicOp) {
-    buf.push(op_code(op));
-    match op {
+/// Encodes one operation as its wire unit: the unit's bytes and its
+/// length (9 or 17).
+fn op_unit(op: CodicOp) -> ([u8; 17], usize) {
+    let mut unit = [0u8; 17];
+    unit[0] = op_code(op);
+    let (first, second) = match op {
         CodicOp::Not { src_addr, dst_addr } | CodicOp::RowCopy { src_addr, dst_addr } => {
-            buf.extend_from_slice(&src_addr.to_le_bytes());
-            buf.extend_from_slice(&dst_addr.to_le_bytes());
+            (src_addr, Some(dst_addr))
         }
-        CodicOp::RowFill { row_addr, pattern } => {
-            buf.extend_from_slice(&row_addr.to_le_bytes());
-            buf.extend_from_slice(&pattern.to_le_bytes());
+        CodicOp::RowFill { row_addr, pattern } => (row_addr, Some(pattern)),
+        op => (op.row_addr(), None),
+    };
+    unit[1..9].copy_from_slice(&first.to_le_bytes());
+    match second {
+        Some(second) => {
+            unit[9..17].copy_from_slice(&second.to_le_bytes());
+            (unit, 17)
         }
-        op => buf.extend_from_slice(&op.row_addr().to_le_bytes()),
+        None => (unit, 9),
     }
+}
+
+/// Appends one operation's wire unit to `buf`.
+fn put_op(buf: &mut Vec<u8>, op: CodicOp) {
+    let (unit, len) = op_unit(op);
+    buf.extend_from_slice(&unit[..len]);
 }
 
 /// Decodes the wire unit starting at `bytes`, returning the operation
@@ -1149,6 +1161,42 @@ pub fn write_frame_crc<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
     w.write_all(&crc.to_le_bytes())
 }
 
+/// Writes `ops` as one [`Frame::Batch`] frame straight from the borrowed
+/// slice: the bytes [`write_frame_crc`] writes for
+/// `Frame::Batch(ops.to_vec())` (a unit test pins the identity), with
+/// no copy of the ops and no heap buffer. Units are staged through a
+/// stack chunk that the CRC32C trailer folds over as it goes.
+///
+/// # Errors
+///
+/// Propagates the stream's I/O error.
+pub fn write_batch_crc<W: Write>(w: &mut W, ops: &[CodicOp]) -> io::Result<()> {
+    let units: usize = ops.iter().map(|&op| op_len(op_code(op))).sum();
+    // The length prefix covers the tag, the u32 count, the units and
+    // the 4-byte CRC trailer.
+    let mut header = [0u8; 9];
+    header[0..4].copy_from_slice(&(units as u32 + 9).to_le_bytes());
+    header[4] = tag::BATCH;
+    header[5..9].copy_from_slice(&(ops.len() as u32).to_le_bytes());
+    w.write_all(&header)?;
+    let mut crc = crc32c_append(!0, &header[4..9]);
+    let mut chunk = [0u8; 1024];
+    let mut used = 0;
+    for &op in ops {
+        let (unit, len) = op_unit(op);
+        if used + len > chunk.len() {
+            crc = crc32c_append(crc, &chunk[..used]);
+            w.write_all(&chunk[..used])?;
+            used = 0;
+        }
+        chunk[used..used + len].copy_from_slice(&unit[..len]);
+        used += len;
+    }
+    crc = crc32c_append(crc, &chunk[..used]);
+    w.write_all(&chunk[..used])?;
+    w.write_all(&(!crc).to_le_bytes())
+}
+
 /// Writes encoded event units as [`Frame::Events`] frames carrying at
 /// most `frame_bytes` unit bytes each (whole units, at least one per
 /// frame, never past [`MAX_FRAME_LEN`]). `units` holds each unit's kind
@@ -1668,8 +1716,8 @@ mod tests {
         assert_eq!(via_units, via_frame);
     }
 
-    #[test]
-    fn batch_round_trips_every_op_kind() {
+    /// One op of every kind, each command variant included.
+    fn every_op_kind() -> Vec<CodicOp> {
         let mut ops = vec![
             CodicOp::read(0x40),
             CodicOp::write(u64::MAX),
@@ -1701,8 +1749,28 @@ mod tests {
         for variant in VariantId::ALL {
             ops.push(CodicOp::command(variant, 0x8000));
         }
-        round_trip(Frame::Batch(ops));
+        ops
+    }
+
+    #[test]
+    fn batch_round_trips_every_op_kind() {
+        round_trip(Frame::Batch(every_op_kind()));
         round_trip(Frame::Batch(Vec::new()));
+    }
+
+    #[test]
+    fn borrowed_batches_write_the_frame_bytes() {
+        let kinds = every_op_kind();
+        // 300 ops of mixed 9- and 17-byte units overflow the 1024-byte
+        // stack chunk several times, at unit boundaries that vary.
+        let long: Vec<CodicOp> = kinds.iter().copied().cycle().take(300).collect();
+        for ops in [&[][..], &kinds[..1], &kinds[..], &long[..]] {
+            let mut borrowed = Vec::new();
+            write_batch_crc(&mut borrowed, ops).unwrap();
+            let mut framed = Vec::new();
+            write_frame_crc(&mut framed, &Frame::Batch(ops.to_vec())).unwrap();
+            assert_eq!(borrowed, framed, "{} ops", ops.len());
+        }
     }
 
     #[test]
