@@ -29,6 +29,8 @@
 //! returns an [`OpFuture`] resolved by the
 //! clock driver ([`CodicDevice::step`] / [`CodicDevice::run_to_idle`]).
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -44,7 +46,6 @@ use crate::data::DataPlane;
 use crate::error::CodicError;
 use crate::executor::{OpFuture, SlotArena, SlotHandle};
 use crate::fault::{FaultCause, FaultPlan, FaultStats, OpOutcome, RetryPolicy};
-use crate::idmap::IdMap;
 use crate::interface::CodicController;
 use crate::ops::{CodicOp, InDramMechanism, RowRegion, VariantId};
 
@@ -256,8 +257,8 @@ enum Waiter {
     /// The [`CodicDevice::drain_tagged`] buffer, with the submitter's tag
     /// (a serving tenant's sequence number). Kept as bytes so the enum
     /// stays 4-byte aligned and the pending entry no larger than an
-    /// `Option<SlotHandle>` left it: the pending ring grows to thousands
-    /// of entries per shard under a deep write queue.
+    /// `Option<SlotHandle>` left it: every bucket of the pending table,
+    /// live or not, is one entry wide.
     Tag([u8; 8]),
 }
 
@@ -282,8 +283,33 @@ struct PendingOp {
     will_fail: bool,
 }
 
-// The pending ring holds thousands of these per shard (see `Waiter::Tag`).
+// The pending table spends one of these per bucket, a few hundred buckets
+// per shard (see `Waiter::Tag`).
 const _: () = assert!(std::mem::size_of::<PendingOp>() <= 80);
+
+/// The pending table's hasher: one multiply by the 64-bit golden ratio.
+/// Request ids come from the controller's counter, never from outside
+/// the program, so no collision-resistant hash is needed. The product's
+/// low bits (the bucket index) are a bijection of the id's low bits, so
+/// live ids closer together than the table is wide never share a
+/// bucket, and its high bits (the table's control tag) mix every bit of
+/// the id.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the pending table is keyed by u64 request ids");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
 
 /// A misfired operation waiting out its retry backoff.
 #[derive(Debug)]
@@ -309,18 +335,21 @@ struct FaultState {
 /// an embedded cycle-level memory controller.
 ///
 /// Completion delivery is allocation-free at steady state: in-flight
-/// operations live in a direct-mapped id window (no hashing), and async
-/// submissions claim recycled slots of the device's completion-slot
-/// arena instead of allocating one `Arc<Mutex>` per operation.
+/// operations live in a hash table presized for the device's live
+/// bound, and async submissions claim recycled slots of the device's
+/// completion-slot arena instead of allocating one `Arc<Mutex>` per
+/// operation.
 #[derive(Debug)]
 pub struct CodicDevice {
     policy: CodicController,
     mc: MemoryController,
     energy: EnergyModel,
-    /// In-flight operations keyed by controller request id. Ids are
-    /// monotone and live only while queued or in flight, so the window
-    /// stays within the controller's queue + in-flight bound.
-    pending: IdMap<PendingOp>,
+    /// In-flight operations keyed by controller request id. Its
+    /// capacity follows the peak live count, which the controller's
+    /// three queues, its in-flight set and the parked retries bound,
+    /// however far apart the live ids are: a write starved behind a
+    /// stream of reads holds one entry, not a window of every later id.
+    pending: HashMap<u64, PendingOp, BuildHasherDefault<IdHasher>>,
     /// The completion-slot arena shared with this device's [`OpFuture`]s.
     futures: Arc<SlotArena>,
     /// Accounted costs, precomputed per request shape (timing and energy
@@ -420,10 +449,9 @@ impl CodicDevice {
             policy: CodicController::new(config.safe_range).with_compute_range(compute_range),
             mc,
             energy,
-            // Live ids span at most the three 64-deep queues plus the
-            // in-flight set; one extra doubling of headroom keeps the
-            // ring collision-free in steady state.
-            pending: IdMap::with_capacity(8 * QUEUE_DEPTH),
+            // The three 64-deep queues plus the in-flight set, so the
+            // table never grows at steady state.
+            pending: HashMap::with_capacity_and_hasher(4 * QUEUE_DEPTH, Default::default()),
             futures: SlotArena::with_capacity(2 * QUEUE_DEPTH),
             read_cost,
             write_cost,
@@ -517,7 +545,9 @@ impl CodicDevice {
     /// usual — the quarantine path for a shard that can no longer make
     /// progress. Failed-this-way completions carry zero cost (the
     /// operations never executed to completion) and finish at the
-    /// current cycle. Returns how many operations were failed.
+    /// current cycle. They are delivered in ascending token order, which
+    /// is submission order, whether an op was queued, in flight or
+    /// parked for a retry. Returns how many operations were failed.
     pub fn fail_all_pending(&mut self, cause: FaultCause) -> usize {
         self.harvest();
         let CodicDevice {
@@ -529,9 +559,15 @@ impl CodicDevice {
             fault,
             ..
         } = self;
+        let mut failed: Vec<PendingOp> = pending.drain().map(|(_, p)| p).collect();
+        if let Some(fault) = fault {
+            failed.extend(fault.retries.drain(..).map(|retry| retry.pending));
+            fault.stats.failed += failed.len() as u64;
+        }
+        failed.sort_unstable_by_key(|p| p.token);
         let now = mc.now();
-        let mut failed = 0usize;
-        let mut deliver = |p: PendingOp| {
+        let count = failed.len();
+        for p in failed {
             let completion = OpCompletion {
                 token: p.token,
                 op: p.op,
@@ -546,19 +582,8 @@ impl CodicDevice {
                 fingerprint: p.fingerprint,
             };
             deliver(p.waiter, completion, futures, ready, tagged);
-        };
-        pending.drain(|_, p| {
-            deliver(p);
-            failed += 1;
-        });
-        if let Some(fault) = fault {
-            for retry in fault.retries.drain(..) {
-                deliver(retry.pending);
-                failed += 1;
-            }
-            fault.stats.failed += failed as u64;
         }
-        failed
+        count
     }
 
     /// Submits one typed operation.
@@ -586,8 +611,7 @@ impl CodicDevice {
     /// (directly, or batched at the pool/batch boundary), so the per-op
     /// loop pays only the memoized authorization, the cost memo, and
     /// the queue push. `waiter` is installed into the pending entry at
-    /// insert time — the async path no longer pays a second `IdMap`
-    /// lookup to attach it after the fact.
+    /// insert time, so no caller looks the entry up again to attach it.
     fn submit_inner(&mut self, op: CodicOp, waiter: Waiter) -> Result<OpToken, CodicError> {
         self.install_for(op);
         // The full §4.4 authorization (variant match + range), memoized
@@ -627,7 +651,7 @@ impl CodicDevice {
                         }
                         _ => (0, false),
                     };
-                    self.pending.insert(
+                    let fresh = self.pending.insert(
                         id.0,
                         PendingOp {
                             token: OpToken(id),
@@ -640,6 +664,7 @@ impl CodicDevice {
                             will_fail,
                         },
                     );
+                    assert!(fresh.is_none(), "request ids are unique");
                     return Ok(OpToken(id));
                 }
                 // The queue drains as the scheduler makes progress, so a
@@ -1009,7 +1034,8 @@ impl CodicDevice {
                     p.attempts += 1;
                     p.will_fail = fault.plan.misfires(p.op_index, p.attempts);
                     fault.stats.retries += 1;
-                    self.pending.insert(id.0, p);
+                    let fresh = self.pending.insert(id.0, p);
+                    assert!(fresh.is_none(), "request ids are unique");
                     issued += 1;
                 }
                 // No queue slot at this event; a later pump re-tries.
@@ -1043,6 +1069,12 @@ impl CodicDevice {
         self.pump_retries() > 0
     }
 
+    /// How many entries the pending table can hold before it grows.
+    #[cfg(test)]
+    fn pending_capacity(&self) -> usize {
+        self.pending.capacity()
+    }
+
     fn harvest(&mut self) {
         // Disjoint field borrows: the controller drains its buffer in
         // place (capacity retained — no allocation) while the pending
@@ -1060,7 +1092,7 @@ impl CodicDevice {
             // The fault-free fast path: one `match` on entry, zero cost
             // per completion.
             None => mc.drain_completions(|c| {
-                if let Some(p) = pending.remove(c.id.0) {
+                if let Some(p) = pending.remove(&c.id.0) {
                     let completion = OpCompletion {
                         token: p.token,
                         op: p.op,
@@ -1074,7 +1106,7 @@ impl CodicDevice {
                 }
             }),
             Some(fault) => mc.drain_completions(|c| {
-                if let Some(p) = pending.remove(c.id.0) {
+                if let Some(p) = pending.remove(&c.id.0) {
                     // A misfire with attempts left parks for its backoff
                     // instead of completing; the submitter's token and
                     // future ride along to the re-issue.
@@ -1473,6 +1505,61 @@ mod tests {
             .execute_all(&[CodicOp::command(VariantId::DetZero, 0), CodicOp::read(64)])
             .unwrap();
         assert!(outcome.completions.iter().all(|c| c.fingerprint == 0));
+    }
+
+    #[test]
+    fn a_starved_write_leaves_the_pending_table_bounded() {
+        // FR-FCFS drains writes only at the high-water mark or once the
+        // read queue is empty, so one write can wait behind a steady read
+        // stream while every later id retires around it. The table must
+        // follow the live count, not the span from the write's id on.
+        let mut d = device();
+        let write = d.submit(CodicOp::write(1 << 20)).unwrap();
+        let mut done = 0usize;
+        let mut peak = d.pending_capacity();
+        for i in 0..200_000u64 {
+            d.submit(CodicOp::read((i % 1024) * 64)).unwrap();
+            while d.outstanding() > 8 {
+                assert!(d.step());
+            }
+            peak = peak.max(d.pending_capacity());
+            if i % 4096 == 0 {
+                done += d.take_completions().len();
+            }
+        }
+        assert!(peak <= 8 * QUEUE_DEPTH, "pending table grew to {peak}");
+        d.run_to_idle();
+        let rest = d.take_completions();
+        assert_eq!(done + rest.len(), 200_001);
+        // The write waited out (nearly) the whole stream.
+        assert!(rest.iter().any(|c| c.token == write));
+    }
+
+    #[test]
+    fn retry_churn_leaves_the_pending_table_empty_and_bounded() {
+        // Every re-issue re-enters the table under a fresh request id.
+        let config = DeviceConfig::new(DramGeometry::module_mib(64), TimingParams::ddr3_1600_11())
+            .with_refresh(false)
+            .with_faults(FaultPlan::new(11).with_misfires(32_768))
+            .with_retry(RetryPolicy::attempts(6).with_backoff(8, 256));
+        let mut d = CodicDevice::new(config);
+        let mut peak = d.pending_capacity();
+        for i in 0..20_000u64 {
+            d.submit(CodicOp::command(
+                VariantId::DetZero,
+                (i % 4096) * DramGeometry::ROW_BYTES,
+            ))
+            .unwrap();
+            peak = peak.max(d.pending_capacity());
+        }
+        d.run_to_idle();
+        let stats = d.fault_stats();
+        assert!(stats.retries > 10_000, "{stats:?}");
+        assert_eq!(stats.ok + stats.failed, 20_000);
+        assert!(d.pending.is_empty() && d.outstanding() == 0);
+        peak = peak.max(d.pending_capacity());
+        assert!(peak <= 8 * QUEUE_DEPTH, "pending table grew to {peak}");
+        assert_eq!(d.take_completions().len(), 20_000);
     }
 
     #[test]

@@ -68,7 +68,6 @@ pub mod exec;
 pub mod executor;
 pub mod fault;
 pub mod fleet;
-mod idmap;
 pub mod interface;
 pub mod latency;
 pub mod library;

@@ -16,8 +16,9 @@
 //! The async path is allocation-free at steady state: each shard's
 //! futures are recycled slots of that device's completion-slot arena
 //! (no per-operation `Arc<Mutex>`), fulfilled in place by the rayon
-//! worker driving the shard, and each shard's in-flight table is a
-//! direct-mapped id window rather than a hash map.
+//! worker driving the shard, and each shard's in-flight table is a hash
+//! map presized for the shard's live bound, so it never grows at steady
+//! state, however long a write waits behind later traffic.
 //!
 //! Long-running services bound their in-flight window with
 //! [`DevicePool::outstanding`] (the pool-wide backpressure signal; the
@@ -725,6 +726,39 @@ mod tests {
         assert_eq!(p.device(2).stats().row_ops, 0);
         // Double quarantine is a no-op.
         assert_eq!(p.quarantine(2, crate::fault::FaultCause::ClockStuck), 0);
+    }
+
+    #[test]
+    fn quarantine_fails_a_stuck_shards_ops_in_submission_order() {
+        use crate::fault::{FaultCause, FaultPlan};
+        // Shard 1 wedges mid-stream at cycle 3000 with ids 496..=562
+        // live; submission condemns it on the spot and re-routes the rest
+        // to shard 0.
+        let config = DeviceConfig::new(DramGeometry::module_mib(64), TimingParams::ddr3_1600_11())
+            .with_refresh(false)
+            .with_faults(FaultPlan::new(3).with_stuck_shard(1, 3000));
+        let mut p = DevicePool::new(2, &config);
+        // Reads of shard 1's blocks only (odd 8-row blocks).
+        let reads: Vec<CodicOp> = (0..2000u64)
+            .map(|i| CodicOp::read(((i / 8 * 2 + 1) * 8 + i % 8) * DramGeometry::ROW_BYTES))
+            .collect();
+        p.submit_all_tagged(&reads, 0).unwrap();
+        assert!(!p.health()[1].is_healthy());
+        let mut failed = Vec::new();
+        p.drain_tagged(|shard, _, c| {
+            if shard == 1 && c.outcome.is_failed() {
+                assert_eq!(c.outcome.cause(), Some(FaultCause::ClockStuck));
+                failed.push(c.token);
+            }
+        });
+        // The live ids straddle a multiple of 512, where a ring indexed
+        // by `id % capacity` would wrap.
+        let (first, last) = (
+            failed.iter().min().unwrap().0 .0,
+            failed.iter().max().unwrap().0 .0,
+        );
+        assert!(first / 512 < last / 512, "live ids {first}..={last}");
+        assert!(failed.windows(2).all(|w| w[0] < w[1]), "{failed:?}");
     }
 
     #[test]
