@@ -29,8 +29,6 @@
 //! returns an [`OpFuture`] resolved by the
 //! clock driver ([`CodicDevice::step`] / [`CodicDevice::run_to_idle`]).
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -254,11 +252,11 @@ enum Waiter {
     Buffer,
     /// An async submission's arena slot.
     Slot(SlotHandle),
-    /// The [`CodicDevice::drain_tagged`] buffer, with the submitter's tag
-    /// (a serving tenant's sequence number). Kept as bytes so the enum
-    /// stays 4-byte aligned and the pending entry no larger than an
-    /// `Option<SlotHandle>` left it: every bucket of the pending table,
-    /// live or not, is one entry wide.
+    /// The [`CodicDevice::tagged`] buffer, with the submitter's tag (a
+    /// serving tenant's sequence number). Kept as bytes so the enum stays
+    /// 4-byte aligned and the pending entry no larger than an
+    /// `Option<SlotHandle>` left it: every slot of the pending slab, live
+    /// or not, is one entry wide.
     Tag([u8; 8]),
 }
 
@@ -283,31 +281,79 @@ struct PendingOp {
     will_fail: bool,
 }
 
-// The pending table spends one of these per bucket, a few hundred buckets
-// per shard (see `Waiter::Tag`).
+// The pending slab spends one of these per slot, a few hundred slots per
+// shard (see `Waiter::Tag`), and an empty slot costs no more.
 const _: () = assert!(std::mem::size_of::<PendingOp>() <= 80);
+const _: () = assert!(std::mem::size_of::<Option<PendingOp>>() == std::mem::size_of::<PendingOp>());
 
-/// The pending table's hasher: one multiply by the 64-bit golden ratio.
-/// Request ids come from the controller's counter, never from outside
-/// the program, so no collision-resistant hash is needed. The product's
-/// low bits (the bucket index) are a bijection of the id's low bits, so
-/// live ids closer together than the table is wide never share a
-/// bucket, and its high bits (the table's control tag) mix every bit of
-/// the id.
-#[derive(Default)]
-struct IdHasher(u64);
+/// The controller tag of a request with no pending entry (a
+/// [`CodicDevice::sweep_all_rows`] row): past any slot the slab can hold.
+const UNTRACKED: u32 = u32::MAX;
 
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
+/// The in-flight operations, one slot each. A request carries its slot
+/// index as its controller tag ([`MemRequest::with_tag`]), so a
+/// completion finds its entry by index: no hashing, no search. Vacated
+/// slots are reused first, so the slab is as long as the peak live
+/// count, which the controller's three queues, its in-flight set and the
+/// parked retries bound, however far apart the live request ids are.
+#[derive(Debug, Default)]
+struct PendingSlab {
+    slots: Vec<Option<PendingOp>>,
+    /// Vacant slots whose requests have left the controller, reused
+    /// last-in first-out.
+    free: Vec<u32>,
+    /// Occupied slots.
+    live: usize,
+}
+
+impl PendingSlab {
+    /// The slot the next [`PendingSlab::insert`] fills: the tag its
+    /// request must carry.
+    fn vacant(&self) -> u32 {
+        self.free.last().copied().unwrap_or(self.slots.len() as u32)
     }
 
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("the pending table is keyed by u64 request ids");
+    /// Fills [`PendingSlab::vacant`] with `op` and returns its index.
+    fn insert(&mut self, op: PendingOp) -> u32 {
+        self.live += 1;
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(op);
+                slot
+            }
+            None => {
+                self.slots.push(Some(op));
+                (self.slots.len() - 1) as u32
+            }
+        }
     }
 
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    /// Vacates the slot of a retired request by its tag and returns the
+    /// entry. `None` for an untracked request, and for a slot emptied by
+    /// [`PendingSlab::drain`]: its request has now left the controller,
+    /// so the slot is free again.
+    fn remove(&mut self, tag: u32) -> Option<PendingOp> {
+        let entry = self.slots.get_mut(tag as usize)?.take();
+        self.free.push(tag);
+        self.live -= usize::from(entry.is_some());
+        entry
+    }
+
+    /// Takes every live entry. Their requests may still sit in the
+    /// controller (a stuck clock), so their slots stay off the free list
+    /// until [`PendingSlab::remove`] sees them retire: a new op never
+    /// shares a slot with a request still in flight.
+    fn drain(&mut self) -> impl Iterator<Item = PendingOp> + '_ {
+        self.live = 0;
+        self.slots.iter_mut().filter_map(Option::take)
+    }
+
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    fn is_empty(&self) -> bool {
+        self.live == 0
     }
 }
 
@@ -335,21 +381,20 @@ struct FaultState {
 /// an embedded cycle-level memory controller.
 ///
 /// Completion delivery is allocation-free at steady state: in-flight
-/// operations live in a hash table presized for the device's live
-/// bound, and async submissions claim recycled slots of the device's
-/// completion-slot arena instead of allocating one `Arc<Mutex>` per
-/// operation.
+/// operations live in a slab whose slots are recycled and whose index
+/// each request carries through the controller, and async submissions
+/// claim recycled slots of the device's completion-slot arena instead of
+/// allocating one `Arc<Mutex>` per operation.
 #[derive(Debug)]
 pub struct CodicDevice {
     policy: CodicController,
     mc: MemoryController,
     energy: EnergyModel,
-    /// In-flight operations keyed by controller request id. Its
-    /// capacity follows the peak live count, which the controller's
-    /// three queues, its in-flight set and the parked retries bound,
-    /// however far apart the live ids are: a write starved behind a
-    /// stream of reads holds one entry, not a window of every later id.
-    pending: HashMap<u64, PendingOp, BuildHasherDefault<IdHasher>>,
+    /// In-flight operations, each found by the slot index its request
+    /// carries as the controller tag. The slab's length follows the peak
+    /// live count: a write starved behind a stream of reads holds one
+    /// slot, not a window of every later id.
+    pending: PendingSlab,
     /// The completion-slot arena shared with this device's [`OpFuture`]s.
     futures: Arc<SlotArena>,
     /// Accounted costs, precomputed per request shape (timing and energy
@@ -359,8 +404,8 @@ pub struct CodicDevice {
     write_cost: OpCost,
     row_costs: [OpCost; 5],
     ready: Vec<OpCompletion>,
-    /// Completions of tagged submissions, with their tags, in completion
-    /// order.
+    /// Completions of tagged submissions with their tags, ordered by
+    /// `(finish_cycle, tag)`.
     tagged: Vec<(u64, OpCompletion)>,
     /// Fault injection and retry state; `None` (the default) means the
     /// feature is disabled and every completion is [`OpOutcome::Ok`].
@@ -376,8 +421,15 @@ pub struct CodicDevice {
 }
 
 /// Delivers `completion` where `waiter` says: an async submission's
-/// future (in completion order), or one of the device's drainable
-/// buffers.
+/// future or the token buffer (both in completion order), or the tagged
+/// buffer, kept ordered by `(finish_cycle, tag)`.
+///
+/// Completions arrive in retirement order, `(finish_cycle, request
+/// id)`. A serving tenant tags its ops in submission order, which is
+/// request-id order, so the tagged insertion is a push, except behind a
+/// retried op: it re-entered the controller under a newer id, and where
+/// it ties an earlier-tagged op's finish cycle it retires first. The
+/// insertion walks back from the end past those.
 fn deliver(
     waiter: Waiter,
     completion: OpCompletion,
@@ -388,7 +440,19 @@ fn deliver(
     match waiter {
         Waiter::Buffer => ready.push(completion),
         Waiter::Slot(handle) => futures.fulfil(handle, completion),
-        Waiter::Tag(tag) => tagged.push((u64::from_ne_bytes(tag), completion)),
+        Waiter::Tag(tag) => {
+            let tag = u64::from_ne_bytes(tag);
+            let key = (completion.finish_cycle, tag);
+            let mut at = tagged.len();
+            while at > 0 && (tagged[at - 1].1.finish_cycle, tagged[at - 1].0) > key {
+                at -= 1;
+            }
+            #[cfg(test)]
+            if at < tagged.len() {
+                TAGGED_REORDERS.with(|n| n.set(n.get() + 1));
+            }
+            tagged.insert(at, (tag, completion));
+        }
     }
 }
 
@@ -449,9 +513,7 @@ impl CodicDevice {
             policy: CodicController::new(config.safe_range).with_compute_range(compute_range),
             mc,
             energy,
-            // The three 64-deep queues plus the in-flight set, so the
-            // table never grows at steady state.
-            pending: HashMap::with_capacity_and_hasher(4 * QUEUE_DEPTH, Default::default()),
+            pending: PendingSlab::default(),
             futures: SlotArena::with_capacity(2 * QUEUE_DEPTH),
             read_cost,
             write_cost,
@@ -559,7 +621,7 @@ impl CodicDevice {
             fault,
             ..
         } = self;
-        let mut failed: Vec<PendingOp> = pending.drain().map(|(_, p)| p).collect();
+        let mut failed: Vec<PendingOp> = pending.drain().collect();
         if let Some(fault) = fault {
             failed.extend(fault.retries.drain(..).map(|retry| retry.pending));
             fault.stats.failed += failed.len() as u64;
@@ -631,7 +693,10 @@ impl CodicDevice {
         let (kind, cost) = self.request_for(op);
         let request = MemRequest::new(op.row_addr(), kind);
         loop {
-            match self.mc.push(request) {
+            // Stepping below retires and re-issues ops, so the vacant
+            // slot is read afresh for every push.
+            let slot = self.pending.vacant();
+            match self.mc.push(request.with_tag(slot)) {
                 Ok(id) => {
                     // Architectural state advances at accept time, in
                     // submission order, decoupled from the cycle-level
@@ -651,20 +716,17 @@ impl CodicDevice {
                         }
                         _ => (0, false),
                     };
-                    let fresh = self.pending.insert(
-                        id.0,
-                        PendingOp {
-                            token: OpToken(id),
-                            op,
-                            cost,
-                            fingerprint,
-                            waiter,
-                            attempts: 1,
-                            op_index,
-                            will_fail,
-                        },
-                    );
-                    assert!(fresh.is_none(), "request ids are unique");
+                    let filled = self.pending.insert(PendingOp {
+                        token: OpToken(id),
+                        op,
+                        cost,
+                        fingerprint,
+                        waiter,
+                        attempts: 1,
+                        op_index,
+                        will_fail,
+                    });
+                    debug_assert_eq!(filled, slot, "the request carries its slot");
                     return Ok(OpToken(id));
                 }
                 // The queue drains as the scheduler makes progress, so a
@@ -672,7 +734,7 @@ impl CodicDevice {
                 // straight to the next engine event instead of ticking
                 // through the quiet gap. A device that can make no
                 // progress at all (injected stuck clock) reports the
-                // stall instead of spinning forever.
+                // stall instead of spinning forever; no slot was filled.
                 Err(_) => {
                     if !self.step() {
                         return Err(CodicError::DeviceStalled);
@@ -702,9 +764,9 @@ impl CodicDevice {
     /// [`CodicDevice::submit`] minus the safe-range check, for callers
     /// that already pre-flighted the whole batch (the pool's
     /// all-or-nothing routed path), with the completion delivered to the
-    /// buffer [`CodicDevice::drain_tagged`] empties, beside `tag`. The tag
-    /// rides the pending entry the device keeps anyway, so the caller
-    /// needs no token map of its own.
+    /// [`CodicDevice::tagged`] buffer, beside `tag`. The tag rides the
+    /// pending entry the device keeps anyway, so the caller needs no
+    /// token map of its own.
     pub(crate) fn submit_tagged(&mut self, op: CodicOp, tag: u64) -> Result<(), CodicError> {
         self.submit_inner(op, Waiter::Tag(tag.to_ne_bytes()))
             .map(drop)
@@ -844,21 +906,19 @@ impl CodicDevice {
         std::mem::take(&mut self.ready)
     }
 
-    /// Completions of tagged submissions buffered so far.
-    pub(crate) fn tagged_len(&self) -> usize {
-        self.tagged.len()
+    /// Completions of tagged submissions buffered so far, with their
+    /// tags, ordered by `(finish_cycle, tag)`: one sorted run, ready to
+    /// merge with other devices' runs. Every clock driver harvests before
+    /// it returns, so the buffer is already current.
+    pub(crate) fn tagged(&self) -> &[(u64, OpCompletion)] {
+        &self.tagged
     }
 
-    /// Hands every buffered completion of a tagged submission to `f`
-    /// with its tag, in completion order, and empties the buffer in
-    /// place: its capacity is kept, so a serving loop that drains at
-    /// every batch boundary allocates nothing here once warm. Every
-    /// clock driver harvests before it returns, so the buffer is
-    /// already current.
-    pub(crate) fn drain_tagged(&mut self, mut f: impl FnMut(u64, OpCompletion)) {
-        for (tag, completion) in self.tagged.drain(..) {
-            f(tag, completion);
-        }
+    /// Empties the [`CodicDevice::tagged`] buffer in place: its capacity
+    /// is kept, so a serving loop that drains at every batch boundary
+    /// allocates nothing here once warm.
+    pub(crate) fn clear_tagged(&mut self) {
+        self.tagged.clear();
     }
 
     /// Submits `ops`, runs to idle, and returns the typed batch outcome.
@@ -943,6 +1003,8 @@ impl CodicDevice {
         self.install_for(proto);
         let kind = proto.row_op_kind().expect("data accesses rejected above");
         let cost = self.row_costs[row_cost_idx(kind)];
+        // Sweep rows have no pending entry: their completions are only
+        // counted, so they carry a tag no slot answers to.
         let request_at = |row: u64| {
             MemRequest::new(
                 row * DramGeometry::ROW_BYTES,
@@ -951,6 +1013,7 @@ impl CodicDevice {
                     busy_cycles: cost.busy_cycles,
                 },
             )
+            .with_tag(UNTRACKED)
         };
         let start_cycle = self.mc.now();
         let stats_before = *self.mc.stats();
@@ -1027,15 +1090,16 @@ impl CodicDevice {
                 continue;
             }
             let (kind, _) = self.request_for(fault.retries[i].pending.op);
-            let request = MemRequest::new(fault.retries[i].pending.op.row_addr(), kind);
+            let request = MemRequest::new(fault.retries[i].pending.op.row_addr(), kind)
+                .with_tag(self.pending.vacant());
             match self.mc.push(request) {
-                Ok(id) => {
+                Ok(_) => {
                     let mut p = fault.retries.remove(i).pending;
                     p.attempts += 1;
                     p.will_fail = fault.plan.misfires(p.op_index, p.attempts);
                     fault.stats.retries += 1;
-                    let fresh = self.pending.insert(id.0, p);
-                    assert!(fresh.is_none(), "request ids are unique");
+                    let filled = self.pending.insert(p);
+                    debug_assert_eq!(filled, request.tag, "the request carries its slot");
                     issued += 1;
                 }
                 // No queue slot at this event; a later pump re-tries.
@@ -1069,16 +1133,16 @@ impl CodicDevice {
         self.pump_retries() > 0
     }
 
-    /// How many entries the pending table can hold before it grows.
+    /// How many slots the pending slab holds, live or vacant.
     #[cfg(test)]
     fn pending_capacity(&self) -> usize {
-        self.pending.capacity()
+        self.pending.slots.len()
     }
 
     fn harvest(&mut self) {
         // Disjoint field borrows: the controller drains its buffer in
         // place (capacity retained — no allocation) while the pending
-        // window and arena deliver each completion.
+        // slab and arena deliver each completion.
         let CodicDevice {
             mc,
             pending,
@@ -1092,7 +1156,7 @@ impl CodicDevice {
             // The fault-free fast path: one `match` on entry, zero cost
             // per completion.
             None => mc.drain_completions(|c| {
-                if let Some(p) = pending.remove(&c.id.0) {
+                if let Some(p) = pending.remove(c.tag) {
                     let completion = OpCompletion {
                         token: p.token,
                         op: p.op,
@@ -1106,7 +1170,7 @@ impl CodicDevice {
                 }
             }),
             Some(fault) => mc.drain_completions(|c| {
-                if let Some(p) = pending.remove(&c.id.0) {
+                if let Some(p) = pending.remove(c.tag) {
                     // A misfire with attempts left parks for its backoff
                     // instead of completing; the submitter's token and
                     // future ride along to the re-issue.
@@ -1141,6 +1205,14 @@ impl CodicDevice {
             }),
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Tagged completions [`deliver`] inserted before the end of their
+    /// buffer, on this thread: the retirements a tenant's merge relies on
+    /// the insertion to reorder.
+    pub(crate) static TAGGED_REORDERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -1369,14 +1441,13 @@ mod tests {
             d.submit_tagged(op, 100 + i as u64).unwrap();
         }
         d.run_to_idle();
-        assert_eq!(d.tagged_len(), ops.len());
         assert!(
             d.take_completions().is_empty(),
             "tagged ops skip the token buffer"
         );
-        let mut drained = Vec::new();
-        d.drain_tagged(|tag, c| drained.push((tag, c)));
-        assert_eq!(d.tagged_len(), 0);
+        let drained = d.tagged().to_vec();
+        d.clear_tagged();
+        assert!(d.tagged().is_empty());
         // Same completions in the same order; each tag names its op.
         assert_eq!(
             drained.iter().map(|(_, c)| *c).collect::<Vec<_>>(),
@@ -1387,6 +1458,88 @@ mod tests {
             assert_eq!(*tag, 100 + i as u64);
             assert_eq!(c.op, ops[i]);
         }
+    }
+
+    /// Asserts every slot of the idle device's pending slab is on the
+    /// free list exactly once.
+    fn assert_slab_all_free(d: &CodicDevice) {
+        assert!(d.pending.is_empty());
+        let mut free = d.pending.free.clone();
+        free.sort_unstable();
+        assert_eq!(free, (0..d.pending_capacity() as u32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn sweep_rows_take_no_pending_slot() {
+        // Token and tagged ops of the sweep's variant (no MRS barrier)
+        // and data accesses wait in the queues while each sweep streams
+        // its untracked rows through, so the completions interleave.
+        let mut d = device();
+        let zero = |row: u64| CodicOp::command(VariantId::DetZero, row * DramGeometry::ROW_BYTES);
+        let (mut tokens, mut tags) = (Vec::new(), 0u64);
+        for round in 0..3u64 {
+            for i in 0..4 {
+                let row = 64 * round + 8 * i;
+                tokens.push(d.submit(zero(row)).unwrap());
+                tokens.push(
+                    d.submit(CodicOp::read(row * DramGeometry::ROW_BYTES))
+                        .unwrap(),
+                );
+                for op in [
+                    zero(row + 1),
+                    CodicOp::write((row + 2) * DramGeometry::ROW_BYTES),
+                ] {
+                    d.submit_tagged(op, tags).unwrap();
+                    tags += 1;
+                }
+            }
+            assert_eq!(d.outstanding(), 16);
+            let report = d.sweep_all_rows(zero(0)).unwrap();
+            assert_eq!(report.rows, d.geometry().total_rows());
+            assert_slab_all_free(&d);
+        }
+        assert_eq!(d.pending_capacity(), 16, "only submitted ops take slots");
+        let mut delivered: Vec<OpToken> = d.take_completions().iter().map(|c| c.token).collect();
+        delivered.sort_unstable();
+        assert_eq!(delivered, tokens, "every token op delivered once");
+        let mut delivered: Vec<u64> = d.tagged().iter().map(|&(tag, _)| tag).collect();
+        delivered.sort_unstable();
+        assert_eq!(
+            delivered,
+            (0..tags).collect::<Vec<_>>(),
+            "every tagged op once"
+        );
+    }
+
+    #[test]
+    fn a_stalled_submit_takes_no_pending_slot() {
+        let config = DeviceConfig::new(DramGeometry::module_mib(64), TimingParams::ddr3_1600_11())
+            .with_refresh(false)
+            .with_faults(crate::fault::FaultPlan::new(5).with_stuck_clock(150));
+        let mut d = CodicDevice::new(config);
+        let zero = |row: u64| CodicOp::command(VariantId::DetZero, row * DramGeometry::ROW_BYTES);
+        let mut row = 0;
+        while d.submit(zero(row)).is_ok() {
+            row += 1;
+        }
+        // The queue is full behind the stuck clock: every further submit
+        // fails and leaves the count and the slab as they were.
+        let (outstanding, slots) = (d.outstanding(), d.pending_capacity());
+        assert!(outstanding > 0 && d.is_stalled());
+        for _ in 0..3 {
+            assert_eq!(d.submit(zero(row)), Err(CodicError::DeviceStalled));
+            assert_eq!(d.outstanding(), outstanding);
+            assert_eq!(d.pending_capacity(), slots);
+            assert_eq!(d.pending.free.len(), slots - outstanding);
+        }
+        // Failing the stranded ops empties their slots but keeps them off
+        // the free list: their requests still sit in the stuck controller.
+        assert_eq!(
+            d.fail_all_pending(crate::fault::FaultCause::ClockStuck),
+            outstanding
+        );
+        assert_eq!(d.outstanding(), 0);
+        assert_eq!(d.pending.free.len(), slots - outstanding);
     }
 
     #[test]

@@ -279,24 +279,50 @@ impl Tenant {
 
     /// Takes every buffered completion of the tenant's shards, ordered
     /// by `(finish_cycle, seq)` — the same emission order a private
-    /// serving engine produces.
+    /// serving engine produces. Each shard's buffer is already one run
+    /// in that order, so the runs are merged, not sorted: each step
+    /// emits the least head among the non-empty runs, and the last run
+    /// left is copied whole.
     fn drain(&mut self) -> Vec<FleetEvent> {
+        let admitted = self.next_seq;
+        let mut runs: Vec<(u16, &[(u64, OpCompletion)])> = self
+            .pool
+            .tagged_runs()
+            .enumerate()
+            .filter(|(_, run)| !run.is_empty())
+            .map(|(shard, run)| (shard as u16, run))
+            .collect();
         // Sized for every buffered completion up front: growing by
         // doubling would cost allocations that rise with the batch size.
-        let mut ready = Vec::with_capacity(self.pool.tagged_len());
-        let admitted = self.next_seq;
-        self.pool.drain_tagged(|shard, seq, completion| {
+        let mut ready = Vec::with_capacity(runs.iter().map(|(_, run)| run.len()).sum());
+        let mut emit = |shard: u16, &(seq, completion): &(u64, OpCompletion)| {
             if seq < admitted {
                 ready.push(FleetEvent {
                     seq,
-                    shard: shard as u16,
+                    shard,
                     completion,
                 });
             }
-        });
-        // Keys are unique (one seq per event), so the unstable sort's
-        // order is the stable one.
-        ready.sort_unstable_by_key(|e| (e.completion.finish_cycle, e.seq));
+        };
+        let head = |run: &[(u64, OpCompletion)]| (run[0].1.finish_cycle, run[0].0);
+        while runs.len() > 1 {
+            let mut best = 0;
+            for i in 1..runs.len() {
+                if head(runs[i].1) < head(runs[best].1) {
+                    best = i;
+                }
+            }
+            let (shard, run) = &mut runs[best];
+            emit(*shard, &run[0]);
+            *run = &run[1..];
+            if run.is_empty() {
+                runs.swap_remove(best);
+            }
+        }
+        if let Some((shard, run)) = runs.pop() {
+            run.iter().for_each(|event| emit(shard, event));
+        }
+        self.pool.clear_tagged();
         ready
     }
 }
@@ -698,6 +724,57 @@ mod tests {
             assert_eq!(events, solo, "{run}");
         }
         fleet.release(hold);
+    }
+
+    #[test]
+    fn merged_drains_match_the_sorted_order_under_retries() {
+        // Misfired ops re-enter their shard's controller under newer
+        // request ids, so a shard retires some completions out of
+        // `(finish_cycle, seq)` order. Each drain must still emit exactly
+        // what sorting the batch's events by that key gives.
+        let device = device_config()
+            .with_faults(FaultPlan::new(2).with_misfires(8000))
+            .with_retry(crate::fault::RetryPolicy::attempts(4));
+        let fleet = FleetHandle::new(FleetConfig::new(1, 4, device));
+        let t = fleet.acquire_with(1, 1024).expect("slot");
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let ops: Vec<CodicOp> = (0..20_000u64)
+            .map(|i| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let row_addr = (state % 8192) * DramGeometry::ROW_BYTES;
+                match i % 3 {
+                    0 => CodicOp::command(VariantId::DetZero, row_addr),
+                    1 => CodicOp::RowCloneZero { row_addr },
+                    _ => CodicOp::LisaCloneZero { row_addr },
+                }
+            })
+            .collect();
+        let reorders = crate::device::TAGGED_REORDERS.with(std::cell::Cell::get);
+        let mut drains: Vec<Vec<FleetEvent>> = ops
+            .chunks(256)
+            .map(|chunk| fleet.submit(t, chunk).expect("admit").1)
+            .collect();
+        drains.push(fleet.flush(t).1);
+        let reorders = crate::device::TAGGED_REORDERS.with(std::cell::Cell::get) - reorders;
+        fleet.release(t);
+        let mut seen = vec![false; ops.len()];
+        for events in &drains {
+            let mut sorted = events.clone();
+            sorted.sort_unstable_by_key(|e| (e.completion.finish_cycle, e.seq));
+            assert_eq!(*events, sorted);
+            for e in events {
+                assert!(!std::mem::replace(&mut seen[e.seq as usize], true));
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "every op delivered");
+        let retried = drains
+            .iter()
+            .flatten()
+            .filter(|e| e.completion.attempts > 1);
+        assert!(retried.count() > 1000, "the plan must actually fire");
+        assert!(reorders > 0, "no completion retired out of order");
     }
 
     #[test]

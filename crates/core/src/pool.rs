@@ -358,9 +358,9 @@ impl DevicePool {
     /// The tagged twin of [`DevicePool::submit_all_async_routed`]: the
     /// same routing, quarantine and re-route, but op `i` is submitted on
     /// its shard's synchronous path tagged `first_tag + i`, and its
-    /// completion lands, with the tag, in the buffer
-    /// [`DevicePool::drain_tagged`] empties. No future, lock or
-    /// allocation per op.
+    /// completion lands, with the tag, in its shard's run of
+    /// [`DevicePool::tagged_runs`]. No future, lock or allocation per
+    /// op.
     ///
     /// # Errors
     ///
@@ -380,18 +380,15 @@ impl DevicePool {
         })
     }
 
-    /// Completions of tagged submissions buffered across all shards.
-    pub(crate) fn tagged_len(&self) -> usize {
-        self.devices.iter().map(CodicDevice::tagged_len).sum()
+    /// Every shard's buffered tagged completions, in shard order, each
+    /// run ordered by `(finish_cycle, tag)` ([`CodicDevice::tagged`]).
+    pub(crate) fn tagged_runs(&self) -> impl Iterator<Item = &[(u64, OpCompletion)]> {
+        self.devices.iter().map(CodicDevice::tagged)
     }
 
-    /// Hands every shard's buffered tagged completions to `f` as
-    /// `(shard, tag, completion)`, shard by shard, each in completion
-    /// order.
-    pub(crate) fn drain_tagged(&mut self, mut f: impl FnMut(usize, u64, OpCompletion)) {
-        for (shard, device) in self.devices.iter_mut().enumerate() {
-            device.drain_tagged(|tag, completion| f(shard, tag, completion));
-        }
+    /// Empties every shard's tagged buffer, keeping its capacity.
+    pub(crate) fn clear_tagged(&mut self) {
+        self.devices.iter_mut().for_each(CodicDevice::clear_tagged);
     }
 
     /// The one routed submission loop behind both flavours. Every op is
@@ -745,12 +742,12 @@ mod tests {
         p.submit_all_tagged(&reads, 0).unwrap();
         assert!(!p.health()[1].is_healthy());
         let mut failed = Vec::new();
-        p.drain_tagged(|shard, _, c| {
-            if shard == 1 && c.outcome.is_failed() {
+        for (_, c) in p.tagged_runs().nth(1).unwrap() {
+            if c.outcome.is_failed() {
                 assert_eq!(c.outcome.cause(), Some(FaultCause::ClockStuck));
                 failed.push(c.token);
             }
-        });
+        }
         // The live ids straddle a multiple of 512, where a ring indexed
         // by `id % capacity` would wrap.
         let (first, last) = (

@@ -89,6 +89,8 @@ struct Pending {
     id: ReqId,
     addr: DramAddress,
     kind: ReqKind,
+    /// The caller's [`MemRequest::tag`], carried to the completion.
+    tag: u32,
 }
 
 /// One slab entry: a pending request threaded into its bank's chain.
@@ -188,14 +190,18 @@ fn act_weight(op: RowOpKind) -> usize {
     usize::from(op.activations().clamp(1, 3)) - 1
 }
 
-/// A completed request: its id and the cycle its data (or operation)
-/// finished.
+/// A completed request: its id, the cycle its data (or operation)
+/// finished, and the tag it was pushed with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
     /// The request id handed out by [`MemoryController::push`].
     pub id: ReqId,
     /// Memory cycle at which the request completed.
     pub finish_cycle: u64,
+    /// The request's [`MemRequest::tag`], unchanged: a caller that tags
+    /// each request with the index of its own record finds that record
+    /// without a search.
+    pub tag: u32,
 }
 
 /// The cycle-level DDR3 memory controller.
@@ -228,7 +234,9 @@ pub struct MemoryController {
     rank_gates: Vec<[u64; 3]>,
     /// Cycles [`MemoryController::step_cycle`] has processed.
     processed_cycles: u64,
-    in_flight: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Issued requests as `(finish_cycle, id, tag)`; ids are unique, so
+    /// the tag never decides the order.
+    in_flight: BinaryHeap<Reverse<(u64, u64, u32)>>,
     completed: Vec<Completion>,
     last_finish: u64,
     now: u64,
@@ -368,6 +376,7 @@ impl MemoryController {
             id,
             addr: self.mapper.decode(request.addr),
             kind: request.kind,
+            tag: request.tag,
         };
         self.enqueue(pending);
         Ok(id)
@@ -670,7 +679,7 @@ impl MemoryController {
     pub fn next_event_cycle(&self) -> u64 {
         debug_assert_eq!(self.stale_candidate(), None, "stale candidate cache");
         let mut e = u64::MAX;
-        if let Some(&Reverse((cycle, _))) = self.in_flight.peek() {
+        if let Some(&Reverse((cycle, _, _))) = self.in_flight.peek() {
             e = e.min(cycle);
         }
         if self.refresh_pending {
@@ -883,7 +892,7 @@ impl MemoryController {
     }
 
     fn retire_in_flight(&mut self) {
-        while let Some(&Reverse((cycle, id))) = self.in_flight.peek() {
+        while let Some(&Reverse((cycle, id, tag))) = self.in_flight.peek() {
             if cycle > self.now {
                 break;
             }
@@ -892,6 +901,7 @@ impl MemoryController {
             self.completed.push(Completion {
                 id: ReqId(id),
                 finish_cycle: cycle,
+                tag,
             });
         }
     }
@@ -1056,7 +1066,7 @@ impl MemoryController {
                 self.data_bus_free = done;
                 self.stats.reads += 1;
                 self.stats.row_hits += 1;
-                self.in_flight.push(Reverse((done, p.id.0)));
+                self.in_flight.push(Reverse((done, p.id.0, p.tag)));
                 self.update_bank(bank_idx);
                 self.update_data_bus();
             }
@@ -1065,7 +1075,7 @@ impl MemoryController {
                 self.data_bus_free = done;
                 self.stats.writes += 1;
                 self.stats.row_hits += 1;
-                self.in_flight.push(Reverse((done, p.id.0)));
+                self.in_flight.push(Reverse((done, p.id.0, p.tag)));
                 self.update_bank(bank_idx);
                 self.update_data_bus();
             }
@@ -1076,7 +1086,7 @@ impl MemoryController {
                 self.stats.row_ops += 1;
                 self.stats.row_op_activations += u64::from(op.activations());
                 self.in_flight
-                    .push(Reverse((self.now + u64::from(busy_cycles), p.id.0)));
+                    .push(Reverse((self.now + u64::from(busy_cycles), p.id.0, p.tag)));
                 // The bank stays closed, so the rank pass covers it.
                 self.update_rank(rank_idx);
             }
@@ -1556,6 +1566,62 @@ mod tests {
             s
         };
         assert_eq!(ids, sorted, "same-row reads complete in order");
+    }
+
+    #[test]
+    fn completions_carry_the_tags_their_requests_were_pushed_with() {
+        // Reads, writes and row ops over 512 rows, refilled as the queues
+        // drain, with refresh on: every driver hands each request's tag
+        // back with its completion, and the tag moves no command.
+        const REQUESTS: u64 = 3000;
+        let mut streams = Vec::new();
+        for name in ["tick_reference", "tick", "advance_to"] {
+            let mut m =
+                MemoryController::new(DramGeometry::module_mib(64), TimingParams::ddr3_1600_11());
+            let busy_cycles = m.timing().t_rc;
+            let mut tags = std::collections::HashMap::new();
+            let mut stream = Vec::new();
+            let mut next = 0u64;
+            while next < REQUESTS || !m.is_idle() {
+                while next < REQUESTS {
+                    let kind = match next % 5 {
+                        0 | 1 => ReqKind::Read,
+                        2 => ReqKind::Write,
+                        3 => ReqKind::RowOp {
+                            op: RowOpKind::Codic,
+                            busy_cycles,
+                        },
+                        _ => ReqKind::RowOp {
+                            op: RowOpKind::RowClone,
+                            busy_cycles: 2 * busy_cycles,
+                        },
+                    };
+                    let addr =
+                        (next * 7919 % 512) * DramGeometry::ROW_BYTES + (next % 16) * LINE_BYTES;
+                    let tag = u32::MAX - (next.wrapping_mul(0x9e37_79b9) >> 5) as u32;
+                    match m.push(MemRequest::new(addr, kind).with_tag(tag)) {
+                        Ok(id) => {
+                            tags.insert(id, tag);
+                            next += 1;
+                        }
+                        Err(_) => break,
+                    }
+                }
+                match name {
+                    "tick_reference" => m.tick_reference(),
+                    "tick" => m.tick(),
+                    _ => m.advance_to(m.now() + 37),
+                }
+                for c in m.take_completions() {
+                    assert_eq!(tags.remove(&c.id), Some(c.tag), "{name}: {c:?}");
+                    stream.push(c);
+                }
+            }
+            assert!(tags.is_empty(), "{name}: {} never completed", tags.len());
+            assert!(m.stats().refreshes > 0, "{name}: the run crosses a refresh");
+            streams.push(stream);
+        }
+        assert_eq!(streams[0], streams[1], "tick and tick_reference agree");
     }
 
     #[test]

@@ -64,13 +64,23 @@ pub struct MemRequest {
     pub addr: u64,
     /// Operation.
     pub kind: ReqKind,
+    /// Opaque caller tag, handed back unchanged in the request's
+    /// [`Completion`](crate::controller::Completion). Scheduling never
+    /// reads it.
+    pub tag: u32,
 }
 
 impl MemRequest {
-    /// Creates a request.
+    /// Creates a request with tag 0.
     #[must_use]
     pub fn new(addr: u64, kind: ReqKind) -> Self {
-        MemRequest { addr, kind }
+        MemRequest { addr, kind, tag: 0 }
+    }
+
+    /// The same request carrying `tag` back in its completion.
+    #[must_use]
+    pub fn with_tag(self, tag: u32) -> Self {
+        MemRequest { tag, ..self }
     }
 }
 
