@@ -26,7 +26,7 @@
 //! A fourth — the **queue-depth scaling workload** — streams a mixed
 //! Read/Write/RowOp batch at outstanding depths 64 → 8192 through two
 //! paths serving the identical request stream: the raw controller and
-//! the full `CodicDevice` async path (`submit_async` + arena-backed
+//! the full `CodicDevice` async path (`submit_async` + one-shot
 //! futures), asserting they finish on the same cycle. The scheduler's
 //! output itself is pinned per case by `codic_dram`'s `scheduler_pins`
 //! test.

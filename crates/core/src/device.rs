@@ -30,9 +30,8 @@
 //! clock driver ([`CodicDevice::step`] / [`CodicDevice::run_to_idle`]).
 
 use std::ops::Range;
-use std::sync::Arc;
 
-use codic_dram::controller::{MemoryController, QUEUE_DEPTH};
+use codic_dram::controller::MemoryController;
 use codic_dram::geometry::DramGeometry;
 use codic_dram::request::{MemRequest, ReqId, ReqKind, RowOpKind};
 use codic_dram::stats::MemStats;
@@ -42,7 +41,7 @@ use codic_power::{EnergyModel, IddValues};
 
 use crate::data::DataPlane;
 use crate::error::CodicError;
-use crate::executor::{OpFuture, SlotArena, SlotHandle};
+use crate::executor::{one_shot, Completer, OpFuture};
 use crate::fault::{FaultCause, FaultPlan, FaultStats, OpOutcome, RetryPolicy};
 use crate::interface::CodicController;
 use crate::ops::{CodicOp, InDramMechanism, RowRegion, VariantId};
@@ -246,29 +245,28 @@ pub struct SweepReport {
 }
 
 /// Where a finished operation's completion is delivered.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 enum Waiter {
-    /// The [`CodicDevice::take_completions`] buffer (token submissions).
-    Buffer,
-    /// An async submission's arena slot.
-    Slot(SlotHandle),
-    /// The [`CodicDevice::tagged`] buffer, with the submitter's tag (a
-    /// serving tenant's sequence number). Kept as bytes so the enum stays
-    /// 4-byte aligned and the pending entry no larger than an
-    /// `Option<SlotHandle>` left it: every slot of the pending slab, live
-    /// or not, is one entry wide.
-    Tag([u8; 8]),
+    /// The device's completion buffer, beside this tag: the token's
+    /// request id for [`CodicDevice::submit`], the submitter's tag (a
+    /// serving tenant's sequence number) for [`CodicDevice::submit_tagged`].
+    Tag(u64),
+    /// An async submission's future.
+    Future(Completer),
 }
 
-/// One submitted operation awaiting completion: its typed op, accounted
-/// cost, and where to deliver it. The token is the op's *original*
-/// request id: a retried op re-enters the scheduler under a fresh id but
-/// keeps the token its submitter holds.
+/// One submitted operation awaiting completion: its typed op and where
+/// to deliver it. The token is the op's *original* request id: a retried
+/// op re-enters the scheduler under a fresh id but keeps the token its
+/// submitter holds.
 #[derive(Debug)]
 struct PendingOp {
     token: OpToken,
     op: CodicOp,
-    cost: OpCost,
+    /// Where the op's accounted cost sits in the device's memo
+    /// ([`cost_slot`]), read at delivery. Matching on the op there
+    /// compiles to an indirect jump, which a mixed stream mispredicts.
+    cost_slot: u8,
     /// Data-plane fingerprint fixed at submit time (architectural state
     /// advances in submission order, decoupled from the timing model).
     fingerprint: u64,
@@ -281,8 +279,8 @@ struct PendingOp {
     will_fail: bool,
 }
 
-// The pending slab spends one of these per slot, a few hundred slots per
-// shard (see `Waiter::Tag`), and an empty slot costs no more.
+// The pending slab spends one of these per slot, up to a few hundred
+// slots per shard, and an empty slot costs no more.
 const _: () = assert!(std::mem::size_of::<PendingOp>() <= 80);
 const _: () = assert!(std::mem::size_of::<Option<PendingOp>>() == std::mem::size_of::<PendingOp>());
 
@@ -380,11 +378,12 @@ struct FaultState {
 /// The CODIC service device: policy-checked, typed command submission over
 /// an embedded cycle-level memory controller.
 ///
-/// Completion delivery is allocation-free at steady state: in-flight
-/// operations live in a slab whose slots are recycled and whose index
-/// each request carries through the controller, and async submissions
-/// claim recycled slots of the device's completion-slot arena instead of
-/// allocating one `Arc<Mutex>` per operation.
+/// In-flight operations live in a slab whose slots are recycled and
+/// whose index each request carries through the controller. A finished
+/// operation lands in one completion buffer, beside its tag and ordered
+/// by `(finish_cycle, tag)`, or, for an async submission, in its
+/// future's one-shot cell. Once warm, the buffer allocates nothing per
+/// operation; an async submission allocates its cell.
 #[derive(Debug)]
 pub struct CodicDevice {
     policy: CodicController,
@@ -395,18 +394,14 @@ pub struct CodicDevice {
     /// live count: a write starved behind a stream of reads holds one
     /// slot, not a window of every later id.
     pending: PendingSlab,
-    /// The completion-slot arena shared with this device's [`OpFuture`]s.
-    futures: Arc<SlotArena>,
     /// Accounted costs, precomputed per request shape (timing and energy
-    /// model are fixed at construction): reads, writes, and the three
-    /// row-operation kinds — no per-submission float accounting.
-    read_cost: OpCost,
-    write_cost: OpCost,
-    row_costs: [OpCost; 5],
-    ready: Vec<OpCompletion>,
-    /// Completions of tagged submissions with their tags, ordered by
-    /// `(finish_cycle, tag)`.
-    tagged: Vec<(u64, OpCompletion)>,
+    /// model are fixed at construction), indexed by [`cost_slot`]: the
+    /// five row-operation kinds, then reads and writes. No per-operation
+    /// float accounting.
+    costs: [OpCost; 7],
+    /// Completions of token and tagged submissions with their tags,
+    /// ordered by `(finish_cycle, tag)`.
+    completions: Vec<(u64, OpCompletion)>,
     /// Fault injection and retry state; `None` (the default) means the
     /// feature is disabled and every completion is [`OpOutcome::Ok`].
     fault: Option<FaultState>,
@@ -420,43 +415,50 @@ pub struct CodicDevice {
     auth_memo: Option<Option<VariantId>>,
 }
 
-/// Delivers `completion` where `waiter` says: an async submission's
-/// future or the token buffer (both in completion order), or the tagged
-/// buffer, kept ordered by `(finish_cycle, tag)`.
+/// Answers `p` with its completion, delivered where its waiter says: an
+/// async submission's future, or the completion buffer, kept ordered by
+/// `(finish_cycle, tag)`.
 ///
 /// Completions arrive in retirement order, `(finish_cycle, request
-/// id)`. A serving tenant tags its ops in submission order, which is
-/// request-id order, so the tagged insertion is a push, except behind a
-/// retried op: it re-entered the controller under a newer id, and where
-/// it ties an earlier-tagged op's finish cycle it retires first. The
-/// insertion walks back from the end past those.
+/// id)`. Tokens are request ids, and a serving tenant tags its ops in
+/// submission order, which is request-id order, so the insertion is a
+/// push, except behind a retried op: it re-entered the controller under
+/// a newer id, and where it ties an earlier-tagged op's finish cycle it
+/// retires first. The insertion walks back from the end past those.
 fn deliver(
-    waiter: Waiter,
-    completion: OpCompletion,
-    futures: &SlotArena,
-    ready: &mut Vec<OpCompletion>,
-    tagged: &mut Vec<(u64, OpCompletion)>,
+    p: PendingOp,
+    finish_cycle: u64,
+    cost: OpCost,
+    outcome: OpOutcome,
+    completions: &mut Vec<(u64, OpCompletion)>,
 ) {
-    match waiter {
-        Waiter::Buffer => ready.push(completion),
-        Waiter::Slot(handle) => futures.fulfil(handle, completion),
+    let completion = OpCompletion {
+        token: p.token,
+        op: p.op,
+        finish_cycle,
+        cost,
+        outcome,
+        attempts: p.attempts,
+        fingerprint: p.fingerprint,
+    };
+    match p.waiter {
+        Waiter::Future(completer) => completer.fulfil(completion),
         Waiter::Tag(tag) => {
-            let tag = u64::from_ne_bytes(tag);
             let key = (completion.finish_cycle, tag);
-            let mut at = tagged.len();
-            while at > 0 && (tagged[at - 1].1.finish_cycle, tagged[at - 1].0) > key {
+            let mut at = completions.len();
+            while at > 0 && (completions[at - 1].1.finish_cycle, completions[at - 1].0) > key {
                 at -= 1;
             }
             #[cfg(test)]
-            if at < tagged.len() {
+            if at < completions.len() {
                 TAGGED_REORDERS.with(|n| n.set(n.get() + 1));
             }
-            tagged.insert(at, (tag, completion));
+            completions.insert(at, (tag, completion));
         }
     }
 }
 
-/// The `row_costs` slot of a row-operation kind.
+/// The `costs` slot of a row-operation kind.
 fn row_cost_idx(kind: RowOpKind) -> usize {
     match kind {
         RowOpKind::Codic => 0,
@@ -464,6 +466,19 @@ fn row_cost_idx(kind: RowOpKind) -> usize {
         RowOpKind::LisaClone => 2,
         RowOpKind::TripleAct => 3,
         RowOpKind::DualContact => 4,
+    }
+}
+
+/// The `costs` slots of the read and write bursts.
+const READ_COST: usize = 5;
+const WRITE_COST: usize = 6;
+
+/// The `costs` slot of `op`'s accounted cost.
+fn cost_slot(op: CodicOp) -> usize {
+    match op {
+        CodicOp::Read { .. } => READ_COST,
+        CodicOp::Write { .. } => WRITE_COST,
+        _ => row_cost_idx(op.row_op_kind().expect("non-data ops are row ops")),
     }
 }
 
@@ -487,17 +502,17 @@ impl CodicDevice {
         });
         let energy = EnergyModel::new(config.idd, config.timing, config.geometry.devices_per_rank);
         let t = config.timing;
-        let read_cost = OpCost {
+        let read = OpCost {
             busy_cycles: t.t_cl + t.t_bl,
             activations: 0,
             energy_nj: energy.read_burst_nj(),
         };
-        let write_cost = OpCost {
+        let mut costs = [read; 7];
+        costs[WRITE_COST] = OpCost {
             busy_cycles: t.t_cwl + t.t_bl,
             activations: 0,
             energy_nj: energy.write_burst_nj(),
         };
-        let mut row_costs = [read_cost; 5];
         for kind in [
             RowOpKind::Codic,
             RowOpKind::RowClone,
@@ -505,7 +520,7 @@ impl CodicDevice {
             RowOpKind::TripleAct,
             RowOpKind::DualContact,
         ] {
-            row_costs[row_cost_idx(kind)] = accounting::row_op_cost(kind, &t, &energy).into();
+            costs[row_cost_idx(kind)] = accounting::row_op_cost(kind, &t, &energy).into();
         }
         let compute_range = config.compute_range();
         let data = (!compute_range.is_empty()).then(|| DataPlane::new(compute_range.clone()));
@@ -514,12 +529,8 @@ impl CodicDevice {
             mc,
             energy,
             pending: PendingSlab::default(),
-            futures: SlotArena::with_capacity(2 * QUEUE_DEPTH),
-            read_cost,
-            write_cost,
-            row_costs,
-            ready: Vec::new(),
-            tagged: Vec::new(),
+            costs,
+            completions: Vec::new(),
             fault,
             data,
             auth_memo: None,
@@ -603,7 +614,7 @@ impl CodicDevice {
     }
 
     /// Fails every submitted-but-unanswered operation with `cause`,
-    /// resolving async futures and buffering synchronous completions as
+    /// resolving async futures and buffering the other completions as
     /// usual — the quarantine path for a shard that can no longer make
     /// progress. Failed-this-way completions carry zero cost (the
     /// operations never executed to completion) and finish at the
@@ -615,9 +626,7 @@ impl CodicDevice {
         let CodicDevice {
             mc,
             pending,
-            futures,
-            ready,
-            tagged,
+            completions,
             fault,
             ..
         } = self;
@@ -629,21 +638,13 @@ impl CodicDevice {
         failed.sort_unstable_by_key(|p| p.token);
         let now = mc.now();
         let count = failed.len();
+        let unexecuted = OpCost {
+            busy_cycles: 0,
+            activations: 0,
+            energy_nj: 0.0,
+        };
         for p in failed {
-            let completion = OpCompletion {
-                token: p.token,
-                op: p.op,
-                finish_cycle: now,
-                cost: OpCost {
-                    busy_cycles: 0,
-                    activations: 0,
-                    energy_nj: 0.0,
-                },
-                outcome: OpOutcome::Failed { cause },
-                attempts: p.attempts,
-                fingerprint: p.fingerprint,
-            };
-            deliver(p.waiter, completion, futures, ready, tagged);
+            deliver(p, now, unexecuted, OpOutcome::Failed { cause }, completions);
         }
         count
     }
@@ -665,16 +666,17 @@ impl CodicDevice {
     /// when §4.4's rules reject the operation.
     pub fn submit(&mut self, op: CodicOp) -> Result<OpToken, CodicError> {
         self.policy.check_safe_range(op)?;
-        self.submit_inner(op, Waiter::Buffer)
+        self.submit_inner(op, None)
     }
 
     /// The post-policy submission path shared by every submit flavor:
     /// callers have already run [`CodicController::check_safe_range`]
     /// (directly, or batched at the pool/batch boundary), so the per-op
-    /// loop pays only the memoized authorization, the cost memo, and
-    /// the queue push. `waiter` is installed into the pending entry at
-    /// insert time, so no caller looks the entry up again to attach it.
-    fn submit_inner(&mut self, op: CodicOp, waiter: Waiter) -> Result<OpToken, CodicError> {
+    /// loop pays only the memoized authorization and the queue push.
+    /// `waiter` is installed into the pending entry at insert time, so no
+    /// caller looks the entry up again to attach it; `None` delivers to
+    /// the completion buffer tagged with the token's request id.
+    fn submit_inner(&mut self, op: CodicOp, waiter: Option<Waiter>) -> Result<OpToken, CodicError> {
         self.install_for(op);
         // The full §4.4 authorization (variant match + range), memoized
         // by the variant the op requires: the first op of a stream runs
@@ -690,8 +692,7 @@ impl CodicDevice {
                 .expect("range was pre-checked and the variant just installed");
             self.auth_memo = Some(op.variant());
         }
-        let (kind, cost) = self.request_for(op);
-        let request = MemRequest::new(op.row_addr(), kind);
+        let request = MemRequest::new(op.row_addr(), self.request_for(op));
         loop {
             // Stepping below retires and re-issues ops, so the vacant
             // slot is read afresh for every push.
@@ -719,9 +720,9 @@ impl CodicDevice {
                     let filled = self.pending.insert(PendingOp {
                         token: OpToken(id),
                         op,
-                        cost,
+                        cost_slot: cost_slot(op) as u8,
                         fingerprint,
-                        waiter,
+                        waiter: waiter.unwrap_or(Waiter::Tag(id.0)),
                         attempts: 1,
                         op_index,
                         will_fail,
@@ -751,7 +752,7 @@ impl CodicDevice {
     /// ([`CodicDevice::step`] / [`CodicDevice::run_to_idle`] /
     /// [`DevicePool::drive`](crate::pool::DevicePool::drive)); completions
     /// delivered this way bypass the [`CodicDevice::take_completions`]
-    /// buffer, arriving in the same completion order.
+    /// buffer.
     ///
     /// # Errors
     ///
@@ -764,44 +765,33 @@ impl CodicDevice {
     /// [`CodicDevice::submit`] minus the safe-range check, for callers
     /// that already pre-flighted the whole batch (the pool's
     /// all-or-nothing routed path), with the completion delivered to the
-    /// [`CodicDevice::tagged`] buffer, beside `tag`. The tag rides the
-    /// pending entry the device keeps anyway, so the caller needs no
+    /// [`CodicDevice::completions`] buffer, beside `tag`. The tag rides
+    /// the pending entry the device keeps anyway, so the caller needs no
     /// token map of its own.
     pub(crate) fn submit_tagged(&mut self, op: CodicOp, tag: u64) -> Result<(), CodicError> {
-        self.submit_inner(op, Waiter::Tag(tag.to_ne_bytes()))
-            .map(drop)
+        self.submit_inner(op, Some(Waiter::Tag(tag))).map(drop)
     }
 
     /// [`CodicDevice::submit_async`] minus the safe-range check, for
     /// callers that already pre-flighted the whole batch (the pool's
-    /// all-or-nothing routed path). The future's slot is claimed first
-    /// and handed to `submit_inner`, so the waiter rides the pending
-    /// insert instead of a second lookup; if submission fails the
-    /// returned-early future drops and releases its slot.
+    /// all-or-nothing routed path). The completer rides the pending
+    /// insert; if submission fails, the future and its cell are dropped.
     pub(crate) fn submit_async_prechecked(&mut self, op: CodicOp) -> Result<OpFuture, CodicError> {
-        let (future, handle) = self.futures.claim();
-        self.submit_inner(op, Waiter::Slot(handle))?;
+        let (future, completer) = one_shot();
+        self.submit_inner(op, Some(Waiter::Future(completer)))?;
         Ok(future)
     }
 
-    /// The controller request and accounted cost `op` maps to: a
-    /// bank-occupying row operation, or an ordinary column access for the
-    /// data path. Costs come from the construction-time memo.
-    fn request_for(&self, op: CodicOp) -> (ReqKind, OpCost) {
+    /// The controller request `op` maps to: a bank-occupying row
+    /// operation, or an ordinary column access for the data path.
+    fn request_for(&self, op: CodicOp) -> ReqKind {
         match op {
-            CodicOp::Read { .. } => (ReqKind::Read, self.read_cost),
-            CodicOp::Write { .. } => (ReqKind::Write, self.write_cost),
-            _ => {
-                let kind = op.row_op_kind().expect("non-data ops are row ops");
-                let cost = self.row_costs[row_cost_idx(kind)];
-                (
-                    ReqKind::RowOp {
-                        op: kind,
-                        busy_cycles: cost.busy_cycles,
-                    },
-                    cost,
-                )
-            }
+            CodicOp::Read { .. } => ReqKind::Read,
+            CodicOp::Write { .. } => ReqKind::Write,
+            _ => ReqKind::RowOp {
+                op: op.row_op_kind().expect("non-data ops are row ops"),
+                busy_cycles: self.costs[cost_slot(op)].busy_cycles,
+            },
         }
     }
 
@@ -816,9 +806,7 @@ impl CodicDevice {
         for op in ops {
             self.policy.check_safe_range(*op)?;
         }
-        ops.iter()
-            .map(|&op| self.submit_inner(op, Waiter::Buffer))
-            .collect()
+        ops.iter().map(|&op| self.submit_inner(op, None)).collect()
     }
 
     /// Advances one memory cycle through the *reference* driver
@@ -900,25 +888,28 @@ impl CodicDevice {
         last
     }
 
-    /// Removes and returns all completions harvested so far.
+    /// Removes and returns all completions harvested so far, ordered by
+    /// finish cycle, ties by token (submission order).
     pub fn take_completions(&mut self) -> Vec<OpCompletion> {
         self.harvest();
-        std::mem::take(&mut self.ready)
+        self.completions.drain(..).map(|(_, c)| c).collect()
     }
 
-    /// Completions of tagged submissions buffered so far, with their
-    /// tags, ordered by `(finish_cycle, tag)`: one sorted run, ready to
-    /// merge with other devices' runs. Every clock driver harvests before
-    /// it returns, so the buffer is already current.
-    pub(crate) fn tagged(&self) -> &[(u64, OpCompletion)] {
-        &self.tagged
+    /// Completions buffered so far, with their tags, ordered by
+    /// `(finish_cycle, tag)`: one sorted run, ready to merge with other
+    /// devices' runs. Every clock driver harvests before it returns, so
+    /// the buffer is already current. [`CodicDevice::submit`]'s ops land
+    /// here too, tagged with their request ids, so a caller that reads
+    /// tags as its own sequence numbers submits on the tagged path only.
+    pub(crate) fn completions(&self) -> &[(u64, OpCompletion)] {
+        &self.completions
     }
 
-    /// Empties the [`CodicDevice::tagged`] buffer in place: its capacity
-    /// is kept, so a serving loop that drains at every batch boundary
-    /// allocates nothing here once warm.
-    pub(crate) fn clear_tagged(&mut self) {
-        self.tagged.clear();
+    /// Empties the [`CodicDevice::completions`] buffer in place: its
+    /// capacity is kept, so a serving loop that drains at every batch
+    /// boundary allocates nothing here once warm.
+    pub(crate) fn clear_completions(&mut self) {
+        self.completions.clear();
     }
 
     /// Submits `ops`, runs to idle, and returns the typed batch outcome.
@@ -934,14 +925,21 @@ impl CodicDevice {
     /// queue. A stall is not all-or-nothing: the operations enqueued
     /// before it stay outstanding.
     pub fn execute_all(&mut self, ops: &[CodicOp]) -> Result<BatchOutcome, CodicError> {
-        let tokens: std::collections::HashSet<OpToken> =
-            self.submit_all(ops)?.into_iter().collect();
+        let first = self.submit_all(ops)?.first().copied();
         self.run_to_idle();
-        let (completions, earlier): (Vec<_>, Vec<_>) = self
-            .take_completions()
-            .into_iter()
-            .partition(|c| tokens.contains(&c.token));
-        self.ready = earlier;
+        // Tokens are request ids, handed out in submission order and kept
+        // across retries, so the batch owns exactly the completions at or
+        // past its first token.
+        let mut completions = Vec::with_capacity(ops.len());
+        if let Some(first) = first {
+            self.completions.retain(|&(_, c)| {
+                let ours = c.token >= first;
+                if ours {
+                    completions.push(c);
+                }
+                !ours
+            });
+        }
         let finish_cycle = completions
             .iter()
             .map(|c| c.finish_cycle)
@@ -1002,7 +1000,7 @@ impl CodicDevice {
         )?;
         self.install_for(proto);
         let kind = proto.row_op_kind().expect("data accesses rejected above");
-        let cost = self.row_costs[row_cost_idx(kind)];
+        let cost = self.costs[row_cost_idx(kind)];
         // Sweep rows have no pending entry: their completions are only
         // counted, so they carry a tag no slot answers to.
         let request_at = |row: u64| {
@@ -1089,8 +1087,8 @@ impl CodicDevice {
                 i += 1;
                 continue;
             }
-            let (kind, _) = self.request_for(fault.retries[i].pending.op);
-            let request = MemRequest::new(fault.retries[i].pending.op.row_addr(), kind)
+            let op = fault.retries[i].pending.op;
+            let request = MemRequest::new(op.row_addr(), self.request_for(op))
                 .with_tag(self.pending.vacant());
             match self.mc.push(request) {
                 Ok(_) => {
@@ -1142,13 +1140,12 @@ impl CodicDevice {
     fn harvest(&mut self) {
         // Disjoint field borrows: the controller drains its buffer in
         // place (capacity retained — no allocation) while the pending
-        // slab and arena deliver each completion.
+        // slab and the cost memo answer each completion.
         let CodicDevice {
             mc,
             pending,
-            futures,
-            ready,
-            tagged,
+            costs,
+            completions,
             fault,
             ..
         } = self;
@@ -1157,23 +1154,15 @@ impl CodicDevice {
             // per completion.
             None => mc.drain_completions(|c| {
                 if let Some(p) = pending.remove(c.tag) {
-                    let completion = OpCompletion {
-                        token: p.token,
-                        op: p.op,
-                        finish_cycle: c.finish_cycle,
-                        cost: p.cost,
-                        outcome: OpOutcome::Ok,
-                        attempts: p.attempts,
-                        fingerprint: p.fingerprint,
-                    };
-                    deliver(p.waiter, completion, futures, ready, tagged);
+                    let cost = costs[usize::from(p.cost_slot)];
+                    deliver(p, c.finish_cycle, cost, OpOutcome::Ok, completions);
                 }
             }),
             Some(fault) => mc.drain_completions(|c| {
                 if let Some(p) = pending.remove(c.tag) {
                     // A misfire with attempts left parks for its backoff
                     // instead of completing; the submitter's token and
-                    // future ride along to the re-issue.
+                    // waiter ride along to the re-issue.
                     if p.will_fail && p.attempts < fault.retry.max_attempts {
                         let not_before = c.finish_cycle + fault.retry.backoff_for(p.attempts);
                         fault.retries.push(Retry {
@@ -1191,16 +1180,8 @@ impl CodicDevice {
                         fault.stats.ok += 1;
                         OpOutcome::Ok
                     };
-                    let completion = OpCompletion {
-                        token: p.token,
-                        op: p.op,
-                        finish_cycle: c.finish_cycle,
-                        cost: p.cost,
-                        outcome,
-                        attempts: p.attempts,
-                        fingerprint: p.fingerprint,
-                    };
-                    deliver(p.waiter, completion, futures, ready, tagged);
+                    let cost = costs[usize::from(p.cost_slot)];
+                    deliver(p, c.finish_cycle, cost, outcome, completions);
                 }
             }),
         }
@@ -1209,7 +1190,7 @@ impl CodicDevice {
 
 #[cfg(test)]
 thread_local! {
-    /// Tagged completions [`deliver`] inserted before the end of their
+    /// Completions [`deliver`] inserted before the end of their device's
     /// buffer, on this thread: the retirements a tenant's merge relies on
     /// the insertion to reorder.
     pub(crate) static TAGGED_REORDERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
@@ -1219,6 +1200,7 @@ thread_local! {
 mod tests {
     use super::*;
     use crate::ops::VariantId;
+    use codic_dram::controller::QUEUE_DEPTH;
 
     fn device() -> CodicDevice {
         let config = DeviceConfig::new(DramGeometry::module_mib(64), TimingParams::ddr3_1600_11())
@@ -1441,13 +1423,9 @@ mod tests {
             d.submit_tagged(op, 100 + i as u64).unwrap();
         }
         d.run_to_idle();
-        assert!(
-            d.take_completions().is_empty(),
-            "tagged ops skip the token buffer"
-        );
-        let drained = d.tagged().to_vec();
-        d.clear_tagged();
-        assert!(d.tagged().is_empty());
+        let drained = d.completions().to_vec();
+        d.clear_completions();
+        assert!(d.completions().is_empty());
         // Same completions in the same order; each tag names its op.
         assert_eq!(
             drained.iter().map(|(_, c)| *c).collect::<Vec<_>>(),
@@ -1499,10 +1477,14 @@ mod tests {
             assert_slab_all_free(&d);
         }
         assert_eq!(d.pending_capacity(), 16, "only submitted ops take slots");
-        let mut delivered: Vec<OpToken> = d.take_completions().iter().map(|c| c.token).collect();
+        let (token_ops, tagged_ops): (Vec<_>, Vec<_>) = d
+            .completions()
+            .iter()
+            .partition(|(_, c)| tokens.contains(&c.token));
+        let mut delivered: Vec<OpToken> = token_ops.iter().map(|(_, c)| c.token).collect();
         delivered.sort_unstable();
         assert_eq!(delivered, tokens, "every token op delivered once");
-        let mut delivered: Vec<u64> = d.tagged().iter().map(|&(tag, _)| tag).collect();
+        let mut delivered: Vec<u64> = tagged_ops.iter().map(|&(tag, _)| tag).collect();
         delivered.sort_unstable();
         assert_eq!(
             delivered,
@@ -1728,5 +1710,115 @@ mod tests {
         let earlier = d.take_completions();
         assert_eq!(earlier.len(), 1);
         assert_eq!(earlier[0].token, token);
+    }
+
+    #[test]
+    fn the_completion_buffer_stays_ordered_under_retries_and_quarantine() {
+        let config = DeviceConfig::new(DramGeometry::module_mib(64), TimingParams::ddr3_1600_11())
+            .with_refresh(false)
+            .with_faults(FaultPlan::new(3).with_misfires(16_384))
+            .with_retry(RetryPolicy::attempts(4));
+        let mut d = CodicDevice::new(config);
+        // Row kinds of unequal occupancy, so a retried op can tie an
+        // earlier one's finish cycle.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut op = |i: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let row_addr = (state % 8192) * DramGeometry::ROW_BYTES;
+            match i % 3 {
+                0 => CodicOp::command(VariantId::DetZero, row_addr),
+                1 => CodicOp::RowCloneZero { row_addr },
+                _ => CodicOp::LisaCloneZero { row_addr },
+            }
+        };
+        let reorders = TAGGED_REORDERS.with(std::cell::Cell::get);
+        let mut tokens = Vec::new();
+        for i in 0..20_000u64 {
+            tokens.push(d.submit(op(i)).unwrap());
+            if i == 10_000 {
+                // Part-way through: whatever is queued, in flight or
+                // parked for a retry fails now, in token order.
+                assert!(d.fail_all_pending(FaultCause::Quarantined) > 0);
+            }
+        }
+        d.run_to_idle();
+        assert!(
+            TAGGED_REORDERS.with(std::cell::Cell::get) > reorders,
+            "retries must retire out of token order for this test to bite"
+        );
+        let done = d.take_completions();
+        assert!(done
+            .windows(2)
+            .all(|w| (w[0].finish_cycle, w[0].token) < (w[1].finish_cycle, w[1].token)));
+        let mut delivered: Vec<OpToken> = done.iter().map(|c| c.token).collect();
+        delivered.sort_unstable();
+        assert_eq!(delivered, tokens, "every token delivered exactly once");
+    }
+
+    #[test]
+    fn a_future_dropped_before_its_op_retires_leaves_the_device_consistent() {
+        use crate::executor::block_on;
+        let mut d = device();
+        let zero = |row: u64| CodicOp::command(VariantId::DetZero, row * DramGeometry::ROW_BYTES);
+        let kept = d.submit_async(zero(0)).unwrap();
+        drop(d.submit_async(zero(1)).unwrap());
+        let token = d.submit(zero(2)).unwrap();
+        assert_eq!(d.outstanding(), 3);
+        d.run_to_idle();
+        assert_eq!(d.outstanding(), 0);
+        assert_eq!(block_on(kept).op, zero(0));
+        let done = d.take_completions();
+        assert_eq!(
+            done.len(),
+            1,
+            "the dropped future's completion goes nowhere"
+        );
+        assert_eq!(done[0].token, token);
+        // Later futures resolve as usual, through reused pending slots.
+        let later: Vec<_> = (3..8)
+            .map(|row| d.submit_async(zero(row)).unwrap())
+            .collect();
+        d.run_to_idle();
+        assert_eq!(d.outstanding(), 0);
+        for (row, future) in (3..8).zip(later) {
+            assert_eq!(block_on(future).op, zero(row));
+        }
+        assert_eq!(d.pending_capacity(), 5, "vacated slots were reused");
+    }
+
+    #[test]
+    fn delivered_costs_come_from_the_memo_and_failures_cost_nothing() {
+        let config = DeviceConfig::new(DramGeometry::module_mib(64), TimingParams::ddr3_1600_11())
+            .with_refresh(false)
+            .with_faults(FaultPlan::new(9).with_misfires(32_768))
+            .with_retry(RetryPolicy::attempts(3));
+        let mut d = CodicDevice::new(config);
+        let ops = [
+            CodicOp::read(0),
+            CodicOp::write(64),
+            CodicOp::command(VariantId::DetZero, 8192),
+            CodicOp::RowCloneZero { row_addr: 16_384 },
+            CodicOp::LisaCloneZero { row_addr: 24_576 },
+        ];
+        let mut retried = 0;
+        for round in 0..40u64 {
+            let shifted = ops.map(|op| op.with_row_addr(op.row_addr() + round * 32_768));
+            for c in d.execute_all(&shifted).unwrap().completions {
+                assert_eq!(c.cost, d.costs[cost_slot(c.op)], "{:?}", c.op);
+                retried += usize::from(c.attempts > 1);
+            }
+        }
+        assert!(retried > 0, "some row ops were re-issued");
+        d.submit(CodicOp::command(VariantId::DetZero, 0)).unwrap();
+        d.submit(CodicOp::read(64)).unwrap();
+        assert_eq!(d.fail_all_pending(FaultCause::Quarantined), 2);
+        let failed = d.take_completions();
+        assert_eq!(failed.len(), 2);
+        for c in failed {
+            assert_eq!(c.cost.energy_nj, 0.0);
+            assert_eq!((c.cost.busy_cycles, c.cost.activations), (0, 0));
+        }
     }
 }

@@ -287,7 +287,7 @@ impl Tenant {
         let admitted = self.next_seq;
         let mut runs: Vec<(u16, &[(u64, OpCompletion)])> = self
             .pool
-            .tagged_runs()
+            .completion_runs()
             .enumerate()
             .filter(|(_, run)| !run.is_empty())
             .map(|(shard, run)| (shard as u16, run))
@@ -322,7 +322,7 @@ impl Tenant {
         if let Some((shard, run)) = runs.pop() {
             run.iter().for_each(|event| emit(shard, event));
         }
-        self.pool.clear_tagged();
+        self.pool.clear_completions();
         ready
     }
 }

@@ -13,12 +13,11 @@
 //! pair — one [`OpFuture`] per operation, resolved by the clock driver,
 //! so services `await` completions instead of polling.
 //!
-//! The async path is allocation-free at steady state: each shard's
-//! futures are recycled slots of that device's completion-slot arena
-//! (no per-operation `Arc<Mutex>`), fulfilled in place by the rayon
-//! worker driving the shard, and each shard's in-flight table is a hash
-//! map presized for the shard's live bound, so it never grows at steady
-//! state, however long a write waits behind later traffic.
+//! Each future is a one-shot cell shared with its operation's pending
+//! entry, fulfilled in place by the rayon worker driving the shard. Each
+//! shard's in-flight table is a slot slab as long as the shard's peak
+//! live count, so it never grows at steady state, however long a write
+//! waits behind later traffic.
 //!
 //! Long-running services bound their in-flight window with
 //! [`DevicePool::outstanding`] (the pool-wide backpressure signal; the
@@ -359,7 +358,7 @@ impl DevicePool {
     /// same routing, quarantine and re-route, but op `i` is submitted on
     /// its shard's synchronous path tagged `first_tag + i`, and its
     /// completion lands, with the tag, in its shard's run of
-    /// [`DevicePool::tagged_runs`]. No future, lock or allocation per
+    /// [`DevicePool::completion_runs`]. No future, lock or allocation per
     /// op.
     ///
     /// # Errors
@@ -380,15 +379,17 @@ impl DevicePool {
         })
     }
 
-    /// Every shard's buffered tagged completions, in shard order, each
-    /// run ordered by `(finish_cycle, tag)` ([`CodicDevice::tagged`]).
-    pub(crate) fn tagged_runs(&self) -> impl Iterator<Item = &[(u64, OpCompletion)]> {
-        self.devices.iter().map(CodicDevice::tagged)
+    /// Every shard's buffered completions, in shard order, each run
+    /// ordered by `(finish_cycle, tag)` ([`CodicDevice::completions`]).
+    pub(crate) fn completion_runs(&self) -> impl Iterator<Item = &[(u64, OpCompletion)]> {
+        self.devices.iter().map(CodicDevice::completions)
     }
 
-    /// Empties every shard's tagged buffer, keeping its capacity.
-    pub(crate) fn clear_tagged(&mut self) {
-        self.devices.iter_mut().for_each(CodicDevice::clear_tagged);
+    /// Empties every shard's completion buffer, keeping its capacity.
+    pub(crate) fn clear_completions(&mut self) {
+        self.devices
+            .iter_mut()
+            .for_each(CodicDevice::clear_completions);
     }
 
     /// The one routed submission loop behind both flavours. Every op is
@@ -742,7 +743,7 @@ mod tests {
         p.submit_all_tagged(&reads, 0).unwrap();
         assert!(!p.health()[1].is_healthy());
         let mut failed = Vec::new();
-        for (_, c) in p.tagged_runs().nth(1).unwrap() {
+        for (_, c) in p.completion_runs().nth(1).unwrap() {
             if c.outcome.is_failed() {
                 assert_eq!(c.outcome.cause(), Some(FaultCause::ClockStuck));
                 failed.push(c.token);

@@ -91,8 +91,8 @@ proptest! {
         let tick_completions = ticked.take_completions();
         prop_assert_eq!(tick_completions.len(), ops.len());
 
-        // Event side: the async serving path — every operation awaited
-        // through the arena-backed futures.
+        // Event side: the async path — every operation awaited through
+        // its one-shot future.
         let mut evented = device(refresh);
         let futures: Vec<_> = ops
             .iter()
