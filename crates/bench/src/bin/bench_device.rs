@@ -33,9 +33,16 @@
 //!
 //! A fifth — **`data_fingerprint`** — times the bulk-bitwise data plane's
 //! row hash: over 4,096 seeded words plus 0, !0 and every byte in every
-//! lane, the median ns per word of `uniform_fingerprint` (one low-byte
-//! orbit, then squaring) against the byte-serial `row_fingerprint` over
-//! the whole 8 KB row, asserting the two agree on every word.
+//! lane, the median ns per word of `uniform_fingerprint` (a per-word
+//! low-byte successor table, one orbit walk, then squaring) against the
+//! byte-serial `row_fingerprint` over the whole 8 KB row, asserting the
+//! two agree on every word.
+//!
+//! A sixth — **`data_apply`** — times `DataPlane::apply` itself: the
+//! median ns per op over a seeded two-round `SimdLayout` seed-and-plan
+//! stream (every vector operation, 8-bit lanes, a 64-row region),
+//! replayed on a fresh plane per pass, asserting on every pass that the
+//! fingerprint sum equals a byte-serial reference.
 //!
 //! Every timed row reports the median host time over `--reps` runs
 //! (after one warm-up), with the fastest and slowest run beside it as
@@ -56,11 +63,12 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use codic_coldboot::DestructionMechanism;
-use codic_core::data::{row_fingerprint, uniform_fingerprint, WORDS_PER_ROW};
+use codic_core::data::{row_fingerprint, uniform_fingerprint, DataPlane, WORDS_PER_ROW};
 use codic_core::device::{CodicDevice, DeviceConfig};
 use codic_core::executor::block_on;
 use codic_core::ops::{CodicOp, InDramMechanism, RowRegion, VariantId};
 use codic_core::pool::DevicePool;
+use codic_core::simd::{SimdLayout, VecOp};
 use codic_dram::request::RowOpKind;
 use codic_dram::{DramGeometry, MemRequest, MemoryController, ReqKind, TimingParams};
 use codic_power::accounting;
@@ -478,6 +486,80 @@ fn print_fingerprint_entry(m: &FingerprintMeasured) {
         "      \"speedup\": {:.2}",
         m.serial_ns.median / m.uniform_ns.median
     );
+    println!("    }},");
+}
+
+/// Rows of the `data_apply` compute region; the 8-bit layout needs 31.
+const APPLY_REGION_ROWS: u64 = 64;
+/// Fresh-plane passes over the stream per timed rep.
+const APPLY_PASSES: usize = 16;
+
+/// The `data_apply` stream: two rounds of every vector operation over
+/// 8-bit lanes, each seeding fresh splitmix64 operands, then its plan.
+fn apply_stream() -> Vec<CodicOp> {
+    let layout = SimdLayout::new(0, 8);
+    let mut state = 29;
+    let mut operand = || -> Vec<u64> { (0..8).map(|_| rand::splitmix64(&mut state)).collect() };
+    let mut ops = Vec::new();
+    for _ in 0..2 {
+        for op in VecOp::ALL {
+            let (a, b) = (operand(), operand());
+            ops.extend(layout.seed(&a, &b));
+            ops.extend(layout.plan(op));
+        }
+    }
+    ops
+}
+
+/// Applies `ops` to a fresh plane over the region; returns the wrapping
+/// sum of the fingerprints `apply` returned.
+fn apply_all(ops: &[CodicOp]) -> u64 {
+    let mut plane = DataPlane::new(0..APPLY_REGION_ROWS * DramGeometry::ROW_BYTES);
+    ops.iter()
+        .fold(0, |sum, &op| sum.wrapping_add(plane.apply(black_box(op))))
+}
+
+struct ApplyMeasured {
+    ops: usize,
+    ns_per_op: Timed,
+    fingerprint_sum: u64,
+}
+
+/// Times `DataPlane::apply` over the `data_apply` stream, per op,
+/// asserting on every pass that the fingerprint sum equals the
+/// byte-serial reference's.
+fn data_apply(reps: u64) -> ApplyMeasured {
+    let ops = apply_stream();
+    let mut reference = DataPlane::new(0..APPLY_REGION_ROWS * DramGeometry::ROW_BYTES);
+    // Every op of a SIMD plan is a compute op, so each returns the
+    // fingerprint of the row at its `row_addr`.
+    let expected = ops.iter().fold(0u64, |sum, &op| {
+        reference.apply(op);
+        sum.wrapping_add(byte_serial(reference.word(op.row_addr())))
+    });
+    let (apply_s, ()) = time(reps, || {
+        for _ in 0..APPLY_PASSES {
+            assert_eq!(
+                apply_all(&ops),
+                expected,
+                "data_apply fingerprint sum diverged"
+            );
+        }
+    });
+    ApplyMeasured {
+        ops: ops.len(),
+        ns_per_op: apply_s.scaled(1e9 / (APPLY_PASSES * ops.len()) as f64),
+        fingerprint_sum: expected,
+    }
+}
+
+fn print_apply_entry(m: &ApplyMeasured) {
+    println!("    {{");
+    println!("      \"workload\": \"data_apply\",");
+    println!("      \"ops\": {},", m.ops);
+    println!("      \"region_rows\": {APPLY_REGION_ROWS},");
+    print_timed("ns_per_op", m.ns_per_op);
+    println!("      \"fingerprint_sum\": \"{:#018x}\"", m.fingerprint_sum);
     println!("    }}");
 }
 
@@ -577,6 +659,7 @@ fn main() {
     }
     let fingerprint = data_fingerprint(reps);
     print_fingerprint_entry(&fingerprint);
+    print_apply_entry(&data_apply(reps));
     println!("  ],");
     println!(
         "  \"dram_speedup_secdealloc\": {:.2},",

@@ -24,11 +24,16 @@
 //! effects of non-compute ops fill a row with one word; `RowCopy`, `Not`
 //! and MAJ map uniform rows to uniform rows; column writes are not
 //! tracked, and signature-class ops drop the row. A row is stored as its
-//! word and fingerprint, set when written, and only an op creating a new
-//! word hashes, once, with [`uniform_fingerprint`]. A host↔vertical
+//! word and fingerprint, set when written, in a map keyed by row index
+//! under a fixed multiplicative hasher, so memory stays bounded by the
+//! rows actually touched however large the region is. Only an op
+//! creating a new word hashes, once, with [`uniform_fingerprint`], which
+//! walks the word's low-byte orbit through a per-word successor table
+//! instead of hashing the row's 8192 bytes. A host↔vertical
 //! transposition writing arbitrary rows would have to widen this layout.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::num::Wrapping;
 use std::ops::Range;
 
@@ -79,27 +84,53 @@ pub const fn row_fingerprint(words: &RowWords) -> u64 {
 ///
 /// XOR-ing a byte into an FNV-1a state changes only its low byte, and the
 /// low byte of a product depends only on the low bytes of its factors.
-/// So hashing one more `word` maps a state `h` to `h·P⁸ + s(h & 0xff)`
-/// (`P` the FNV prime), and the low byte moves by a map of its own. That
-/// map is a bijective T-function on 8 bits (each byte step is an XOR and
-/// a multiplication by an odd number), and every cycle of such a map has
-/// a power-of-two length. So from the offset basis the low byte comes
-/// back after `period` words, a power of two no larger than 256, which
+/// So hashing one more `word` into a state `h` gives exactly
+/// `(h & !0xff)·P⁸ + fnv_word(h & 0xff)` (`P` the FNV prime), where
+/// `fnv_word(l)` hashes the word's eight bytes from the state `l < 256`,
+/// and the low byte moves by a map `next` of its own. `next` is a
+/// bijective T-function on 8 bits (each byte step is an XOR and a
+/// multiplication by an odd number), and every cycle of such a map has a
+/// power-of-two length. So from the offset basis the low byte comes back
+/// after `period` words, a power of two no larger than 256, which
 /// divides `WORDS_PER_ROW` (asserted at compile time), so no remainder is
-/// left. Hashing that one orbit byte by byte gives the period's affine
-/// map `h ↦ h·a + c`, with `a = P^(8·period)`; the whole row is that map
-/// applied `WORDS_PER_ROW / period` times, by squaring.
+/// left.
+///
+/// Hence only a table lookup and one multiply-add per word stay on the
+/// serial chain. `next` is tabulated for all 256 start bytes up front,
+/// eight vectorisable passes of one byte step each, and the orbit is
+/// walked with `l = next[l]`. The full state folds in each
+/// `fnv_word(l)`, whose eight multiplications start from a known byte,
+/// so successive words' hashes overlap instead of chaining. The orbit
+/// gives the period's affine map `h ↦ h·a + c`, with
+/// `a = P^(8·period)`; the whole row is that map applied
+/// `WORDS_PER_ROW / period` times, by squaring.
 #[must_use]
 pub fn uniform_fingerprint(word: u64) -> u64 {
     const { assert!(WORDS_PER_ROW.is_multiple_of(256) && WORDS_PER_ROW.is_power_of_two()) };
-    let mut hash = FNV_OFFSET;
-    let mut period = 0usize;
-    loop {
-        for byte in word.to_le_bytes() {
-            hash = (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+    let bytes = word.to_le_bytes();
+    // 16-bit lanes: a byte step's low byte depends only on the lane's low
+    // byte, and baseline x86-64 multiplies 16-bit lanes but not 8-bit ones.
+    let mut next = [0u16; 256];
+    for (x, low) in (0..).zip(&mut next) {
+        *low = x;
+    }
+    for byte in bytes {
+        for low in &mut next {
+            *low = (*low ^ u16::from(byte)).wrapping_mul(FNV_PRIME as u16);
         }
+    }
+    let fnv_word = |low: u8| {
+        let step = |hash: u64, &byte: &u8| (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        bytes.iter().fold(u64::from(low), step)
+    };
+    let p8 = FNV_PRIME.wrapping_pow(8);
+    let start = FNV_OFFSET as u8;
+    let (mut hash, mut low, mut period) = (FNV_OFFSET, start, 0usize);
+    loop {
+        hash = (hash & !0xff).wrapping_mul(p8).wrapping_add(fnv_word(low));
+        low = next[usize::from(low)] as u8;
         period += 1;
-        if hash as u8 == FNV_OFFSET as u8 {
+        if low == start {
             break;
         }
     }
@@ -132,11 +163,35 @@ impl Row {
     }
 }
 
+/// The row map's hasher: one multiplication of the row index by an odd
+/// constant, its high half folded into the low. The map picks buckets
+/// from the low bits, which the multiplication keeps distinct for
+/// consecutive rows and the fold spreads for power-of-two strides. A
+/// fixed hasher also keeps `apply`'s lookups cheap enough to inline.
+#[derive(Debug, Clone, Copy, Default)]
+struct RowHasher(u64);
+
+impl Hasher for RowHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("row keys hash as one u64")
+    }
+
+    fn write_u64(&mut self, row: u64) {
+        let h = row.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
 /// Lazily materialized row contents for one device's compute region.
 #[derive(Debug, Clone, Default)]
 pub struct DataPlane {
     region: Range<u64>,
-    rows: HashMap<u64, Row>,
+    /// Rows written so far, by row index.
+    rows: HashMap<u64, Row, BuildHasherDefault<RowHasher>>,
 }
 
 impl DataPlane {
@@ -146,7 +201,7 @@ impl DataPlane {
     pub fn new(region: Range<u64>) -> Self {
         DataPlane {
             region,
-            rows: HashMap::new(),
+            rows: HashMap::default(),
         }
     }
 
@@ -163,7 +218,7 @@ impl DataPlane {
     }
 
     fn key(addr: u64) -> u64 {
-        addr - addr % DramGeometry::ROW_BYTES
+        addr / DramGeometry::ROW_BYTES
     }
 
     fn get(&self, addr: u64) -> Row {
@@ -325,6 +380,41 @@ mod tests {
             let word = word.unwrap_or_else(|| panic!("no word with a {}-word orbit", 1 << k));
             assert_exact(word);
         }
+    }
+
+    #[test]
+    fn rows_anywhere_in_a_full_module_region_keep_their_own_words() {
+        let rows = DramGeometry::default().total_rows();
+        let mut p = DataPlane::new(0..rows * ROW);
+        // The region's ends, every power of two, and every multiple of
+        // 2^10: strides that would share low key bits under a plain mask.
+        let mut indices: Vec<u64> = (0..rows.ilog2()).map(|k| 1 << k).collect();
+        indices.extend((0..rows).step_by(1 << 10));
+        indices.push(rows - 1);
+        indices.sort_unstable();
+        indices.dedup();
+        let word = |i: u64| (i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        for &i in &indices {
+            let fp = p.apply(CodicOp::RowFill {
+                row_addr: i * ROW,
+                pattern: word(i),
+            });
+            assert_eq!(fp, row_fingerprint(&[word(i); WORDS_PER_ROW]), "row {i}");
+        }
+        assert_eq!(p.materialized_rows(), indices.len());
+        for &i in &indices {
+            assert_eq!(p.word(i * ROW + ROW - 1), word(i), "row {i}");
+            assert_eq!(
+                p.fingerprint(i * ROW),
+                uniform_fingerprint(word(i)),
+                "row {i}"
+            );
+        }
+        assert_eq!(
+            p.word(3 * ROW),
+            0,
+            "an unwritten row between them reads zeros"
+        );
     }
 
     #[test]
