@@ -33,10 +33,10 @@
 //!
 //! A fifth — **`data_fingerprint`** — times the bulk-bitwise data plane's
 //! row hash: over 4,096 seeded words plus 0, !0 and every byte in every
-//! lane, the median ns per word of `uniform_fingerprint` (a per-word
-//! low-byte successor table, one orbit walk, then squaring) against the
-//! byte-serial `row_fingerprint` over the whole 8 KB row, asserting the
-//! two agree on every word.
+//! lane, 16 passes per rep, the median ns per word of
+//! `uniform_fingerprint` (a per-word low-byte successor table, one orbit
+//! walk, then squaring) against the byte-serial `row_fingerprint` over
+//! the whole 8 KB row, asserting the two agree on every word.
 //!
 //! A sixth — **`data_apply`** — times `DataPlane::apply` itself: the
 //! median ns per op over a seeded two-round `SimdLayout` seed-and-plan
@@ -462,13 +462,26 @@ struct FingerprintMeasured {
     serial_ns: Timed,
 }
 
+/// Passes over the `data_fingerprint` words per timed rep: one uniform
+/// pass takes only ~2 ms, short enough for one slow phase of a shared
+/// host to decide a rep.
+const FINGERPRINT_PASSES: usize = 16;
+
 /// Times both fingerprints over the `data_fingerprint` words, per word.
 fn data_fingerprint(reps: u64) -> FingerprintMeasured {
     let words = fingerprint_words();
-    let (uniform_s, uniform) = time(reps, || fingerprints(&words, uniform_fingerprint));
-    let (serial_s, serial) = time(reps, || fingerprints(&words, byte_serial));
+    let timed = |hash: fn(u64) -> u64| {
+        time(reps, || {
+            for _ in 1..FINGERPRINT_PASSES {
+                black_box(fingerprints(&words, hash));
+            }
+            fingerprints(&words, hash)
+        })
+    };
+    let (uniform_s, uniform) = timed(uniform_fingerprint);
+    let (serial_s, serial) = timed(byte_serial);
     assert_fingerprints_agree(&words, &uniform, &serial);
-    let per_word_ns = 1e9 / words.len() as f64;
+    let per_word_ns = 1e9 / (FINGERPRINT_PASSES * words.len()) as f64;
     FingerprintMeasured {
         words: words.len(),
         uniform_ns: uniform_s.scaled(per_word_ns),

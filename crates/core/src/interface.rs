@@ -10,21 +10,9 @@
 
 use std::ops::Range;
 
-use crate::classify::OperationClass;
 use crate::error::CodicError;
 use crate::mode_register::{ModeRegister, ModeRegisterFile};
 use crate::ops::{CodicOp, VariantId};
-
-/// A CODIC command accepted by the controller, ready for the command bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IssuedCommand {
-    /// The row's physical byte address.
-    pub row_addr: u64,
-    /// The typed operation that was authorized.
-    pub op: CodicOp,
-    /// The functional class the policy decision was based on.
-    pub class: OperationClass,
-}
 
 /// The controller-side CODIC policy layer: a variant is programmed through
 /// the mode registers, and destructive commands are confined to a
@@ -35,7 +23,6 @@ pub struct CodicController {
     installed: Option<VariantId>,
     safe_range: Range<u64>,
     compute_range: Range<u64>,
-    issued: Vec<IssuedCommand>,
 }
 
 impl CodicController {
@@ -49,7 +36,6 @@ impl CodicController {
             installed: None,
             safe_range,
             compute_range: 0..0,
-            issued: Vec::new(),
         }
     }
 
@@ -107,7 +93,7 @@ impl CodicController {
         writes
     }
 
-    /// Checks `op` against the §4.4 policy without issuing it.
+    /// Checks `op` against the §4.4 policy.
     ///
     /// # Errors
     ///
@@ -176,35 +162,6 @@ impl CodicController {
         }
         Ok(())
     }
-
-    /// Issues `op`, recording it as an [`IssuedCommand`] bound for the
-    /// command bus.
-    ///
-    /// # Errors
-    ///
-    /// Fails exactly when [`CodicController::authorize`] does; rejected
-    /// operations never reach the command bus.
-    pub fn issue(&mut self, op: CodicOp) -> Result<&IssuedCommand, CodicError> {
-        self.authorize(op)?;
-        self.issued.push(IssuedCommand {
-            row_addr: op.row_addr(),
-            op,
-            class: op.class(),
-        });
-        Ok(self.issued.last().expect("just pushed"))
-    }
-
-    /// Commands issued so far (and not yet taken).
-    #[must_use]
-    pub fn issued(&self) -> &[IssuedCommand] {
-        &self.issued
-    }
-
-    /// Removes and returns the issued-command log, bounding its growth for
-    /// long-running services.
-    pub fn take_issued(&mut self) -> Vec<IssuedCommand> {
-        std::mem::take(&mut self.issued)
-    }
 }
 
 #[cfg(test)]
@@ -217,9 +174,9 @@ mod tests {
 
     #[test]
     fn issue_without_install_fails() {
-        let mut c = controller();
+        let c = controller();
         assert!(matches!(
-            c.issue(CodicOp::command(VariantId::Sig, 0x1000)),
+            c.authorize(CodicOp::command(VariantId::Sig, 0x1000)),
             Err(CodicError::NoVariantInstalled)
         ));
     }
@@ -229,25 +186,27 @@ mod tests {
         let mut c = controller();
         c.install(VariantId::DetZero);
         let err = c
-            .issue(CodicOp::command(VariantId::Sig, 0x1000))
+            .authorize(CodicOp::command(VariantId::Sig, 0x1000))
             .unwrap_err();
         assert!(matches!(err, CodicError::WrongVariantInstalled { .. }));
         assert!(err.to_string().contains("CODIC-sig"));
-        assert!(c.issued().is_empty(), "rejected ops never reach the bus");
     }
 
     #[test]
     fn destructive_commands_are_confined_to_safe_range() {
         let mut c = controller();
         c.install(VariantId::Sig);
-        assert!(c.issue(CodicOp::command(VariantId::Sig, 0x1000)).is_ok());
-        assert!(c.issue(CodicOp::command(VariantId::Sig, 0x1FFF)).is_ok());
+        assert!(c
+            .authorize(CodicOp::command(VariantId::Sig, 0x1000))
+            .is_ok());
+        assert!(c
+            .authorize(CodicOp::command(VariantId::Sig, 0x1FFF))
+            .is_ok());
         let err = c
-            .issue(CodicOp::command(VariantId::Sig, 0x2000))
+            .authorize(CodicOp::command(VariantId::Sig, 0x2000))
             .unwrap_err();
         assert!(matches!(err, CodicError::AddressOutOfRange { .. }));
         assert!(err.to_string().contains("outside"));
-        assert_eq!(c.issued().len(), 2);
     }
 
     #[test]
@@ -255,49 +214,54 @@ mod tests {
         let mut c = controller();
         c.install(VariantId::Activate);
         assert!(c
-            .issue(CodicOp::command(VariantId::Activate, 0xFFFF_0000))
+            .authorize(CodicOp::command(VariantId::Activate, 0xFFFF_0000))
             .is_ok());
     }
 
     #[test]
     fn clone_baselines_need_no_install_but_respect_the_range() {
-        let mut c = controller();
-        assert!(c.issue(CodicOp::RowCloneZero { row_addr: 0x1800 }).is_ok());
+        let c = controller();
+        assert!(c
+            .authorize(CodicOp::RowCloneZero { row_addr: 0x1800 })
+            .is_ok());
         assert!(matches!(
-            c.issue(CodicOp::LisaCloneZero { row_addr: 0x2000 }),
+            c.authorize(CodicOp::LisaCloneZero { row_addr: 0x2000 }),
             Err(CodicError::AddressOutOfRange { .. })
         ));
     }
 
     #[test]
     fn compute_commands_need_a_compute_region() {
-        let mut c = controller();
-        let err = c.issue(CodicOp::MajAnd { row_addr: 0x1000 }).unwrap_err();
+        let c = controller();
+        let err = c
+            .authorize(CodicOp::MajAnd { row_addr: 0x1000 })
+            .unwrap_err();
         assert!(matches!(err, CodicError::NoComputeRegion));
-        assert!(c.issued().is_empty());
     }
 
     #[test]
     fn compute_commands_are_confined_to_the_compute_region() {
         // Region holds rows 0x10000..0x18000 (four 8 KB rows).
         let mut c = CodicController::new(0x1000..0x2000).with_compute_range(0x10000..0x18000);
-        assert!(c.issue(CodicOp::MajAnd { row_addr: 0x10000 }).is_ok());
+        assert!(c.authorize(CodicOp::MajAnd { row_addr: 0x10000 }).is_ok());
         // The group's third row (0x14000 + 2·0x2000 = 0x18000) falls
         // outside: rejected even though the base row is inside.
-        let err = c.issue(CodicOp::MajOr { row_addr: 0x14000 }).unwrap_err();
+        let err = c
+            .authorize(CodicOp::MajOr { row_addr: 0x14000 })
+            .unwrap_err();
         assert!(
             matches!(err, CodicError::ComputeOutsideRegion { addr: 0x18000, .. }),
             "{err:?}"
         );
         // A NOT may read from anywhere but must write inside.
         assert!(c
-            .issue(CodicOp::Not {
+            .authorize(CodicOp::Not {
                 src_addr: 0,
                 dst_addr: 0x16000,
             })
             .is_ok());
         assert!(matches!(
-            c.issue(CodicOp::Not {
+            c.authorize(CodicOp::Not {
                 src_addr: 0x10000,
                 dst_addr: 0,
             }),
@@ -307,10 +271,9 @@ mod tests {
         // classic destructive commands.
         c.install(VariantId::DetZero);
         assert!(matches!(
-            c.issue(CodicOp::command(VariantId::DetZero, 0x10000)),
+            c.authorize(CodicOp::command(VariantId::DetZero, 0x10000)),
             Err(CodicError::AddressOutOfRange { .. })
         ));
-        assert_eq!(c.issued().len(), 2);
     }
 
     #[test]
@@ -334,19 +297,5 @@ mod tests {
         assert_eq!(c.installed(), None);
         assert_eq!(c.registers().schedule().unwrap().programmed_signals(), 0);
         assert_eq!(c.install(VariantId::DetZero), fresh_writes);
-    }
-
-    #[test]
-    fn issued_commands_are_typed_and_takeable() {
-        let mut c = controller();
-        c.install(VariantId::DetZero);
-        c.issue(CodicOp::command(VariantId::DetZero, 0x1800))
-            .unwrap();
-        assert_eq!(c.issued()[0].op.variant(), Some(VariantId::DetZero));
-        assert_eq!(c.issued()[0].row_addr, 0x1800);
-        assert_eq!(c.issued()[0].class, OperationClass::DeterministicZero);
-        let taken = c.take_issued();
-        assert_eq!(taken.len(), 1);
-        assert!(c.issued().is_empty());
     }
 }

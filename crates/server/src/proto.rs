@@ -1284,6 +1284,9 @@ fn write_events_frame<W: Write>(w: &mut W, units: &[u8], count: u32) -> io::Resu
 /// Reads one frame from `r`, enforcing [`MAX_FRAME_LEN`] and verifying
 /// the CRC32C trailer before decoding.
 ///
+/// Blocks until the whole frame arrives: a stream with a read timeout
+/// must retry timed-out reads inside its own `Read`, as the server does.
+///
 /// # Errors
 ///
 /// Returns [`ProtoError::Io`] on stream failure (including a clean EOF
@@ -1297,7 +1300,8 @@ pub fn read_frame_crc<R: Read>(r: &mut R) -> Result<Frame, ProtoError> {
 /// Reads one frame's body into `buf` (reusing its allocation across
 /// calls), enforces [`MAX_FRAME_LEN`], verifies the CRC32C trailer and
 /// returns the verified body — the type byte plus payload that
-/// [`decode_body`] takes — without decoding it.
+/// [`decode_body`] takes — without decoding it. Client and server both
+/// read every frame here; an oversized prefix is refused before `buf` grows.
 ///
 /// # Errors
 ///
@@ -1321,123 +1325,6 @@ fn body_len(prefix: [u8; 4]) -> Result<usize, ProtoError> {
         len if len > MAX_FRAME_LEN => Err(ProtoError::Oversized(len)),
         len => Ok(len as usize),
     }
-}
-
-/// An incremental, restartable frame decoder for streams with read
-/// timeouts or non-blocking sockets.
-///
-/// [`read_frame_crc`] blocks until a whole frame arrives, which prevents a
-/// serving loop from noticing a shutdown request while a client is
-/// idle. `FrameReader` instead accumulates partial bytes across calls:
-/// [`FrameReader::poll`] returns `Ok(Some(frame))` when a frame
-/// completes, `Ok(None)` when the stream would block or timed out
-/// mid-wait (call again later — no bytes are lost), and an error on
-/// stream failure or a malformed frame. The internal buffer is reused
-/// across frames, and an oversized length prefix is rejected before any
-/// allocation, exactly like [`read_frame_crc`].
-#[derive(Debug, Default)]
-pub struct FrameReader {
-    header: [u8; 4],
-    header_filled: usize,
-    body: Vec<u8>,
-    body_filled: usize,
-    /// Body length once the header is complete.
-    need: Option<usize>,
-}
-
-impl FrameReader {
-    /// A reader with empty buffers.
-    #[must_use]
-    pub fn new() -> Self {
-        FrameReader::default()
-    }
-
-    /// True while a frame is partially received (a teardown at this
-    /// point loses client bytes).
-    #[must_use]
-    pub fn mid_frame(&self) -> bool {
-        self.header_filled > 0 || self.need.is_some()
-    }
-
-    /// Reads from `r` until a frame completes, the stream would block,
-    /// or an error occurs. The CRC32C trailer is verified before decode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtoError::Io`] on stream failure (including EOF — a
-    /// clean close at a frame boundary surfaces as
-    /// [`io::ErrorKind::UnexpectedEof`] with [`FrameReader::mid_frame`]
-    /// false), [`ProtoError::Crc`] on a trailer mismatch, and the
-    /// matching decode error on a malformed frame.
-    pub fn poll<R: Read>(&mut self, r: &mut R) -> Result<Option<Frame>, ProtoError> {
-        if self.need.is_none() {
-            match self.fill(r, true)? {
-                Filled::Complete => {
-                    self.header_filled = 0;
-                    let len = body_len(self.header)?;
-                    self.need = Some(len);
-                    self.body.clear();
-                    self.body.resize(len, 0);
-                    self.body_filled = 0;
-                }
-                Filled::WouldBlock => return Ok(None),
-            }
-        }
-        match self.fill(r, false)? {
-            Filled::Complete => {
-                let need = self.need.take().expect("body phase has a length");
-                self.body_filled = 0;
-                check_crc(&self.body[..need])
-                    .and_then(decode_body)
-                    .map(Some)
-            }
-            Filled::WouldBlock => Ok(None),
-        }
-    }
-
-    /// Fills the header (`head = true`) or body buffer as far as the
-    /// stream allows.
-    fn fill<R: Read>(&mut self, r: &mut R, head: bool) -> Result<Filled, ProtoError> {
-        loop {
-            let buf: &mut [u8] = if head {
-                &mut self.header[self.header_filled..]
-            } else {
-                let need = self.need.expect("body phase has a length");
-                &mut self.body[self.body_filled..need]
-            };
-            if buf.is_empty() {
-                return Ok(Filled::Complete);
-            }
-            match r.read(buf) {
-                Ok(0) => {
-                    return Err(ProtoError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "stream closed mid-frame",
-                    )))
-                }
-                Ok(n) => {
-                    if head {
-                        self.header_filled += n;
-                    } else {
-                        self.body_filled += n;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(Filled::WouldBlock)
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-}
-
-enum Filled {
-    Complete,
-    WouldBlock,
 }
 
 /// FNV-1a 64-bit — the session checksum over completion payloads.
@@ -1666,17 +1553,10 @@ mod tests {
         let len = u32::from_le_bytes(wire[0..4].try_into().unwrap()) as usize;
         assert_eq!(len, wire.len() - 4);
         assert_eq!(read_frame_crc(&mut wire.as_slice()).unwrap(), frame);
-        let mut frames = FrameReader::new();
-        assert_eq!(frames.poll(&mut wire.as_slice()).unwrap(), Some(frame));
         // Any corrupted body byte is a typed Crc error, before decode.
         for pos in 4..wire.len() {
             let mut mutant = wire.clone();
             mutant[pos] ^= 0x10;
-            let mut frames = FrameReader::new();
-            assert!(matches!(
-                frames.poll(&mut mutant.as_slice()),
-                Err(ProtoError::Crc { .. })
-            ));
             assert!(matches!(
                 read_frame_crc(&mut mutant.as_slice()),
                 Err(ProtoError::Crc { .. })
@@ -2138,66 +2018,6 @@ mod tests {
         encode_body(&Frame::Events(sample_events()), &mut body);
         body[1] -= 1;
         assert!(matches!(body_err(&body), ProtoError::BadLength { .. }));
-    }
-
-    #[test]
-    fn frame_reader_reassembles_frames_from_arbitrary_chunks() {
-        // A stream of three frames, delivered one byte per poll through
-        // a reader that reports WouldBlock between bytes.
-        struct Trickle {
-            bytes: Vec<u8>,
-            pos: usize,
-            starved: bool,
-        }
-        impl io::Read for Trickle {
-            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-                if self.starved {
-                    self.starved = false;
-                    return Err(io::Error::new(io::ErrorKind::WouldBlock, "later"));
-                }
-                if self.pos == self.bytes.len() {
-                    return Ok(0);
-                }
-                self.starved = true;
-                buf[0] = self.bytes[self.pos];
-                self.pos += 1;
-                Ok(1)
-            }
-        }
-        let frames = [
-            Frame::Hello(SessionParams::defaults()),
-            Frame::Batch(vec![CodicOp::read(0x40), CodicOp::write(0x80)]),
-            Frame::Bye,
-        ];
-        let mut wire = Vec::new();
-        for f in &frames {
-            write_frame_crc(&mut wire, f).unwrap();
-        }
-        let mut stream = Trickle {
-            bytes: wire,
-            pos: 0,
-            starved: false,
-        };
-        let mut reader = FrameReader::new();
-        let mut decoded = Vec::new();
-        loop {
-            match reader.poll(&mut stream) {
-                Ok(Some(frame)) => decoded.push(frame),
-                Ok(None) => continue, // starved mid-frame; state is kept
-                Err(ProtoError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        assert_eq!(decoded, frames);
-        assert!(!reader.mid_frame(), "EOF landed on a frame boundary");
-        // Oversized prefixes are rejected before allocation here too.
-        let mut wire = (MAX_FRAME_LEN + 1).to_le_bytes().to_vec();
-        wire.push(0x03);
-        let mut reader = FrameReader::new();
-        assert!(matches!(
-            reader.poll(&mut wire.as_slice()),
-            Err(ProtoError::Oversized(_))
-        ));
     }
 
     #[test]

@@ -36,7 +36,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -55,9 +55,8 @@ use codic_dram::{DramGeometry, TimingParams};
 use crate::chaos::mix64;
 use crate::governor::RateGovernor;
 use crate::proto::{
-    self, write_frame_crc, BatchAck, ErrorCode, FlushAck, Fnv64, Frame, FrameReader, ProtoError,
-    ResumeAck, SessionParams, Summary, MAX_QOS_WEIGHT, MAX_QUOTA_CLAIM, MAX_TENANT_CLAIM,
-    PROTOCOL_VERSION,
+    self, write_frame_crc, BatchAck, ErrorCode, FlushAck, Fnv64, Frame, ProtoError, ResumeAck,
+    SessionParams, Summary, MAX_QOS_WEIGHT, MAX_QUOTA_CLAIM, MAX_TENANT_CLAIM, PROTOCOL_VERSION,
 };
 
 /// Server-side session defaults and caps.
@@ -85,9 +84,10 @@ pub struct ServerConfig {
     /// module (0 = compute disabled; a `Hello` may request its own).
     pub compute_rows: u64,
     /// Socket read timeout in milliseconds: how long a session thread
-    /// parks inside a read before re-checking the shutdown flag and the
-    /// idle deadline (`--read-timeout-ms`). The accept loop also runs
-    /// the parked-session reaper at this interval.
+    /// parks inside one socket read before re-checking the shutdown flag
+    /// and the idle deadline, then resuming the same frame
+    /// (`--read-timeout-ms`). The accept loop also runs the
+    /// parked-session reaper at this interval.
     pub read_timeout_ms: u64,
     /// Idle deadline in milliseconds (`--session-idle-ms`): a connected
     /// session that sends no frame for this long is torn down with an
@@ -541,27 +541,70 @@ enum Input {
     Idle,
 }
 
-/// Pulls the next frame, surfacing a shutdown request or an expired
-/// idle deadline as typed inputs. A stream without a read timeout
-/// simply blocks in `poll` until a frame arrives, so shutdown and idle
-/// are only observed between frames there; the Unix-socket path sets
-/// [`ServerConfig::read_timeout_ms`] to bound the latency.
-fn next_input<R: Read>(
-    reader: &mut R,
-    frames: &mut FrameReader,
-    shutdown: &AtomicBool,
+/// One connection's read half as the serving loop sees it: a [`Read`]
+/// adapter that waits out the socket's read timeouts inside `read`, so
+/// a frame straddling a timeout keeps every byte already read, and
+/// gives up only when the shutdown flag or the idle deadline fires —
+/// recording which, so [`SessionReader::next_input`] can tell a stop
+/// from a stream failure. Frames are read with [`proto::read_body_crc`]
+/// into one body buffer kept for the whole connection. A stream without
+/// a read timeout just blocks, so shutdown and idle are seen only
+/// between frames there; sockets set [`ServerConfig::read_timeout_ms`].
+struct SessionReader<'a, R> {
+    inner: &'a mut R,
+    shutdown: &'a AtomicBool,
     idle: Duration,
-) -> Result<Input, ProtoError> {
-    let since = Instant::now();
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
+    /// When the wait for the current frame began.
+    since: Instant,
+    /// Why the last `read` gave up, if it did.
+    stopped: Option<Input>,
+    body: Vec<u8>,
+}
+
+impl<'a, R: Read> SessionReader<'a, R> {
+    fn new(inner: &'a mut R, shutdown: &'a AtomicBool, config: &ServerConfig) -> Self {
+        SessionReader {
+            inner,
+            shutdown,
+            idle: Duration::from_millis(config.session_idle_ms.max(1)),
+            since: Instant::now(),
+            stopped: None,
+            body: Vec::new(),
+        }
+    }
+
+    /// Reads the next frame, or the shutdown request or idle deadline
+    /// that ended the wait for it.
+    fn next_input(&mut self) -> Result<Input, ProtoError> {
+        if self.shutdown.load(Ordering::Relaxed) {
             return Ok(Input::Shutdown);
         }
-        if let Some(frame) = frames.poll(reader)? {
-            return Ok(Input::Frame(frame));
+        self.since = Instant::now();
+        let mut body = std::mem::take(&mut self.body);
+        let frame = proto::read_body_crc(self, &mut body).and_then(proto::decode_body);
+        self.body = body;
+        match self.stopped.take() {
+            Some(stop) => Ok(stop),
+            None => frame.map(Input::Frame),
         }
-        if since.elapsed() >= idle {
-            return Ok(Input::Idle);
+    }
+}
+
+impl<R: Read> Read for SessionReader<'_, R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            let timed_out = match self.inner.read(buf) {
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => e,
+                read => return read,
+            };
+            self.stopped = if self.shutdown.load(Ordering::Relaxed) {
+                Some(Input::Shutdown)
+            } else if self.since.elapsed() >= self.idle {
+                Some(Input::Idle)
+            } else {
+                continue;
+            };
+            return Err(timed_out);
         }
     }
 }
@@ -584,7 +627,8 @@ pub fn serve_connection<R: Read, W: Write>(
     shutdown: &AtomicBool,
     registry: &SessionRegistry,
 ) -> io::Result<SessionEnd> {
-    serve_connection_inner(reader, writer, config, shutdown, registry, None)
+    let mut reader = SessionReader::new(reader, shutdown, config);
+    serve_connection_inner(&mut reader, writer, config, registry, None)
 }
 
 /// [`serve_connection`] with an optional shared fleet: with
@@ -594,18 +638,15 @@ pub fn serve_connection<R: Read, W: Write>(
 /// ignored and the ack reports the fleet's shape (`tenants` = slot
 /// count).
 fn serve_connection_inner<R: Read, W: Write>(
-    reader: &mut R,
+    reader: &mut SessionReader<'_, R>,
     writer: &mut W,
     config: &ServerConfig,
-    shutdown: &AtomicBool,
     registry: &SessionRegistry,
     fleet: Option<&FleetHandle>,
 ) -> io::Result<SessionEnd> {
-    let mut frames = FrameReader::new();
-    let idle = Duration::from_millis(config.session_idle_ms.max(1));
     // The first frame must already carry a valid CRC trailer: a frame
     // without one is a typed Malformed error, and the connection closes.
-    let first = match next_input(reader, &mut frames, shutdown, idle) {
+    let first = match reader.next_input() {
         Ok(Input::Frame(frame)) => frame,
         Ok(Input::Shutdown) => {
             send_error(writer, ErrorCode::Unavailable, "server is shutting down")?;
@@ -682,15 +723,11 @@ fn serve_connection_inner<R: Read, W: Write>(
                 (SessionState::new(params, token, config), engine),
                 reader,
                 writer,
-                &mut frames,
                 config,
-                shutdown,
                 registry,
             )
         }
-        Frame::Resume(req) => {
-            resume_session(req, reader, writer, &mut frames, config, shutdown, registry)
-        }
+        Frame::Resume(req) => resume_session(req, reader, writer, config, registry),
         other => {
             let reason = format!("expected Hello or Resume, got {}", frame_name(&other));
             send_error(writer, ErrorCode::Malformed, &reason)?;
@@ -710,11 +747,9 @@ fn version_mismatch(version: u16) -> String {
 /// final `Summary` of an already-finished session).
 fn resume_session<R: Read, W: Write>(
     req: proto::ResumeRequest,
-    reader: &mut R,
+    reader: &mut SessionReader<'_, R>,
     writer: &mut W,
-    frames: &mut FrameReader,
     config: &ServerConfig,
-    shutdown: &AtomicBool,
     registry: &SessionRegistry,
 ) -> io::Result<SessionEnd> {
     if req.version != PROTOCOL_VERSION {
@@ -768,15 +803,7 @@ fn resume_session<R: Read, W: Write>(
         return Ok(SessionEnd::Suspended);
     }
     match engine {
-        Some(engine) => run_session(
-            (session, engine),
-            reader,
-            writer,
-            frames,
-            config,
-            shutdown,
-            registry,
-        ),
+        Some(engine) => run_session((session, engine), reader, writer, config, registry),
         None => {
             // Keep the tombstone around until the reaper claims it, in
             // case this Summary is lost in a cut as well.
@@ -797,16 +824,13 @@ enum Flow {
 /// engine so a cut can move both into the registry.
 fn run_session<R: Read, W: Write>(
     (mut session, mut engine): (SessionState, ReplayEngine),
-    reader: &mut R,
+    reader: &mut SessionReader<'_, R>,
     writer: &mut W,
-    frames: &mut FrameReader,
     config: &ServerConfig,
-    shutdown: &AtomicBool,
     registry: &SessionRegistry,
 ) -> io::Result<SessionEnd> {
-    let idle = Duration::from_millis(config.session_idle_ms.max(1));
     loop {
-        let end = match next_input(reader, frames, shutdown, idle) {
+        let end = match reader.next_input() {
             Ok(Input::Frame(frame)) => match handle_frame(&mut session, &mut engine, frame, writer)
             {
                 Ok(Flow::Continue) => continue,
@@ -1527,21 +1551,21 @@ impl ReplayServer {
         let fleet = self.fleet.clone();
         thread::spawn(move || {
             // Accepted sockets are blocking with a read timeout: the
-            // session loop parks in the frame reader for at most this
+            // session's reader parks in one socket read for at most this
             // long before it re-checks the shutdown flag and the idle
-            // deadline.
+            // deadline, then resumes the same frame.
             let _ = stream.set_nonblocking(false);
             let _ =
                 stream.set_read_timeout(Some(Duration::from_millis(config.read_timeout_ms.max(1))));
             let reader = stream.try_clone();
             let Ok(read_half) = reader else { return };
-            let mut reader = BufReader::new(read_half);
+            let mut read_half = BufReader::new(read_half);
+            let mut reader = SessionReader::new(&mut read_half, &shutdown.0, &config);
             let mut writer = BufWriter::new(stream);
             let _ = serve_connection_inner(
                 &mut reader,
                 &mut writer,
                 &config,
-                &shutdown.0,
                 &registry,
                 fleet.as_ref(),
             );
@@ -1686,6 +1710,117 @@ mod tests {
                 "op {i}"
             );
         }
+    }
+
+    /// Hands out `bytes` one per read, reporting `WouldBlock` before
+    /// each; once they run out it reports EOF, or with `stall` set keeps
+    /// reporting `WouldBlock` and raises `stall`.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        starved: bool,
+        stall: Option<&'a AtomicBool>,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let would_block = io::Error::new(io::ErrorKind::WouldBlock, "later");
+            match (self.bytes.split_first(), self.stall) {
+                (None, Some(stall)) => {
+                    stall.store(true, Ordering::Relaxed);
+                    Err(would_block)
+                }
+                (None, None) => Ok(0),
+                (Some(_), _) if !self.starved => {
+                    self.starved = true;
+                    Err(would_block)
+                }
+                (Some((&b, rest)), _) => {
+                    self.starved = false;
+                    buf[0] = b;
+                    self.bytes = rest;
+                    Ok(1)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn session_reader_reassembles_frames_across_would_block_reads() {
+        let frames = [
+            Frame::Hello(SessionParams::defaults()),
+            Frame::Batch(vec![CodicOp::read(0x40), CodicOp::write(0x80)]),
+            Frame::Bye,
+        ];
+        let wire = crc_input(&frames);
+        let config = ServerConfig::default();
+        let shutdown = AtomicBool::new(false);
+        // A whole stream decodes frame by frame and ends in a clean EOF
+        // at the boundary; cut one byte short, the last frame is lost to
+        // an EOF error instead of surfacing half-read.
+        for (cut, whole) in [(0, 3), (1, 2)] {
+            let mut stream = Trickle {
+                bytes: &wire[..wire.len() - cut],
+                starved: false,
+                stall: None,
+            };
+            let mut reader = SessionReader::new(&mut stream, &shutdown, &config);
+            let mut decoded = Vec::new();
+            let eof = loop {
+                match reader.next_input() {
+                    Ok(Input::Frame(frame)) => decoded.push(frame),
+                    Ok(_) => panic!("neither stop condition can fire here"),
+                    Err(e) => break e,
+                }
+            };
+            assert!(
+                matches!(&eof, ProtoError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
+                "{eof:?}"
+            );
+            assert_eq!(decoded, frames[..whole]);
+            assert!(stream.bytes.is_empty(), "every byte was consumed");
+        }
+        // Oversized prefixes are rejected before the body buffer grows.
+        let mut wire = (proto::MAX_FRAME_LEN + 1).to_le_bytes().to_vec();
+        wire.push(0x03);
+        let mut stream = wire.as_slice();
+        let mut reader = SessionReader::new(&mut stream, &shutdown, &config);
+        assert!(matches!(reader.next_input(), Err(ProtoError::Oversized(_))));
+        assert_eq!(reader.body.capacity(), 0);
+    }
+
+    #[test]
+    fn session_reader_stops_mid_frame_on_shutdown_then_idle() {
+        let wire = crc_input(&[Frame::Bye, Frame::Flush]);
+        // The stall raises the shutdown flag: shutdown wins over a
+        // long idle deadline.
+        let shutdown = AtomicBool::new(false);
+        let mut stream = Trickle {
+            bytes: &wire[..wire.len() - 3],
+            starved: false,
+            stall: Some(&shutdown),
+        };
+        let config = ServerConfig {
+            session_idle_ms: 60_000,
+            ..ServerConfig::default()
+        };
+        let mut reader = SessionReader::new(&mut stream, &shutdown, &config);
+        assert!(matches!(reader.next_input(), Ok(Input::Frame(Frame::Bye))));
+        assert!(matches!(reader.next_input(), Ok(Input::Shutdown)));
+        // Nothing raises the flag: the idle deadline ends the wait for
+        // a half-read frame.
+        let quiet = AtomicBool::new(false);
+        let mut stream = Trickle {
+            bytes: &wire[..5],
+            starved: false,
+            stall: Some(&quiet),
+        };
+        let config = ServerConfig {
+            session_idle_ms: 1,
+            ..ServerConfig::default()
+        };
+        let shutdown = AtomicBool::new(false);
+        let mut reader = SessionReader::new(&mut stream, &shutdown, &config);
+        assert!(matches!(reader.next_input(), Ok(Input::Idle)));
     }
 
     #[test]
@@ -2690,10 +2825,9 @@ mod tests {
         let mut output = Vec::new();
         let registry = SessionRegistry::new();
         let end = serve_connection_inner(
-            &mut input.as_slice(),
+            &mut SessionReader::new(&mut input.as_slice(), &AtomicBool::new(false), config),
             &mut output,
             config,
-            &AtomicBool::new(false),
             &registry,
             fleet,
         )
@@ -2729,10 +2863,9 @@ mod tests {
             let mut output = Vec::new();
             let registry = SessionRegistry::new();
             let end = serve_connection_inner(
-                &mut input.as_slice(),
+                &mut SessionReader::new(&mut input.as_slice(), &AtomicBool::new(false), &config),
                 &mut output,
                 &config,
-                &AtomicBool::new(false),
                 &registry,
                 Some(&fleet),
             )

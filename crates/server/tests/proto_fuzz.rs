@@ -15,8 +15,8 @@
 //!    are re-sealed with a correct trailer and must still decode to a
 //!    frame or a typed error, never a panic.
 //!
-//! Every buffer is decoded two ways — the blocking [`read_frame_crc`]
-//! and the incremental [`FrameReader`] fed one byte at a time — and
+//! Every buffer is decoded two ways — [`read_frame_crc`] over the whole
+//! slice at once, and [`read_body_crc`] fed one byte per read — and
 //! both must agree. Oversized length prefixes and event counts must be
 //! rejected *before* any allocation.
 
@@ -25,9 +25,9 @@ use std::io::Read;
 use codic_core::fault::FaultCause;
 use codic_core::ops::{CodicOp, VariantId};
 use codic_server::proto::{
-    crc32c, encode_body, read_frame_crc, write_frame_crc, BatchAck, ErrorCode, FlushAck, Frame,
-    FrameReader, ProtoError, ResumeAck, ResumeRequest, SessionEvent, SessionParams, Summary,
-    WireCompletion, WireFailure, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    crc32c, decode_body, encode_body, read_body_crc, read_frame_crc, write_frame_crc, BatchAck,
+    ErrorCode, FlushAck, Frame, ProtoError, ResumeAck, ResumeRequest, SessionEvent, SessionParams,
+    Summary, WireCompletion, WireFailure, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
 /// splitmix64: the same deterministic generator the fault layer uses.
@@ -235,7 +235,7 @@ fn decode_blocking(bytes: &[u8]) -> Result<Frame, ProtoError> {
     read_frame_crc(&mut &bytes[..])
 }
 
-/// One byte per read: the incremental reader's worst case.
+/// One byte per read: the frame reader's worst case.
 struct OneByte<'a>(&'a [u8]);
 
 impl Read for OneByte<'_> {
@@ -247,26 +247,19 @@ impl Read for OneByte<'_> {
     }
 }
 
-/// Decodes the next frame from `frames`, fed one byte per poll.
+/// Decodes the next frame from `reader`, one byte per read, into the
+/// reused `body` buffer. A byte slice never blocks, so a frame comes
+/// back as `Some` and an exhausted slice as an `Io` EOF error.
 fn poll_trickled(
-    frames: &mut FrameReader,
+    body: &mut Vec<u8>,
     reader: &mut OneByte<'_>,
 ) -> Result<Option<Frame>, ProtoError> {
-    loop {
-        match frames.poll(reader) {
-            Ok(Some(frame)) => return Ok(Some(frame)),
-            // `Ok(0)` from an exhausted slice is EOF: either a clean
-            // boundary (no partial frame) or an Io error mid-frame.
-            Ok(None) if !frames.mid_frame() => return Ok(None),
-            Ok(None) => continue,
-            Err(e) => return Err(e),
-        }
-    }
+    read_body_crc(reader, body).and_then(decode_body).map(Some)
 }
 
-/// Decodes `bytes` with a fresh incremental reader, one byte per poll.
+/// Decodes `bytes` with a fresh body buffer, one byte per read.
 fn decode_trickled(bytes: &[u8]) -> Result<Option<Frame>, ProtoError> {
-    poll_trickled(&mut FrameReader::new(), &mut OneByte(bytes))
+    poll_trickled(&mut Vec::new(), &mut OneByte(bytes))
 }
 
 /// Both decoders on the same bytes; they must agree on accept/reject.
@@ -276,9 +269,6 @@ fn decode_both_ways(bytes: &[u8]) {
     match (&blocking, &trickled) {
         (Ok(a), Ok(Some(b))) => assert_eq!(a, b, "decoders disagree on an accepted frame"),
         (Err(_), Err(_)) => {}
-        // EOF at a frame boundary: the blocking reader reports Io(EOF),
-        // the incremental reader reports "no frame yet".
-        (Err(ProtoError::Io(_)), Ok(None)) => {}
         (a, b) => panic!("decoders disagree: blocking {a:?} vs trickled {b:?}"),
     }
 }
@@ -286,29 +276,26 @@ fn decode_both_ways(bytes: &[u8]) {
 #[test]
 fn every_frame_round_trips_both_decoders() {
     // The whole corpus as one stream, back to back: each decoder must
-    // find every frame boundary, the incremental one reusing its body
+    // find every frame boundary, the trickled one reusing its body
     // buffer across frames of every size.
     let frames = corpus();
     let stream: Vec<u8> = frames.iter().flat_map(encode_wire).collect();
     let mut blocking = stream.as_slice();
-    let mut incremental = FrameReader::new();
+    let mut body = Vec::new();
     let mut trickle = OneByte(&stream);
     for frame in &frames {
         assert_eq!(&read_frame_crc(&mut blocking).unwrap(), frame);
         assert_eq!(
-            poll_trickled(&mut incremental, &mut trickle)
-                .unwrap()
-                .as_ref(),
+            poll_trickled(&mut body, &mut trickle).unwrap().as_ref(),
             Some(frame)
         );
     }
     assert!(blocking.is_empty());
-    // The stream ends on a frame boundary: a clean EOF, nothing pending.
+    // The stream ends on a frame boundary: a clean EOF.
     assert!(matches!(
-        poll_trickled(&mut incremental, &mut trickle),
+        poll_trickled(&mut body, &mut trickle),
         Err(ProtoError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof
     ));
-    assert!(!incremental.mid_frame());
 }
 
 #[test]
@@ -505,8 +492,8 @@ fn seeded_byte_storms_never_decode_under_crc() {
 fn exhaustive_crc_truncations_never_yield_a_frame() {
     // Every proper prefix of every frame as sent — the mid-frame cut a
     // chaos transport or a killed client leaves on the wire. The
-    // blocking reader must error; the incremental reader must error or
-    // keep waiting; neither may produce a frame.
+    // blocking reader must error, and neither reader may produce a
+    // frame.
     for frame in corpus() {
         let wire = encode_wire(&frame);
         for cut in 0..wire.len() {
@@ -728,7 +715,7 @@ fn oversized_tenant_and_quota_claims_decode_as_data_not_allocation() {
 #[test]
 fn oversized_length_prefixes_are_rejected_before_allocation_under_crc() {
     // The same hostile prefixes arriving *after* a valid frame: the
-    // incremental reader, its body buffer already sized once, yields the
+    // trickled reader, its body buffer already sized once, yields the
     // good frame and then rejects the prefix before growing the buffer.
     for claimed in [MAX_FRAME_LEN + 1, u32::MAX / 2, u32::MAX] {
         let mut wire = encode_wire(&Frame::Flush);
@@ -740,15 +727,17 @@ fn oversized_length_prefixes_are_rejected_before_allocation_under_crc() {
             Err(ProtoError::Oversized(len)) => assert_eq!(len, claimed),
             other => panic!("expected Oversized, got {other:?}"),
         }
-        let mut frames = FrameReader::new();
+        let mut body = Vec::new();
         let mut trickle = OneByte(&wire);
         assert_eq!(
-            poll_trickled(&mut frames, &mut trickle).unwrap(),
+            poll_trickled(&mut body, &mut trickle).unwrap(),
             Some(Frame::Flush)
         );
-        match poll_trickled(&mut frames, &mut trickle) {
+        let sized = body.capacity();
+        match poll_trickled(&mut body, &mut trickle) {
             Err(ProtoError::Oversized(len)) => assert_eq!(len, claimed),
             other => panic!("expected Oversized, got {other:?}"),
         }
+        assert_eq!(body.capacity(), sized, "the body buffer never grew");
     }
 }

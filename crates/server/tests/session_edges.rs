@@ -5,9 +5,13 @@
 use std::io::{BufReader, BufWriter, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::time::Duration;
 
 use codic_server::client::{replay, verify_against_reference};
-use codic_server::proto::{read_frame_crc, write_frame_crc, Frame, SessionEvent, SessionParams};
+use codic_server::proto::{
+    completion_payload, failure_payload, read_frame_crc, write_frame_crc, Fnv64, Frame,
+    SessionEvent, SessionParams,
+};
 use codic_server::server::{ReplayServer, ServerConfig};
 use codic_server::trace::generate_mixed;
 
@@ -48,6 +52,117 @@ fn raw_session<R>(
         other => panic!("expected HelloAck, got {other:?}"),
     }
     drive(&mut reader, &mut writer)
+}
+
+/// Reads frames until the first that is not `Events`, folding every
+/// event unit before it into `checksum`; returns that frame and the
+/// number of units folded.
+fn read_past_events(reader: &mut BufReader<UnixStream>, checksum: &mut Fnv64) -> (Frame, u64) {
+    let mut payload = Vec::new();
+    let mut units = 0;
+    loop {
+        match read_frame_crc(reader).expect("frame") {
+            Frame::Events(events) => {
+                for event in &events {
+                    payload.clear();
+                    match event {
+                        SessionEvent::Completion(c) => completion_payload(c, &mut payload),
+                        SessionEvent::Failure(f) => failure_payload(f, &mut payload),
+                    }
+                    checksum.update(&payload);
+                    units += 1;
+                }
+            }
+            other => return (other, units),
+        }
+    }
+}
+
+/// A 5 ms socket read timeout, so a 40 ms client pause spans several
+/// timed-out reads on the server.
+fn short_timeouts() -> ServerConfig {
+    ServerConfig {
+        read_timeout_ms: 5,
+        session_idle_ms: 5_000,
+        ..ServerConfig::default()
+    }
+}
+
+#[test]
+fn a_frame_straddling_read_timeouts_loses_no_bytes() {
+    // One Batch frame sent in three pieces with a pause after each: the
+    // server's reads time out inside the length prefix and inside the
+    // body, and must resume exactly where they stopped.
+    let ops = generate_mixed(300, 8192, 17);
+    let mut wire = Vec::new();
+    write_frame_crc(&mut wire, &Frame::Batch(ops)).expect("encode");
+    assert!(wire.len() > 700, "the last piece must not be empty");
+    with_server("straddle", short_timeouts(), 1, |socket| {
+        raw_session(socket, &SessionParams::defaults(), |reader, writer| {
+            for piece in [&wire[..2], &wire[2..700], &wire[700..]] {
+                writer.write_all(piece).expect("send piece");
+                writer.flush().expect("flush");
+                std::thread::sleep(Duration::from_millis(40));
+            }
+            let mut checksum = Fnv64::new();
+            match read_past_events(reader, &mut checksum) {
+                (Frame::Batched(ack), _) => assert_eq!(ack.accepted, 300),
+                (other, _) => panic!("expected Batched, got {other:?}"),
+            }
+            write_frame_crc(writer, &Frame::Bye).expect("bye");
+            writer.flush().expect("flush");
+            match read_past_events(reader, &mut checksum) {
+                (Frame::Summary(s), _) => {
+                    assert_eq!(s.ops, 300);
+                    assert_eq!(s.checksum, checksum.value());
+                }
+                (other, _) => panic!("expected Summary, got {other:?}"),
+            }
+        });
+    });
+}
+
+#[test]
+fn shutdown_with_half_a_frame_unread_still_sends_an_honest_summary() {
+    let socket = temp_socket("halfshutdown");
+    let server = ReplayServer::bind(&socket, short_timeouts()).expect("bind temp socket");
+    let handle = server.shutdown_handle();
+    let serving = std::thread::spawn(move || server.serve_forever());
+    let ops = generate_mixed(200, 8192, 23);
+    raw_session(&socket, &SessionParams::defaults(), |reader, writer| {
+        write_frame_crc(writer, &Frame::Batch(ops.clone())).expect("batch");
+        writer.flush().expect("flush");
+        let mut checksum = Fnv64::new();
+        let mut delivered = match read_past_events(reader, &mut checksum) {
+            (Frame::Batched(ack), units) => {
+                assert_eq!(ack.accepted, 200);
+                units
+            }
+            (other, _) => panic!("expected Batched, got {other:?}"),
+        };
+        // Half of a second batch, then silence: the shutdown finds the
+        // server waiting for the rest of that frame.
+        let mut wire = Vec::new();
+        write_frame_crc(&mut wire, &Frame::Batch(ops.clone())).expect("encode");
+        writer
+            .write_all(&wire[..wire.len() / 2])
+            .expect("half frame");
+        writer.flush().expect("flush");
+        std::thread::sleep(Duration::from_millis(40));
+        handle.shutdown();
+        match read_past_events(reader, &mut checksum) {
+            (Frame::Summary(s), units) => {
+                delivered += units;
+                // Only the whole batch counts; the half frame is dropped.
+                assert_eq!(s.ops, 200);
+                assert_eq!(s.ops, delivered);
+                assert_eq!(s.failed, 0);
+                assert_eq!(s.checksum, checksum.value());
+            }
+            (other, _) => panic!("expected Summary, got {other:?}"),
+        }
+    });
+    serving.join().expect("server thread").expect("accept loop");
 }
 
 #[test]

@@ -39,11 +39,11 @@ fn codic_controller_guards_the_puf_range_end_to_end() {
     assert_eq!(class, VariantId::Sig.class(), "typed class matches circuit");
     controller.install(VariantId::Sig);
     assert!(controller
-        .issue(CodicOp::command(VariantId::Sig, 0))
+        .authorize(CodicOp::command(VariantId::Sig, 0))
         .is_ok());
     assert!(
         controller
-            .issue(CodicOp::command(VariantId::Sig, 1 << 30))
+            .authorize(CodicOp::command(VariantId::Sig, 1 << 30))
             .is_err(),
         "destructive op outside range"
     );
