@@ -21,6 +21,12 @@
 //! server runs) and demands the socket stream be **bit-identical**:
 //! the same completion record, energy bits included, at every stream
 //! position.
+//!
+//! Memory: a report holds every completion and failure it received
+//! (the public [`ClientReport`] fields). Verification adds one batch's
+//! drained reference events on top of that, compared and dropped at
+//! each batch boundary, so its own footprint does not grow with the
+//! session's length.
 
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -36,7 +42,7 @@ use crate::proto::{
     ProtoError, ResumeRequest, SessionEvent, SessionParams, Summary, WireCompletion, WireFailure,
     PROTOCOL_VERSION,
 };
-use crate::server::ReplayEngine;
+use crate::server::{ReplayCompletion, ReplayEngine};
 
 /// A failed replay session.
 #[derive(Debug)]
@@ -581,11 +587,14 @@ where
 /// Replays the same `(ops, batch)` discipline in process through
 /// [`ReplayEngine`] and demands the served stream be bit-identical: at
 /// every stream position the reference's whole completion record, energy
-/// bits included.
+/// bits included. Each batch's drained reference events are compared as
+/// they come out, so verification holds one batch of the reference on
+/// top of the report, never the whole reference stream.
 ///
 /// # Errors
 ///
-/// Returns [`ClientError::Verification`] naming the first divergence.
+/// Returns [`ClientError::Verification`] naming the first divergence,
+/// including a stream position where one side ran out before the other.
 pub fn verify_against_reference(
     report: &ClientReport,
     ops: &[CodicOp],
@@ -607,30 +616,64 @@ pub fn verify_against_reference(
         ));
     }
     let mut engine = ReplayEngine::new(&report.params);
-    let mut reference = Vec::with_capacity(ops.len());
+    let mut served = ServedStream {
+        served: &report.completions,
+        next: 0,
+    };
     // The same clamp `replay` applies, so both sides chunk identically.
     for chunk in ops.chunks(batch.clamp(1, proto::MAX_BATCH_OPS)) {
-        reference.extend(
-            engine
-                .submit_batch(chunk)
-                .map_err(|e| ClientError::Verification(format!("reference rejected: {e}")))?,
-        );
+        let drained = engine
+            .submit_batch(chunk)
+            .map_err(|e| ClientError::Verification(format!("reference rejected: {e}")))?;
+        served.compare(&drained)?;
     }
-    reference.extend(engine.flush());
+    served.compare(&engine.flush())?;
+    served.finish()
+}
 
-    // The reference in its emission order must equal the socket stream
-    // in its emission order — order preservation and bit-identity in one
-    // comparison.
-    for (i, (got, want)) in report.completions.iter().zip(&reference).enumerate() {
-        let want = want.to_wire();
-        if !bit_identical(got, &want) {
-            return fail(format!(
-                "stream position {i}, seq {}: served {got:?}, expected {want:?}",
-                got.seq
-            ));
+/// The served completions, walked in step with the reference's drained
+/// events: the reference in its emission order must equal the socket
+/// stream in its emission order — order preservation and bit-identity
+/// in one comparison.
+struct ServedStream<'a> {
+    served: &'a [WireCompletion],
+    /// Stream position of the next served completion to check.
+    next: usize,
+}
+
+impl ServedStream<'_> {
+    /// Checks the next `reference.len()` served completions against
+    /// `reference`, failing if the served stream ends first.
+    fn compare(&mut self, reference: &[ReplayCompletion]) -> Result<(), ClientError> {
+        for want in reference {
+            let (i, want) = (self.next, want.to_wire());
+            let Some(got) = self.served.get(i) else {
+                return Err(ClientError::Verification(format!(
+                    "the served stream ended at position {i}; the reference emits seq {} there",
+                    want.seq
+                )));
+            };
+            if !bit_identical(got, &want) {
+                return Err(ClientError::Verification(format!(
+                    "stream position {i}, seq {}: served {got:?}, expected {want:?}",
+                    got.seq
+                )));
+            }
+            self.next += 1;
+        }
+        Ok(())
+    }
+
+    /// Fails if the served stream goes on past the reference's end.
+    fn finish(self) -> Result<(), ClientError> {
+        match self.served.get(self.next) {
+            Some(got) => Err(ClientError::Verification(format!(
+                "the reference ended at stream position {}; the server served seq {} there",
+                self.next, got.seq
+            ))),
+            None => Ok(()),
         }
     }
-    Ok(())
 }
 
 /// Whole-record equality with the energy compared by its bits, so
@@ -885,6 +928,48 @@ mod tests {
                 assert!(detail.contains("1 events for 2 ops"), "detail: {detail}");
             }
             other => panic!("expected a verification failure, got {other}"),
+        }
+    }
+
+    #[test]
+    fn a_reference_shorter_or_longer_than_the_served_stream_fails() {
+        let ops: Vec<CodicOp> = (0..8)
+            .map(|i| CodicOp::command(VariantId::DetZero, i * 8192))
+            .collect();
+        let mut engine =
+            ReplayEngine::new(&ServerConfig::default().negotiate(&SessionParams::defaults()));
+        let mut reference = engine.submit_batch(&ops).unwrap();
+        reference.extend(engine.flush());
+        assert_eq!(reference.len(), ops.len());
+        let served: Vec<WireCompletion> = reference.iter().map(|e| e.to_wire()).collect();
+        // The reference arrives in two drained runs, as a session's
+        // batch boundaries hand it out.
+        let compare = |served: &[WireCompletion], reference: &[ReplayCompletion]| {
+            let mut stream = ServedStream { served, next: 0 };
+            let (first, rest) = reference.split_at(reference.len() / 2);
+            stream.compare(first)?;
+            stream.compare(rest)?;
+            stream.finish()
+        };
+        compare(&served, &reference).expect("equal streams verify");
+        for (case, result, detail) in [
+            (
+                "short reference",
+                compare(&served, &reference[..7]),
+                "reference ended at stream position 7",
+            ),
+            (
+                "long reference",
+                compare(&served[..7], &reference),
+                "served stream ended at position 7",
+            ),
+        ] {
+            match result {
+                Err(ClientError::Verification(got)) => {
+                    assert!(got.contains(detail), "{case}: {got}");
+                }
+                other => panic!("{case}: expected a verification failure, got {other:?}"),
+            }
         }
     }
 

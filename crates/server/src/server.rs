@@ -34,7 +34,7 @@
 //! However the units are packed into `Events` frames, the session
 //! checksum hashes only their payload bytes, in emission order.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -966,91 +966,147 @@ fn handle_frame<W: Write>(
     }
 }
 
-/// The session's event stream, encoded once: every emitted unit (kind
-/// byte + payload) back to back in one buffer. Live `Events` frames are
+/// The session's event stream, encoded once. Live `Events` frames are
 /// written from these bytes, and after a cut the same bytes are
 /// replayed to the next connection, so a resumed stream is
 /// byte-identical to an uninterrupted one.
 ///
+/// Each emission's units (kind byte + payload, back to back) are encoded
+/// into one reusable open buffer, then sealed into buffers allocated once
+/// at their exact size, so no journal buffer ever regrows: a session
+/// holds its retained units, their one-byte lengths, and an open buffer
+/// the size of its largest emission.
+///
 /// Bounded by a byte cap that [`EventJournal::trim`] applies once an
-/// emission or a resume replay has been written: the oldest whole units are evicted,
-/// sliding the retained window's base forward, so a unit is never
-/// evicted before it was sent. A resume pointing before the base is
+/// emission or a resume replay has been written: the oldest whole units
+/// are evicted, sliding the retained window's base forward, so a unit
+/// is never evicted before it was sent, and an emission's buffers are
+/// freed with its last unit. A resume pointing before the base is
 /// honestly rejected — nothing here ever allocates from a
 /// client-supplied number.
 #[derive(Debug)]
 struct EventJournal {
-    /// Encoded units, oldest first; the first `dead_bytes` are evicted.
-    units: Vec<u8>,
-    /// Each unit's encoded length; the first `dead` are evicted.
-    lens: Vec<u8>,
-    /// Evicted units still at the front of `units`/`lens`, reclaimed in
-    /// bulk once they outweigh the retained ones.
+    /// Sealed emissions, oldest first.
+    emissions: VecDeque<Emission>,
+    /// The emission being encoded (units and lengths), sealed into
+    /// `emissions` by [`EventJournal::seal`]. Reused, so it grows only
+    /// to the largest emission.
+    open_units: Vec<u8>,
+    open_lens: Vec<u8>,
+    /// Units at the front of the oldest emission that are evicted.
     dead: usize,
-    dead_bytes: usize,
+    /// Unit bytes of the sealed emissions not yet evicted.
+    retained: usize,
     /// Index of the oldest retained unit in the session's full stream.
     base: u64,
+    /// Sealed units ever emitted.
+    total: u64,
     cap: usize,
+}
+
+/// One emission's encoded units back to back, and each unit's length.
+#[derive(Debug)]
+struct Emission {
+    units: Box<[u8]>,
+    lens: Box<[u8]>,
 }
 
 impl EventJournal {
     fn new(cap: usize) -> Self {
         EventJournal {
-            units: Vec::new(),
-            lens: Vec::new(),
+            emissions: VecDeque::new(),
+            open_units: Vec::new(),
+            open_lens: Vec::new(),
             dead: 0,
-            dead_bytes: 0,
+            retained: 0,
             base: 0,
+            total: 0,
             cap: cap.max(1),
         }
     }
 
-    /// Appends one unit of `kind` whose payload `encode` writes, and
-    /// returns the payload bytes (the slice the session checksum
-    /// hashes).
+    /// Appends one unit of `kind` whose payload `encode` writes to the
+    /// open emission, and returns the payload bytes (the slice the
+    /// session checksum hashes).
     fn push(&mut self, kind: u8, encode: impl FnOnce(&mut Vec<u8>)) -> &[u8] {
-        self.units.push(kind);
-        let start = self.units.len();
-        encode(&mut self.units);
-        let len = u8::try_from(self.units.len() + 1 - start).expect("event units fit a u8 length");
-        self.lens.push(len);
-        &self.units[start..]
+        self.open_units.push(kind);
+        let start = self.open_units.len();
+        encode(&mut self.open_units);
+        let len =
+            u8::try_from(self.open_units.len() + 1 - start).expect("event units fit a u8 length");
+        self.open_lens.push(len);
+        &self.open_units[start..]
+    }
+
+    /// Seals the units pushed since the last seal into buffers of their
+    /// exact size and returns them as `(units, lens)`. An empty emission
+    /// allocates nothing and is not kept.
+    fn seal(&mut self) -> (&[u8], &[u8]) {
+        if self.open_lens.is_empty() {
+            return (&[], &[]);
+        }
+        // Exact-size copies, not the open buffers themselves: glibc's
+        // allocator packs exact requests back to back, while shrinking
+        // an over-reserved buffer in place leaves a hole per emission
+        // (perfbench `mixed_replay` on a 2-vCPU x86-64 host peaked at
+        // ~25.0 MiB RSS that way, ~23.3 MiB with copies).
+        let emission = Emission {
+            units: Box::from(self.open_units.as_slice()),
+            lens: Box::from(self.open_lens.as_slice()),
+        };
+        self.open_units.clear();
+        self.open_lens.clear();
+        self.retained += emission.units.len();
+        self.total += emission.lens.len() as u64;
+        self.emissions.push_back(emission);
+        let sealed = self.emissions.back().expect("an emission was just sealed");
+        (&sealed.units, &sealed.lens)
     }
 
     /// Evicts the oldest whole units until the retained bytes fit the
     /// cap, keeping at least the newest unit even if it alone exceeds
     /// it: a journal that can't hold one unit is useless.
     fn trim(&mut self) {
-        let mut retained = self.units.len() - self.dead_bytes;
-        while retained > self.cap && self.dead + 1 < self.lens.len() {
-            let len = usize::from(self.lens[self.dead]);
-            retained -= len;
-            self.dead_bytes += len;
+        while self.retained > self.cap && self.total - self.base > 1 {
+            let front = self.emissions.front().expect("retained units are sealed");
+            self.retained -= usize::from(front.lens[self.dead]);
             self.dead += 1;
             self.base += 1;
-        }
-        if self.dead_bytes > retained {
-            self.units.drain(..self.dead_bytes);
-            self.lens.drain(..self.dead);
-            self.dead = 0;
-            self.dead_bytes = 0;
+            if self.dead == front.lens.len() {
+                self.emissions.pop_front();
+                self.dead = 0;
+            }
         }
     }
 
     /// The retained window as `(base, total)`: units `base..total` of
     /// the session's stream can be replayed; `total` is the count of
-    /// all units ever emitted.
+    /// all sealed units ever emitted.
     fn window(&self) -> (u64, u64) {
-        (self.base, self.base + (self.lens.len() - self.dead) as u64)
+        (self.base, self.total)
     }
 
-    /// The encoded units from stream index `from` (clamped to the
-    /// window) onward, with their lengths.
-    fn tail(&self, from: u64) -> (&[u8], &[u8]) {
+    /// Unit bytes retained for replay.
+    #[cfg(test)]
+    fn retained_bytes(&self) -> usize {
+        self.retained
+    }
+
+    /// The sealed units from stream index `from` (clamped to the window)
+    /// onward, as one `(units, lens)` run per emission, oldest first.
+    fn tail(&self, from: u64) -> impl Iterator<Item = (&[u8], &[u8])> {
         let (base, total) = self.window();
-        let lens = &self.lens[self.lens.len() - (total - from.clamp(base, total)) as usize..];
-        let bytes: usize = lens.iter().map(|&len| usize::from(len)).sum();
-        (&self.units[self.units.len() - bytes..], lens)
+        let mut skip = self.dead + (from.clamp(base, total) - base) as usize;
+        self.emissions.iter().filter_map(move |emission| {
+            let skipped = skip.min(emission.lens.len());
+            skip -= skipped;
+            let bytes: usize = emission.lens[..skipped]
+                .iter()
+                .map(|&len| usize::from(len))
+                .sum();
+            (skipped < emission.lens.len())
+                .then(|| (&emission.units[bytes..], &emission.lens[skipped..]))
+        })
     }
 }
 
@@ -1086,7 +1142,6 @@ impl SessionTally {
         writer: &mut W,
         completions: &[ReplayCompletion],
     ) -> io::Result<()> {
-        let (_, first) = self.journal.window();
         let totals = &mut self.totals;
         for c in completions {
             let payload = if let Some(failure) = c.to_wire_failure() {
@@ -1109,7 +1164,7 @@ impl SessionTally {
         }
         // The whole run ships, in as few frames as the cap allows,
         // before the caller's ack frame.
-        let (units, lens) = self.journal.tail(first);
+        let (units, lens) = self.journal.seal();
         proto::write_events_crc(writer, units, lens, usize::MAX)?;
         self.journal.trim();
         Ok(())
@@ -1125,10 +1180,12 @@ impl SessionTally {
         // be able to absorb at least one whole frame per connection to
         // make forward progress, even over a wire that keeps dying.
         // Packing the tail into one maximal frame would livelock resume
-        // whenever that frame outlives every connection attempt.
+        // whenever that frame outlives every connection attempt. Each
+        // emission's run is framed on its own, so no unit is copied.
         const REPLAY_FRAME_BYTES: usize = 8 << 10;
-        let (units, lens) = self.journal.tail(from);
-        proto::write_events_crc(writer, units, lens, REPLAY_FRAME_BYTES)?;
+        for (units, lens) in self.journal.tail(from) {
+            proto::write_events_crc(writer, units, lens, REPLAY_FRAME_BYTES)?;
+        }
         self.journal.trim();
         Ok(())
     }
@@ -2407,7 +2464,7 @@ mod tests {
         let parked_journal = |registry: &SessionRegistry| {
             let parked = registry.lock();
             let journal = &parked[&token].session.tally.journal;
-            (journal.window().1, journal.units.len() - journal.dead_bytes)
+            (journal.window().1, journal.retained_bytes())
         };
         for batch in ops[64..].chunks(64) {
             let (total, _) = parked_journal(&registry);
@@ -2643,6 +2700,16 @@ mod tests {
         assert!(matches!(replies[0], Frame::ResumeAck(_)), "{replies:?}");
     }
 
+    /// The journal's tail from `from` as one `(units, lens)` pair.
+    fn journal_tail(journal: &EventJournal, from: u64) -> (Vec<u8>, Vec<u8>) {
+        let (mut units, mut lens) = (Vec::new(), Vec::new());
+        for (run, run_lens) in journal.tail(from) {
+            units.extend_from_slice(run);
+            lens.extend_from_slice(run_lens);
+        }
+        (units, lens)
+    }
+
     #[test]
     fn event_journal_evicts_oldest_whole_events_and_keeps_the_newest() {
         // Cap of 30 bytes at 11 bytes per event (10 payload + 1 kind):
@@ -2651,27 +2718,77 @@ mod tests {
         assert_eq!(journal.window(), (0, 0));
         for i in 0..5u8 {
             journal.push(i % 2, |buf| buf.extend_from_slice(&[i; 10]));
+            journal.seal();
             journal.trim();
         }
         assert_eq!(journal.window(), (3, 5), "three oldest evicted");
+        assert_eq!(journal.retained_bytes(), 22);
         let mut tail = vec![1];
         tail.extend_from_slice(&[3; 10]);
         tail.push(0);
         tail.extend_from_slice(&[4; 10]);
         // `from` is clamped to the base.
-        assert_eq!(journal.tail(0), (tail.as_slice(), [11u8, 11].as_slice()));
-        assert_eq!(journal.tail(4).1.len(), 1, "mid-window tail");
-        assert!(journal.tail(5).0.is_empty(), "nothing past the total");
+        assert_eq!(journal_tail(&journal, 0), (tail, vec![11u8, 11]));
+        assert_eq!(journal_tail(&journal, 4).1.len(), 1, "mid-window tail");
+        assert!(
+            journal_tail(&journal, 5).0.is_empty(),
+            "nothing past the total"
+        );
 
         // One event larger than the whole cap is still retained: a
         // journal that cannot hold one event could never replay.
         let mut journal = EventJournal::new(4);
         journal.push(0, |buf| buf.extend_from_slice(&[7; 64]));
+        journal.seal();
         journal.trim();
         assert_eq!(journal.window(), (0, 1));
         journal.push(1, |buf| buf.extend_from_slice(&[8; 64]));
+        journal.seal();
         journal.trim();
         assert_eq!(journal.window(), (1, 2), "the newest always survives");
+    }
+
+    #[test]
+    fn event_journal_evicts_units_within_and_across_emissions() {
+        // Emissions of three and two 11-byte units under a 30-byte cap.
+        let mut journal = EventJournal::new(30);
+        let unit = |i: u8| {
+            let mut bytes = vec![0];
+            bytes.extend_from_slice(&[i; 10]);
+            bytes
+        };
+        for i in 0..3 {
+            journal.push(0, |buf| buf.extend_from_slice(&[i; 10]));
+        }
+        assert_eq!(
+            journal.window(),
+            (0, 0),
+            "unsealed units are not replayable"
+        );
+        journal.seal();
+        journal.trim();
+        assert_eq!(
+            journal.window(),
+            (1, 3),
+            "one unit of the first emission evicted"
+        );
+        assert_eq!(journal.retained_bytes(), 22);
+        assert_eq!(
+            journal_tail(&journal, 0),
+            ([unit(1), unit(2)].concat(), vec![11, 11])
+        );
+        for i in 3..5 {
+            journal.push(0, |buf| buf.extend_from_slice(&[i; 10]));
+        }
+        journal.seal();
+        journal.trim();
+        assert_eq!(journal.window(), (3, 5));
+        assert_eq!(journal.emissions.len(), 1, "the emptied emission is freed");
+        assert_eq!(journal.retained_bytes(), 22);
+        assert_eq!(journal_tail(&journal, 4), (unit(4), vec![11]));
+        // An empty emission keeps nothing.
+        assert_eq!(journal.seal(), (&[][..], &[][..]));
+        assert_eq!(journal.emissions.len(), 1);
     }
 
     #[test]
@@ -2719,6 +2836,7 @@ mod tests {
         hashed.update(slice);
         reference.update(&standalone);
         assert_eq!(hashed.value(), reference.value());
+        journal.seal();
         assert_eq!(journal.window(), (0, 2));
     }
 
