@@ -27,7 +27,7 @@
 //! Read/Write/RowOp batch at outstanding depths 64 → 8192 through two
 //! paths serving the identical request stream: the raw controller and
 //! the full `CodicDevice` async path (`submit_async` + one-shot
-//! futures), asserting they finish on the same cycle. The scheduler's
+//! completion slots), asserting they finish on the same cycle. The scheduler's
 //! output itself is pinned per case by `codic_dram`'s `scheduler_pins`
 //! test.
 //!
@@ -65,7 +65,6 @@ use std::time::Instant;
 use codic_coldboot::DestructionMechanism;
 use codic_core::data::{row_fingerprint, uniform_fingerprint, DataPlane, WORDS_PER_ROW};
 use codic_core::device::{CodicDevice, DeviceConfig};
-use codic_core::executor::block_on;
 use codic_core::ops::{CodicOp, InDramMechanism, RowRegion, VariantId};
 use codic_core::pool::DevicePool;
 use codic_core::simd::{SimdLayout, VecOp};
@@ -301,8 +300,8 @@ fn queue_depth_at(
         device.run_to_idle();
         let mut finish = 0u64;
         let mut energy = 0.0f64;
-        for future in futures {
-            let completion = block_on(future);
+        for mut future in futures {
+            let completion = future.try_take().expect("driven to idle");
             finish = finish.max(completion.finish_cycle);
             energy += completion.cost.energy_nj;
         }

@@ -24,10 +24,10 @@
 //! cycle, with bit-identical results, so even full-module sweeps
 //! ([`CodicDevice::sweep_all_rows`] — cold-boot destruction of up to
 //! 64 GB) stream through the one shared scheduler at per-command rather
-//! than per-cycle cost. Completions can be polled
-//! ([`CodicDevice::take_completions`]) or awaited: [`CodicDevice::submit_async`]
-//! returns an [`OpFuture`] resolved by the
-//! clock driver ([`CodicDevice::step`] / [`CodicDevice::run_to_idle`]).
+//! than per-cycle cost. Completions are drained
+//! ([`CodicDevice::take_completions`]) or taken one by one from the
+//! [`OpFuture`] slot of [`CodicDevice::submit_async`], which the clock
+//! driver ([`CodicDevice::step`] / [`CodicDevice::run_to_idle`]) fills.
 
 use std::ops::Range;
 
@@ -251,7 +251,7 @@ enum Waiter {
     /// request id for [`CodicDevice::submit`], the submitter's tag (a
     /// serving tenant's sequence number) for [`CodicDevice::submit_tagged`].
     Tag(u64),
-    /// An async submission's future.
+    /// An async submission's completion slot.
     Future(Completer),
 }
 
@@ -382,8 +382,8 @@ struct FaultState {
 /// whose index each request carries through the controller. A finished
 /// operation lands in one completion buffer, beside its tag and ordered
 /// by `(finish_cycle, tag)`, or, for an async submission, in its
-/// future's one-shot cell. Once warm, the buffer allocates nothing per
-/// operation; an async submission allocates its cell.
+/// one-shot slot. Once warm, the buffer allocates nothing per
+/// operation; an async submission allocates its slot.
 #[derive(Debug)]
 pub struct CodicDevice {
     policy: CodicController,
@@ -416,7 +416,7 @@ pub struct CodicDevice {
 }
 
 /// Answers `p` with its completion, delivered where its waiter says: an
-/// async submission's future, or the completion buffer, kept ordered by
+/// async submission's slot, or the completion buffer, kept ordered by
 /// `(finish_cycle, tag)`.
 ///
 /// Completions arrive in retirement order, `(finish_cycle, request
@@ -613,7 +613,7 @@ impl CodicDevice {
     }
 
     /// Fails every submitted-but-unanswered operation with `cause`,
-    /// resolving async futures and buffering the other completions as
+    /// filling async slots and buffering the other completions as
     /// usual — the quarantine path for a shard that can no longer make
     /// progress. Failed-this-way completions carry zero cost (the
     /// operations never executed to completion) and finish at the
@@ -743,14 +743,12 @@ impl CodicDevice {
         }
     }
 
-    /// Submits one typed operation and returns a future resolving to its
-    /// [`OpCompletion`] — the async twin of [`CodicDevice::submit`].
-    ///
-    /// The future is fulfilled by the clock driver
-    /// ([`CodicDevice::step`] / [`CodicDevice::run_to_idle`] /
-    /// [`DevicePool::drive`](crate::pool::DevicePool::drive)); completions
-    /// delivered this way bypass the [`CodicDevice::take_completions`]
-    /// buffer.
+    /// Submits one typed operation and returns the slot its
+    /// [`OpCompletion`] lands in — the async twin of [`CodicDevice::submit`].
+    /// The clock driver fills the slot ([`CodicDevice::step`] /
+    /// [`CodicDevice::run_to_idle`] /
+    /// [`DevicePool::drive`](crate::pool::DevicePool::drive)), bypassing the
+    /// [`CodicDevice::take_completions`] buffer.
     ///
     /// # Errors
     ///
@@ -773,7 +771,7 @@ impl CodicDevice {
     /// [`CodicDevice::submit_async`] minus the safe-range check, for
     /// callers that already pre-flighted the whole batch (the pool's
     /// all-or-nothing routed path). The completer rides the pending
-    /// insert; if submission fails, the future and its cell are dropped.
+    /// insert; if submission fails, the future and its slot are dropped.
     pub(crate) fn submit_async_prechecked(&mut self, op: CodicOp) -> Result<OpFuture, CodicError> {
         let (future, completer) = one_shot();
         self.submit_inner(op, Some(Waiter::Future(completer)))?;
@@ -850,8 +848,8 @@ impl CodicDevice {
 
     /// The clock-driver step: advances the engine to its next event (at
     /// most one command issues or retires), harvests completions, and
-    /// resolves any fulfilled [`OpFuture`]s. Returns `false` when the
-    /// device was already idle (no event to advance to).
+    /// fills the [`OpFuture`] slot of each op that retired. Returns
+    /// `false` when the device was already idle (no event to advance to).
     pub fn step(&mut self) -> bool {
         if !self.mc.is_idle() && self.mc.step_event() {
             self.harvest();
@@ -869,7 +867,7 @@ impl CodicDevice {
     ///
     /// Event-driven: the embedded controller jumps from event to event
     /// (bit-identical to ticking every cycle), and every outstanding
-    /// [`OpFuture`] is resolved on the way.
+    /// [`OpFuture`] slot is filled on the way.
     pub fn run_to_idle(&mut self) -> u64 {
         let mut last = self.mc.run_to_idle();
         self.harvest();
@@ -1383,15 +1381,13 @@ mod tests {
 
     #[test]
     fn awaiting_a_future_needs_no_polling_loop() {
-        use crate::executor::block_on;
         let mut d = device();
-        let future = d.submit_async(CodicOp::command(VariantId::Sig, 0)).unwrap();
-        assert!(!future.is_ready());
-        // One call drives the engine to idle and resolves the future; the
-        // await that follows never polls the device.
+        let mut future = d.submit_async(CodicOp::command(VariantId::Sig, 0)).unwrap();
+        assert_eq!(future.try_take(), None);
+        // One call drives the engine to idle and fills the slot; the take
+        // that follows never polls the device.
         d.run_to_idle();
-        assert!(future.is_ready());
-        let done = block_on(future);
+        let done = future.try_take().expect("driven to idle");
         assert_eq!(done.op, CodicOp::command(VariantId::Sig, 0));
         assert_eq!(done.cost.busy_cycles, d.timing().t_rc);
         // Async completions bypass the polling buffer.
@@ -1521,7 +1517,7 @@ mod tests {
     #[test]
     fn step_is_the_single_event_clock_driver() {
         let mut d = device();
-        let future = d
+        let mut future = d
             .submit_async(CodicOp::command(VariantId::DetZero, 0))
             .unwrap();
         let mut steps = 0;
@@ -1530,7 +1526,7 @@ mod tests {
             assert!(steps < 100, "one op takes a handful of events");
         }
         assert!(steps >= 2, "at least an issue and a retire event");
-        assert!(future.is_ready());
+        assert!(future.try_take().is_some());
         assert!(!d.step(), "idle device has no events");
     }
 
@@ -1753,16 +1749,15 @@ mod tests {
 
     #[test]
     fn a_future_dropped_before_its_op_retires_leaves_the_device_consistent() {
-        use crate::executor::block_on;
         let mut d = device();
         let zero = |row: u64| CodicOp::command(VariantId::DetZero, row * DramGeometry::ROW_BYTES);
-        let kept = d.submit_async(zero(0)).unwrap();
+        let mut kept = d.submit_async(zero(0)).unwrap();
         drop(d.submit_async(zero(1)).unwrap());
         let token = d.submit(zero(2)).unwrap();
         assert_eq!(d.outstanding(), 3);
         d.run_to_idle();
         assert_eq!(d.outstanding(), 0);
-        assert_eq!(block_on(kept).op, zero(0));
+        assert_eq!(kept.try_take().map(|c| c.op), Some(zero(0)));
         let done = d.take_completions();
         assert_eq!(
             done.len(),
@@ -1776,8 +1771,8 @@ mod tests {
             .collect();
         d.run_to_idle();
         assert_eq!(d.outstanding(), 0);
-        for (row, future) in (3..8).zip(later) {
-            assert_eq!(block_on(future).op, zero(row));
+        for (row, mut future) in (3..8).zip(later) {
+            assert_eq!(future.try_take().map(|c| c.op), Some(zero(row)));
         }
         assert_eq!(d.pending_capacity(), 5, "vacated slots were reused");
     }

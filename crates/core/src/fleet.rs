@@ -631,8 +631,8 @@ mod tests {
         let routed = solo.submit_all_async_routed(&ops).expect("solo admit");
         solo.drive();
         let mut solo_failures = 0;
-        for (i, (shard, future)) in routed.into_iter().enumerate() {
-            let completion = crate::executor::block_on(future);
+        for (i, (shard, mut future)) in routed.into_iter().enumerate() {
+            let completion = future.try_take().expect("driven to idle");
             let event = &events[events.iter().position(|e| e.seq == i as u64).unwrap()];
             assert_eq!(event.shard as usize, shard);
             assert_eq!(event.completion.outcome, completion.outcome);

@@ -28,12 +28,11 @@
 //! - [`device`]: the [`CodicDevice`] service layer composing
 //!   mode-register programming, safe-range policy, and event-driven
 //!   cycle-level scheduling into one typed command path;
-//! - [`executor`]: std-only completion futures ([`OpFuture`]) and the
-//!   [`block_on`] mini-executor, so services `await` operations instead
-//!   of polling;
-//! - [`pool`]: the sharded [`DevicePool`] serving path for
-//!   throughput-style workloads, with the async
-//!   [`submit_all_async`](pool::DevicePool::submit_all_async) /
+//! - [`executor`]: one-shot completion slots ([`OpFuture`]) that the
+//!   clock driver fills and the caller takes, with no executor;
+//! - [`pool`]: the sharded [`DevicePool`] for throughput-style
+//!   workloads, with the
+//!   [`submit_all_async_routed`](pool::DevicePool::submit_all_async_routed) /
 //!   [`drive`](pool::DevicePool::drive) pair;
 //! - [`fleet`]: the [`FleetHandle`], the one serving substrate — tenant
 //!   slots, each owning its own [`DevicePool`] behind a lock of its own,
@@ -85,7 +84,7 @@ pub use device::{
     BatchOutcome, CodicDevice, DeviceConfig, OpCompletion, OpCost, OpToken, SweepReport,
 };
 pub use error::CodicError;
-pub use executor::{block_on, OpFuture};
+pub use executor::OpFuture;
 pub use fault::{FaultCause, FaultPlan, FaultStats, HealthPolicy, OpOutcome, RetryPolicy};
 pub use fleet::{FleetConfig, FleetEvent, FleetHandle, TenantId};
 pub use latency::CommandCost;

@@ -9,12 +9,12 @@
 //!
 //! The API is batched: [`DevicePool::execute_all`] is the
 //! submit → run → collect convenience wrapper the benchmarks use, and
-//! [`DevicePool::submit_all_async`] + [`DevicePool::drive`] is the async
-//! pair — one [`OpFuture`] per operation, resolved by the clock driver,
-//! so services `await` completions instead of polling.
+//! [`DevicePool::submit_all_async_routed`] + [`DevicePool::drive`] is the
+//! async pair — one [`OpFuture`] slot per operation, filled by the clock
+//! driver and emptied with [`OpFuture::try_take`].
 //!
-//! Each future is a one-shot cell shared with its operation's pending
-//! entry, fulfilled in place by the rayon worker driving the shard. Each
+//! Each slot is shared with its operation's pending entry and filled in
+//! place by the rayon worker driving the shard. Each
 //! shard's in-flight table is a slot slab as long as the shard's peak
 //! live count, so it never grows at steady state, however long a write
 //! waits behind later traffic.
@@ -35,12 +35,11 @@
 //!
 //! # Example
 //!
-//! The async serving pattern end to end — submit a batch, drive the
-//! shard clocks, `await` typed completions:
+//! The async pattern end to end — submit a batch, drive the shard
+//! clocks, take the typed completions:
 //!
 //! ```
 //! use codic_core::device::DeviceConfig;
-//! use codic_core::executor::block_on;
 //! use codic_core::ops::{CodicOp, VariantId};
 //! use codic_core::pool::DevicePool;
 //! use codic_dram::{DramGeometry, TimingParams};
@@ -51,13 +50,16 @@
 //!
 //! // One zeroing command and one ordinary read on the shared path.
 //! let ops = [CodicOp::command(VariantId::DetZero, 0), CodicOp::read(64)];
-//! let futures = pool.submit_all_async(&ops).unwrap();
+//! let mut routed = pool.submit_all_async_routed(&ops).unwrap();
 //! assert_eq!(pool.outstanding(), 2);
 //!
-//! pool.drive(); // the clock driver resolves every future
+//! pool.drive(); // the clock driver fills every slot
 //! assert_eq!(pool.outstanding(), 0);
 //!
-//! let completions: Vec<_> = futures.into_iter().map(block_on).collect();
+//! let completions: Vec<_> = routed
+//!     .iter_mut()
+//!     .map(|(_, future)| future.try_take().expect("driven to idle"))
+//!     .collect();
 //! assert_eq!(completions[0].op, ops[0]);
 //! assert!(completions[1].finish_cycle > 0);
 //! ```
@@ -305,19 +307,18 @@ impl DevicePool {
     }
 
     /// Distributes a batch across the shards, all-or-nothing, and returns
-    /// one [`OpFuture`] per operation in input order: services `await`
-    /// typed completions rather than polling for them. Every operation is
-    /// policy-checked against its shard before anything is enqueued
-    /// anywhere. The futures are resolved by the pool's clock driver,
-    /// [`DevicePool::drive`] (or by each shard's own
-    /// [`CodicDevice::step`]/[`CodicDevice::run_to_idle`]), in completion
-    /// order.
+    /// one [`OpFuture`] slot per operation in input order, beside the
+    /// shard it landed on. Every operation is policy-checked against its
+    /// shard before anything is enqueued anywhere. The pool's clock
+    /// driver, [`DevicePool::drive`] (or each shard's own
+    /// [`CodicDevice::step`]/[`CodicDevice::run_to_idle`]), fills the
+    /// slots in completion order.
     ///
     /// A shard whose clock wedges with a full queue *during* submission
     /// is quarantined on the spot — its stranded operations resolve as
     /// typed [`FaultCause::ClockStuck`] failures — and the operation
-    /// re-routes to a survivor, so a stuck clock never rejects a batch
-    /// that a healthy shard could serve.
+    /// re-routes to a survivor, so the landing shard can differ from
+    /// what [`DevicePool::shard_of`] said before submission.
     ///
     /// # Errors
     ///
@@ -325,23 +326,6 @@ impl DevicePool {
     /// [`CodicError::NoHealthyShards`] when every shard is (or becomes)
     /// quarantined — in the mid-batch case, operations submitted before
     /// the last shard wedged stay enqueued.
-    pub fn submit_all_async(&mut self, ops: &[CodicOp]) -> Result<Vec<OpFuture>, CodicError> {
-        Ok(self
-            .submit_all_async_routed(ops)?
-            .into_iter()
-            .map(|(_, future)| future)
-            .collect())
-    }
-
-    /// [`DevicePool::submit_all_async`], additionally reporting the shard
-    /// each operation actually landed on — which, under a mid-batch
-    /// quarantine, can differ from what [`DevicePool::shard_of`] said
-    /// before submission. Serving layers that label completions with
-    /// their shard must use this variant.
-    ///
-    /// # Errors
-    ///
-    /// As [`DevicePool::submit_all_async`].
     pub fn submit_all_async_routed(
         &mut self,
         ops: &[CodicOp],
@@ -363,7 +347,7 @@ impl DevicePool {
     ///
     /// # Errors
     ///
-    /// As [`DevicePool::submit_all_async`]. On a mid-batch
+    /// As [`DevicePool::submit_all_async_routed`]. On a mid-batch
     /// [`CodicError::NoHealthyShards`], the ops enqueued before the last
     /// shard wedged still deliver their (failed) completions, tagged.
     pub(crate) fn submit_all_tagged(
@@ -447,8 +431,8 @@ impl DevicePool {
     }
 
     /// The pool's clock driver: advances every shard's event engine to
-    /// idle on rayon worker threads, resolving every outstanding
-    /// [`OpFuture`] along the way (wakers fire from the worker threads).
+    /// idle on rayon worker threads, filling every outstanding
+    /// [`OpFuture`] slot along the way (from the worker threads).
     /// Returns the slowest shard's finish cycle.
     pub fn drive(&mut self) -> u64 {
         // Shards with no actionable event would run-to-idle as a no-op;
@@ -482,8 +466,8 @@ impl DevicePool {
 
     /// Advances every busy shard by one engine event — the incremental
     /// clock driver for serving loops that relieve backpressure without
-    /// running all the way to idle (resolved [`OpFuture`]s become ready
-    /// along the way). Returns `false` when every shard was already idle.
+    /// running all the way to idle (the [`OpFuture`] slot of each op that
+    /// retires is filled along the way). Returns `false` when every shard was already idle.
     ///
     /// Unlike [`DevicePool::drive`], this is a small, bounded amount of
     /// work, so it runs on the caller's thread (no rayon dispatch) and its
@@ -632,7 +616,6 @@ mod tests {
 
     #[test]
     fn async_batch_is_awaitable_after_drive() {
-        use crate::executor::block_on;
         let ops = zero_ops(16);
         // Twin pools: the async path must report exactly what the
         // batched path reports, shard for shard.
@@ -646,20 +629,19 @@ mod tests {
         batch_completions.sort_by_key(|&(_, op, cycle)| (cycle, op.row_addr()));
 
         let mut async_pool = pool(2);
-        let routed = async_pool.submit_all_async_routed(&ops).unwrap();
+        let mut routed = async_pool.submit_all_async_routed(&ops).unwrap();
         assert_eq!(routed.len(), 16);
-        assert!(routed.iter().all(|(_, f)| !f.is_ready()));
+        assert!(routed.iter_mut().all(|(_, f)| f.try_take().is_none()));
         for (&op, &(shard, _)) in ops.iter().zip(&routed) {
             assert_eq!(shard, async_pool.shard_of(op));
         }
         let finish = async_pool.drive();
         assert!(finish > 0);
-        assert!(routed.iter().all(|(_, f)| f.is_ready()));
         let mut async_completions: Vec<_> = routed
-            .into_iter()
+            .iter_mut()
             .map(|(shard, f)| {
-                let c = block_on(f);
-                (shard, c.op, c.finish_cycle)
+                let c = f.try_take().expect("driven to idle");
+                (*shard, c.op, c.finish_cycle)
             })
             .collect();
         async_completions.sort_by_key(|&(_, op, cycle)| (cycle, op.row_addr()));
@@ -671,7 +653,7 @@ mod tests {
     fn step_relieves_outstanding_incrementally() {
         let mut p = pool(2);
         let ops = zero_ops(24);
-        let mut futures = p.submit_all_async(&ops).unwrap();
+        let mut routed = p.submit_all_async_routed(&ops).unwrap();
         assert_eq!(p.outstanding(), 24);
         assert_eq!(p.device(0).outstanding() + p.device(1).outstanding(), 24);
         // Stepping events one at a time drains the window monotonically
@@ -684,7 +666,10 @@ mod tests {
         }
         assert_eq!(p.outstanding(), 0);
         // Every future resolved through the incremental driver.
-        let drained: Vec<_> = futures.iter_mut().filter_map(OpFuture::try_take).collect();
+        let drained: Vec<_> = routed
+            .iter_mut()
+            .filter_map(|(_, f)| f.try_take())
+            .collect();
         assert_eq!(drained.len(), 24);
         assert!(!p.step(), "idle pool has no events");
     }

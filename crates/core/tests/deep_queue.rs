@@ -8,13 +8,12 @@
 //! RowClone/LISA clones, plain reads and writes) through one device
 //! twice — once drained by the horizon-free reference driver
 //! ([`CodicDevice::tick_reference`]), once by the event engine with the
-//! async future path — and requires bit-identical completion cycles,
+//! async completion-slot path — and requires bit-identical completion cycles,
 //! accounted energy, command statistics, and final clocks.
 //!
 //! [`CodicDevice::tick_reference`]: codic_core::device::CodicDevice::tick_reference
 
 use codic_core::device::{CodicDevice, DeviceConfig, OpCompletion};
-use codic_core::executor::block_on;
 use codic_core::ops::{CodicOp, VariantId};
 use codic_dram::geometry::DramGeometry;
 use codic_dram::timing::TimingParams;
@@ -91,18 +90,19 @@ proptest! {
         let tick_completions = ticked.take_completions();
         prop_assert_eq!(tick_completions.len(), ops.len());
 
-        // Event side: the async path — every operation awaited through
-        // its one-shot future.
+        // Event side: the async path — every operation taken from its
+        // one-shot completion slot, exactly once.
         let mut evented = device(refresh);
-        let futures: Vec<_> = ops
+        let mut futures: Vec<_> = ops
             .iter()
             .map(|&op| evented.submit_async(op).unwrap())
             .collect();
         evented.run_to_idle();
-        prop_assert!(futures.iter().all(|f| f.is_ready()));
         let mut async_completions: Vec<OpCompletion> =
-            futures.into_iter().map(block_on).collect();
-        // Futures arrive in submission order; the polling buffer is in
+            futures.iter_mut().filter_map(|f| f.try_take()).collect();
+        prop_assert_eq!(async_completions.len(), ops.len(), "every op resolves");
+        prop_assert!(futures.iter_mut().all(|f| f.try_take().is_none()), "each op resolves once");
+        // Slots are taken in submission order; the polling buffer is in
         // completion order. Compare on the retirement order both share.
         async_completions.sort_by_key(|c| (c.finish_cycle, c.token));
 

@@ -4,9 +4,9 @@
 //! to event ([`MemoryController::advance_to`] under
 //! [`CodicDevice::run_to_idle`]) is *bit-identical* to advancing one
 //! cycle at a time: same completion cycles, same accounted energy, same
-//! command statistics — and that [`OpFuture`] resolution matches the
-//! polling path completion for completion, in
-//! [`CodicDevice::take_completions`] order.
+//! command statistics — and that the completions taken from
+//! [`OpFuture`] slots match the polling path completion for completion,
+//! in [`CodicDevice::take_completions`] order.
 //!
 //! [`MemoryController::advance_to`]: codic_dram::MemoryController::advance_to
 //! [`CodicDevice::run_to_idle`]: codic_core::device::CodicDevice::run_to_idle
@@ -14,7 +14,6 @@
 //! [`OpFuture`]: codic_core::executor::OpFuture
 
 use codic_core::device::{CodicDevice, DeviceConfig, OpCompletion};
-use codic_core::executor::block_on;
 use codic_core::ops::{CodicOp, VariantId};
 use codic_dram::geometry::DramGeometry;
 use codic_dram::timing::TimingParams;
@@ -99,8 +98,8 @@ proptest! {
         prop_assert_eq!(ticked.now(), jumped.now());
     }
 
-    /// Awaited futures yield exactly the completions the polling path
-    /// yields, resolved in `take_completions` order (ascending
+    /// Completion slots yield exactly the completions the polling path
+    /// yields, each once, filled in `take_completions` order (ascending
     /// finish-cycle, ties broken by submission id).
     #[test]
     fn future_resolution_matches_take_completions_order(
@@ -121,29 +120,29 @@ proptest! {
 
         // The async twin, driven one event at a time by the clock driver.
         let mut async_dev = device(false);
-        let futures: Vec<_> = ops
+        let mut futures: Vec<_> = ops
             .iter()
             .map(|&op| async_dev.submit_async(op).unwrap())
             .collect();
-        // Sample readiness between events: once a future reports ready it
-        // must stay ready, and the ready set grows in completion order.
-        let mut resolved = vec![false; futures.len()];
+        // Take each completion in the event wave that filled its slot: a
+        // slot yields its completion exactly once, and the taken set grows
+        // in completion order.
+        let mut taken: Vec<Option<OpCompletion>> = vec![None; futures.len()];
         let mut resolution_rank = vec![usize::MAX; futures.len()];
         let mut wave = 0usize;
         while async_dev.step() {
             wave += 1;
-            for (i, f) in futures.iter().enumerate() {
-                if f.is_ready() {
-                    if !resolved[i] {
-                        resolved[i] = true;
-                        resolution_rank[i] = wave;
-                    }
-                } else {
-                    prop_assert!(!resolved[i], "future un-resolved itself");
+            for (i, f) in futures.iter_mut().enumerate() {
+                if let Some(completion) = f.try_take() {
+                    prop_assert!(taken[i].is_none(), "a slot yielded its completion twice");
+                    taken[i] = Some(completion);
+                    resolution_rank[i] = wave;
                 }
             }
         }
-        let async_completions: Vec<_> = futures.into_iter().map(block_on).collect();
+        let async_completions: Option<Vec<OpCompletion>> = taken.into_iter().collect();
+        prop_assert!(async_completions.is_some(), "every op resolves");
+        let async_completions = async_completions.unwrap();
         // Identical completions, op for op (submission order is preserved
         // on both sides).
         let by_submission_sync = {

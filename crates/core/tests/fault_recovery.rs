@@ -198,16 +198,20 @@ fn stuck_clock_stalls_without_hanging_and_fails_pending() {
     while device.step() {}
     assert!(device.is_stalled());
     assert!(device.outstanding() > 0, "the wedge strands pending ops");
-    let finished_early = futures.iter().filter(|f| f.is_ready()).count();
+    let mut early: Vec<Option<OpCompletion>> = futures.iter_mut().map(OpFuture::try_take).collect();
+    let finished_early = early.iter().flatten().count();
 
-    // Failing the stranded ops resolves every remaining future with a
-    // typed, zero-cost ClockStuck completion.
+    // Failing the stranded ops fills every remaining slot with a typed,
+    // zero-cost ClockStuck completion.
     let failed = device.fail_all_pending(FaultCause::ClockStuck);
     assert_eq!(failed + finished_early, ops.len());
     assert_eq!(device.outstanding(), 0);
     let mut stuck = 0usize;
-    for f in &mut futures {
-        let c = f.try_take().expect("every future resolves");
+    for (taken, f) in early.iter_mut().zip(&mut futures) {
+        let c = taken
+            .take()
+            .or_else(|| f.try_take())
+            .expect("every future resolves");
         match c.outcome {
             OpOutcome::Ok => assert!(c.cost.energy_nj > 0.0),
             OpOutcome::Failed { cause } => {
@@ -228,7 +232,7 @@ fn pool_quarantines_a_stuck_shard_and_reroutes_its_rows() {
 
     let run = |ops: &[CodicOp]| {
         let mut pool = DevicePool::new(4, &config);
-        let futures = pool.submit_all_async(ops).unwrap();
+        let futures = pool.submit_all_async_routed(ops).unwrap();
         pool.drive();
         // The batch boundary: shard 1 wedged, so the health check
         // condemns it and fails its stranded ops.
@@ -247,7 +251,7 @@ fn pool_quarantines_a_stuck_shard_and_reroutes_its_rows() {
     let (mut pool, mut futures) = run(&ops);
     let outcomes: Vec<OpOutcome> = futures
         .iter_mut()
-        .map(|f| f.try_take().expect("resolved or failed").outcome)
+        .map(|(_, f)| f.try_take().expect("resolved or failed").outcome)
         .collect();
     assert!(
         outcomes.iter().any(|o| o.is_failed()),
@@ -259,7 +263,7 @@ fn pool_quarantines_a_stuck_shard_and_reroutes_its_rows() {
     let (_, mut twin_futures) = run(&ops);
     let twin: Vec<OpOutcome> = twin_futures
         .iter_mut()
-        .map(|f| f.try_take().expect("resolved or failed").outcome)
+        .map(|(_, f)| f.try_take().expect("resolved or failed").outcome)
         .collect();
     assert_eq!(outcomes, twin);
 

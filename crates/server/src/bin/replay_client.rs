@@ -56,7 +56,9 @@
 //! the top of the module — replay it with the same `--compute-rows`).
 //! `--compute-rows C` asks the session for a C-row compute region.
 //!
-//! On success prints a one-object JSON report to stdout.
+//! On success prints a one-object JSON report to stdout. A numeric flag
+//! (or `--expect-checksum`) that is present but unparsable or out of
+//! range is a usage error: exit status 2, naming the flag.
 
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
@@ -65,7 +67,9 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use codic_server::chaos::{self, ChaosPlan};
-use codic_server::cli::{arg, arg_u64, deadline_args, fault_plan_args, has_flag, retry_args};
+use codic_server::cli::{
+    arg, arg_num, deadline_args, fault_plan_args, has_flag, retry_args, usage_error,
+};
 use codic_server::client::{
     connect_tcp_with_retry, connect_with_retry, replay_resumable_with, verify_against_reference,
     ResumePolicy,
@@ -81,13 +85,13 @@ fn fail(message: &str) -> ExitCode {
 
 fn main() -> ExitCode {
     // Trace generation mode.
-    if let Some(ops) = arg_u64("--generate") {
+    if let Some(ops) = arg_num::<usize>("--generate") {
         let Some(out) = arg("--out") else {
             return fail("--generate needs --out FILE");
         };
-        let rows = arg_u64("--rows").unwrap_or(8192);
-        let seed = arg_u64("--seed").unwrap_or(1);
-        let trace = format_trace(&generate_mixed(ops as usize, rows, seed));
+        let rows = arg_num("--rows").unwrap_or(8192);
+        let seed = arg_num("--seed").unwrap_or(1);
+        let trace = format_trace(&generate_mixed(ops, rows, seed));
         let header = format!(
             "# mixed secdealloc/coldboot replay trace: {ops} ops over {rows} rows, seed {seed}\n\
              # generated by: replay-client --generate {ops} --rows {rows} --seed {seed}\n",
@@ -102,14 +106,14 @@ fn main() -> ExitCode {
     // Bulk-bitwise trace generation mode: the workload lives in the
     // compute region at the top of the module, so the same
     // --module-mib/--compute-rows pair must be passed when replaying it.
-    if let Some(rounds) = arg_u64("--generate-bitwise") {
+    if let Some(rounds) = arg_num::<usize>("--generate-bitwise") {
         let Some(out) = arg("--out") else {
             return fail("--generate-bitwise needs --out FILE");
         };
-        let module_mib = arg_u64("--module-mib").unwrap_or(64);
-        let compute_rows = arg_u64("--compute-rows").unwrap_or(64);
-        let bits = arg_u64("--bits").unwrap_or(8) as u32;
-        let seed = arg_u64("--seed").unwrap_or(1);
+        let module_mib = arg_num("--module-mib").unwrap_or(64);
+        let compute_rows = arg_num("--compute-rows").unwrap_or(64);
+        let bits = arg_num("--bits").unwrap_or(8);
+        let seed = arg_num("--seed").unwrap_or(1);
         let total_rows = codic_dram::DramGeometry::module_mib(module_mib).total_rows();
         if compute_rows > total_rows {
             return fail("--compute-rows exceeds the module");
@@ -121,7 +125,7 @@ fn main() -> ExitCode {
                 "{bits}-bit lanes need {layout_rows} rows, region has {compute_rows}"
             ));
         }
-        let ops = generate_bulk_bitwise(rounds as usize, base, bits, seed);
+        let ops = generate_bulk_bitwise(rounds, base, bits, seed);
         let header = format!(
             "# bulk-bitwise compute trace: {rounds} round(s) of vector and/or/xor/add, \
              {bits}-bit lanes, seed {seed}\n\
@@ -147,13 +151,22 @@ fn main() -> ExitCode {
         Ok(ops) => ops,
         Err(e) => return fail(&e.to_string()),
     };
-    let batch = (arg_u64("--batch").unwrap_or(1024).max(1) as usize).min(MAX_BATCH_OPS);
+    // The pins are read before the replay, so a mistyped one is refused
+    // up front instead of after a full session.
+    let expect_rows: Option<u64> = arg_num("--expect-rows");
+    let expect_failed: Option<u64> = arg_num("--expect-failed");
+    let expect_checksum = arg("--expect-checksum").map(|hex| {
+        let digits = hex.trim_start_matches("0x").trim_start_matches("0X");
+        u64::from_str_radix(digits, 16)
+            .unwrap_or_else(|_| usage_error(&format!("--expect-checksum {hex:?} is not a hex u64")))
+    });
+    let batch = arg_num("--batch").unwrap_or(1024).clamp(1, MAX_BATCH_OPS);
     let hello = SessionParams {
-        shards: arg_u64("--shards").unwrap_or(0) as u16,
-        module_mib: arg_u64("--module-mib").unwrap_or(0) as u32,
-        max_outstanding: arg_u64("--max-outstanding").unwrap_or(0) as u32,
-        target_rows_per_s: arg_u64("--target-rows-per-sec").unwrap_or(0),
-        compute_rows: arg_u64("--compute-rows").unwrap_or(0) as u32,
+        shards: arg_num("--shards").unwrap_or(0),
+        module_mib: arg_num("--module-mib").unwrap_or(0),
+        max_outstanding: arg_num("--max-outstanding").unwrap_or(0),
+        target_rows_per_s: arg_num("--target-rows-per-sec").unwrap_or(0),
+        compute_rows: arg_num("--compute-rows").unwrap_or(0),
         ..SessionParams::defaults()
     };
 
@@ -163,25 +176,26 @@ fn main() -> ExitCode {
     let chaos_plan = {
         let armed = ["--chaos-cut-bytes", "--chaos-corrupt-per-64k"]
             .iter()
-            .any(|f| arg_u64(f).is_some());
+            .any(|f| arg_num::<u64>(f).is_some());
         armed.then(|| {
-            let mut plan = ChaosPlan::new(arg_u64("--chaos-seed").unwrap_or(1));
-            if let Some(bytes) = arg_u64("--chaos-cut-bytes") {
+            let mut plan = ChaosPlan::new(arg_num("--chaos-seed").unwrap_or(1));
+            if let Some(bytes) = arg_num("--chaos-cut-bytes") {
                 plan = plan.with_cut_after(bytes);
             }
-            if let Some(rate) = arg_u64("--chaos-corrupt-per-64k") {
-                plan = plan.with_corruption(rate.min(65_536) as u32);
+            if let Some(rate) = arg_num::<u32>("--chaos-corrupt-per-64k") {
+                plan = plan.with_corruption(rate.min(65_536));
             }
-            if let Some(chunk) = arg_u64("--chaos-short-io") {
-                plan = plan.with_short_io(chunk as usize);
+            if let Some(chunk) = arg_num("--chaos-short-io") {
+                plan = plan.with_short_io(chunk);
             }
-            if let Some(rate) = arg_u64("--chaos-stall-per-64k") {
-                plan = plan.with_stalls(rate.min(65_536) as u32);
+            if let Some(rate) = arg_num::<u32>("--chaos-stall-per-64k") {
+                plan = plan.with_stalls(rate.min(65_536));
             }
             plan
         })
     };
-    let resumable = chaos_plan.is_some() || arg_u64("--resume-attempts").is_some();
+    let resume_attempts: Option<u32> = arg_num("--resume-attempts");
+    let resumable = chaos_plan.is_some() || resume_attempts.is_some();
 
     // Transport target: a Unix socket path by default, or a TCP address
     // with --tcp. Self-serve spins an in-process server on a private
@@ -194,7 +208,7 @@ fn main() -> ExitCode {
         let mut config = ServerConfig {
             fault: fault_plan_args(),
             retry: retry_args(defaults.retry),
-            fleet_slots: arg_u64("--fleet-slots").unwrap_or(0) as usize,
+            fleet_slots: arg_num("--fleet-slots").unwrap_or(0),
             ..defaults
         };
         deadline_args(&mut config);
@@ -228,13 +242,10 @@ fn main() -> ExitCode {
 
     // One session driver for every mode: a plain run is a resumable run
     // allowed no resumes, so it uses exactly one connection.
-    let retries = arg_u64("--retries").unwrap_or(0) as u32;
-    let retry_base = Duration::from_millis(arg_u64("--retry-base-ms").unwrap_or(50));
+    let retries: u32 = arg_num("--retries").unwrap_or(0);
+    let retry_base = Duration::from_millis(arg_num("--retry-base-ms").unwrap_or(50));
     let (max_resumes, connect_retries) = if resumable {
-        (
-            arg_u64("--resume-attempts").unwrap_or(8) as u32,
-            retries.max(2),
-        )
+        (resume_attempts.unwrap_or(8), retries.max(2))
     } else {
         (0, retries)
     };
@@ -282,7 +293,7 @@ fn main() -> ExitCode {
     } else {
         false
     };
-    if let Some(expect) = arg_u64("--expect-rows") {
+    if let Some(expect) = expect_rows {
         if report.summary.row_ops != expect {
             return fail(&format!(
                 "expected {expect} row ops, observed {}",
@@ -290,20 +301,15 @@ fn main() -> ExitCode {
             ));
         }
     }
-    if let Some(expect) = arg("--expect-checksum") {
-        let expect = expect.trim_start_matches("0x").trim_start_matches("0X");
-        match u64::from_str_radix(expect, 16) {
-            Ok(expect) if expect == report.checksum => {}
-            Ok(expect) => {
-                return fail(&format!(
-                    "expected checksum {expect:#018x}, observed {:#018x}",
-                    report.checksum
-                ))
-            }
-            Err(_) => return fail("--expect-checksum wants a hex u64"),
+    if let Some(expect) = expect_checksum {
+        if expect != report.checksum {
+            return fail(&format!(
+                "expected checksum {expect:#018x}, observed {:#018x}",
+                report.checksum
+            ));
         }
     }
-    if let Some(expect) = arg_u64("--expect-failed") {
+    if let Some(expect) = expect_failed {
         if report.summary.failed != expect {
             return fail(&format!(
                 "expected {expect} typed failures, observed {}",

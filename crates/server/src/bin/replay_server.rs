@@ -50,11 +50,14 @@
 //! ceiling (the pool quarantines it at the next batch boundary), and
 //! `--retry-attempts` bounds re-issues per op (1 disables retry). With
 //! none of these given the server runs the exact fault-free path.
+//!
+//! A numeric flag that is present but unparsable or out of range is a
+//! usage error: exit status 2, naming the flag.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use codic_server::cli::{arg, arg_u64, deadline_args, fault_plan_args, has_flag, retry_args};
+use codic_server::cli::{arg, arg_num, deadline_args, fault_plan_args, has_flag, retry_args};
 use codic_server::server::{ReplayServer, ServerConfig};
 
 fn main() -> ExitCode {
@@ -66,21 +69,20 @@ fn main() -> ExitCode {
     let fault = fault_plan_args();
     let retry = retry_args(defaults.retry);
     let mut config = ServerConfig {
-        shards: arg_u64("--shards").unwrap_or(defaults.shards as u64) as usize,
-        module_mib: arg_u64("--module-mib").unwrap_or(defaults.module_mib),
-        max_outstanding: arg_u64("--max-outstanding").unwrap_or(defaults.max_outstanding as u64)
-            as usize,
-        target_rows_per_s: arg_u64("--max-rows-per-sec").unwrap_or(0),
+        shards: arg_num("--shards").unwrap_or(defaults.shards),
+        module_mib: arg_num("--module-mib").unwrap_or(defaults.module_mib),
+        max_outstanding: arg_num("--max-outstanding").unwrap_or(defaults.max_outstanding),
+        target_rows_per_s: arg_num("--max-rows-per-sec").unwrap_or(0),
         refresh: has_flag("--refresh"),
         fault,
         retry,
         health: defaults.health,
-        compute_rows: arg_u64("--compute-rows").unwrap_or(0),
-        fleet_slots: arg_u64("--fleet-slots").unwrap_or(0) as usize,
+        compute_rows: arg_num("--compute-rows").unwrap_or(0),
+        fleet_slots: arg_num("--fleet-slots").unwrap_or(0),
         ..defaults.clone()
     };
     deadline_args(&mut config);
-    let connections = arg_u64("--connections");
+    let connections = arg_num("--connections");
 
     if config.fault.is_some() {
         eprintln!("replay-server: fault injection ARMED (deterministic chaos rehearsal)");
@@ -124,7 +126,7 @@ fn main() -> ExitCode {
         },
     );
     let served = match connections {
-        Some(n) => server.serve_connections(n as usize),
+        Some(n) => server.serve_connections(n),
         None => server.serve_forever(),
     };
     if let Err(e) = served {

@@ -26,7 +26,7 @@
 //! (three 64-deep queues plus in-flight commands per shard), the
 //! backpressure loop never fires and the served timeline is
 //! *instruction-for-instruction* the direct run of
-//! [`DevicePool::submit_all_async`](codic_core::pool::DevicePool::submit_all_async)
+//! [`DevicePool::submit_all_async_routed`](codic_core::pool::DevicePool::submit_all_async_routed)
 //! and [`DevicePool::drive`](codic_core::pool::DevicePool::drive) —
 //! the bit-identity the end-to-end tests pin. Below that bound it stays
 //! deterministic, but clocks advance earlier. The replay-rate governor
@@ -121,7 +121,7 @@ impl Default for ServerConfig {
             module_mib: 64,
             // At or above the pool's natural in-flight bound for the
             // default 4 shards, so paced replay is instruction-for-
-            // instruction the direct submit_all_async + drive run.
+            // instruction the direct submit_all_async_routed + drive run.
             max_outstanding: 1024,
             target_rows_per_s: 0,
             refresh: false,
@@ -381,8 +381,8 @@ pub enum SessionEnd {
     /// session's memory (journal included) was freed.
     Idle,
     /// The session's connection was cut or corrupted mid-stream: the
-    /// session state was parked in the
-    /// [`SessionRegistry`] and a reconnecting client can
+    /// session state was parked in the server's registry of
+    /// disconnected sessions, and a reconnecting client can
     /// [`Frame::Resume`] it. This ends the *connection*, not the
     /// session.
     Suspended,
@@ -430,7 +430,7 @@ struct ParkedSession {
 /// time by [`SessionRegistry::reap_idle`] (the accept loop runs it) and
 /// in memory by each session's journal cap.
 #[derive(Default)]
-pub struct SessionRegistry {
+struct SessionRegistry {
     inner: Mutex<HashMap<u64, ParkedSession>>,
     /// Signalled on every park, so a resume that arrives before the old
     /// connection's thread noticed the cut can wait for the handoff.
@@ -446,20 +446,18 @@ impl fmt::Debug for SessionRegistry {
 
 impl SessionRegistry {
     /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
+    fn new() -> Self {
         SessionRegistry::default()
     }
 
     /// Sessions currently parked (cut mid-stream, awaiting resume).
-    #[must_use]
-    pub fn parked_sessions(&self) -> usize {
+    fn parked_sessions(&self) -> usize {
         self.lock().len()
     }
 
     /// Drops every parked session older than `idle`, freeing its
     /// journal, and returns how many were reaped.
-    pub fn reap_idle(&self, idle: Duration) -> usize {
+    fn reap_idle(&self, idle: Duration) -> usize {
         let mut inner = self.lock();
         let before = inner.len();
         inner.retain(|_, parked| parked.parked_at.elapsed() < idle);
@@ -611,16 +609,16 @@ impl<R: Read> Read for SessionReader<'_, R> {
 
 /// Serves one *connection* against a shared [`SessionRegistry`]: a
 /// `Hello` opens a fresh session; a `Resume` re-attaches a parked one.
-/// This is the entry point the [`ReplayServer`] runs per
-/// accepted socket — [`serve_session`] is this with a throwaway
-/// registry (no cross-connection resume) and no shutdown flag.
+/// [`serve_session`] is this with a throwaway registry (no
+/// cross-connection resume) and no shutdown flag; the [`ReplayServer`]
+/// runs its fleet-aware form per accepted socket.
 ///
 /// # Errors
 ///
 /// Returns the socket failure that ended the session, if any; protocol
 /// violations, disconnects, deadlines, and parking are reported in
 /// [`SessionEnd`].
-pub fn serve_connection<R: Read, W: Write>(
+fn serve_connection<R: Read, W: Write>(
     reader: &mut R,
     writer: &mut W,
     config: &ServerConfig,
@@ -1740,18 +1738,18 @@ mod tests {
         served.extend(engine.flush());
         assert_eq!(served.len(), ops.len());
 
-        // Direct run: same batches through bare submit_all_async, one
-        // drive at the end.
+        // Direct run: same batches through bare submit_all_async_routed,
+        // one drive at the end.
         let config = ServerConfig::device_config(&params);
         let mut pool = DevicePool::new(params.shards as usize, &config);
-        let mut futures = Vec::new();
+        let mut routed = Vec::new();
         for batch in &batches {
-            futures.extend(pool.submit_all_async(batch).unwrap());
+            routed.extend(pool.submit_all_async_routed(batch).unwrap());
         }
         pool.drive();
-        let direct: Vec<_> = futures
+        let direct: Vec<_> = routed
             .iter_mut()
-            .map(|f| f.try_take().expect("driven to idle"))
+            .map(|(_, f)| f.try_take().expect("driven to idle"))
             .collect();
 
         for (i, c) in direct.iter().enumerate() {

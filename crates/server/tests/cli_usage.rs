@@ -1,0 +1,40 @@
+//! The binaries refuse a flag whose value they cannot use: a mistyped
+//! pin must fail the run, never silently switch its check off.
+
+use std::process::{Command, Output};
+
+const SAMPLE_MIXED: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/traces/sample_mixed.trace");
+
+fn replay_client(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_replay-client"))
+        .args(["--self-serve", "--trace", SAMPLE_MIXED])
+        .args(args)
+        .output()
+        .expect("spawn replay-client")
+}
+
+fn assert_usage_error(output: &Output, flag: &str) {
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains(flag), "the error names {flag}: {stderr}");
+    assert!(output.stdout.is_empty(), "no report is printed");
+}
+
+#[test]
+fn a_mistyped_row_pin_fails_the_run() {
+    let output = replay_client(&[
+        "--expect-rows",
+        "1,693",
+        "--expect-checksum",
+        "0x2361aca91f8ddfd0",
+    ]);
+    assert_usage_error(&output, "--expect-rows");
+}
+
+#[test]
+fn an_out_of_range_module_size_is_refused_not_wrapped() {
+    // 2^32 MiB would wrap to 0 in the wire's u32 field, which asks the
+    // server for its default module.
+    let output = replay_client(&["--module-mib", "4294967296"]);
+    assert_usage_error(&output, "--module-mib");
+}

@@ -1,7 +1,7 @@
 //! End-to-end replay serving: a recorded ≥100k-row mixed
 //! secure-deallocation / cold-boot trace over a real Unix socket, with
 //! the typed completion stream required to be **bit-identical** to a
-//! direct `DevicePool::submit_all_async` run — same cycles, same energy
+//! direct `DevicePool::submit_all_async_routed` run — same cycles, same energy
 //! bits, completion order preserved.
 
 use std::collections::HashMap;
@@ -37,29 +37,27 @@ fn with_server<R>(
 }
 
 /// The direct run the acceptance criterion names: the same batches
-/// through bare `DevicePool::submit_all_async`, one `drive()` at the
-/// end, no serving loop in between. Returns `(shard, completion)` per
-/// sequence number.
-fn direct_submit_all_async(
+/// through bare `DevicePool::submit_all_async_routed`, one `drive()` at
+/// the end, no serving loop in between. Returns `(shard, completion)`
+/// per sequence number.
+fn direct_async_run(
     params: &SessionParams,
     ops: &[CodicOp],
     batch: usize,
 ) -> Vec<(u16, codic_core::device::OpCompletion)> {
     let config = ServerConfig::device_config(params);
     let mut pool = DevicePool::new(params.shards as usize, &config);
-    let shards: Vec<u16> = ops.iter().map(|&op| pool.shard_of(op) as u16).collect();
-    let mut futures = Vec::with_capacity(ops.len());
+    let mut routed = Vec::with_capacity(ops.len());
     for chunk in ops.chunks(batch) {
-        futures.extend(pool.submit_all_async(chunk).expect("trace is in range"));
+        routed.extend(
+            pool.submit_all_async_routed(chunk)
+                .expect("trace is in range"),
+        );
     }
     pool.drive();
-    shards
+    routed
         .into_iter()
-        .zip(
-            futures
-                .iter_mut()
-                .map(|f| f.try_take().expect("driven to idle")),
-        )
+        .map(|(shard, mut f)| (shard as u16, f.try_take().expect("driven to idle")))
         .collect()
 }
 
@@ -85,9 +83,9 @@ fn hundred_k_row_trace_round_trips_bit_identical_to_the_direct_run() {
     // Bit-identity against the serving discipline replayed in process.
     verify_against_reference(&report, &ops, batch).expect("reference verification");
 
-    // Bit-identity against the *direct* submit_all_async run: per
+    // Bit-identity against the *direct* submit_all_async_routed run: per
     // sequence number the same shard, finish cycle, and energy bits.
-    let direct = direct_submit_all_async(&report.params, &ops, batch);
+    let direct = direct_async_run(&report.params, &ops, batch);
     let by_seq: HashMap<u64, &WireCompletion> =
         report.completions.iter().map(|c| (c.seq, c)).collect();
     assert_eq!(

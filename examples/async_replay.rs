@@ -1,14 +1,13 @@
-//! Await typed completions from the pooled service path — no polling loop.
+//! Take typed completions from the pooled service path — no polling loop.
 //!
-//! The service pattern: submit a batch asynchronously (one `OpFuture` per
-//! operation), let the clock driver advance the event engine, then
-//! `await` each completion. Nothing here ticks a cycle or polls a
-//! completion buffer; the engine jumps from DRAM event to DRAM event and
-//! the futures resolve in completion order.
+//! The service pattern: submit a batch asynchronously (one `OpFuture`
+//! completion slot per operation), let the clock driver advance the event
+//! engine, then take each completion. Nothing here ticks a cycle or polls
+//! a completion buffer; the engine jumps from DRAM event to DRAM event and
+//! fills the slots in completion order.
 //!
 //! Run with: `cargo run --example async_replay`
 
-use codic::core::executor::block_on;
 use codic::dram::{DramGeometry, TimingParams};
 use codic::{CodicOp, DeviceConfig, DevicePool, VariantId};
 
@@ -29,33 +28,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ops.push(CodicOp::write(addr + 128));
     }
 
-    // Submit async: every operation hands back a future...
-    let futures = pool.submit_all_async(&ops)?;
-    // ...the clock driver resolves them all (event-driven, in parallel
+    // Submit async: every operation hands back its shard and a slot...
+    let routed = pool.submit_all_async_routed(&ops)?;
+    // ...the clock driver fills them all (event-driven, in parallel
     // across shards)...
     let finish_cycle = pool.drive();
 
-    // ...and awaiting is just `await` — no tick loop, no poll loop.
+    // ...and each completion is simply taken — no tick loop, no poll loop.
     let timing = TimingParams::ddr3_1600_11();
-    let total = block_on(async {
-        let mut zeroed = 0u64;
-        let mut energy_nj = 0.0;
-        for future in futures {
-            let completion = future.await;
-            if completion.op.variant() == Some(VariantId::DetZero) {
-                zeroed += 1;
-            }
-            energy_nj += completion.cost.energy_nj;
+    let mut zeroed = 0u64;
+    let mut energy_nj = 0.0;
+    for (_, mut future) in routed {
+        let completion = future.try_take().ok_or("the pool was driven to idle")?;
+        if completion.op.variant() == Some(VariantId::DetZero) {
+            zeroed += 1;
         }
-        (zeroed, energy_nj)
-    });
+        energy_nj += completion.cost.energy_nj;
+    }
 
     println!(
         "batch finished at cycle {finish_cycle} ({:.1} ns of DRAM time)",
         timing.ns(finish_cycle)
     );
-    println!("rows zeroed: {}", total.0);
-    println!("accounted energy: {:.1} nJ", total.1);
-    assert_eq!(total.0, 32);
+    println!("rows zeroed: {zeroed}");
+    println!("accounted energy: {energy_nj:.1} nJ");
+    assert_eq!(zeroed, 32);
     Ok(())
 }

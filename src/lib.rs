@@ -13,10 +13,10 @@
 //! [`CodicOp`] never reaches the command bus — and completions come back
 //! typed, with the finishing cycle and the accounted occupancy and
 //! energy cost. Completions are either drained
-//! ([`CodicDevice::take_completions`]) or awaited: [`OpFuture`] is a std
-//! `Future` resolved by the clock driver
-//! ([`DevicePool::drive`] or the per-device step/run functions), with
-//! [`block_on`] as the offline-friendly mini-executor.
+//! ([`CodicDevice::take_completions`]) or collected one by one: an
+//! [`OpFuture`] is a one-shot slot that the clock driver
+//! ([`DevicePool::drive`] or the per-device step/run functions) fills and
+//! [`OpFuture::try_take`] empties.
 //!
 //! # Example
 //!
@@ -55,7 +55,7 @@ pub use codic_core::device::{
     BatchOutcome, CodicDevice, DeviceConfig, OpCompletion, OpCost, OpToken, SweepReport,
 };
 pub use codic_core::error::CodicError;
-pub use codic_core::executor::{block_on, OpFuture};
+pub use codic_core::executor::OpFuture;
 pub use codic_core::ops::{CodicOp, InDramMechanism, RowRegion, VariantId};
 pub use codic_core::pool::{DevicePool, PoolOutcome};
 

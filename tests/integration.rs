@@ -107,9 +107,8 @@ fn pooled_serving_path_matches_single_device_results() {
 
 #[test]
 fn async_serving_path_awaits_completions_end_to_end() {
-    // submit_all_async -> drive (event engine, parallel shards) -> await:
-    // no tick loop, no completion polling anywhere.
-    use codic::core::executor::block_on;
+    // submit_all_async_routed -> drive (event engine, parallel shards)
+    // -> try_take: no tick loop, no completion polling anywhere.
     use codic::dram::{DramGeometry, TimingParams};
     use codic::{CodicOp, DeviceConfig, DevicePool, VariantId};
 
@@ -123,16 +122,13 @@ fn async_serving_path_awaits_completions_end_to_end() {
         ops.push(CodicOp::command(VariantId::DetZero, addr));
         ops.push(CodicOp::read(addr + 64));
     }
-    let futures = pool.submit_all_async(&ops).unwrap();
+    let mut routed = pool.submit_all_async_routed(&ops).unwrap();
     let finish = pool.drive();
     assert!(finish > 0);
-    let completions = block_on(async {
-        let mut out = Vec::new();
-        for f in futures {
-            out.push(f.await);
-        }
-        out
-    });
+    let completions: Vec<_> = routed
+        .iter_mut()
+        .map(|(_, f)| f.try_take().expect("driven to idle"))
+        .collect();
     assert_eq!(completions.len(), 32);
     for (completion, op) in completions.iter().zip(&ops) {
         assert_eq!(completion.op, *op, "futures preserve submission order");

@@ -33,12 +33,12 @@ fn facade_pool_and_replay_server_agree_on_a_served_trace() {
     let mut pool = DevicePool::new(report.params.shards as usize, &config);
     let mut futures = Vec::new();
     for chunk in ops.chunks(batch) {
-        futures.extend(pool.submit_all_async(chunk).expect("in range"));
+        futures.extend(pool.submit_all_async_routed(chunk).expect("in range"));
     }
     pool.drive();
     let direct_energy: f64 = futures
         .iter_mut()
-        .map(|f| f.try_take().expect("idle").cost.energy_nj)
+        .map(|(_, f)| f.try_take().expect("idle").cost.energy_nj)
         .sum();
     assert!((report.summary.total_energy_nj - direct_energy).abs() < 1e-6);
 }
