@@ -72,18 +72,7 @@ use codic_dram::request::RowOpKind;
 use codic_dram::{DramGeometry, MemRequest, MemoryController, ReqKind, TimingParams};
 use codic_power::accounting;
 use codic_secdealloc::ZeroingMechanism;
-
-fn arg(flag: &str) -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
-}
+use codic_server::cli::{arg_num, has_flag};
 
 /// Host seconds of one timed row: the median over reps, with the
 /// fastest and slowest rep beside it.
@@ -603,10 +592,10 @@ fn main() {
         // so a divergence exits non-zero), and the queue-depth mixed
         // workload must be bit-identical across tick vs event drivers
         // (queue_depth_smoke asserts).
-        let rows = arg("--rows").unwrap_or(1024).min(geometry.total_rows());
+        let rows = arg_num("--rows").unwrap_or(1024).min(geometry.total_rows());
         let codic = compare_engines(RowOpKind::Codic, rows, 1, &timing);
         let lisa = compare_engines(RowOpKind::LisaClone, rows, 1, &timing);
-        let depth = arg("--outstanding").unwrap_or(512);
+        let depth = arg_num::<u64>("--outstanding").unwrap_or(512);
         let depth_finish = queue_depth_smoke(depth, geometry, &timing);
         let all = fingerprint_words();
         let words: Vec<u64> = all
@@ -637,9 +626,9 @@ fn main() {
     }
     // The batch serves one module-sized address space; rows beyond it
     // would (correctly) be rejected by the safe-range policy.
-    let rows = arg("--rows").unwrap_or(8192).min(geometry.total_rows());
-    let max_shards = arg("--shards").unwrap_or(4).max(1) as usize;
-    let reps = arg("--reps").unwrap_or(3).max(1);
+    let rows = arg_num("--rows").unwrap_or(8192).min(geometry.total_rows());
+    let max_shards = arg_num::<u64>("--shards").unwrap_or(4).max(1) as usize;
+    let reps = arg_num::<u64>("--reps").unwrap_or(3).max(1);
     let config = DeviceConfig::new(geometry, timing).with_refresh(false);
 
     println!("{{");

@@ -8,14 +8,7 @@ use std::time::Instant;
 
 use codic_bench::with_threads;
 use codic_circuit::montecarlo::SigsaExperiment;
-
-fn arg(flag: &str) -> Option<u32> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
+use codic_server::cli::arg_num;
 
 fn time(reps: u32, mut f: impl FnMut() -> u32) -> (f64, u32) {
     let mut flips = f(); // warm-up
@@ -27,8 +20,8 @@ fn time(reps: u32, mut f: impl FnMut() -> u32) -> (f64, u32) {
 }
 
 fn main() {
-    let trials = arg("--trials").unwrap_or(100_000);
-    let reps = arg("--reps").unwrap_or(3);
+    let trials = arg_num("--trials").unwrap_or(100_000);
+    let reps = arg_num("--reps").unwrap_or(3);
     let exp = SigsaExperiment {
         trials,
         ..SigsaExperiment::default()

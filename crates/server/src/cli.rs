@@ -4,20 +4,19 @@
 
 use std::str::FromStr;
 
-/// The value following `flag`, if present.
+/// The value following `flag`, if present, looked up as [`parse_flag`]
+/// does: a flag with no value is a usage error.
 #[must_use]
 pub fn arg(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    arg_num(flag)
 }
 
 /// Parses the value following `flag` in `args` as a `T`. `Ok(None)` when
 /// the flag is absent; an error naming the flag when its value is
 /// missing, unparsable or outside `T`'s range, so a mistyped pin such as
-/// `--expect-rows 1,693` can never silently switch its check off.
+/// `--expect-rows 1,693` can never silently switch its check off. A
+/// following `--flag` is a missing value, never the value: `--out --rows
+/// 5` must not name a file `--rows`.
 ///
 /// # Errors
 ///
@@ -26,7 +25,7 @@ pub fn parse_flag<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, 
     let Some(at) = args.iter().position(|a| a == flag) else {
         return Ok(None);
     };
-    let Some(value) = args.get(at + 1) else {
+    let Some(value) = args.get(at + 1).filter(|v| !v.starts_with("--")) else {
         return Err(format!("{flag} needs a value"));
     };
     match value.parse() {
@@ -120,6 +119,21 @@ mod tests {
 
     fn args(line: &str) -> Vec<String> {
         line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn a_flag_followed_by_a_flag_or_nothing_needs_a_value() {
+        let line = args("c --out --rows 5 --trace t.trace --expect-failed -1 --socket");
+        let text = |flag| parse_flag::<String>(&line, flag);
+        assert_eq!(text("--rows"), Ok(Some("5".to_string())));
+        assert_eq!(text("--trace"), Ok(Some("t.trace".to_string())));
+        // A single-dash value is a value (a negative number, say).
+        assert_eq!(text("--expect-failed"), Ok(Some("-1".to_string())));
+        assert_eq!(text("--shards"), Ok(None));
+        for flag in ["--out", "--socket"] {
+            assert_eq!(text(flag), Err(format!("{flag} needs a value")));
+            assert!(parse_flag::<u64>(&line, flag).is_err());
+        }
     }
 
     #[test]

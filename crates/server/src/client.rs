@@ -326,6 +326,8 @@ struct ResumableRun<'a> {
     /// Every received frame body lands here: one allocation for the
     /// whole session, across reconnects.
     frame: Vec<u8>,
+    /// Every sent batch is encoded here, reused the same way.
+    batch_units: Vec<u8>,
     /// The server-minted session token from the `HelloAck` (`None`
     /// until the handshake completed once).
     token: Option<u64>,
@@ -349,6 +351,7 @@ impl<'a> ResumableRun<'a> {
                 ..Absorbed::default()
             },
             frame: Vec::new(),
+            batch_units: Vec::new(),
             token: None,
             params: None,
             next_op: 0,
@@ -427,7 +430,8 @@ impl<'a> ResumableRun<'a> {
         // exactly-once contract of `events_received`.
         while self.next_op < self.ops.len() {
             let end = (self.next_op + self.batch).min(self.ops.len());
-            proto::write_batch_crc(writer, &self.ops[self.next_op..end])?;
+            let ops = &self.ops[self.next_op..end];
+            proto::write_batch_crc(writer, ops, &mut self.batch_units)?;
             writer.flush()?;
             loop {
                 match self.next_frame(reader)? {

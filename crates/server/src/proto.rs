@@ -25,6 +25,11 @@
 //! [`Frame::Events`] stream in emission order, so client and server can
 //! agree on the whole stream (values included) with one `u64` compare.
 //!
+//! One codec path: every payload field is read through one private
+//! bounds-checked cursor, whose short or leftover read is the frame's
+//! [`ProtoError::BadLength`], and every frame is written by one private
+//! framer — the only code that writes a length prefix or a CRC trailer.
+//!
 //! # Example
 //!
 //! ```
@@ -141,14 +146,6 @@ mod opcode {
     pub const ROW_FILL: u8 = 0x0A;
     /// `COMMAND_BASE + i` is a CODIC command of `VariantId::ALL[i]`.
     pub const COMMAND_BASE: u8 = 0x10;
-}
-
-/// Wire length in bytes of the operation unit with `code`.
-fn op_len(code: u8) -> usize {
-    match code {
-        opcode::NOT | opcode::ROW_COPY | opcode::ROW_FILL => 17,
-        _ => 9,
-    }
 }
 
 /// Session parameters proposed in a [`Frame::Hello`] and echoed, with
@@ -507,9 +504,9 @@ fn op_code(op: CodicOp) -> u8 {
     }
 }
 
-/// Encodes one operation as its wire unit: the unit's bytes and its
-/// length (9 or 17).
-fn op_unit(op: CodicOp) -> ([u8; 17], usize) {
+/// Appends one operation's wire unit to `buf`: the op code, then one
+/// `u64` operand (9 bytes) or, for the two-operand codes, two (17).
+fn put_op(buf: &mut Vec<u8>, op: CodicOp) {
     let mut unit = [0u8; 17];
     unit[0] = op_code(op);
     let (first, second) = match op {
@@ -520,79 +517,205 @@ fn op_unit(op: CodicOp) -> ([u8; 17], usize) {
         op => (op.row_addr(), None),
     };
     unit[1..9].copy_from_slice(&first.to_le_bytes());
-    match second {
+    let len = match second {
         Some(second) => {
             unit[9..17].copy_from_slice(&second.to_le_bytes());
-            (unit, 17)
+            17
         }
-        None => (unit, 9),
-    }
-}
-
-/// Appends one operation's wire unit to `buf`.
-fn put_op(buf: &mut Vec<u8>, op: CodicOp) {
-    let (unit, len) = op_unit(op);
+        None => 9,
+    };
     buf.extend_from_slice(&unit[..len]);
 }
 
-/// Decodes the wire unit starting at `bytes`, returning the operation
-/// and the number of bytes consumed.
-fn get_op(bytes: &[u8]) -> Result<(CodicOp, usize), ProtoError> {
-    let code = *bytes.first().ok_or(ProtoError::Empty)?;
-    let len = op_len(code);
-    if bytes.len() < len {
-        return Err(ProtoError::BadLength {
-            tag: code,
-            got: bytes.len(),
-        });
-    }
-    let a = u64::from_le_bytes(bytes[1..9].try_into().expect("unit operand"));
-    let op = match code {
-        opcode::READ => CodicOp::read(a),
-        opcode::WRITE => CodicOp::write(a),
-        opcode::ROW_CLONE_ZERO => CodicOp::RowCloneZero { row_addr: a },
-        opcode::LISA_CLONE_ZERO => CodicOp::LisaCloneZero { row_addr: a },
-        opcode::ROW_INIT0 => CodicOp::RowInit {
-            row_addr: a,
-            ones: false,
-        },
-        opcode::ROW_INIT1 => CodicOp::RowInit {
-            row_addr: a,
-            ones: true,
-        },
-        opcode::MAJ_AND => CodicOp::MajAnd { row_addr: a },
-        opcode::MAJ_OR => CodicOp::MajOr { row_addr: a },
-        opcode::NOT | opcode::ROW_COPY | opcode::ROW_FILL => {
-            let b = u64::from_le_bytes(bytes[9..17].try_into().expect("unit operand"));
-            match code {
-                opcode::NOT => CodicOp::Not {
-                    src_addr: a,
-                    dst_addr: b,
-                },
-                opcode::ROW_COPY => CodicOp::RowCopy {
-                    src_addr: a,
-                    dst_addr: b,
-                },
-                _ => CodicOp::RowFill {
-                    row_addr: a,
-                    pattern: b,
-                },
-            }
-        }
-        code => {
-            let index = code.wrapping_sub(opcode::COMMAND_BASE) as usize;
-            if code >= opcode::COMMAND_BASE && index < VariantId::ALL.len() {
-                CodicOp::command(VariantId::ALL[index], a)
-            } else {
-                return Err(ProtoError::UnknownOp(code));
-            }
-        }
-    };
-    Ok((op, len))
+/// The one bounds-checked cursor every frame payload is read through.
+/// Each read takes its bytes off the front; a read past the end, or a
+/// byte left over at [`Reader::done`], is the frame's
+/// [`ProtoError::BadLength`], which reports the frame's tag and its
+/// whole payload length however far the walk got.
+#[derive(Debug)]
+struct Reader<'a> {
+    /// The bytes not yet read.
+    rest: &'a [u8],
+    /// The frame-type tag every length error reports.
+    tag: u8,
+    /// Length of the whole payload, which every length error reports.
+    whole: usize,
 }
 
-/// Wire size of the session params block.
-const PARAMS_LEN: usize = 32;
+impl<'a> Reader<'a> {
+    fn new(tag: u8, payload: &'a [u8]) -> Self {
+        Reader {
+            rest: payload,
+            tag,
+            whole: payload.len(),
+        }
+    }
+
+    /// The frame's length error.
+    fn bad(&self) -> ProtoError {
+        ProtoError::BadLength {
+            tag: self.tag,
+            got: self.whole,
+        }
+    }
+
+    /// The length error unless at least `n` bytes remain: sizes a
+    /// variable-length unit before any of its fields is interpreted.
+    fn need(&self, n: usize) -> Result<(), ProtoError> {
+        if self.rest.len() < n {
+            return Err(self.bad());
+        }
+        Ok(())
+    }
+
+    /// The length error unless every byte has been read.
+    fn done(&self) -> Result<(), ProtoError> {
+        if !self.rest.is_empty() {
+            return Err(self.bad());
+        }
+        Ok(())
+    }
+
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
+        let (head, rest) = self.rest.split_at_checked(n).ok_or_else(|| self.bad())?;
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<&'a [u8; N], ProtoError> {
+        let (head, rest) = self.rest.split_first_chunk().ok_or_else(|| self.bad())?;
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn u8(&mut self) -> Result<u8, ProtoError> {
+        self.array().map(|&[b]| b)
+    }
+
+    fn u16(&mut self) -> Result<u16, ProtoError> {
+        self.array().map(|&b| u16::from_le_bytes(b))
+    }
+
+    fn u32(&mut self) -> Result<u32, ProtoError> {
+        self.array().map(|&b| u32::from_le_bytes(b))
+    }
+
+    fn u64(&mut self) -> Result<u64, ProtoError> {
+        self.array().map(|&b| u64::from_le_bytes(b))
+    }
+
+    fn f64(&mut self) -> Result<f64, ProtoError> {
+        self.u64().map(f64::from_bits)
+    }
+
+    /// A `u32` unit count, refused before anything is reserved when even
+    /// `unit_min`-byte units could not fit in the bytes that remain.
+    fn count(&mut self, unit_min: usize) -> Result<usize, ProtoError> {
+        let count = self.u32()? as usize;
+        if count > self.rest.len() / unit_min {
+            return Err(self.bad());
+        }
+        Ok(count)
+    }
+
+    /// One operation unit: one length check covers the op code and the
+    /// first operand at fixed offsets; only the three two-operand codes
+    /// read a second `u64`. Inlined into each walk: out of line, its
+    /// `Result` round-trips through memory and the `Batch` decode ran
+    /// ~4x slower per op.
+    #[inline(always)]
+    fn op(&mut self) -> Result<CodicOp, ProtoError> {
+        let &[code, ref a @ ..] = self.array::<9>()?;
+        let a = u64::from_le_bytes(*a);
+        Ok(match code {
+            opcode::READ => CodicOp::read(a),
+            opcode::WRITE => CodicOp::write(a),
+            opcode::ROW_CLONE_ZERO => CodicOp::RowCloneZero { row_addr: a },
+            opcode::LISA_CLONE_ZERO => CodicOp::LisaCloneZero { row_addr: a },
+            opcode::ROW_INIT0 => CodicOp::RowInit {
+                row_addr: a,
+                ones: false,
+            },
+            opcode::ROW_INIT1 => CodicOp::RowInit {
+                row_addr: a,
+                ones: true,
+            },
+            opcode::MAJ_AND => CodicOp::MajAnd { row_addr: a },
+            opcode::MAJ_OR => CodicOp::MajOr { row_addr: a },
+            opcode::NOT => CodicOp::Not {
+                src_addr: a,
+                dst_addr: self.u64()?,
+            },
+            opcode::ROW_COPY => CodicOp::RowCopy {
+                src_addr: a,
+                dst_addr: self.u64()?,
+            },
+            opcode::ROW_FILL => CodicOp::RowFill {
+                row_addr: a,
+                pattern: self.u64()?,
+            },
+            code => match code
+                .checked_sub(opcode::COMMAND_BASE)
+                .and_then(|index| VariantId::ALL.get(usize::from(index)))
+            {
+                Some(&variant) => CodicOp::command(variant, a),
+                None => return Err(ProtoError::UnknownOp(code)),
+            },
+        })
+    }
+
+    /// The 32-byte session params block. The version field is data
+    /// here, checked by the server at the handshake.
+    fn params(&mut self) -> Result<SessionParams, ProtoError> {
+        Ok(SessionParams {
+            version: self.u16()?,
+            shards: self.u16()?,
+            module_mib: self.u32()?,
+            max_outstanding: self.u32()?,
+            target_rows_per_s: self.u64()?,
+            refresh: self.u8()?,
+            compute_rows: self.u32()?,
+            qos_weight: self.u8()?,
+            tenants: self.u16()?,
+            quota_ops: self.u32()?,
+        })
+    }
+
+    /// A [`completion_payload`]. The unit is sized up front (40 bytes:
+    /// `u64` seq, `u16` shard, a 9-byte op, 21 cost bytes), so a short
+    /// unit is a length error whatever op code it carries.
+    fn completion(&mut self) -> Result<WireCompletion, ProtoError> {
+        self.need(40)?;
+        let (seq, shard, op) = (self.u64()?, self.u16()?, self.op()?);
+        Ok(WireCompletion {
+            seq,
+            shard,
+            op,
+            finish_cycle: self.u64()?,
+            busy_cycles: self.u32()?,
+            activations: self.u8()?,
+            energy_nj: self.f64()?,
+            fingerprint: if op.is_compute() { self.u64()? } else { 0 },
+        })
+    }
+
+    /// A [`failure_payload`], sized up front like a completion (29
+    /// bytes). The cause byte is checked only once the whole unit is
+    /// read, so a short unit is a length error whatever its cause.
+    fn failure(&mut self) -> Result<WireFailure, ProtoError> {
+        self.need(29)?;
+        let (seq, shard, op) = (self.u64()?, self.u16()?, self.op()?);
+        let (at_cycle, cause, attempts) = (self.u64()?, self.u8()?, self.u8()?);
+        Ok(WireFailure {
+            seq,
+            shard,
+            op,
+            at_cycle,
+            cause: cause_from_u8(cause)?,
+            attempts,
+        })
+    }
+}
 
 fn put_params(buf: &mut Vec<u8>, p: &SessionParams) {
     buf.extend_from_slice(&p.version.to_le_bytes());
@@ -605,30 +728,6 @@ fn put_params(buf: &mut Vec<u8>, p: &SessionParams) {
     buf.push(p.qos_weight);
     buf.extend_from_slice(&p.tenants.to_le_bytes());
     buf.extend_from_slice(&p.quota_ops.to_le_bytes());
-}
-
-/// Decodes a params block. Any block that is not exactly
-/// [`PARAMS_LEN`] bytes is a typed length error; the version field is
-/// data here, checked by the server at the handshake.
-fn get_params(bytes: &[u8], tag: u8) -> Result<SessionParams, ProtoError> {
-    if bytes.len() != PARAMS_LEN {
-        return Err(ProtoError::BadLength {
-            tag,
-            got: bytes.len(),
-        });
-    }
-    Ok(SessionParams {
-        version: u16::from_le_bytes(bytes[0..2].try_into().expect("sized")),
-        shards: u16::from_le_bytes(bytes[2..4].try_into().expect("sized")),
-        module_mib: u32::from_le_bytes(bytes[4..8].try_into().expect("sized")),
-        max_outstanding: u32::from_le_bytes(bytes[8..12].try_into().expect("sized")),
-        target_rows_per_s: u64::from_le_bytes(bytes[12..20].try_into().expect("sized")),
-        refresh: bytes[20],
-        compute_rows: u32::from_le_bytes(bytes[21..25].try_into().expect("sized")),
-        qos_weight: bytes[25],
-        tenants: u16::from_le_bytes(bytes[26..28].try_into().expect("sized")),
-        quota_ops: u32::from_le_bytes(bytes[28..32].try_into().expect("sized")),
-    })
 }
 
 /// Serializes `frame` as `type byte + payload` (the frame body: what
@@ -746,72 +845,6 @@ pub fn failure_payload(x: &WireFailure, buf: &mut Vec<u8>) {
     buf.push(x.attempts);
 }
 
-/// Decodes a completion payload *prefix*, returning the completion and
-/// the bytes consumed (40, 48 or 56); the [`Frame::Events`] walk
-/// continues at the next unit.
-fn get_completion(payload: &[u8]) -> Result<(WireCompletion, usize), ProtoError> {
-    let bad = |got: usize| ProtoError::BadLength {
-        tag: tag::EVENTS,
-        got,
-    };
-    if payload.len() < 40 {
-        return Err(bad(payload.len()));
-    }
-    let (op, used) = get_op(&payload[10..])?;
-    // 10 header bytes + the op unit + 21 cost bytes, plus the trailing
-    // fingerprint on compute operations only.
-    let base = 10 + used;
-    let want = base + 21 + if op.is_compute() { 8 } else { 0 };
-    if payload.len() < want {
-        return Err(bad(payload.len()));
-    }
-    let completion = WireCompletion {
-        seq: u64::from_le_bytes(payload[0..8].try_into().expect("sized")),
-        shard: u16::from_le_bytes(payload[8..10].try_into().expect("sized")),
-        op,
-        finish_cycle: u64::from_le_bytes(payload[base..base + 8].try_into().expect("sized")),
-        busy_cycles: u32::from_le_bytes(payload[base + 8..base + 12].try_into().expect("sized")),
-        activations: payload[base + 12],
-        energy_nj: f64::from_bits(u64::from_le_bytes(
-            payload[base + 13..base + 21].try_into().expect("sized"),
-        )),
-        fingerprint: if op.is_compute() {
-            u64::from_le_bytes(payload[base + 21..base + 29].try_into().expect("sized"))
-        } else {
-            0
-        },
-    };
-    Ok((completion, want))
-}
-
-/// Decodes a failed-operation payload *prefix*, returning the failure
-/// and the bytes consumed (29 or 37) — the faulted sibling of
-/// [`get_completion`].
-fn get_failure(payload: &[u8]) -> Result<(WireFailure, usize), ProtoError> {
-    let bad = |got: usize| ProtoError::BadLength {
-        tag: tag::EVENTS,
-        got,
-    };
-    if payload.len() < 29 {
-        return Err(bad(payload.len()));
-    }
-    let (op, used) = get_op(&payload[10..])?;
-    let base = 10 + used;
-    let want = base + 10;
-    if payload.len() < want {
-        return Err(bad(payload.len()));
-    }
-    let failure = WireFailure {
-        seq: u64::from_le_bytes(payload[0..8].try_into().expect("sized")),
-        shard: u16::from_le_bytes(payload[8..10].try_into().expect("sized")),
-        op,
-        at_cycle: u64::from_le_bytes(payload[base..base + 8].try_into().expect("sized")),
-        cause: cause_from_u8(payload[base + 8])?,
-        attempts: payload[base + 9],
-    };
-    Ok((failure, want))
-}
-
 /// The walk over the units of a [`Frame::Events`] payload (the bytes
 /// after the type byte). Each step decodes one unit and yields it with
 /// the payload slice it was decoded from: the kind byte excluded, so
@@ -820,11 +853,9 @@ fn get_failure(payload: &[u8]) -> Result<(WireFailure, usize), ProtoError> {
 #[derive(Debug)]
 pub(crate) struct EventUnits<'a> {
     /// The units not yet walked.
-    units: &'a [u8],
+    r: Reader<'a>,
     /// Units the frame's count still promises.
     left: usize,
-    /// Length of the whole payload, which every length error reports.
-    whole: usize,
 }
 
 impl<'a> EventUnits<'a> {
@@ -832,25 +863,9 @@ impl<'a> EventUnits<'a> {
     /// anything is reserved: even if every unit were the smallest
     /// possible, `count` of them could not exceed the bytes present.
     pub(crate) fn new(payload: &'a [u8]) -> Result<Self, ProtoError> {
-        let bad = || ProtoError::BadLength {
-            tag: tag::EVENTS,
-            got: payload.len(),
-        };
-        let (count, units) = payload.split_first_chunk::<4>().ok_or_else(bad)?;
-        let left = u32::from_le_bytes(*count) as usize;
-        if left > units.len() / EVENT_UNIT_MIN {
-            return Err(bad());
-        }
-        Ok(EventUnits {
-            units,
-            left,
-            whole: payload.len(),
-        })
-    }
-
-    /// Units the walk has yet to yield.
-    pub(crate) fn remaining(&self) -> usize {
-        self.left
+        let mut r = Reader::new(tag::EVENTS, payload);
+        let left = r.count(EVENT_UNIT_MIN)?;
+        Ok(EventUnits { r, left })
     }
 
     /// The next unit and its payload slice, or `None` once the frame's
@@ -858,35 +873,17 @@ impl<'a> EventUnits<'a> {
     /// exactly on the payload's end: trailing bytes are an error.
     pub(crate) fn next_unit(&mut self) -> Result<Option<(SessionEvent, &'a [u8])>, ProtoError> {
         if self.left == 0 {
-            return if self.units.is_empty() {
-                Ok(None)
-            } else {
-                Err(self.bad())
-            };
+            return self.r.done().map(|()| None);
         }
-        let (&kind, rest) = self.units.split_first().ok_or_else(|| self.bad())?;
-        let (event, used) = match kind {
-            EVENT_COMPLETION => {
-                get_completion(rest).map(|(c, used)| (SessionEvent::Completion(c), used))
-            }
-            EVENT_FAILURE => get_failure(rest).map(|(x, used)| (SessionEvent::Failure(x), used)),
+        let kind = self.r.u8()?;
+        let unit = self.r.rest;
+        let event = match kind {
+            EVENT_COMPLETION => SessionEvent::Completion(self.r.completion()?),
+            EVENT_FAILURE => SessionEvent::Failure(self.r.failure()?),
             other => return Err(ProtoError::UnknownEventKind(other)),
-        }
-        .map_err(|e| match e {
-            ProtoError::Empty | ProtoError::BadLength { .. } => self.bad(),
-            e => e,
-        })?;
-        let (unit, tail) = rest.split_at(used);
-        self.units = tail;
+        };
         self.left -= 1;
-        Ok(Some((event, unit)))
-    }
-
-    fn bad(&self) -> ProtoError {
-        ProtoError::BadLength {
-            tag: tag::EVENTS,
-            got: self.whole,
-        }
+        Ok(Some((event, &unit[..unit.len() - self.r.rest.len()])))
     }
 }
 
@@ -907,144 +904,83 @@ pub(crate) fn events_payload(body: &[u8]) -> Option<&[u8]> {
 /// Returns the [`ProtoError`] describing the malformation.
 pub fn decode_body(body: &[u8]) -> Result<Frame, ProtoError> {
     let (&tag, payload) = body.split_first().ok_or(ProtoError::Empty)?;
-    let bad = |got: usize| ProtoError::BadLength { tag, got };
-    match tag {
-        tag::HELLO => Ok(Frame::Hello(get_params(payload, tag)?)),
-        tag::HELLO_ACK => {
-            // The params block plus the session token.
-            if payload.len() != PARAMS_LEN + 8 {
-                return Err(bad(payload.len()));
-            }
-            Ok(Frame::HelloAck {
-                params: get_params(&payload[..PARAMS_LEN], tag)?,
-                token: u64::from_le_bytes(payload[PARAMS_LEN..].try_into().expect("sized")),
-            })
-        }
-        tag::RESUME => {
-            if payload.len() != 18 {
-                return Err(bad(payload.len()));
-            }
-            Ok(Frame::Resume(ResumeRequest {
-                version: u16::from_le_bytes(payload[0..2].try_into().expect("sized")),
-                token: u64::from_le_bytes(payload[2..10].try_into().expect("sized")),
-                events_received: u64::from_le_bytes(payload[10..18].try_into().expect("sized")),
-            }))
-        }
-        tag::RESUME_ACK => {
-            // params block + token + next_seq + replay_events + finished.
-            const P: usize = PARAMS_LEN;
-            if payload.len() != P + 25 {
-                return Err(bad(payload.len()));
-            }
-            Ok(Frame::ResumeAck(ResumeAck {
-                params: get_params(&payload[..P], tag)?,
-                token: u64::from_le_bytes(payload[P..P + 8].try_into().expect("sized")),
-                next_seq: u64::from_le_bytes(payload[P + 8..P + 16].try_into().expect("sized")),
-                replay_events: u64::from_le_bytes(
-                    payload[P + 16..P + 24].try_into().expect("sized"),
-                ),
-                finished: payload[P + 24],
-            }))
-        }
+    let mut r = Reader::new(tag, payload);
+    let frame = match tag {
+        tag::HELLO => Frame::Hello(r.params()?),
+        tag::HELLO_ACK => Frame::HelloAck {
+            params: r.params()?,
+            token: r.u64()?,
+        },
+        tag::RESUME => Frame::Resume(ResumeRequest {
+            version: r.u16()?,
+            token: r.u64()?,
+            events_received: r.u64()?,
+        }),
+        tag::RESUME_ACK => Frame::ResumeAck(ResumeAck {
+            params: r.params()?,
+            token: r.u64()?,
+            next_seq: r.u64()?,
+            replay_events: r.u64()?,
+            finished: r.u8()?,
+        }),
         tag::BATCH => {
-            if payload.len() < 4 {
-                return Err(bad(payload.len()));
-            }
-            let count = u32::from_le_bytes(payload[0..4].try_into().expect("sized")) as usize;
             // Units are variable-length, so decoding is a walk: each op
             // code determines how far the next one starts, and the walk
-            // must land exactly on the payload's end.
-            if count > payload.len() - 4 {
-                // Cheap pre-check: even 1-byte units couldn't fit.
-                return Err(bad(payload.len()));
-            }
-            let mut units = &payload[4..];
+            // must land exactly on the payload's end. The count is
+            // pre-checked against 1-byte units.
+            let count = r.count(1)?;
             let mut ops = Vec::with_capacity(count);
             for _ in 0..count {
-                let (op, used) = get_op(units).map_err(|e| match e {
-                    ProtoError::Empty | ProtoError::BadLength { .. } => bad(payload.len()),
-                    e => e,
-                })?;
-                ops.push(op);
-                units = &units[used..];
+                ops.push(r.op()?);
             }
-            if !units.is_empty() {
-                return Err(bad(payload.len()));
-            }
-            Ok(Frame::Batch(ops))
+            Frame::Batch(ops)
         }
-        tag::FLUSH => {
-            if !payload.is_empty() {
-                return Err(bad(payload.len()));
-            }
-            Ok(Frame::Flush)
-        }
-        tag::BYE => {
-            if !payload.is_empty() {
-                return Err(bad(payload.len()));
-            }
-            Ok(Frame::Bye)
-        }
+        tag::FLUSH => Frame::Flush,
+        tag::BYE => Frame::Bye,
         tag::EVENTS => {
+            // The walk checks the payload's end itself.
             let mut units = EventUnits::new(payload)?;
-            let mut events = Vec::with_capacity(units.remaining());
+            let mut events = Vec::with_capacity(units.left);
             while let Some((event, _)) = units.next_unit()? {
                 events.push(event);
             }
-            Ok(Frame::Events(events))
+            return Ok(Frame::Events(events));
         }
-        tag::BATCHED => {
-            if payload.len() != 24 {
-                return Err(bad(payload.len()));
-            }
-            Ok(Frame::Batched(BatchAck {
-                seq_base: u64::from_le_bytes(payload[0..8].try_into().expect("sized")),
-                accepted: u32::from_le_bytes(payload[8..12].try_into().expect("sized")),
-                emitted: u32::from_le_bytes(payload[12..16].try_into().expect("sized")),
-                outstanding: u64::from_le_bytes(payload[16..24].try_into().expect("sized")),
-            }))
-        }
-        tag::FLUSHED => {
-            if payload.len() != 16 {
-                return Err(bad(payload.len()));
-            }
-            Ok(Frame::Flushed(FlushAck {
-                emitted: u64::from_le_bytes(payload[0..8].try_into().expect("sized")),
-                now_max: u64::from_le_bytes(payload[8..16].try_into().expect("sized")),
-            }))
-        }
-        tag::SUMMARY => {
-            if payload.len() != 48 {
-                return Err(bad(payload.len()));
-            }
-            Ok(Frame::Summary(Summary {
-                ops: u64::from_le_bytes(payload[0..8].try_into().expect("sized")),
-                row_ops: u64::from_le_bytes(payload[8..16].try_into().expect("sized")),
-                failed: u64::from_le_bytes(payload[16..24].try_into().expect("sized")),
-                max_finish_cycle: u64::from_le_bytes(payload[24..32].try_into().expect("sized")),
-                total_energy_nj: f64::from_bits(u64::from_le_bytes(
-                    payload[32..40].try_into().expect("sized"),
-                )),
-                checksum: u64::from_le_bytes(payload[40..48].try_into().expect("sized")),
-            }))
-        }
+        tag::BATCHED => Frame::Batched(BatchAck {
+            seq_base: r.u64()?,
+            accepted: r.u32()?,
+            emitted: r.u32()?,
+            outstanding: r.u64()?,
+        }),
+        tag::FLUSHED => Frame::Flushed(FlushAck {
+            emitted: r.u64()?,
+            now_max: r.u64()?,
+        }),
+        tag::SUMMARY => Frame::Summary(Summary {
+            ops: r.u64()?,
+            row_ops: r.u64()?,
+            failed: r.u64()?,
+            max_finish_cycle: r.u64()?,
+            total_energy_nj: r.f64()?,
+            checksum: r.u64()?,
+        }),
         tag::ERROR => {
-            if payload.len() < 3 {
-                return Err(bad(payload.len()));
-            }
-            let code = ErrorCode::from_u8(payload[0])?;
-            let len = u16::from_le_bytes(payload[1..3].try_into().expect("sized")) as usize;
-            if payload.len() != 3 + len {
-                return Err(bad(payload.len()));
-            }
-            let detail = std::str::from_utf8(&payload[3..]).map_err(|_| ProtoError::BadUtf8)?;
-            Ok(Frame::Error {
+            let (code, len) = (r.u8()?, r.u16()?);
+            let code = ErrorCode::from_u8(code)?;
+            let detail = r.bytes(usize::from(len))?;
+            // A detail of the wrong length is a length error even when
+            // its bytes are not UTF-8.
+            r.done()?;
+            let detail = std::str::from_utf8(detail).map_err(|_| ProtoError::BadUtf8)?;
+            Frame::Error {
                 code,
                 detail: detail.to_string(),
-            })
+            }
         }
-        other => Err(ProtoError::UnknownFrame(other)),
-    }
+        other => return Err(ProtoError::UnknownFrame(other)),
+    };
+    r.done()?;
+    Ok(frame)
 }
 
 /// The CRC32C (Castagnoli) lookup table, built at compile time from the
@@ -1105,15 +1041,14 @@ fn crc32c_append_table(mut state: u32, bytes: &[u8]) -> u32 {
 #[target_feature(enable = "sse4.2")]
 unsafe fn crc32c_append_sse42(state: u32, bytes: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
-    let mut words = bytes.chunks_exact(8);
+    let (words, tail) = bytes.as_chunks::<8>();
     let mut wide = u64::from(state);
-    for word in &mut words {
-        let word = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
-        wide = _mm_crc32_u64(wide, word);
+    for &word in words {
+        wide = _mm_crc32_u64(wide, u64::from_le_bytes(word));
     }
     // The instruction leaves the 32-bit register zero-extended.
     let mut state = wide as u32;
-    for &b in words.remainder() {
+    for &b in tail {
         state = _mm_crc32_u8(state, b);
     }
     state
@@ -1130,19 +1065,56 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
 /// Splits a CRC-framed body into its payload and verifies the 4-byte
 /// CRC32C trailer, returning the payload (tag byte included).
 fn check_crc(body: &[u8]) -> Result<&[u8], ProtoError> {
-    if body.len() < 5 {
-        return Err(ProtoError::BadLength {
+    let (payload, trailer) = body
+        .split_last_chunk::<4>()
+        .filter(|(payload, _)| !payload.is_empty())
+        .ok_or(ProtoError::BadLength {
             tag: body.first().copied().unwrap_or(0),
             got: body.len(),
-        });
-    }
-    let (payload, trailer) = body.split_at(body.len() - 4);
-    let got = u32::from_le_bytes(trailer.try_into().expect("sized"));
-    let expected = crc32c(payload);
+        })?;
+    let (expected, got) = (crc32c(payload), u32::from_le_bytes(*trailer));
     if expected != got {
         return Err(ProtoError::Crc { expected, got });
     }
     Ok(payload)
+}
+
+/// Writes one frame whose body is `head` followed by `units`: the one
+/// place a length prefix and a CRC32C trailer are written. The length
+/// prefix covers the body *and* the 4-byte trailer; the trailer hashes
+/// the body incrementally, so `units` is never copied or re-walked. The
+/// frame goes out in a vectored write-all loop that resumes from the
+/// exact byte offset each `write_vectored` reached.
+fn write_framed<W: Write>(w: &mut W, head: &[u8], units: &[u8]) -> io::Result<()> {
+    let prefix = ((head.len() + units.len() + 4) as u32).to_le_bytes();
+    let trailer = (!crc32c_append(crc32c_append(!0, head), units)).to_le_bytes();
+    let mut slices = [
+        IoSlice::new(&prefix),
+        IoSlice::new(head),
+        IoSlice::new(units),
+        IoSlice::new(&trailer),
+    ];
+    let mut slices = &mut slices[..];
+    while !slices.is_empty() {
+        match w.write_vectored(slices) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write the whole frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut slices, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// The head of a counted frame: its type tag, then the `u32` unit count.
+fn counted_head(tag: u8, count: usize) -> [u8; 5] {
+    let [a, b, c, d] = (count as u32).to_le_bytes();
+    [tag, a, b, c, d]
 }
 
 /// Writes one frame (no flush — callers batch frames and flush at
@@ -1151,50 +1123,30 @@ fn check_crc(body: &[u8]) -> Result<&[u8], ProtoError> {
 ///
 /// # Errors
 ///
-/// Propagates the stream's I/O error.
+/// Propagates the stream's I/O error; a short write that makes no
+/// progress surfaces as [`io::ErrorKind::WriteZero`].
 pub fn write_frame_crc<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
     let mut body = Vec::new();
     encode_body(frame, &mut body);
-    let crc = crc32c(&body);
-    w.write_all(&(body.len() as u32 + 4).to_le_bytes())?;
-    w.write_all(&body)?;
-    w.write_all(&crc.to_le_bytes())
+    write_framed(w, &body, &[])
 }
 
 /// Writes `ops` as one [`Frame::Batch`] frame straight from the borrowed
 /// slice: the bytes [`write_frame_crc`] writes for
 /// `Frame::Batch(ops.to_vec())` (a unit test pins the identity), with
-/// no copy of the ops and no heap buffer. Units are staged through a
-/// stack chunk that the CRC32C trailer folds over as it goes.
+/// no copy of the ops. The units are encoded into `buf`, which the
+/// caller keeps across batches (cleared here, never shrunk), so a
+/// session's batches stop allocating once `buf` has reached the widest.
 ///
 /// # Errors
 ///
-/// Propagates the stream's I/O error.
-pub fn write_batch_crc<W: Write>(w: &mut W, ops: &[CodicOp]) -> io::Result<()> {
-    let units: usize = ops.iter().map(|&op| op_len(op_code(op))).sum();
-    // The length prefix covers the tag, the u32 count, the units and
-    // the 4-byte CRC trailer.
-    let mut header = [0u8; 9];
-    header[0..4].copy_from_slice(&(units as u32 + 9).to_le_bytes());
-    header[4] = tag::BATCH;
-    header[5..9].copy_from_slice(&(ops.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    let mut crc = crc32c_append(!0, &header[4..9]);
-    let mut chunk = [0u8; 1024];
-    let mut used = 0;
+/// Propagates the stream's I/O error, as [`write_frame_crc`].
+pub fn write_batch_crc<W: Write>(w: &mut W, ops: &[CodicOp], buf: &mut Vec<u8>) -> io::Result<()> {
+    buf.clear();
     for &op in ops {
-        let (unit, len) = op_unit(op);
-        if used + len > chunk.len() {
-            crc = crc32c_append(crc, &chunk[..used]);
-            w.write_all(&chunk[..used])?;
-            used = 0;
-        }
-        chunk[used..used + len].copy_from_slice(&unit[..len]);
-        used += len;
+        put_op(buf, op);
     }
-    crc = crc32c_append(crc, &chunk[..used]);
-    w.write_all(&chunk[..used])?;
-    w.write_all(&(!crc).to_le_bytes())
+    write_framed(w, &counted_head(tag::BATCH, ops.len()), buf)
 }
 
 /// Writes encoded event units as [`Frame::Events`] frames carrying at
@@ -1202,13 +1154,12 @@ pub fn write_batch_crc<W: Write>(w: &mut W, ops: &[CodicOp]) -> io::Result<()> {
 /// frame, never past [`MAX_FRAME_LEN`]). `units` holds each unit's kind
 /// byte and payload back to back and `lens[i]` is unit `i`'s length.
 /// Every frame is exactly what [`write_frame_crc`] would produce for the
-/// same events (a unit test pins the byte identity) and goes out in one
-/// vectored write where the stream allows. No units write nothing.
+/// same events (a unit test pins the byte identity). No units write
+/// nothing.
 ///
 /// # Errors
 ///
-/// Propagates the stream's I/O error; a short write that makes no
-/// progress surfaces as [`io::ErrorKind::WriteZero`].
+/// Propagates the stream's I/O error, as [`write_frame_crc`].
 pub fn write_events_crc<W: Write>(
     w: &mut W,
     mut units: &[u8],
@@ -1228,56 +1179,11 @@ pub fn write_events_crc<W: Write>(
             size += usize::from(len);
         }
         let (frame, rest) = units.split_at(size);
-        write_events_frame(w, frame, count as u32)?;
+        write_framed(w, &counted_head(tag::EVENTS, count), frame)?;
         units = rest;
         lens = &lens[count..];
     }
     debug_assert!(units.is_empty(), "`lens` must cover every unit byte");
-    Ok(())
-}
-
-/// Writes one [`Frame::Events`] frame of `count` encoded `units`.
-fn write_events_frame<W: Write>(w: &mut W, units: &[u8], count: u32) -> io::Result<()> {
-    let mut header = [0u8; 9];
-    header[0..4].copy_from_slice(&(units.len() as u32 + 9).to_le_bytes());
-    header[4] = tag::EVENTS;
-    header[5..9].copy_from_slice(&count.to_le_bytes());
-    // The trailer hashes the frame *body* (tag + count + units), not
-    // the length prefix — computed incrementally so the units are never
-    // re-walked or copied.
-    let trailer = (!crc32c_append(crc32c_append(!0, &header[4..9]), units)).to_le_bytes();
-    // A write-all loop over the vectored [header, units, trailer]
-    // triple: `write_vectored` may land anywhere, so resume from the
-    // exact byte offset it reached.
-    let total = header.len() + units.len() + trailer.len();
-    let mut written = 0usize;
-    while written < total {
-        let result = if written < header.len() {
-            w.write_vectored(&[
-                IoSlice::new(&header[written..]),
-                IoSlice::new(units),
-                IoSlice::new(&trailer),
-            ])
-        } else if written < header.len() + units.len() {
-            w.write_vectored(&[
-                IoSlice::new(&units[written - header.len()..]),
-                IoSlice::new(&trailer),
-            ])
-        } else {
-            w.write(&trailer[written - header.len() - units.len()..])
-        };
-        match result {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "failed to write the whole events frame",
-                ))
-            }
-            Ok(n) => written += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
     Ok(())
 }
 
@@ -1378,6 +1284,9 @@ mod tests {
         assert!(reader.is_empty(), "frame consumed exactly");
         assert_eq!(decoded, frame);
     }
+
+    /// Wire size of the session params block.
+    const PARAMS_LEN: usize = 32;
 
     #[test]
     fn hello_round_trips() {
@@ -1489,8 +1398,8 @@ mod tests {
 
     #[test]
     fn crc32c_append_composes_over_every_split() {
-        // `write_events_frame` hashes the frame header and the units in
-        // two appends; every split must give the one-pass digest.
+        // `write_framed` hashes the frame head and the units in two
+        // appends; every split must give the one-pass digest.
         let buf = seeded_bytes(0x5eed, 200);
         let whole = crc32c_append_table(!0, &buf);
         assert_eq!(crc32c_append(!0, &buf), whole);
@@ -1641,12 +1550,13 @@ mod tests {
     #[test]
     fn borrowed_batches_write_the_frame_bytes() {
         let kinds = every_op_kind();
-        // 300 ops of mixed 9- and 17-byte units overflow the 1024-byte
-        // stack chunk several times, at unit boundaries that vary.
+        // 300 ops of mixed 9- and 17-byte units, then shorter batches:
+        // the one reused buffer must carry no bytes of a longer batch.
         let long: Vec<CodicOp> = kinds.iter().copied().cycle().take(300).collect();
-        for ops in [&[][..], &kinds[..1], &kinds[..], &long[..]] {
+        let mut buf = Vec::new();
+        for ops in [&[][..], &long[..], &kinds[..1], &kinds[..], &[][..]] {
             let mut borrowed = Vec::new();
-            write_batch_crc(&mut borrowed, ops).unwrap();
+            write_batch_crc(&mut borrowed, ops, &mut buf).unwrap();
             let mut framed = Vec::new();
             write_frame_crc(&mut framed, &Frame::Batch(ops.to_vec())).unwrap();
             assert_eq!(borrowed, framed, "{} ops", ops.len());
@@ -1928,10 +1838,13 @@ mod tests {
     #[test]
     fn events_crc_write_survives_one_byte_writes() {
         // A stream that accepts one byte per call (with interruptions)
-        // exercises the vectored write-all resume path.
+        // exercises the vectored write-all resume path; a stuck one
+        // accepts nothing and must fail rather than spin.
+        #[derive(Default)]
         struct OneByte {
             bytes: Vec<u8>,
             interrupted: bool,
+            stuck: bool,
         }
         impl io::Write for OneByte {
             fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
@@ -1940,6 +1853,9 @@ mod tests {
                     return Err(io::Error::new(io::ErrorKind::Interrupted, "again"));
                 }
                 self.interrupted = false;
+                if self.stuck {
+                    return Ok(0);
+                }
                 self.bytes.push(buf[0]);
                 Ok(1)
             }
@@ -1948,15 +1864,33 @@ mod tests {
             }
         }
         let events = sample_events();
-        let mut via_frame = Vec::new();
-        write_frame_crc(&mut via_frame, &Frame::Events(events.clone())).unwrap();
         let (units, lens) = encode_units(&events);
-        let mut stream = OneByte {
-            bytes: Vec::new(),
-            interrupted: false,
-        };
-        write_events_crc(&mut stream, &units, &lens, usize::MAX).unwrap();
-        assert_eq!(stream.bytes, via_frame);
+        let ops = every_op_kind();
+        let hello = Frame::Hello(SessionParams::defaults());
+        // Every frame writer, beside the frame it must write.
+        type WriteTo<'a> = &'a dyn Fn(&mut OneByte) -> io::Result<()>;
+        let cases: [(Frame, WriteTo); 3] = [
+            (Frame::Events(events.clone()), &|w| {
+                write_events_crc(w, &units, &lens, usize::MAX)
+            }),
+            (Frame::Batch(ops.clone()), &|w| {
+                write_batch_crc(w, &ops, &mut Vec::new())
+            }),
+            (hello.clone(), &|w| write_frame_crc(w, &hello)),
+        ];
+        for (frame, write_to) in cases {
+            let mut via_frame = Vec::new();
+            write_frame_crc(&mut via_frame, &frame).unwrap();
+            let mut stream = OneByte::default();
+            write_to(&mut stream).unwrap();
+            assert_eq!(stream.bytes, via_frame, "{frame:?}");
+            let mut stuck = OneByte {
+                stuck: true,
+                ..OneByte::default()
+            };
+            let error = write_to(&mut stuck).unwrap_err();
+            assert_eq!(error.kind(), io::ErrorKind::WriteZero, "{frame:?}");
+        }
     }
 
     #[test]

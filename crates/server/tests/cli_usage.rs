@@ -38,3 +38,20 @@ fn an_out_of_range_module_size_is_refused_not_wrapped() {
     let output = replay_client(&["--module-mib", "4294967296"]);
     assert_usage_error(&output, "--module-mib");
 }
+
+#[test]
+fn a_flag_in_place_of_a_value_is_refused_not_used_as_a_file_name() {
+    // Run in a directory of its own, so a file named `--rows` would be
+    // seen and could not clobber anything.
+    let dir = std::env::temp_dir().join(format!("codic-cli-usage-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the temp directory");
+    let output = Command::new(env!("CARGO_BIN_EXE_replay-client"))
+        .args(["--generate", "3", "--out", "--rows", "5"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn replay-client");
+    let stray = dir.join("--rows").exists();
+    std::fs::remove_dir_all(&dir).expect("remove the temp directory");
+    assert_usage_error(&output, "--out");
+    assert!(!stray, "no file named --rows is written");
+}
