@@ -5,6 +5,7 @@ use codic_puf::chip::VoltageClass;
 use codic_puf::jaccard::{distributions, JaccardDistributions};
 use codic_puf::mechanisms::{CodicSigPuf, Environment, LatencyPuf, PreLatPuf, PufMechanism};
 use codic_puf::population::paper_population;
+use codic_server::cli::has_flag;
 
 fn report(name: &str, d: &JaccardDistributions) {
     println!(
@@ -21,7 +22,7 @@ fn report(name: &str, d: &JaccardDistributions) {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = has_flag("--quick");
     let pairs = if quick { 100 } else { 1000 };
     let pop = paper_population(0xC0D1C);
     let env = Environment::nominal();
@@ -41,7 +42,7 @@ fn main() {
             report(name, &d);
         }
     }
-    if std::env::args().any(|a| a == "--auth") {
+    if has_flag("--auth") {
         let rates = codic_puf::auth::measure_rates(&pop, &CodicSigPuf, &env, 500, 77);
         println!(
             "\nNaive CODIC-sig authentication: FRR {:.2}% (paper 0.64%), FAR {:.2}% (paper 0.00%)",

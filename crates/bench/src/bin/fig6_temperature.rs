@@ -2,9 +2,10 @@
 use codic_puf::jaccard::intra_vs_temperature;
 use codic_puf::mechanisms::{CodicSigPuf, LatencyPuf, PreLatPuf, PufMechanism};
 use codic_puf::population::paper_population;
+use codic_server::cli::has_flag;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = has_flag("--quick");
     let pairs = if quick { 30 } else { 200 };
     let pop = paper_population(0xC0D1C);
     let mechanisms: Vec<(&str, Box<dyn PufMechanism>)> = vec![

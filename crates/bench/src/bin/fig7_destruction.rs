@@ -4,8 +4,9 @@ use codic_bench::human_ms;
 use codic_coldboot::energy::energy_ratios_vs_codic;
 use codic_coldboot::latency::{destruction_time_ms, FIGURE7_SIZES_MIB};
 use codic_coldboot::mechanism::DestructionMechanism;
+use codic_server::cli::has_flag;
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = has_flag("--quick");
     let sizes: Vec<u64> = if quick {
         vec![64, 256, 1024]
     } else {
@@ -29,7 +30,7 @@ fn main() {
         println!();
     }
     println!("\nPaper @64MB: TCG 34 ms, LISA 150 us, RowClone 120 us, CODIC 60 us.");
-    if std::env::args().any(|a| a == "--energy") {
+    if has_flag("--energy") {
         let cap = if quick { 1024 } else { 8192 };
         println!(
             "\nEnergy vs CODIC at {} GB (paper: TCG 41.7x, LISA 2.5x, RowClone 1.7x):",

@@ -3,8 +3,9 @@
 use codic_secdealloc::mechanism::ZeroingMechanism;
 use codic_secdealloc::sim::single_core_comparison;
 use codic_secdealloc::workload::Benchmark;
+use codic_server::cli::has_flag;
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = has_flag("--quick");
     let bursts = if quick { 30 } else { 120 };
     println!("Figure 8: Single-core speedup / energy savings vs software zeroing");
     println!("| Benchmark | LISA-clone | RowClone | CODIC |");

@@ -3,8 +3,9 @@
 use codic_secdealloc::mechanism::ZeroingMechanism;
 use codic_secdealloc::mixes::{fifty_mixes, representative_mixes};
 use codic_secdealloc::sim::mix_comparison;
+use codic_server::cli::has_flag;
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = has_flag("--quick");
     let bursts = if quick { 15 } else { 40 };
     println!("Figure 9: 4-core speedup / energy savings vs software zeroing");
     println!("| Mix | LISA-clone | RowClone | CODIC |");

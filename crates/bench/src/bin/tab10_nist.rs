@@ -5,8 +5,9 @@ use codic_nist::suite::run_suite;
 use codic_puf::bitstream::whitened_stream;
 use codic_puf::mechanisms::{CodicSigPuf, Environment};
 use codic_puf::population::paper_population;
+use codic_server::cli::has_flag;
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = has_flag("--quick");
     let bits = if quick { 200_000 } else { 2_000_000 };
     let pop = paper_population(0xC0D1C);
     eprintln!("building {bits}-bit whitened CODIC-sig stream...");

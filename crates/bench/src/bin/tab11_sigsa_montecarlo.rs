@@ -10,10 +10,11 @@ use std::time::Instant;
 
 use codic_circuit::montecarlo::{BitFlipStats, SigsaExperiment};
 use codic_circuit::variation::ProcessVariation;
+use codic_server::cli::has_flag;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let scalar = std::env::args().any(|a| a == "--scalar");
+    let quick = has_flag("--quick");
+    let scalar = has_flag("--scalar");
     let trials = if quick { 20_000 } else { 100_000 };
     let run = |exp: SigsaExperiment| -> BitFlipStats {
         if scalar {

@@ -98,7 +98,9 @@ fn main() -> ExitCode {
     let server = match arg("--tcp") {
         Some(addr) => match server.with_tcp(&addr) {
             Ok(server) => {
-                eprintln!("replay-server: also listening on tcp {addr}");
+                // The bound address, so `--tcp 127.0.0.1:0` names its port.
+                let bound = server.tcp_addr().map_or(addr, |a| a.to_string());
+                eprintln!("replay-server: also listening on tcp {bound}");
                 server
             }
             Err(e) => {

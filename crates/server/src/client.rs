@@ -135,17 +135,7 @@ impl ClientReport {
 ///
 /// Returns the last connect failure once every attempt is exhausted.
 pub fn connect_with_retry(socket: &Path, retries: u32, base: Duration) -> io::Result<UnixStream> {
-    let mut attempt = 0u32;
-    loop {
-        match UnixStream::connect(socket) {
-            Ok(stream) => return Ok(stream),
-            Err(e) if attempt >= retries => return Err(e),
-            Err(_) => {
-                thread::sleep(backoff_for(attempt, base));
-                attempt += 1;
-            }
-        }
-    }
+    with_retry(retries, base, || UnixStream::connect(socket))
 }
 
 /// [`connect_with_retry`] for a TCP address: the same capped
@@ -160,13 +150,22 @@ pub fn connect_tcp_with_retry<A: ToSocketAddrs>(
     retries: u32,
     base: Duration,
 ) -> io::Result<TcpStream> {
+    let stream = with_retry(retries, base, || TcpStream::connect(&addr))?;
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
+}
+
+/// Runs `connect` until it succeeds or `retries` re-attempts have
+/// failed, with [`backoff_for`] between attempts.
+fn with_retry<S>(
+    retries: u32,
+    base: Duration,
+    mut connect: impl FnMut() -> io::Result<S>,
+) -> io::Result<S> {
     let mut attempt = 0u32;
     loop {
-        match TcpStream::connect(&addr) {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                return Ok(stream);
-            }
+        match connect() {
+            Ok(stream) => return Ok(stream),
             Err(e) if attempt >= retries => return Err(e),
             Err(_) => {
                 thread::sleep(backoff_for(attempt, base));
@@ -317,6 +316,16 @@ fn recoverable(e: &ClientError) -> bool {
     matches!(e, ClientError::Io(_) | ClientError::Proto(_))
 }
 
+/// The failure for `frame` arriving where the protocol expects
+/// `expected`: the server's own `Error` frame is passed on as
+/// [`ClientError::Server`], any other frame is a protocol violation.
+fn unexpected(expected: &str, frame: Frame) -> ClientError {
+    match frame {
+        Frame::Error { code, detail } => ClientError::Server { code, detail },
+        other => ClientError::Protocol(format!("expected {expected}, got {other:?}")),
+    }
+}
+
 /// The client half of the resume protocol: everything that must
 /// survive a cut lives here, not on the connection.
 struct ResumableRun<'a> {
@@ -376,14 +385,7 @@ impl<'a> ResumableRun<'a> {
                         self.params = Some(params);
                         self.token = Some(token);
                     }
-                    Frame::Error { code, detail } => {
-                        return Err(ClientError::Server { code, detail })
-                    }
-                    other => {
-                        return Err(ClientError::Protocol(format!(
-                            "expected HelloAck, got {other:?}"
-                        )))
-                    }
+                    other => return Err(unexpected("HelloAck", other)),
                 }
             }
             Some(token) => {
@@ -412,14 +414,7 @@ impl<'a> ResumableRun<'a> {
                             return Ok(());
                         }
                     }
-                    Frame::Error { code, detail } => {
-                        return Err(ClientError::Server { code, detail })
-                    }
-                    other => {
-                        return Err(ClientError::Protocol(format!(
-                            "expected ResumeAck, got {other:?}"
-                        )))
-                    }
+                    other => return Err(unexpected("ResumeAck", other)),
                 }
             }
         }
@@ -437,14 +432,7 @@ impl<'a> ResumableRun<'a> {
                 match self.next_frame(reader)? {
                     None => {}
                     Some(Frame::Batched(_)) => break,
-                    Some(Frame::Error { code, detail }) => {
-                        return Err(ClientError::Server { code, detail })
-                    }
-                    Some(other) => {
-                        return Err(ClientError::Protocol(format!(
-                            "expected Events/Batched, got {other:?}"
-                        )))
-                    }
+                    Some(other) => return Err(unexpected("Events/Batched", other)),
                 }
             }
             self.next_op = end;
@@ -477,14 +465,7 @@ impl<'a> ResumableRun<'a> {
                     self.summary = Some(summary);
                     return Ok(());
                 }
-                Some(Frame::Error { code, detail }) => {
-                    return Err(ClientError::Server { code, detail })
-                }
-                Some(other) => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected Events/Summary, got {other:?}"
-                    )))
-                }
+                Some(other) => return Err(unexpected("Events/Summary", other)),
             }
         }
     }
@@ -1052,5 +1033,80 @@ mod tests {
         );
         assert!(!bit_identical(&negative_zero, &zero));
         assert!(bit_identical(&zero, &zero));
+    }
+
+    /// `frames` as the server writes them.
+    fn canned(frames: &[Frame]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for frame in frames {
+            write_frame_crc(&mut wire, frame).unwrap();
+        }
+        wire
+    }
+
+    #[test]
+    fn a_wrong_frame_is_a_protocol_error_and_an_error_frame_is_the_servers() {
+        let ops = [CodicOp::command(VariantId::DetZero, 0)];
+        let hello = SessionParams::defaults();
+        let ack = Frame::HelloAck {
+            params: ServerConfig::default().negotiate(&hello),
+            token: 1,
+        };
+        let flushed = Frame::Flushed(proto::FlushAck {
+            emitted: 0,
+            now_max: 0,
+        });
+        let refused = Frame::Error {
+            code: ErrorCode::Version,
+            detail: "v0".to_string(),
+        };
+        // Each error's display names its variant: `Protocol` is a
+        // "protocol violation", `Server` a "server error".
+        for (case, frames, want) in [
+            (
+                "Summary for Hello",
+                vec![Frame::Summary(Summary::default())],
+                "protocol violation: expected HelloAck, got Summary",
+            ),
+            (
+                "Flushed for Batch",
+                vec![ack, flushed],
+                "protocol violation: expected Events/Batched, got Flushed",
+            ),
+            ("Error for Hello", vec![refused], "server error Version: v0"),
+        ] {
+            let wire = canned(&frames);
+            let err = replay_stream(&mut wire.as_slice(), &mut io::sink(), &hello, &ops, 1)
+                .expect_err(case);
+            assert!(err.to_string().starts_with(want), "{case}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_wrong_frame_after_a_reconnect_ends_the_session_without_another() {
+        let ops = [CodicOp::command(VariantId::DetZero, 0)];
+        let hello = SessionParams::defaults();
+        // Both connections answer with a HelloAck: the first is then cut,
+        // and the second should have carried a ResumeAck.
+        let ack = canned(&[Frame::HelloAck {
+            params: ServerConfig::default().negotiate(&hello),
+            token: 1,
+        }]);
+        let mut connects = 0u32;
+        let policy = ResumePolicy {
+            max_resumes: 8,
+            backoff_base: Duration::ZERO,
+        };
+        let err = replay_resumable_with(&hello, &ops, 1, policy, |_| {
+            connects += 1;
+            Ok((io::Cursor::new(ack.clone()), io::sink()))
+        })
+        .expect_err("a HelloAck answers the Resume");
+        assert!(
+            err.to_string()
+                .starts_with("protocol violation: expected ResumeAck, got HelloAck"),
+            "{err}"
+        );
+        assert_eq!(connects, 2, "a protocol error is not retried");
     }
 }

@@ -37,7 +37,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -445,11 +445,6 @@ impl fmt::Debug for SessionRegistry {
 }
 
 impl SessionRegistry {
-    /// An empty registry.
-    fn new() -> Self {
-        SessionRegistry::default()
-    }
-
     /// Sessions currently parked (cut mid-stream, awaiting resume).
     fn parked_sessions(&self) -> usize {
         self.lock().len()
@@ -528,7 +523,7 @@ pub fn serve_session<R: Read, W: Write>(
         writer,
         config,
         &AtomicBool::new(false),
-        &SessionRegistry::new(),
+        &SessionRegistry::default(),
     )
 }
 
@@ -667,9 +662,7 @@ fn serve_connection_inner<R: Read, W: Write>(
     match first {
         Frame::Hello(hello) => {
             if hello.version != PROTOCOL_VERSION {
-                let reason = version_mismatch(hello.version);
-                send_error(writer, ErrorCode::Version, &reason)?;
-                return Ok(SessionEnd::Rejected(reason));
+                return reject(writer, ErrorCode::Version, version_mismatch(hello.version));
             }
             // Oversized resource claims are rejected here, before
             // anything is negotiated or allocated from their numbers.
@@ -679,8 +672,7 @@ fn serve_connection_inner<R: Read, W: Write>(
                      quota_ops {} (max {MAX_QUOTA_CLAIM})",
                     hello.tenants, hello.quota_ops
                 );
-                send_error(writer, ErrorCode::Policy, &reason)?;
-                return Ok(SessionEnd::Rejected(reason));
+                return reject(writer, ErrorCode::Policy, reason);
             }
             let params = match fleet {
                 // Fleet sessions share one substrate: its shape was
@@ -706,8 +698,7 @@ fn serve_connection_inner<R: Read, W: Write>(
                     None => {
                         let reason =
                             format!("no free tenant slots (fleet serves {})", fleet.slots());
-                        send_error(writer, ErrorCode::Unavailable, &reason)?;
-                        return Ok(SessionEnd::Rejected(reason));
+                        return reject(writer, ErrorCode::Unavailable, reason);
                     }
                 },
                 None => {
@@ -728,8 +719,7 @@ fn serve_connection_inner<R: Read, W: Write>(
         Frame::Resume(req) => resume_session(req, reader, writer, config, registry),
         other => {
             let reason = format!("expected Hello or Resume, got {}", frame_name(&other));
-            send_error(writer, ErrorCode::Malformed, &reason)?;
-            Ok(SessionEnd::Rejected(reason))
+            reject(writer, ErrorCode::Malformed, reason)
         }
     }
 }
@@ -751,17 +741,14 @@ fn resume_session<R: Read, W: Write>(
     registry: &SessionRegistry,
 ) -> io::Result<SessionEnd> {
     if req.version != PROTOCOL_VERSION {
-        let reason = version_mismatch(req.version);
-        send_error(writer, ErrorCode::Version, &reason)?;
-        return Ok(SessionEnd::Rejected(reason));
+        return reject(writer, ErrorCode::Version, version_mismatch(req.version));
     }
     // Wait briefly for the previous connection's thread to notice the
     // cut and park the session — the reconnect usually wins that race.
     let grace = Duration::from_millis((config.read_timeout_ms.max(1) * 8).max(500));
     let Some((mut session, engine)) = registry.claim(req.token, grace) else {
         let reason = "unknown, expired, or still-active session token".to_string();
-        send_error(writer, ErrorCode::Unavailable, &reason)?;
-        return Ok(SessionEnd::Rejected(reason));
+        return reject(writer, ErrorCode::Unavailable, reason);
     };
     let (base, total) = session.tally.journal.window();
     if req.events_received > total || req.events_received < base {
@@ -774,8 +761,7 @@ fn resume_session<R: Read, W: Write>(
             "resume point {} outside the retained journal window {base}..={total}",
             req.events_received
         );
-        send_error(writer, ErrorCode::Unavailable, &reason)?;
-        return Ok(SessionEnd::Rejected(reason));
+        return reject(writer, ErrorCode::Unavailable, reason);
     }
     // A finished session's `Bye` flush resolved every submitted op
     // into exactly one event, so its journal total is its next seq.
@@ -811,12 +797,6 @@ fn resume_session<R: Read, W: Write>(
     }
 }
 
-/// Control flow out of one frame's handling.
-enum Flow {
-    Continue,
-    End(SessionEnd),
-}
-
 /// The established-session serving loop, generic over how the session
 /// started (fresh `Hello` or `Resume`). Owns the session state and its
 /// engine so a cut can move both into the registry.
@@ -829,57 +809,45 @@ fn run_session<R: Read, W: Write>(
 ) -> io::Result<SessionEnd> {
     loop {
         let end = match reader.next_input() {
-            Ok(Input::Frame(frame)) => match handle_frame(&mut session, &mut engine, frame, writer)
-            {
-                Ok(Flow::Continue) => continue,
+            Ok(Input::Frame(Frame::Bye)) => match close(&mut session, &mut engine, writer, None) {
                 // The Summary wrote cleanly: the finished session gives
                 // its fleet slot and pool back now, and parks as a
                 // tombstone, so a client whose cut ate the Summary can
                 // Resume for journal + Summary. A cut before this point
                 // resumes into the live session, where the re-sent Bye
                 // produces the identical Summary.
-                Ok(Flow::End(SessionEnd::Bye)) => {
+                Ok(()) => {
                     drop(engine);
                     registry.park(session, None);
                     return Ok(SessionEnd::Bye);
                 }
-                Ok(Flow::End(end)) => return Ok(end),
+                Err(_) => SessionEnd::Suspended,
+            },
+            Ok(Input::Frame(frame)) => match handle_frame(&mut session, &mut engine, frame, writer)
+            {
+                Ok(None) => continue,
+                Ok(Some(end)) => return Ok(end),
                 // The write path died mid-emission: the whole emission
                 // was journaled before its first byte went out, so park
                 // for resume instead of losing the session.
                 Err(_) => SessionEnd::Suspended,
             },
             Ok(Input::Shutdown) => {
-                // Graceful teardown: everything in flight is drained
-                // (or failed, with a typed cause) and accounted, then
-                // the client gets the honest totals of what the session
-                // really delivered.
-                let completions = engine.flush();
-                session.tally.emit(writer, &completions)?;
-                write_frame_crc(writer, &Frame::Summary(session.tally.summary()))?;
-                writer.flush()?;
+                // Graceful teardown: the client gets the honest totals of
+                // what the session really delivered.
+                close(&mut session, &mut engine, writer, None)?;
                 return Ok(SessionEnd::Shutdown);
             }
             Ok(Input::Idle) => {
-                // A silent client is torn down honestly — drained,
-                // accounted, told why — and its memory (journal
-                // included) freed. Best-effort writes: the peer may
-                // already be gone, and the reap must happen regardless.
-                let completions = engine.flush();
-                let teardown = (|| -> io::Result<()> {
-                    session.tally.emit(writer, &completions)?;
-                    send_error(
-                        writer,
-                        ErrorCode::Unavailable,
-                        &format!(
-                            "session idle deadline ({} ms) exceeded",
-                            config.session_idle_ms
-                        ),
-                    )?;
-                    write_frame_crc(writer, &Frame::Summary(session.tally.summary()))?;
-                    writer.flush()
-                })();
-                drop(teardown);
+                // A silent client is torn down honestly and told why,
+                // and its memory (journal included) freed. Best-effort
+                // writes: the peer may already be gone, and the reap
+                // must happen regardless.
+                let reason = format!(
+                    "session idle deadline ({} ms) exceeded",
+                    config.session_idle_ms
+                );
+                let _ = close(&mut session, &mut engine, writer, Some(&reason));
                 return Ok(SessionEnd::Idle);
             }
             // A cut or corrupted stream parks the session for resume —
@@ -895,14 +863,15 @@ fn run_session<R: Read, W: Write>(
     }
 }
 
-/// Handles one in-session frame. Write errors bubble up so the caller
-/// can park the session instead of dropping it.
+/// Handles one in-session frame other than `Bye`, returning the end of
+/// a session it refuses. Write errors bubble up so the caller can park
+/// the session instead of dropping it.
 fn handle_frame<W: Write>(
     session: &mut SessionState,
     engine: &mut ReplayEngine,
     frame: Frame,
     writer: &mut W,
-) -> io::Result<Flow> {
+) -> io::Result<Option<SessionEnd>> {
     match frame {
         Frame::Batch(ops) => {
             let seq_base = engine.next_seq();
@@ -934,7 +903,7 @@ fn handle_frame<W: Write>(
                     send_error(writer, ErrorCode::Policy, &policy.to_string())?;
                 }
             }
-            Ok(Flow::Continue)
+            Ok(None)
         }
         Frame::Flush => {
             let completions = engine.flush();
@@ -947,21 +916,32 @@ fn handle_frame<W: Write>(
                 }),
             )?;
             writer.flush()?;
-            Ok(Flow::Continue)
-        }
-        Frame::Bye => {
-            let completions = engine.flush();
-            session.tally.emit(writer, &completions)?;
-            write_frame_crc(writer, &Frame::Summary(session.tally.summary()))?;
-            writer.flush()?;
-            Ok(Flow::End(SessionEnd::Bye))
+            Ok(None)
         }
         other => {
             let reason = format!("expected Batch/Flush/Bye, got {}", frame_name(&other));
-            send_error(writer, ErrorCode::Malformed, &reason)?;
-            Ok(Flow::End(SessionEnd::Rejected(reason)))
+            reject(writer, ErrorCode::Malformed, reason).map(Some)
         }
     }
+}
+
+/// Ends a live session on `Bye`, shutdown or the idle deadline: drains
+/// everything in flight (or fails it with a typed cause) and streams
+/// it, sends `error` as an `Unavailable` frame when there is one, then
+/// the `Summary` of what the session really delivered.
+fn close<W: Write>(
+    session: &mut SessionState,
+    engine: &mut ReplayEngine,
+    writer: &mut W,
+    error: Option<&str>,
+) -> io::Result<()> {
+    let completions = engine.flush();
+    session.tally.emit(writer, &completions)?;
+    if let Some(detail) = error {
+        send_error(writer, ErrorCode::Unavailable, detail)?;
+    }
+    write_frame_crc(writer, &Frame::Summary(session.tally.summary()))?;
+    writer.flush()
 }
 
 /// The session's event stream, encoded once. Live `Events` frames are
@@ -1234,6 +1214,13 @@ fn send_error<W: Write>(writer: &mut W, code: ErrorCode, detail: &str) -> io::Re
     writer.flush()
 }
 
+/// Refuses the session: tells the client why in an `Error` frame and
+/// ends the session [`SessionEnd::Rejected`] with the same reason.
+fn reject<W: Write>(writer: &mut W, code: ErrorCode, reason: String) -> io::Result<SessionEnd> {
+    send_error(writer, code, &reason)?;
+    Ok(SessionEnd::Rejected(reason))
+}
+
 /// A cloneable handle that requests a [`ReplayServer`]'s graceful
 /// shutdown: the accept loop stops taking new connections and every
 /// live session drains its in-flight operations and sends an honest
@@ -1263,6 +1250,10 @@ enum Listener {
     Tcp(TcpListener),
 }
 
+/// An accepted connection as a session thread reads and writes it,
+/// whichever transport carried it.
+type Halves = (Box<dyn Read + Send>, Box<dyn Write + Send>);
+
 impl Listener {
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         match self {
@@ -1271,88 +1262,60 @@ impl Listener {
         }
     }
 
-    fn accept(&self) -> io::Result<ServerStream> {
-        match self {
-            Listener::Unix(l) => l.accept().map(|(s, _)| ServerStream::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| {
+    /// Accepts one connection and readies it for its session thread:
+    /// blocking, with `read_timeout` on every read, so the session's
+    /// reader parks in one socket read for at most that long before it
+    /// re-checks the shutdown flag and the idle deadline. The outer
+    /// error is the listener's; the inner one is this connection's own
+    /// setup failure, which costs only this connection.
+    fn accept(&self, read_timeout: Duration) -> io::Result<io::Result<Halves>> {
+        let timeout = Some(read_timeout);
+        Ok(match self {
+            Listener::Unix(l) => {
+                let (s, _) = l.accept()?;
+                let reader = s
+                    .set_nonblocking(false)
+                    .and_then(|()| s.set_read_timeout(timeout))
+                    .and_then(|()| s.try_clone());
+                halves(s, reader)
+            }
+            Listener::Tcp(l) => {
+                let (s, _) = l.accept()?;
                 // Frames are already written through a BufWriter and
                 // flushed at ack boundaries; Nagle would only add
                 // latency on top of that.
                 let _ = s.set_nodelay(true);
-                ServerStream::Tcp(s)
-            }),
-        }
+                let reader = s
+                    .set_nonblocking(false)
+                    .and_then(|()| s.set_read_timeout(timeout))
+                    .and_then(|()| s.try_clone());
+                halves(s, reader)
+            }
+        })
     }
 }
 
-/// An accepted connection with the transport erased: the session thread
-/// reads and writes it identically over Unix and TCP sockets.
-#[derive(Debug)]
-enum ServerStream {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl ServerStream {
-    fn try_clone(&self) -> io::Result<ServerStream> {
-        match self {
-            ServerStream::Unix(s) => s.try_clone().map(ServerStream::Unix),
-            ServerStream::Tcp(s) => s.try_clone().map(ServerStream::Tcp),
-        }
-    }
-
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        match self {
-            ServerStream::Unix(s) => s.set_nonblocking(nonblocking),
-            ServerStream::Tcp(s) => s.set_nonblocking(nonblocking),
-        }
-    }
-
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        match self {
-            ServerStream::Unix(s) => s.set_read_timeout(timeout),
-            ServerStream::Tcp(s) => s.set_read_timeout(timeout),
-        }
-    }
-}
-
-impl Read for ServerStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            ServerStream::Unix(s) => s.read(buf),
-            ServerStream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ServerStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            ServerStream::Unix(s) => s.write(buf),
-            ServerStream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            ServerStream::Unix(s) => s.flush(),
-            ServerStream::Tcp(s) => s.flush(),
-        }
-    }
+/// `stream` as the write half beside its clone `reader`, when cloning
+/// and configuring it worked.
+fn halves<S: Read + Write + Send + 'static>(
+    stream: S,
+    reader: io::Result<S>,
+) -> io::Result<Halves> {
+    Ok((Box::new(reader?), Box::new(stream)))
 }
 
 /// The replay server.
 ///
-/// Binds a filesystem Unix socket ([`ReplayServer::bind`]), a TCP
-/// address ([`ReplayServer::bind_tcp`]), or both
-/// ([`ReplayServer::with_tcp`]), then serves each accepted connection —
-/// whichever transport it arrived on — as an independent session on its
-/// own thread. The socket file, when there is one, is removed on drop.
+/// Binds a filesystem Unix socket ([`ReplayServer::bind`]), optionally
+/// with TCP listeners beside it ([`ReplayServer::with_tcp`]), then
+/// serves each accepted connection — whichever transport it arrived
+/// on — as an independent session on its own thread. The socket file is
+/// removed on drop.
 #[derive(Debug)]
 pub struct ReplayServer {
     listeners: Vec<Listener>,
     config: ServerConfig,
-    path: Option<PathBuf>,
+    path: PathBuf,
     shutdown: ShutdownHandle,
     /// Shared across every connection thread: where cut sessions park
     /// for resume, reaped on the idle deadline by the accept loop.
@@ -1396,28 +1359,8 @@ impl ReplayServer {
             // path alone and let bind() report the real conflict.
             Err(_) => {}
         }
-        let listener = UnixListener::bind(&path)?;
-        Ok(ReplayServer::build(
-            vec![Listener::Unix(listener)],
-            Some(path),
-            config,
-        ))
-    }
-
-    /// Binds a TCP address (e.g. `127.0.0.1:0` for an ephemeral test
-    /// port) instead of a Unix socket; the protocol is identical over
-    /// both.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind failure.
-    pub fn bind_tcp<A: ToSocketAddrs>(addr: A, config: ServerConfig) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        Ok(ReplayServer::build(
-            vec![Listener::Tcp(listener)],
-            None,
-            config,
-        ))
+        let listener = Listener::Unix(UnixListener::bind(&path)?);
+        Ok(ReplayServer::build(listener, path, config))
     }
 
     /// Adds a TCP listener beside this server's existing endpoints: the
@@ -1449,7 +1392,7 @@ impl ReplayServer {
     /// defaults negotiate (fault plan, retry and health policy
     /// included), with the server's outstanding cap as the default
     /// per-tenant quota.
-    fn build(listeners: Vec<Listener>, path: Option<PathBuf>, config: ServerConfig) -> Self {
+    fn build(listener: Listener, path: PathBuf, config: ServerConfig) -> Self {
         let fleet = (config.fleet_slots > 0).then(|| {
             let params = config.negotiate(&SessionParams::defaults());
             FleetHandle::new(fleet_config(
@@ -1461,11 +1404,11 @@ impl ReplayServer {
             ))
         });
         ReplayServer {
-            listeners,
+            listeners: vec![listener],
             config,
             path,
             shutdown: ShutdownHandle::default(),
-            registry: Arc::new(SessionRegistry::new()),
+            registry: Arc::default(),
             fleet,
             threads: Mutex::new(Vec::new()),
         }
@@ -1477,13 +1420,6 @@ impl ReplayServer {
     #[must_use]
     pub fn parked_sessions(&self) -> usize {
         self.registry.parked_sessions()
-    }
-
-    /// The bound Unix-socket path, when this server has one
-    /// (TCP-only servers don't).
-    #[must_use]
-    pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
     }
 
     /// Free tenant slots on the shared fleet; `None` when this server
@@ -1532,9 +1468,9 @@ impl ReplayServer {
             listener.set_nonblocking(true)?;
         }
         let idle = Duration::from_millis(self.config.session_idle_ms.max(1));
-        // The reaper ticks on wall time, not on quiet rounds, so a
-        // steady stream of connects cannot starve it.
-        let reap_every = Duration::from_millis(self.config.read_timeout_ms.max(1));
+        // The reaper ticks every read timeout on wall time, not on quiet
+        // rounds, so a steady stream of connects cannot starve it.
+        let read_timeout = Duration::from_millis(self.config.read_timeout_ms.max(1));
         let mut last_reap = Instant::now();
         let mut accepted = 0usize;
         'accept: while connections.is_none_or(|n| accepted < n) {
@@ -1549,10 +1485,14 @@ impl ReplayServer {
                 if connections.is_some_and(|n| accepted >= n) {
                     break 'accept;
                 }
-                match listener.accept() {
-                    Ok(stream) => {
-                        let handle = self.spawn_session(stream);
-                        self.session_threads().push(handle);
+                match listener.accept(read_timeout) {
+                    Ok(connection) => {
+                        // A connection whose own setup failed is dropped
+                        // alone; it still counts as served.
+                        if let Ok(halves) = connection {
+                            let handle = self.spawn_session(halves);
+                            self.session_threads().push(handle);
+                        }
                         accepted += 1;
                         quiet = false;
                     }
@@ -1563,7 +1503,7 @@ impl ReplayServer {
             }
             // Parked sessions nobody resumed past the idle deadline are
             // dropped and their journals freed.
-            if last_reap.elapsed() >= reap_every {
+            if last_reap.elapsed() >= read_timeout {
                 self.registry.reap_idle(idle);
                 last_reap = Instant::now();
             }
@@ -1599,24 +1539,15 @@ impl ReplayServer {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn spawn_session(&self, stream: ServerStream) -> thread::JoinHandle<()> {
+    fn spawn_session(&self, (reader, writer): Halves) -> thread::JoinHandle<()> {
         let config = self.config.clone();
         let shutdown = self.shutdown.clone();
         let registry = Arc::clone(&self.registry);
         let fleet = self.fleet.clone();
         thread::spawn(move || {
-            // Accepted sockets are blocking with a read timeout: the
-            // session's reader parks in one socket read for at most this
-            // long before it re-checks the shutdown flag and the idle
-            // deadline, then resumes the same frame.
-            let _ = stream.set_nonblocking(false);
-            let _ =
-                stream.set_read_timeout(Some(Duration::from_millis(config.read_timeout_ms.max(1))));
-            let reader = stream.try_clone();
-            let Ok(read_half) = reader else { return };
-            let mut read_half = BufReader::new(read_half);
+            let mut read_half = BufReader::new(reader);
             let mut reader = SessionReader::new(&mut read_half, &shutdown.0, &config);
-            let mut writer = BufWriter::new(stream);
+            let mut writer = BufWriter::new(writer);
             let _ = serve_connection_inner(
                 &mut reader,
                 &mut writer,
@@ -1630,14 +1561,14 @@ impl ReplayServer {
 
 impl Drop for ReplayServer {
     fn drop(&mut self) {
-        if let Some(path) = &self.path {
-            let _ = std::fs::remove_file(path);
-        }
+        let _ = std::fs::remove_file(&self.path);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::net::TcpStream;
+
     use super::*;
     use crate::proto::{WireCompletion, WireFailure};
     use codic_core::executor::OpFuture;
@@ -2172,7 +2103,7 @@ mod tests {
         clean_session.push(Frame::Bye);
         let input = crc_input(&clean_session);
         let mut output = Vec::new();
-        let registry = SessionRegistry::new();
+        let registry = SessionRegistry::default();
         let end = serve_connection(
             &mut input.as_slice(),
             &mut output,
@@ -2189,7 +2120,7 @@ mod tests {
 
         // The interrupted run: three whole batches arrive, then the
         // stream dies mid-way through the fourth batch's frame.
-        let registry = SessionRegistry::new();
+        let registry = SessionRegistry::default();
         let mut first = vec![Frame::Hello(SessionParams::defaults())];
         for chunk in ops.chunks(64).take(3) {
             first.push(Frame::Batch(chunk.to_vec()));
@@ -2274,7 +2205,7 @@ mod tests {
         let config = ServerConfig::default();
         let ops = zero_ops(64);
         let shutdown = AtomicBool::new(false);
-        let registry = SessionRegistry::new();
+        let registry = SessionRegistry::default();
         let session = vec![
             Frame::Hello(SessionParams::defaults()),
             Frame::Batch(ops.clone()),
@@ -2358,7 +2289,7 @@ mod tests {
         const OPS: u64 = 120_000;
         let config = ServerConfig::default();
         let shutdown = AtomicBool::new(false);
-        let registry = SessionRegistry::new();
+        let registry = SessionRegistry::default();
         // One batch cycling the 64 MiB module's 8192 rows, whose events
         // (~4.9 MB) outgrow one 4 MiB frame; the wire dies after 2 MiB.
         let ops: Vec<CodicOp> = (0..OPS)
@@ -2431,7 +2362,7 @@ mod tests {
             ..ServerConfig::default()
         };
         let shutdown = AtomicBool::new(false);
-        let registry = SessionRegistry::new();
+        let registry = SessionRegistry::default();
         let ops = zero_ops(256);
         let hello = SessionParams {
             max_outstanding: 8,
@@ -2507,7 +2438,7 @@ mod tests {
     fn park_cut_session(config: &ServerConfig) -> (SessionRegistry, u64, u64) {
         let ops = zero_ops(128);
         let shutdown = AtomicBool::new(false);
-        let registry = SessionRegistry::new();
+        let registry = SessionRegistry::default();
         let mut input = crc_input(&[
             Frame::Hello(SessionParams::defaults()),
             Frame::Batch(ops[..64].to_vec()),
@@ -2604,7 +2535,7 @@ mod tests {
             read_timeout_ms: 1,
             ..ServerConfig::default()
         };
-        let registry = SessionRegistry::new();
+        let registry = SessionRegistry::default();
         let shutdown = AtomicBool::new(false);
 
         // A pre-v4 resume is a version error before any token lookup.
@@ -2879,7 +2810,7 @@ mod tests {
 
     #[test]
     fn session_registry_mints_unique_nonzero_tokens() {
-        let registry = SessionRegistry::new();
+        let registry = SessionRegistry::default();
         let mut seen = std::collections::HashSet::new();
         for _ in 0..4096 {
             let token = registry.mint_token();
@@ -2891,7 +2822,7 @@ mod tests {
     #[test]
     fn session_registry_parks_claims_and_reaps() {
         let config = ServerConfig::default();
-        let registry = SessionRegistry::new();
+        let registry = SessionRegistry::default();
         let token = registry.mint_token();
         registry.park(SessionState::new(params(16), token, &config), None);
         assert_eq!(registry.parked_sessions(), 1);
@@ -2939,7 +2870,7 @@ mod tests {
     ) -> (SessionEnd, Vec<Frame>) {
         let input = crc_input(frames);
         let mut output = Vec::new();
-        let registry = SessionRegistry::new();
+        let registry = SessionRegistry::default();
         let end = serve_connection_inner(
             &mut SessionReader::new(&mut input.as_slice(), &AtomicBool::new(false), config),
             &mut output,
@@ -2977,7 +2908,7 @@ mod tests {
         for round in 0..2 {
             let input = crc_input(&fleet_session);
             let mut output = Vec::new();
-            let registry = SessionRegistry::new();
+            let registry = SessionRegistry::default();
             let end = serve_connection_inner(
                 &mut SessionReader::new(&mut input.as_slice(), &AtomicBool::new(false), &config),
                 &mut output,
@@ -3078,8 +3009,11 @@ mod tests {
 
     #[test]
     fn tcp_listeners_serve_the_same_protocol_as_unix_sockets() {
-        let server = ReplayServer::bind_tcp("127.0.0.1:0", ServerConfig::default()).unwrap();
-        assert!(server.path().is_none(), "TCP-only servers have no path");
+        let path = std::env::temp_dir().join(format!("codic-tcp-{}.sock", std::process::id()));
+        let server = ReplayServer::bind(&path, ServerConfig::default())
+            .unwrap()
+            .with_tcp("127.0.0.1:0")
+            .unwrap();
         let addr = server.tcp_addr().expect("a bound TCP address");
         let serving = thread::spawn(move || server.serve_connections(1).unwrap());
         let mut stream = TcpStream::connect(addr).unwrap();

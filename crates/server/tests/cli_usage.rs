@@ -55,3 +55,24 @@ fn a_flag_in_place_of_a_value_is_refused_not_used_as_a_file_name() {
     assert_usage_error(&output, "--out");
     assert!(!stray, "no file named --rows is written");
 }
+
+#[test]
+fn an_ephemeral_tcp_port_is_reported_as_bound() {
+    let dir = std::env::temp_dir().join(format!("codic-cli-tcp-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the temp directory");
+    let socket = dir.join("replay.sock");
+    let output = Command::new(env!("CARGO_BIN_EXE_replay-server"))
+        .arg("--socket")
+        .arg(&socket)
+        .args(["--tcp", "127.0.0.1:0", "--connections", "0"])
+        .output()
+        .expect("spawn replay-server");
+    std::fs::remove_dir_all(&dir).expect("remove the temp directory");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    let port = stderr
+        .lines()
+        .find_map(|line| line.strip_prefix("replay-server: also listening on tcp 127.0.0.1:"))
+        .and_then(|port| port.trim().parse::<u16>().ok());
+    assert!(port.is_some_and(|p| p != 0), "a bound port: {stderr}");
+}
