@@ -3,41 +3,29 @@
 //! paper; pass --quick for 20k).
 //!
 //! Runs on the batched, parallel engine (`CircuitSimBatch` chunks spread
-//! across rayon threads); pass --scalar to use the original
-//! one-simulator-per-trial baseline instead. Both paths draw identical
-//! per-trial variation, so their tables match exactly.
+//! across rayon threads).
 use std::time::Instant;
 
-use codic_circuit::montecarlo::{BitFlipStats, SigsaExperiment};
+use codic_circuit::montecarlo::SigsaExperiment;
 use codic_circuit::variation::ProcessVariation;
 use codic_server::cli::has_flag;
 
 fn main() {
     let quick = has_flag("--quick");
-    let scalar = has_flag("--scalar");
     let trials = if quick { 20_000 } else { 100_000 };
-    let run = |exp: SigsaExperiment| -> BitFlipStats {
-        if scalar {
-            exp.run_scalar()
-        } else {
-            exp.run()
-        }
-    };
-    let engine = if scalar {
-        "scalar baseline"
-    } else {
-        "batched + parallel"
-    };
     let t0 = Instant::now();
-    println!("Table 11: CODIC-sigsa bit flips (trials per cell: {trials}, engine: {engine})");
+    println!(
+        "Table 11: CODIC-sigsa bit flips (trials per cell: {trials}, engine: batched + parallel)"
+    );
     println!("| PV (30 C) | flips % (paper) |");
     for (pv, paper) in [(2.0, "0.00"), (3.0, "0.00"), (4.0, "0.02"), (5.0, "0.19")] {
-        let stats = run(SigsaExperiment {
+        let stats = SigsaExperiment {
             variation: ProcessVariation::from_pct(pv),
             temperature_c: 30.0,
             trials,
             seed: 0xC0D1C,
-        });
+        }
+        .run();
         println!("| {pv}% | {:.2}% ({paper}) |", stats.flip_pct());
     }
     println!("| Temp (4% PV) | flips % (paper) |");
@@ -47,12 +35,13 @@ fn main() {
         (70.0, "0.21"),
         (85.0, "0.15"),
     ] {
-        let stats = run(SigsaExperiment {
+        let stats = SigsaExperiment {
             variation: ProcessVariation::from_pct(4.0),
             temperature_c: t,
             trials,
             seed: 0xC0D1C,
-        });
+        }
+        .run();
         println!("| {t} C | {:.2}% ({paper}) |", stats.flip_pct());
     }
     println!(

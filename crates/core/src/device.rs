@@ -44,7 +44,7 @@ use crate::error::CodicError;
 use crate::executor::{one_shot, Completer, OpFuture};
 use crate::fault::{FaultCause, FaultPlan, FaultStats, OpOutcome, RetryPolicy};
 use crate::interface::CodicController;
-use crate::ops::{CodicOp, InDramMechanism, RowRegion, VariantId};
+use crate::ops::{CodicOp, InDramMechanism, RowRegion};
 
 /// Configuration of one [`CodicDevice`] (one channel/rank's worth of
 /// DRAM plus its controller policy).
@@ -408,11 +408,6 @@ pub struct CodicDevice {
     /// The compute-region data plane; `None` (the default) means the
     /// bulk-bitwise subsystem is disabled and costs nothing.
     data: Option<DataPlane>,
-    /// The variant key the policy's full authorization last passed for,
-    /// invalidated on every mode-register change. The address part of
-    /// the policy still runs per operation; this memo only skips
-    /// re-deriving the variant-match decision op after op.
-    auth_memo: Option<Option<VariantId>>,
 }
 
 /// Answers `p` with its completion, delivered where its waiter says: an
@@ -533,7 +528,6 @@ impl CodicDevice {
             completions: Vec::new(),
             fault,
             data,
-            auth_memo: None,
         }
     }
 
@@ -671,25 +665,19 @@ impl CodicDevice {
     /// The post-policy submission path shared by every submit flavor:
     /// callers have already run [`CodicController::check_safe_range`]
     /// (directly, or batched at the pool/batch boundary), so the per-op
-    /// loop pays only the memoized authorization and the queue push.
+    /// loop pays only the queue push.
     /// `waiter` is installed into the pending entry at insert time, so no
     /// caller looks the entry up again to attach it; `None` delivers to
     /// the completion buffer tagged with the token's request id.
     fn submit_inner(&mut self, op: CodicOp, waiter: Option<Waiter>) -> Result<OpToken, CodicError> {
         self.install_for(op);
-        // The full §4.4 authorization (variant match + range), memoized
-        // by the variant the op requires: the first op of a stream runs
-        // the complete derivation, every following op of the same shape
-        // pays only the address check above. The memo is invalidated on
-        // every mode-register change, so the decision can never go
-        // stale. The typed completions are the service path's audit
-        // trail, drained by `take_completions`.
-        if self.auth_memo != Some(op.variant()) {
-            self.policy
-                .authorize(op)
-                .expect("range was pre-checked and the variant just installed");
-            self.auth_memo = Some(op.variant());
-        }
+        // The full §4.4 authorization (variant match + range) cannot
+        // fail here: every caller ran the range check against this
+        // policy, and `install_for` just installed the op's variant.
+        debug_assert!(
+            self.policy.authorize(op).is_ok(),
+            "range was pre-checked and the variant just installed"
+        );
         let request = MemRequest::new(op.row_addr(), self.request_for(op));
         loop {
             // Stepping below retires and re-issues ops, so the vacant
@@ -1051,9 +1039,6 @@ impl CodicDevice {
                     self.run_to_idle();
                 }
                 self.policy.install(variant);
-                // The mode registers changed: every memoized
-                // authorization decision is stale.
-                self.auth_memo = None;
             }
         }
     }

@@ -1,11 +1,8 @@
 //! Full-system composition: cores + caches + memory controller + DRAM.
 
-use std::collections::HashMap;
-
 use crate::controller::MemoryController;
 use crate::cpu::{Core, CoreRequest};
 use crate::geometry::DramGeometry;
-use crate::request::ReqId;
 use crate::stats::MemStats;
 use crate::timing::TimingParams;
 use crate::trace::TraceOp;
@@ -29,13 +26,20 @@ impl SystemStats {
     }
 }
 
+/// The tag of a posted request: no core waits for it, so its completion
+/// wakes no core.
+const POSTED: u32 = u32::MAX;
+
 /// A system of one or more trace-driven cores sharing a memory controller,
-/// matching the paper's Tables 5 and 7 configurations.
+/// matching the paper's Tables 5 and 7 configurations. A blocking
+/// request carries its core's index as its [`MemRequest::tag`], so a
+/// completion finds the core waiting for it by its tag.
+///
+/// [`MemRequest::tag`]: crate::request::MemRequest::tag
 #[derive(Debug)]
 pub struct System {
     cores: Vec<Core>,
     mc: MemoryController,
-    owners: HashMap<ReqId, usize>,
 }
 
 impl System {
@@ -45,7 +49,6 @@ impl System {
         System {
             cores: traces.into_iter().map(Core::new).collect(),
             mc: MemoryController::new(geometry, timing),
-            owners: HashMap::new(),
         }
     }
 
@@ -72,15 +75,12 @@ impl System {
         for i in 0..self.cores.len() {
             match self.cores[i].tick() {
                 CoreRequest::None => {}
-                CoreRequest::Blocking(req) => match self.mc.push(req) {
-                    Ok(id) => {
-                        self.cores[i].on_issued(id);
-                        self.owners.insert(id, i);
-                    }
+                CoreRequest::Blocking(req) => match self.mc.push(req.with_tag(i as u32)) {
+                    Ok(id) => self.cores[i].on_issued(id),
                     Err(_) => self.cores[i].on_rejected(),
                 },
                 CoreRequest::Posted(req) => {
-                    if self.mc.push(req).is_err() {
+                    if self.mc.push(req.with_tag(POSTED)).is_err() {
                         self.cores[i].on_posted_rejected(req);
                     }
                 }
@@ -92,8 +92,8 @@ impl System {
             self.mc.tick();
         }
         for c in self.mc.take_completions() {
-            if let Some(core) = self.owners.remove(&c.id) {
-                self.cores[core].on_complete(c.id);
+            if let Some(core) = self.cores.get_mut(c.tag as usize) {
+                core.on_complete(c.id);
             }
         }
     }

@@ -35,13 +35,14 @@
 //! stream).
 //!
 //! `--self-serve` spins an in-process server on a temporary socket —
-//! the zero-setup smoke mode CI uses; it honors the `replay-server`
-//! fault flags (`--fault-seed`, `--misfire-per-64k`,
+//! the zero-setup smoke mode CI uses. Its config is exactly what
+//! `codic_server::cli::server_config` reads: the `replay-server` fault
+//! flags (`--fault-seed`, `--misfire-per-64k`,
 //! `--stuck-shard`/`--stuck-at`, `--retry-attempts`), which is how the
-//! chaos smoke pins the faulted stream, and `--fleet-slots`
-//! (shared-fleet serving). With `--self-serve --tcp 127.0.0.1:0` the
-//! in-process server also binds an ephemeral TCP port and the replay
-//! runs over it. `--verify` replays the identical
+//! chaos smoke pins the faulted stream, the deadline and journal flags,
+//! and `--fleet-slots` (shared-fleet serving). With `--self-serve --tcp
+//! 127.0.0.1:0` the in-process server also binds an ephemeral TCP port
+//! and the replay runs over it. `--verify` replays the identical
 //! batching discipline in process and demands the socket stream be
 //! bit-identical (cycles, energy bits, completion order).
 //! `--retries`/`--retry-base-ms` retry the initial connect with capped
@@ -67,15 +68,13 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use codic_server::chaos::{self, ChaosPlan};
-use codic_server::cli::{
-    arg, arg_num, deadline_args, fault_plan_args, has_flag, retry_args, usage_error,
-};
+use codic_server::cli::{arg, arg_num, has_flag, server_config, usage_error};
 use codic_server::client::{
     connect_tcp_with_retry, connect_with_retry, replay_resumable_with, verify_against_reference,
     ResumePolicy,
 };
 use codic_server::proto::{SessionParams, MAX_BATCH_OPS};
-use codic_server::server::{ReplayServer, ServerConfig};
+use codic_server::server::ReplayServer;
 use codic_server::trace::{format_trace, generate_bulk_bitwise, generate_mixed, parse_trace};
 
 fn fail(message: &str) -> ExitCode {
@@ -204,16 +203,8 @@ fn main() -> ExitCode {
     // done — a resumable session may reconnect several times.
     let mut tcp = arg("--tcp");
     let (socket, serving) = if has_flag("--self-serve") {
-        let defaults = ServerConfig::default();
-        let mut config = ServerConfig {
-            fault: fault_plan_args(),
-            retry: retry_args(defaults.retry),
-            fleet_slots: arg_num("--fleet-slots").unwrap_or(0),
-            ..defaults
-        };
-        deadline_args(&mut config);
         let path = std::env::temp_dir().join(format!("codic-replay-{}.sock", std::process::id()));
-        let mut server = match ReplayServer::bind(&path, config) {
+        let mut server = match ReplayServer::bind(&path, server_config()) {
             Ok(server) => server,
             Err(e) => return fail(&format!("self-serve bind failed: {e}")),
         };

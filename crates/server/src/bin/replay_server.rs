@@ -51,37 +51,33 @@
 //! `--retry-attempts` bounds re-issues per op (1 disables retry). With
 //! none of these given the server runs the exact fault-free path.
 //!
+//! `codic_server::cli::server_config` reads the fault, retry, deadline
+//! and `--fleet-slots` flags, as for `replay-client --self-serve`.
 //! A numeric flag that is present but unparsable or out of range is a
-//! usage error: exit status 2, naming the flag.
+//! usage error (exit status 2, naming the flag), and so is
+//! `--stuck-shard` or `--stuck-at` given without the other.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use codic_server::cli::{arg, arg_num, deadline_args, fault_plan_args, has_flag, retry_args};
+use codic_server::cli::{arg, arg_num, has_flag, server_config};
 use codic_server::server::{ReplayServer, ServerConfig};
 
 fn main() -> ExitCode {
     let socket = arg("--socket")
         .map(PathBuf::from)
         .unwrap_or_else(|| std::env::temp_dir().join("codic-replay.sock"));
-    let defaults = ServerConfig::default();
-
-    let fault = fault_plan_args();
-    let retry = retry_args(defaults.retry);
-    let mut config = ServerConfig {
-        shards: arg_num("--shards").unwrap_or(defaults.shards),
-        module_mib: arg_num("--module-mib").unwrap_or(defaults.module_mib),
-        max_outstanding: arg_num("--max-outstanding").unwrap_or(defaults.max_outstanding),
-        target_rows_per_s: arg_num("--max-rows-per-sec").unwrap_or(0),
+    // The shared serving flags, then this server's substrate defaults.
+    let serving = server_config();
+    let config = ServerConfig {
+        shards: arg_num("--shards").unwrap_or(serving.shards),
+        module_mib: arg_num("--module-mib").unwrap_or(serving.module_mib),
+        max_outstanding: arg_num("--max-outstanding").unwrap_or(serving.max_outstanding),
+        target_rows_per_s: arg_num("--max-rows-per-sec").unwrap_or(serving.target_rows_per_s),
         refresh: has_flag("--refresh"),
-        fault,
-        retry,
-        health: defaults.health,
-        compute_rows: arg_num("--compute-rows").unwrap_or(0),
-        fleet_slots: arg_num("--fleet-slots").unwrap_or(0),
-        ..defaults.clone()
+        compute_rows: arg_num("--compute-rows").unwrap_or(serving.compute_rows),
+        ..serving
     };
-    deadline_args(&mut config);
     let connections = arg_num("--connections");
 
     if config.fault.is_some() {

@@ -1,8 +1,13 @@
 //! Minimal `--flag value` parsing shared by the `replay-server` and
 //! `replay-client` binaries (kept tiny on purpose: the offline build
-//! has no argument-parsing crate).
+//! has no argument-parsing crate). [`server_config`] reads the serving
+//! flags into the [`ServerConfig`] each session's fleet is built from.
 
 use std::str::FromStr;
+
+use codic_core::fault::{FaultPlan, RetryPolicy};
+
+use crate::server::ServerConfig;
 
 /// The value following `flag`, if present, looked up as [`parse_flag`]
 /// does: a flag with no value is a usage error.
@@ -56,40 +61,38 @@ pub fn has_flag(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)
 }
 
-/// The seeded fault plan described by `--fault-seed SEED`,
-/// `--misfire-per-64k RATE`, and `--stuck-shard I --stuck-at CYCLE`, or
-/// `None` (the exact fault-free path) when no fault flag is present.
+/// The [`ServerConfig`] the serving flags set on top of the default,
+/// for `replay-server` and `replay-client --self-serve` alike: the fault
+/// plan (`--fault-seed`, `--misfire-per-64k`, and `--stuck-shard` with
+/// `--stuck-at`; either of that pair alone is a usage error; no fault
+/// flag keeps the exact fault-free path), `--retry-attempts` (1
+/// disables retry), the deadlines `--read-timeout-ms` and
+/// `--session-idle-ms`, the resume-journal cap `--journal-max-kib`
+/// (zero values clamp to the smallest legal setting), and
+/// `--fleet-slots`.
 #[must_use]
-pub fn fault_plan_args() -> Option<codic_core::fault::FaultPlan> {
-    use codic_core::fault::FaultPlan;
+pub fn server_config() -> ServerConfig {
+    let mut config = ServerConfig::default();
     let seed = arg_num("--fault-seed");
     let misfire: Option<u64> = arg_num("--misfire-per-64k");
-    let stuck_shard: Option<u16> = arg_num("--stuck-shard");
-    if seed.is_none() && misfire.is_none() && stuck_shard.is_none() {
-        return None;
-    }
-    let mut plan = FaultPlan::new(seed.unwrap_or(1));
-    if let Some(rate) = misfire {
-        plan = plan.with_misfires(rate.min(65_536) as u32);
-    }
-    if let Some(shard) = stuck_shard {
-        if let Some(at) = arg_num("--stuck-at") {
-            plan = plan.with_stuck_shard(shard, at);
-        } else {
-            eprintln!("--stuck-shard needs --stuck-at CYCLE; ignoring the stuck clock");
+    let stuck = match (arg_num("--stuck-shard"), arg_num("--stuck-at")) {
+        (Some(shard), Some(at)) => Some((shard, at)),
+        (None, None) => None,
+        _ => usage_error("--stuck-shard and --stuck-at must be given together"),
+    };
+    if seed.is_some() || misfire.is_some() || stuck.is_some() {
+        let mut plan = FaultPlan::new(seed.unwrap_or(1));
+        if let Some(rate) = misfire {
+            plan = plan.with_misfires(rate.min(65_536) as u32);
         }
+        if let Some((shard, at)) = stuck {
+            plan = plan.with_stuck_shard(shard, at);
+        }
+        config.fault = Some(plan);
     }
-    Some(plan)
-}
-
-/// Applies the session-deadline and resume-journal flags to `config`:
-/// `--read-timeout-ms` (how long a session thread parks in a read
-/// before re-checking shutdown and the idle deadline),
-/// `--session-idle-ms` (the silent-client teardown and parked-session
-/// reap deadline), and `--journal-max-kib` (the per-session resume
-/// journal cap). Flags not present leave `config` untouched; zero
-/// values clamp to the smallest legal setting.
-pub fn deadline_args(config: &mut crate::server::ServerConfig) {
+    if let Some(n) = arg_num::<u64>("--retry-attempts") {
+        config.retry = RetryPolicy::attempts(n.clamp(1, u64::from(u8::MAX)) as u8);
+    }
     if let Some(ms) = arg_num::<u64>("--read-timeout-ms") {
         config.read_timeout_ms = ms.max(1);
     }
@@ -101,16 +104,8 @@ pub fn deadline_args(config: &mut crate::server::ServerConfig) {
             .unwrap_or(usize::MAX)
             .max(1);
     }
-}
-
-/// The retry policy from `--retry-attempts A` (1 disables retry), or
-/// `default` when the flag is absent.
-#[must_use]
-pub fn retry_args(default: codic_core::fault::RetryPolicy) -> codic_core::fault::RetryPolicy {
-    match arg_num::<u64>("--retry-attempts") {
-        Some(n) => codic_core::fault::RetryPolicy::attempts(n.clamp(1, u64::from(u8::MAX)) as u8),
-        None => default,
-    }
+    config.fleet_slots = arg_num("--fleet-slots").unwrap_or(config.fleet_slots);
+    config
 }
 
 #[cfg(test)]

@@ -59,7 +59,9 @@ use crate::proto::{
     SessionParams, Summary, MAX_QOS_WEIGHT, MAX_QUOTA_CLAIM, MAX_TENANT_CLAIM, PROTOCOL_VERSION,
 };
 
-/// Server-side session defaults and caps.
+/// Server-side session defaults and caps, read from the flags by
+/// [`crate::cli::server_config`]: every session's substrate is built
+/// from them by [`ServerConfig::fleet`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Default pool shards per session (a `Hello` may override).
@@ -212,6 +214,24 @@ impl ServerConfig {
         .with_refresh(params.refresh == 1)
         .with_compute_rows(u64::from(params.compute_rows))
     }
+
+    /// The fleet a session with `params` runs on: `slots` slots of
+    /// `params.shards` shards each, with this config's fault plan, retry
+    /// and health policy, and the session's outstanding cap as the
+    /// per-tenant quota. A private session's fleet has one slot, a
+    /// shared server's [`ServerConfig::fleet_slots`].
+    #[must_use]
+    pub fn fleet(&self, params: &SessionParams, slots: usize) -> FleetHandle {
+        let mut device = ServerConfig::device_config(params).with_retry(self.retry);
+        if let Some(plan) = self.fault {
+            device = device.with_faults(plan);
+        }
+        FleetHandle::new(
+            FleetConfig::new(slots, (params.shards as usize).max(1), device)
+                .with_quota((params.max_outstanding as usize).max(1))
+                .with_health(self.health),
+        )
+    }
 }
 
 /// One finished operation with its session metadata: the fleet's event
@@ -219,34 +239,12 @@ impl ServerConfig {
 /// [`FleetEvent::to_wire`] and [`FleetEvent::to_wire_failure`].
 pub type ReplayCompletion = FleetEvent;
 
-/// The fleet shape a session with `params` runs on: `slots` slots of
-/// `params.shards` shards each, carrying the fault plan, retry policy,
-/// and health policy, with the session's outstanding cap as the
-/// per-tenant quota. A private session's fleet has one slot; a shared
-/// server's has [`ServerConfig::fleet_slots`], shaped by its negotiated
-/// defaults.
-fn fleet_config(
-    params: &SessionParams,
-    fault: Option<FaultPlan>,
-    retry: RetryPolicy,
-    health: HealthPolicy,
-    slots: usize,
-) -> FleetConfig {
-    let mut device = ServerConfig::device_config(params).with_retry(retry);
-    if let Some(plan) = fault {
-        device = device.with_faults(plan);
-    }
-    FleetConfig::new(slots, (params.shards as usize).max(1), device)
-        .with_quota((params.max_outstanding as usize).max(1))
-        .with_health(health)
-}
-
 /// The deterministic per-session serving core: typed batches in,
 /// completion-ordered [`ReplayCompletion`]s out.
 ///
-/// Every engine is one tenancy on a [`FleetHandle`]: a private session
-/// holds the only slot of a fleet built for it, a shared-fleet session
-/// one slot of the server's fleet. The fleet runs the whole discipline
+/// Every engine is one tenancy on a fleet of [`ServerConfig::fleet`]:
+/// a private session holds the only slot of a fleet built for it, a
+/// shared-fleet session one slot of the server's. The fleet runs the whole discipline
 /// on the tenant's own pool — routed all-or-nothing submission,
 /// step-wise quota backpressure, a health check at every batch
 /// boundary, a `(finish_cycle, seq)` drain — so both serve the same
@@ -270,32 +268,12 @@ impl Drop for ReplayEngine {
 }
 
 impl ReplayEngine {
-    /// An engine over a fresh private pool per `params` (see
-    /// [`ServerConfig::device_config`]), with no fault injection — the
-    /// reference the client's `--verify` mode replays against.
+    /// An engine on a fresh one-slot fleet of the default config, so
+    /// with no fault injection: the reference `--verify` replays against.
     #[must_use]
     pub fn new(params: &SessionParams) -> Self {
-        ReplayEngine::with_faults(
-            params,
-            None,
-            RetryPolicy::default(),
-            HealthPolicy::default(),
-        )
-    }
-
-    /// An engine whose private pool carries a fault-injection plan,
-    /// retry policy, and health policy: the only slot of a one-slot
-    /// fleet. `fault = None` makes this identical to
-    /// [`ReplayEngine::new`].
-    #[must_use]
-    pub fn with_faults(
-        params: &SessionParams,
-        fault: Option<FaultPlan>,
-        retry: RetryPolicy,
-        health: HealthPolicy,
-    ) -> Self {
-        let fleet = FleetHandle::new(fleet_config(params, fault, retry, health, 1));
-        ReplayEngine::for_fleet(params, &fleet).expect("a new one-slot fleet has its slot free")
+        ReplayEngine::for_fleet(params, &ServerConfig::default().fleet(params, 1))
+            .expect("a new one-slot fleet has its slot free")
     }
 
     /// An engine serving one tenant of a shared fleet: acquires a slot
@@ -506,8 +484,8 @@ impl SessionRegistry {
     }
 }
 
-/// Serves one established session over any byte stream (the Unix-socket
-/// path wraps this; tests may drive it over an in-memory pipe).
+/// Serves one established session over any byte stream, such as an
+/// in-memory pipe, through the same connection entry as every socket.
 ///
 /// # Errors
 ///
@@ -518,13 +496,10 @@ pub fn serve_session<R: Read, W: Write>(
     writer: &mut W,
     config: &ServerConfig,
 ) -> io::Result<SessionEnd> {
-    serve_connection(
-        reader,
-        writer,
-        config,
-        &AtomicBool::new(false),
-        &SessionRegistry::default(),
-    )
+    let shutdown = AtomicBool::new(false);
+    let mut reader = SessionReader::new(reader, &shutdown, config);
+    let registry = SessionRegistry::default();
+    serve_connection(&mut reader, writer, config, &registry, None)
 }
 
 /// What the serving loop pulled from the stream between frames.
@@ -604,9 +579,12 @@ impl<R: Read> Read for SessionReader<'_, R> {
 
 /// Serves one *connection* against a shared [`SessionRegistry`]: a
 /// `Hello` opens a fresh session; a `Resume` re-attaches a parked one.
-/// [`serve_session`] is this with a throwaway registry (no
-/// cross-connection resume) and no shutdown flag; the [`ReplayServer`]
-/// runs its fleet-aware form per accepted socket.
+/// [`serve_session`] and every [`ReplayServer`] session thread enter
+/// here. With `Some(fleet)` the `Hello` acquires a slot of that shared
+/// fleet, whose substrate (shards, capacity, refresh, compute region)
+/// is fleet-wide: the client's requests for it are ignored and the ack
+/// reports the fleet's shape (`tenants` = slot count). Without one it
+/// gets a private one-slot fleet.
 ///
 /// # Errors
 ///
@@ -614,23 +592,6 @@ impl<R: Read> Read for SessionReader<'_, R> {
 /// violations, disconnects, deadlines, and parking are reported in
 /// [`SessionEnd`].
 fn serve_connection<R: Read, W: Write>(
-    reader: &mut R,
-    writer: &mut W,
-    config: &ServerConfig,
-    shutdown: &AtomicBool,
-    registry: &SessionRegistry,
-) -> io::Result<SessionEnd> {
-    let mut reader = SessionReader::new(reader, shutdown, config);
-    serve_connection_inner(&mut reader, writer, config, registry, None)
-}
-
-/// [`serve_connection`] with an optional shared fleet: with
-/// `Some(fleet)` the `Hello` acquires a tenant slot instead of building
-/// a private pool, and substrate parameters (shards, capacity, refresh,
-/// compute region) are fleet-wide — the client's requests for them are
-/// ignored and the ack reports the fleet's shape (`tenants` = slot
-/// count).
-fn serve_connection_inner<R: Read, W: Write>(
     reader: &mut SessionReader<'_, R>,
     writer: &mut W,
     config: &ServerConfig,
@@ -674,36 +635,24 @@ fn serve_connection_inner<R: Read, W: Write>(
                 );
                 return reject(writer, ErrorCode::Policy, reason);
             }
-            let params = match fleet {
-                // Fleet sessions share one substrate: its shape was
-                // fixed at bind, so the client's substrate fields are
-                // replaced by "server default" sentinels and the ack
-                // reports the fleet's honest shape.
-                Some(fleet) => {
-                    let mut params = config.negotiate(&SessionParams {
-                        shards: 0,
-                        module_mib: 0,
-                        refresh: 2,
-                        compute_rows: 0,
-                        ..hello
-                    });
-                    params.tenants = fleet.slots().min(usize::from(u16::MAX)) as u16;
-                    params
-                }
-                None => config.negotiate(&hello),
-            };
-            let engine = match fleet {
-                Some(fleet) => match ReplayEngine::for_fleet(&params, fleet) {
-                    Some(engine) => engine,
-                    None => {
-                        let reason =
-                            format!("no free tenant slots (fleet serves {})", fleet.slots());
-                        return reject(writer, ErrorCode::Unavailable, reason);
-                    }
+            // A shared fleet's shape was fixed at bind, so the client's
+            // substrate fields become "server default" sentinels.
+            let hello = match fleet {
+                Some(_) => SessionParams {
+                    shards: 0,
+                    module_mib: 0,
+                    refresh: 2,
+                    compute_rows: 0,
+                    ..hello
                 },
-                None => {
-                    ReplayEngine::with_faults(&params, config.fault, config.retry, config.health)
-                }
+                None => hello,
+            };
+            let mut params = config.negotiate(&hello);
+            params.tenants = fleet.map_or(0, |f| f.slots().min(usize::from(u16::MAX)) as u16);
+            let fleet = fleet.cloned().unwrap_or_else(|| config.fleet(&params, 1));
+            let Some(engine) = ReplayEngine::for_fleet(&params, &fleet) else {
+                let reason = format!("no free tenant slots (fleet serves {})", fleet.slots());
+                return reject(writer, ErrorCode::Unavailable, reason);
             };
             let token = registry.mint_token();
             write_frame_crc(writer, &Frame::HelloAck { params, token })?;
@@ -1387,22 +1336,11 @@ impl ReplayServer {
     }
 
     /// Assembles the server, building the shared fleet when
-    /// [`ServerConfig::fleet_slots`] asks for one: `fleet_slots` slots
-    /// of the configured shard count, on the substrate the server's
-    /// defaults negotiate (fault plan, retry and health policy
-    /// included), with the server's outstanding cap as the default
-    /// per-tenant quota.
+    /// [`ServerConfig::fleet_slots`] asks for one, on the substrate the
+    /// server's defaults negotiate.
     fn build(listener: Listener, path: PathBuf, config: ServerConfig) -> Self {
-        let fleet = (config.fleet_slots > 0).then(|| {
-            let params = config.negotiate(&SessionParams::defaults());
-            FleetHandle::new(fleet_config(
-                &params,
-                config.fault,
-                config.retry,
-                config.health,
-                config.fleet_slots,
-            ))
-        });
+        let defaults = config.negotiate(&SessionParams::defaults());
+        let fleet = (config.fleet_slots > 0).then(|| config.fleet(&defaults, config.fleet_slots));
         ReplayServer {
             listeners: vec![listener],
             config,
@@ -1548,13 +1486,7 @@ impl ReplayServer {
             let mut read_half = BufReader::new(reader);
             let mut reader = SessionReader::new(&mut read_half, &shutdown.0, &config);
             let mut writer = BufWriter::new(writer);
-            let _ = serve_connection_inner(
-                &mut reader,
-                &mut writer,
-                &config,
-                &registry,
-                fleet.as_ref(),
-            );
+            let _ = serve_connection(&mut reader, &mut writer, &config, &registry, fleet.as_ref());
         })
     }
 }
@@ -1955,10 +1887,31 @@ mod tests {
         for (setting, stream) in dropped {
             assert_ne!(stream, reference, "the {setting} must matter");
         }
-        let mut engine = ReplayEngine::with_faults(&params, fault, retry, health);
+        let config = ServerConfig {
+            fault,
+            retry,
+            health,
+            ..ServerConfig::default()
+        };
+        let mut engine = ReplayEngine::for_fleet(&params, &config.fleet(&params, 1)).unwrap();
         let mut served: Drains = ops.chunks(64).map(|b| engine.submit_batch(b)).collect();
         served.push(Ok(engine.flush()));
         assert_eq!(served, reference);
+    }
+
+    /// Serves one connection from the bytes `input` into `output`, the
+    /// way a [`ReplayServer`] session thread does: against `registry`,
+    /// watching `shutdown`, on `fleet` when there is one.
+    fn serve_in_memory(
+        mut input: &[u8],
+        output: &mut impl Write,
+        config: &ServerConfig,
+        shutdown: &AtomicBool,
+        registry: &SessionRegistry,
+        fleet: Option<&FleetHandle>,
+    ) -> io::Result<SessionEnd> {
+        let mut reader = SessionReader::new(&mut input, shutdown, config);
+        serve_connection(&mut reader, output, config, registry, fleet)
     }
 
     /// The frames of a 300-op session: Hello, 64-op batches, Bye.
@@ -2104,14 +2057,8 @@ mod tests {
         let input = crc_input(&clean_session);
         let mut output = Vec::new();
         let registry = SessionRegistry::default();
-        let end = serve_connection(
-            &mut input.as_slice(),
-            &mut output,
-            &config,
-            &shutdown,
-            &registry,
-        )
-        .unwrap();
+        let end =
+            serve_in_memory(&input, &mut output, &config, &shutdown, &registry, None).unwrap();
         assert!(matches!(end, SessionEnd::Bye), "clean run: {end:?}");
         let clean = crc_frames(&output);
         let clean_units = event_units(&clean);
@@ -2129,14 +2076,8 @@ mod tests {
         let cut_frame = crc_input(&[Frame::Batch(ops[192..256].to_vec())]);
         input.extend_from_slice(&cut_frame[..cut_frame.len() / 2]);
         let mut output1 = Vec::new();
-        let end = serve_connection(
-            &mut input.as_slice(),
-            &mut output1,
-            &config,
-            &shutdown,
-            &registry,
-        )
-        .unwrap();
+        let end =
+            serve_in_memory(&input, &mut output1, &config, &shutdown, &registry, None).unwrap();
         assert!(matches!(end, SessionEnd::Suspended), "cut parks: {end:?}");
         assert_eq!(registry.parked_sessions(), 1);
         let conn1 = crc_frames(&output1);
@@ -2162,14 +2103,8 @@ mod tests {
         second.push(Frame::Bye);
         let input = crc_input(&second);
         let mut output2 = Vec::new();
-        let end = serve_connection(
-            &mut input.as_slice(),
-            &mut output2,
-            &config,
-            &shutdown,
-            &registry,
-        )
-        .unwrap();
+        let end =
+            serve_in_memory(&input, &mut output2, &config, &shutdown, &registry, None).unwrap();
         assert!(matches!(end, SessionEnd::Bye), "resumed run: {end:?}");
         let conn2 = crc_frames(&output2);
         let ack = match &conn2[0] {
@@ -2213,14 +2148,7 @@ mod tests {
         ];
         let input = crc_input(&session);
         let mut output = Vec::new();
-        serve_connection(
-            &mut input.as_slice(),
-            &mut output,
-            &config,
-            &shutdown,
-            &registry,
-        )
-        .unwrap();
+        serve_in_memory(&input, &mut output, &config, &shutdown, &registry, None).unwrap();
         let clean = crc_frames(&output);
         let token = match clean[0] {
             Frame::HelloAck { token, .. } => token,
@@ -2238,14 +2166,8 @@ mod tests {
             events_received: total,
         })]);
         let mut output = Vec::new();
-        let end = serve_connection(
-            &mut input.as_slice(),
-            &mut output,
-            &config,
-            &shutdown,
-            &registry,
-        )
-        .unwrap();
+        let end =
+            serve_in_memory(&input, &mut output, &config, &shutdown, &registry, None).unwrap();
         assert!(matches!(end, SessionEnd::Bye), "redelivery: {end:?}");
         let redelivered = crc_frames(&output);
         match &redelivered[0] {
@@ -2300,14 +2222,7 @@ mod tests {
             bytes: Vec::new(),
             left: 2 << 20,
         };
-        let end = serve_connection(
-            &mut input.as_slice(),
-            &mut cut,
-            &config,
-            &shutdown,
-            &registry,
-        )
-        .unwrap();
+        let end = serve_in_memory(&input, &mut cut, &config, &shutdown, &registry, None).unwrap();
         assert!(matches!(end, SessionEnd::Suspended), "cut parks: {end:?}");
         assert_eq!(registry.parked_sessions(), 1);
         let token = match proto::read_frame_crc(&mut cut.bytes.as_slice()).unwrap() {
@@ -2324,14 +2239,8 @@ mod tests {
             Frame::Bye,
         ]);
         let mut output = Vec::new();
-        let end = serve_connection(
-            &mut input.as_slice(),
-            &mut output,
-            &config,
-            &shutdown,
-            &registry,
-        )
-        .unwrap();
+        let end =
+            serve_in_memory(&input, &mut output, &config, &shutdown, &registry, None).unwrap();
         assert!(matches!(end, SessionEnd::Bye), "resumed run: {end:?}");
         let frames = crc_frames(&output);
         match &frames[0] {
@@ -2377,14 +2286,7 @@ mod tests {
             .len(),
         };
         let input = crc_input(&[Frame::Hello(hello), Frame::Batch(ops[..64].to_vec())]);
-        serve_connection(
-            &mut input.as_slice(),
-            &mut cut,
-            &config,
-            &shutdown,
-            &registry,
-        )
-        .unwrap();
+        serve_in_memory(&input, &mut cut, &config, &shutdown, &registry, None).unwrap();
         let token = match proto::read_frame_crc(&mut cut.bytes.as_slice()).unwrap() {
             Frame::HelloAck { token, .. } => token,
             other => panic!("expected HelloAck, got {other:?}"),
@@ -2414,14 +2316,8 @@ mod tests {
                 bytes: Vec::new(),
                 left: ack.len(),
             };
-            let end = serve_connection(
-                &mut input.as_slice(),
-                &mut cut,
-                &config,
-                &shutdown,
-                &registry,
-            )
-            .unwrap();
+            let end =
+                serve_in_memory(&input, &mut cut, &config, &shutdown, &registry, None).unwrap();
             assert!(matches!(end, SessionEnd::Suspended), "cut parks: {end:?}");
             let (after, bytes) = parked_journal(&registry);
             let emission = (after - total) as usize * 41;
@@ -2446,14 +2342,7 @@ mod tests {
         ]);
         input.extend_from_slice(&crc_input(&[Frame::Batch(ops[64..].to_vec())])[..20]);
         let mut output = Vec::new();
-        let end = serve_connection(
-            &mut input.as_slice(),
-            &mut output,
-            config,
-            &shutdown,
-            &registry,
-        )
-        .unwrap();
+        let end = serve_in_memory(&input, &mut output, config, &shutdown, &registry, None).unwrap();
         assert!(matches!(end, SessionEnd::Suspended), "cut parks: {end:?}");
         let conn = crc_frames(&output);
         let token = match conn[0] {
@@ -2477,12 +2366,13 @@ mod tests {
             events_received: u64::MAX,
         })]);
         let mut output = Vec::new();
-        let end = serve_connection(
-            &mut input.as_slice(),
+        let end = serve_in_memory(
+            &input,
             &mut output,
             &config,
             &AtomicBool::new(false),
             &registry,
+            None,
         )
         .unwrap();
         assert!(matches!(end, SessionEnd::Rejected(_)), "got {end:?}");
@@ -2513,12 +2403,13 @@ mod tests {
             events_received: 0,
         })]);
         let mut output = Vec::new();
-        let end = serve_connection(
-            &mut input.as_slice(),
+        let end = serve_in_memory(
+            &input,
             &mut output,
             &tiny,
             &AtomicBool::new(false),
             &registry,
+            None,
         )
         .unwrap();
         assert!(matches!(end, SessionEnd::Rejected(_)), "got {end:?}");
@@ -2545,14 +2436,7 @@ mod tests {
             events_received: 0,
         })]);
         let mut output = Vec::new();
-        let end = serve_connection(
-            &mut input.as_slice(),
-            &mut output,
-            &quick,
-            &shutdown,
-            &registry,
-        )
-        .unwrap();
+        let end = serve_in_memory(&input, &mut output, &quick, &shutdown, &registry, None).unwrap();
         assert!(matches!(end, SessionEnd::Rejected(_)), "got {end:?}");
         match &crc_frames(&output)[0] {
             Frame::Error { code, .. } => assert_eq!(*code, ErrorCode::Version),
@@ -2567,14 +2451,7 @@ mod tests {
             events_received: 0,
         })]);
         let mut output = Vec::new();
-        let end = serve_connection(
-            &mut input.as_slice(),
-            &mut output,
-            &quick,
-            &shutdown,
-            &registry,
-        )
-        .unwrap();
+        let end = serve_in_memory(&input, &mut output, &quick, &shutdown, &registry, None).unwrap();
         assert!(matches!(end, SessionEnd::Rejected(_)), "got {end:?}");
         match &crc_frames(&output)[0] {
             Frame::Error { code, detail } => {
@@ -2596,12 +2473,13 @@ mod tests {
                 events_received: delivered,
             })]);
             let mut output = Vec::new();
-            let end = serve_connection(
-                &mut input.as_slice(),
+            let end = serve_in_memory(
+                &input,
                 &mut output,
                 &config,
                 &AtomicBool::new(false),
                 &registry,
+                None,
             )
             .unwrap();
             (end, crc_frames(&output))
@@ -2851,14 +2729,7 @@ mod tests {
     /// A fleet built exactly the way [`ReplayServer::build`] builds one
     /// from this config.
     fn test_fleet(config: &ServerConfig, slots: usize) -> FleetHandle {
-        let params = config.negotiate(&SessionParams::defaults());
-        FleetHandle::new(fleet_config(
-            &params,
-            config.fault,
-            config.retry,
-            config.health,
-            slots,
-        ))
+        config.fleet(&config.negotiate(&SessionParams::defaults()), slots)
     }
 
     /// Serves one CRC-framed session (fleet or private) in memory and
@@ -2871,14 +2742,9 @@ mod tests {
         let input = crc_input(frames);
         let mut output = Vec::new();
         let registry = SessionRegistry::default();
-        let end = serve_connection_inner(
-            &mut SessionReader::new(&mut input.as_slice(), &AtomicBool::new(false), config),
-            &mut output,
-            config,
-            &registry,
-            fleet,
-        )
-        .unwrap();
+        let shutdown = AtomicBool::new(false);
+        let end =
+            serve_in_memory(&input, &mut output, config, &shutdown, &registry, fleet).unwrap();
         (end, crc_frames(&output))
     }
 
@@ -2909,10 +2775,11 @@ mod tests {
             let input = crc_input(&fleet_session);
             let mut output = Vec::new();
             let registry = SessionRegistry::default();
-            let end = serve_connection_inner(
-                &mut SessionReader::new(&mut input.as_slice(), &AtomicBool::new(false), &config),
+            let end = serve_in_memory(
+                &input,
                 &mut output,
                 &config,
+                &AtomicBool::new(false),
                 &registry,
                 Some(&fleet),
             )

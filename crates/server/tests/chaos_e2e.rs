@@ -123,12 +123,9 @@ fn misfires_on_the_wire_flip_outcome_bits_and_nothing_else() {
     // The in-process faulted engine, batched identically, must agree
     // with the socket stream event for event — one determinism check
     // across two fully independent runs.
-    let mut engine = ReplayEngine::with_faults(
-        &faulted.params,
-        Some(plan),
-        RetryPolicy::default(),
-        Default::default(),
-    );
+    let config = chaos_config(plan, RetryPolicy::default());
+    let fleet = config.fleet(&faulted.params, 1);
+    let mut engine = ReplayEngine::for_fleet(&faulted.params, &fleet).expect("a free slot");
     let mut in_process = Vec::with_capacity(ops.len());
     for chunk in ops.chunks(1024) {
         in_process.extend(engine.submit_batch(chunk).expect("in range"));

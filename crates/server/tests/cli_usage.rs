@@ -40,6 +40,17 @@ fn an_out_of_range_module_size_is_refused_not_wrapped() {
 }
 
 #[test]
+fn a_stuck_shard_or_cycle_given_alone_is_refused_not_served() {
+    // Alone, `--stuck-shard` would arm a fault plan with no stuck clock
+    // and `--stuck-at` would be ignored: neither is what was asked for.
+    for alone in [["--stuck-shard", "1"], ["--stuck-at", "3000"]] {
+        let output = replay_client(&alone);
+        assert_usage_error(&output, "--stuck-shard");
+        assert_usage_error(&output, "--stuck-at");
+    }
+}
+
+#[test]
 fn a_flag_in_place_of_a_value_is_refused_not_used_as_a_file_name() {
     // Run in a directory of its own, so a file named `--rows` would be
     // seen and could not clobber anything.
