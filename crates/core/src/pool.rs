@@ -64,7 +64,7 @@
 //! assert!(completions[1].finish_cycle > 0);
 //! ```
 
-use codic_dram::geometry::DramGeometry;
+use codic_dram::geometry::{Divisor, DramGeometry};
 use rayon::prelude::*;
 
 use crate::device::{BatchOutcome, CodicDevice, DeviceConfig, OpCompletion, SweepReport};
@@ -148,10 +148,12 @@ impl PoolOutcome {
 #[derive(Debug)]
 pub struct DevicePool {
     devices: Vec<CodicDevice>,
-    /// Rows per distribution block: one block spans every bank of a
-    /// shard, so consecutive blocks rotate shards without starving any
-    /// shard's bank-level parallelism.
-    block_rows: u64,
+    /// Bytes per distribution block: one block spans one row in every
+    /// bank of a shard, so consecutive blocks rotate shards without
+    /// starving any shard's bank-level parallelism.
+    block_bytes: Divisor,
+    /// The shard count, as the divisor a block's primary shard takes.
+    shards: Divisor,
     /// Per-shard health; quarantined shards take no new traffic.
     health: Vec<ShardHealth>,
     /// Cache of healthy shard indices, in order — the re-routing table
@@ -193,7 +195,10 @@ impl DevicePool {
                     CodicDevice::new(config)
                 })
                 .collect(),
-            block_rows: u64::from(config.geometry.total_banks()).max(1),
+            block_bytes: Divisor::new(
+                DramGeometry::ROW_BYTES * u64::from(config.geometry.total_banks()).max(1),
+            ),
+            shards: Divisor::new(shards as u64),
             health: vec![ShardHealth::Healthy; shards],
             healthy: (0..shards).collect(),
             compute_base: (!region.is_empty()).then_some(region.start),
@@ -229,8 +234,8 @@ impl DevicePool {
             Some(base) if op.is_compute() => base,
             _ => op.row_addr(),
         };
-        let block = addr / DramGeometry::ROW_BYTES / self.block_rows;
-        let primary = (block % self.health.len() as u64) as usize;
+        let block = addr / self.block_bytes;
+        let primary = (block % self.shards) as usize;
         if self.health[primary].is_healthy() || self.healthy.is_empty() {
             primary
         } else {
@@ -576,6 +581,25 @@ mod tests {
         let shards: Vec<usize> = zero_ops(32).iter().map(|&op| p.shard_of(op)).collect();
         let expected: Vec<usize> = (0..32).map(|i| (i / 8) % 4).collect();
         assert_eq!(shards, expected);
+    }
+
+    #[test]
+    fn routing_matches_the_division_formula_at_3_and_4_shards() {
+        // 2 ranks make 16-row blocks, 3 ranks 24-row ones: a power-of-two
+        // and a non-power-of-two block beside each shard count.
+        for (shards, ranks) in [(3, 1), (3, 3), (4, 2), (4, 3)] {
+            let mut geometry = DramGeometry::module_mib(64);
+            geometry.ranks = ranks;
+            let config = DeviceConfig::new(geometry, TimingParams::ddr3_1600_11());
+            let p = DevicePool::new(shards, &config);
+            let block_rows = u64::from(geometry.total_banks());
+            for i in 0..2048u64 {
+                let op = CodicOp::read(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20);
+                let block = op.row_addr() / DramGeometry::ROW_BYTES / block_rows;
+                let expected = (block % shards as u64) as usize;
+                assert_eq!(p.shard_of(op), expected, "{shards} shards, {ranks} ranks");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Physical-address to DRAM-coordinate mapping.
 
-use crate::geometry::{DramGeometry, LINE_BYTES};
+use crate::geometry::{Divisor, DramGeometry, LINE_BYTES};
 
 /// A fully decoded DRAM coordinate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -33,13 +33,29 @@ impl DramAddress {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMapper {
     geometry: DramGeometry,
+    /// The geometry's dimensions as precomputed divisors: lines in the
+    /// module, lines per row, banks per rank, ranks.
+    lines: Divisor,
+    lines_per_row: Divisor,
+    banks_per_rank: Divisor,
+    ranks: Divisor,
 }
 
 impl AddressMapper {
     /// Creates a mapper for `geometry`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dimension of `geometry` is 0.
     #[must_use]
     pub fn new(geometry: DramGeometry) -> Self {
-        AddressMapper { geometry }
+        AddressMapper {
+            geometry,
+            lines: Divisor::new(geometry.total_lines()),
+            lines_per_row: Divisor::new(u64::from(geometry.lines_per_row)),
+            banks_per_rank: Divisor::new(u64::from(geometry.banks_per_rank)),
+            ranks: Divisor::new(u64::from(geometry.ranks)),
+        }
     }
 
     /// The geometry this mapper targets.
@@ -51,20 +67,21 @@ impl AddressMapper {
     /// Decodes a physical byte address. Addresses beyond the module wrap.
     #[must_use]
     pub fn decode(&self, phys_addr: u64) -> DramAddress {
-        let g = &self.geometry;
-        let line_in_module = (phys_addr / LINE_BYTES) % g.total_lines();
-        let line = (line_in_module % u64::from(g.lines_per_row)) as u32;
-        let row_global = line_in_module / u64::from(g.lines_per_row);
-        let bank = (row_global % u64::from(g.banks_per_rank)) as u32;
-        let rank_row = row_global / u64::from(g.banks_per_rank);
-        let rank = (rank_row % u64::from(g.ranks)) as u32;
-        let row = (rank_row / u64::from(g.ranks)) as u32;
+        let line_in_module = phys_addr / LINE_BYTES % self.lines;
+        let (row_global, line) = self.lines_per_row.div_rem(line_in_module);
+        let (rank_row, bank) = self.banks_per_rank.div_rem(row_global);
+        let (row, rank) = self.ranks.div_rem(rank_row);
         DramAddress {
-            rank,
-            bank,
-            row,
-            line,
+            rank: rank as u32,
+            bank: bank as u32,
+            row: row as u32,
+            line: line as u32,
         }
+    }
+
+    /// The rank of the global bank `bank_id` ([`DramAddress::bank_id`]).
+    pub(crate) fn rank_of_bank(&self, bank_id: usize) -> usize {
+        (bank_id as u64 / self.banks_per_rank) as usize
     }
 
     /// Encodes a DRAM coordinate back into a physical byte address

@@ -1200,7 +1200,7 @@ impl MemoryController {
     }
 
     fn rank_of_bank(&self, bank_idx: usize) -> usize {
-        bank_idx / self.mapper.geometry().banks_per_rank as usize
+        self.mapper.rank_of_bank(bank_idx)
     }
 
     fn banks_of_rank(&self, rank_idx: usize) -> std::ops::Range<usize> {

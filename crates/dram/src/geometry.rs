@@ -92,6 +92,66 @@ impl DramGeometry {
     }
 }
 
+/// A divisor fixed at construction, such as a geometry dimension or a
+/// shard count, with its power-of-two case precomputed: there a quotient
+/// is a shift and a remainder a mask, so the per-request index
+/// arithmetic of the mapper, the controller and the pool routes through
+/// no integer division. Any other divisor (a 96 MiB module's row count,
+/// 3 shards) divides as before. A `u64` divides by it with `/` and `%`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Divisor {
+    divisor: u64,
+    /// `log2(divisor)` when it is a power of two, else `u32::MAX`.
+    shift: u32,
+}
+
+impl Divisor {
+    /// Precomputes `divisor`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `divisor` is 0.
+    #[must_use]
+    pub fn new(divisor: u64) -> Self {
+        assert!(divisor > 0, "a divisor must be positive");
+        let shift = if divisor.is_power_of_two() {
+            divisor.trailing_zeros()
+        } else {
+            u32::MAX
+        };
+        Divisor { divisor, shift }
+    }
+
+    /// `(n / divisor, n % divisor)`.
+    #[inline]
+    #[must_use]
+    pub fn div_rem(self, n: u64) -> (u64, u64) {
+        if self.shift == u32::MAX {
+            (n / self.divisor, n % self.divisor)
+        } else {
+            (n >> self.shift, n & (self.divisor - 1))
+        }
+    }
+}
+
+impl std::ops::Div<Divisor> for u64 {
+    type Output = u64;
+
+    #[inline]
+    fn div(self, divisor: Divisor) -> u64 {
+        divisor.div_rem(self).0
+    }
+}
+
+impl std::ops::Rem<Divisor> for u64 {
+    type Output = u64;
+
+    #[inline]
+    fn rem(self, divisor: Divisor) -> u64 {
+        divisor.div_rem(self).1
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,6 +191,23 @@ mod tests {
         let _ = DramGeometry {
             ..DramGeometry::module_mib(0)
         };
+    }
+
+    #[test]
+    fn divisors_agree_with_division() {
+        for d in [1u64, 2, 3, 8, 12, 96, 1 << 20, (1 << 20) + 1, u64::MAX] {
+            let div = Divisor::new(d);
+            for n in [0u64, 1, 7, 8, 95, 96, 12_345_678, u64::MAX - 1, u64::MAX] {
+                assert_eq!(div.div_rem(n), (n / d, n % d), "{n} / {d}");
+                assert_eq!((n / div, n % div), (n / d, n % d), "{n} / {d}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_divisors_are_rejected() {
+        let _ = Divisor::new(0);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod trace;
 pub use address::DramAddress;
 pub use command::CommandKind;
 pub use controller::MemoryController;
-pub use geometry::DramGeometry;
+pub use geometry::{Divisor, DramGeometry};
 pub use request::{MemRequest, ReqKind, RowOpKind};
 pub use stats::MemStats;
 pub use system::System;

@@ -4,7 +4,7 @@ use codic_dram::address::AddressMapper;
 use codic_dram::controller::Completion;
 use codic_dram::geometry::{DramGeometry, LINE_BYTES};
 use codic_dram::request::RowOpKind;
-use codic_dram::{MemRequest, MemStats, MemoryController, ReqKind, TimingParams};
+use codic_dram::{DramAddress, MemRequest, MemStats, MemoryController, ReqKind, TimingParams};
 use proptest::prelude::*;
 
 /// How a controller's clock is moved between request chunks.
@@ -121,21 +121,45 @@ fn replay(
     (completions, *mc.stats(), mc.now())
 }
 
+/// Modules of 64, 96 and 256 MiB with 1 to 3 ranks: power-of-two and
+/// other row, line and rank counts.
+fn geometries() -> impl Strategy<Value = DramGeometry> {
+    (0usize..3, 1u32..=3).prop_map(|(module, ranks)| {
+        let mut g = DramGeometry::module_mib([64, 96, 256][module]);
+        g.ranks = ranks;
+        g
+    })
+}
+
+/// The row:rank:bank:column decode written with plain division, the
+/// reference the mapper's precomputed divisors must match.
+fn divided_decode(g: &DramGeometry, phys_addr: u64) -> DramAddress {
+    let line_in_module = (phys_addr / LINE_BYTES) % g.total_lines();
+    let row_global = line_in_module / u64::from(g.lines_per_row);
+    let rank_row = row_global / u64::from(g.banks_per_rank);
+    DramAddress {
+        rank: (rank_row % u64::from(g.ranks)) as u32,
+        bank: (row_global % u64::from(g.banks_per_rank)) as u32,
+        row: (rank_row / u64::from(g.ranks)) as u32,
+        line: (line_in_module % u64::from(g.lines_per_row)) as u32,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn address_mapping_round_trips(addr in any::<u64>()) {
-        let g = DramGeometry::module_mib(256);
+    fn address_mapping_round_trips(g in geometries(), addr in any::<u64>()) {
         let m = AddressMapper::new(g);
         let line_addr = (addr % g.total_bytes()) / LINE_BYTES * LINE_BYTES;
+        prop_assert_eq!(m.decode(line_addr), divided_decode(&g, line_addr));
         prop_assert_eq!(m.encode(m.decode(line_addr)), line_addr);
     }
 
     #[test]
-    fn decoded_coordinates_are_in_range(addr in any::<u64>()) {
-        let g = DramGeometry::module_mib(64);
+    fn decoded_coordinates_are_in_range(g in geometries(), addr in any::<u64>()) {
         let d = AddressMapper::new(g).decode(addr);
+        prop_assert_eq!(d, divided_decode(&g, addr));
         prop_assert!(d.rank < g.ranks);
         prop_assert!(d.bank < g.banks_per_rank);
         prop_assert!(d.row < g.rows_per_bank);

@@ -717,46 +717,91 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn put_params(buf: &mut Vec<u8>, p: &SessionParams) {
-    buf.extend_from_slice(&p.version.to_le_bytes());
-    buf.extend_from_slice(&p.shards.to_le_bytes());
-    buf.extend_from_slice(&p.module_mib.to_le_bytes());
-    buf.extend_from_slice(&p.max_outstanding.to_le_bytes());
-    buf.extend_from_slice(&p.target_rows_per_s.to_le_bytes());
-    buf.push(p.refresh);
-    buf.extend_from_slice(&p.compute_rows.to_le_bytes());
-    buf.push(p.qos_weight);
-    buf.extend_from_slice(&p.tenants.to_le_bytes());
-    buf.extend_from_slice(&p.quota_ops.to_le_bytes());
+/// The body of a frame of fixed size — every frame but `Batch`, `Events`
+/// and `Error` — encoded into a stack array, so a reply or handshake
+/// frame is written without touching the heap. 64 bytes hold the largest,
+/// a 58-byte `ResumeAck`.
+struct FixedBody {
+    bytes: [u8; 64],
+    len: usize,
+}
+
+impl FixedBody {
+    fn new(tag: u8) -> Self {
+        FixedBody {
+            bytes: [0; 64],
+            len: 0,
+        }
+        .put(&[tag])
+    }
+
+    fn put(mut self, bytes: &[u8]) -> Self {
+        self.bytes[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+        self
+    }
+
+    fn params(self, p: &SessionParams) -> Self {
+        self.put(&p.version.to_le_bytes())
+            .put(&p.shards.to_le_bytes())
+            .put(&p.module_mib.to_le_bytes())
+            .put(&p.max_outstanding.to_le_bytes())
+            .put(&p.target_rows_per_s.to_le_bytes())
+            .put(&[p.refresh])
+            .put(&p.compute_rows.to_le_bytes())
+            .put(&[p.qos_weight])
+            .put(&p.tenants.to_le_bytes())
+            .put(&p.quota_ops.to_le_bytes())
+    }
+
+    /// The body of `frame` when its size is fixed; `None` for `Batch`,
+    /// `Events` and `Error`.
+    fn of(frame: &Frame) -> Option<Self> {
+        Some(match frame {
+            Frame::Hello(p) => FixedBody::new(tag::HELLO).params(p),
+            Frame::HelloAck { params, token } => FixedBody::new(tag::HELLO_ACK)
+                .params(params)
+                .put(&token.to_le_bytes()),
+            Frame::Resume(r) => FixedBody::new(tag::RESUME)
+                .put(&r.version.to_le_bytes())
+                .put(&r.token.to_le_bytes())
+                .put(&r.events_received.to_le_bytes()),
+            Frame::ResumeAck(a) => FixedBody::new(tag::RESUME_ACK)
+                .params(&a.params)
+                .put(&a.token.to_le_bytes())
+                .put(&a.next_seq.to_le_bytes())
+                .put(&a.replay_events.to_le_bytes())
+                .put(&[a.finished]),
+            Frame::Flush => FixedBody::new(tag::FLUSH),
+            Frame::Bye => FixedBody::new(tag::BYE),
+            Frame::Batched(a) => FixedBody::new(tag::BATCHED)
+                .put(&a.seq_base.to_le_bytes())
+                .put(&a.accepted.to_le_bytes())
+                .put(&a.emitted.to_le_bytes())
+                .put(&a.outstanding.to_le_bytes()),
+            Frame::Flushed(a) => FixedBody::new(tag::FLUSHED)
+                .put(&a.emitted.to_le_bytes())
+                .put(&a.now_max.to_le_bytes()),
+            Frame::Summary(s) => FixedBody::new(tag::SUMMARY)
+                .put(&s.ops.to_le_bytes())
+                .put(&s.row_ops.to_le_bytes())
+                .put(&s.failed.to_le_bytes())
+                .put(&s.max_finish_cycle.to_le_bytes())
+                .put(&s.total_energy_nj.to_bits().to_le_bytes())
+                .put(&s.checksum.to_le_bytes()),
+            Frame::Batch(_) | Frame::Events(_) | Frame::Error { .. } => return None,
+        })
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
 }
 
 /// Serializes `frame` as `type byte + payload` (the frame body: what
 /// the CRC32C trailer covers), appending to `buf`.
 pub fn encode_body(frame: &Frame, buf: &mut Vec<u8>) {
     match frame {
-        Frame::Hello(p) => {
-            buf.push(tag::HELLO);
-            put_params(buf, p);
-        }
-        Frame::HelloAck { params, token } => {
-            buf.push(tag::HELLO_ACK);
-            put_params(buf, params);
-            buf.extend_from_slice(&token.to_le_bytes());
-        }
-        Frame::Resume(r) => {
-            buf.push(tag::RESUME);
-            buf.extend_from_slice(&r.version.to_le_bytes());
-            buf.extend_from_slice(&r.token.to_le_bytes());
-            buf.extend_from_slice(&r.events_received.to_le_bytes());
-        }
-        Frame::ResumeAck(a) => {
-            buf.push(tag::RESUME_ACK);
-            put_params(buf, &a.params);
-            buf.extend_from_slice(&a.token.to_le_bytes());
-            buf.extend_from_slice(&a.next_seq.to_le_bytes());
-            buf.extend_from_slice(&a.replay_events.to_le_bytes());
-            buf.push(a.finished);
-        }
         Frame::Batch(ops) => {
             buf.push(tag::BATCH);
             buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
@@ -764,8 +809,6 @@ pub fn encode_body(frame: &Frame, buf: &mut Vec<u8>) {
                 put_op(buf, op);
             }
         }
-        Frame::Flush => buf.push(tag::FLUSH),
-        Frame::Bye => buf.push(tag::BYE),
         Frame::Events(events) => {
             buf.push(tag::EVENTS);
             buf.extend_from_slice(&(events.len() as u32).to_le_bytes());
@@ -782,27 +825,6 @@ pub fn encode_body(frame: &Frame, buf: &mut Vec<u8>) {
                 }
             }
         }
-        Frame::Batched(a) => {
-            buf.push(tag::BATCHED);
-            buf.extend_from_slice(&a.seq_base.to_le_bytes());
-            buf.extend_from_slice(&a.accepted.to_le_bytes());
-            buf.extend_from_slice(&a.emitted.to_le_bytes());
-            buf.extend_from_slice(&a.outstanding.to_le_bytes());
-        }
-        Frame::Flushed(a) => {
-            buf.push(tag::FLUSHED);
-            buf.extend_from_slice(&a.emitted.to_le_bytes());
-            buf.extend_from_slice(&a.now_max.to_le_bytes());
-        }
-        Frame::Summary(s) => {
-            buf.push(tag::SUMMARY);
-            buf.extend_from_slice(&s.ops.to_le_bytes());
-            buf.extend_from_slice(&s.row_ops.to_le_bytes());
-            buf.extend_from_slice(&s.failed.to_le_bytes());
-            buf.extend_from_slice(&s.max_finish_cycle.to_le_bytes());
-            buf.extend_from_slice(&s.total_energy_nj.to_bits().to_le_bytes());
-            buf.extend_from_slice(&s.checksum.to_le_bytes());
-        }
         Frame::Error { code, detail } => {
             buf.push(tag::ERROR);
             buf.push(*code as u8);
@@ -810,6 +832,23 @@ pub fn encode_body(frame: &Frame, buf: &mut Vec<u8>) {
             let len = detail.len().min(u16::MAX as usize);
             buf.extend_from_slice(&(len as u16).to_le_bytes());
             buf.extend_from_slice(&detail[..len]);
+        }
+        fixed => {
+            let body = FixedBody::of(fixed).expect("every other frame has a fixed size");
+            buf.extend_from_slice(body.as_bytes());
+        }
+    }
+}
+
+/// Calls `f` with the body of `frame`: from the stack for a frame of
+/// fixed size, from a fresh `Vec` otherwise.
+fn with_body<T>(frame: &Frame, f: impl FnOnce(&[u8]) -> T) -> T {
+    match FixedBody::of(frame) {
+        Some(body) => f(body.as_bytes()),
+        None => {
+            let mut body = Vec::new();
+            encode_body(frame, &mut body);
+            f(&body)
         }
     }
 }
@@ -1079,22 +1118,36 @@ fn check_crc(body: &[u8]) -> Result<&[u8], ProtoError> {
     Ok(payload)
 }
 
-/// Writes one frame whose body is `head` followed by `units`: the one
-/// place a length prefix and a CRC32C trailer are written. The length
-/// prefix covers the body *and* the 4-byte trailer; the trailer hashes
-/// the body incrementally, so `units` is never copied or re-walked. The
-/// frame goes out in a vectored write-all loop that resumes from the
-/// exact byte offset each `write_vectored` reached.
-fn write_framed<W: Write>(w: &mut W, head: &[u8], units: &[u8]) -> io::Result<()> {
+/// A frame's length prefix and CRC32C trailer, for the body `head`
+/// followed by `units`. The prefix covers the body *and* the 4-byte
+/// trailer; the trailer hashes the body incrementally, so `units` is
+/// never copied.
+fn envelope(head: &[u8], units: &[u8]) -> ([u8; 4], [u8; 4]) {
     let prefix = ((head.len() + units.len() + 4) as u32).to_le_bytes();
     let trailer = (!crc32c_append(crc32c_append(!0, head), units)).to_le_bytes();
+    (prefix, trailer)
+}
+
+/// Writes one frame whose body is `head` followed by `units` and, when
+/// `next` is not empty, a second frame whose body is `next`: the one
+/// place a length prefix and a CRC32C trailer are written. Both frames
+/// go out in one vectored write-all loop that resumes from the exact
+/// byte offset each `write_vectored` reached, so a stream that takes
+/// the whole run at once sees a single write.
+fn write_framed<W: Write>(w: &mut W, head: &[u8], units: &[u8], next: &[u8]) -> io::Result<()> {
+    let (prefix, trailer) = envelope(head, units);
+    let (next_prefix, next_trailer) = envelope(next, &[]);
     let mut slices = [
         IoSlice::new(&prefix),
         IoSlice::new(head),
         IoSlice::new(units),
         IoSlice::new(&trailer),
+        IoSlice::new(&next_prefix),
+        IoSlice::new(next),
+        IoSlice::new(&next_trailer),
     ];
-    let mut slices = &mut slices[..];
+    let frames = if next.is_empty() { 4 } else { slices.len() };
+    let mut slices = &mut slices[..frames];
     while !slices.is_empty() {
         match w.write_vectored(slices) {
             Ok(0) => {
@@ -1119,16 +1172,15 @@ fn counted_head(tag: u8, count: usize) -> [u8; 5] {
 
 /// Writes one frame (no flush — callers batch frames and flush at
 /// protocol boundaries): the length prefix covers the body *and* the
-/// 4-byte CRC32C trailer computed over the body.
+/// 4-byte CRC32C trailer computed over the body. Frames of fixed size
+/// are encoded on the stack.
 ///
 /// # Errors
 ///
 /// Propagates the stream's I/O error; a short write that makes no
 /// progress surfaces as [`io::ErrorKind::WriteZero`].
 pub fn write_frame_crc<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
-    let mut body = Vec::new();
-    encode_body(frame, &mut body);
-    write_framed(w, &body, &[])
+    with_body(frame, |body| write_framed(w, body, &[], &[]))
 }
 
 /// Writes `ops` as one [`Frame::Batch`] frame straight from the borrowed
@@ -1146,7 +1198,7 @@ pub fn write_batch_crc<W: Write>(w: &mut W, ops: &[CodicOp], buf: &mut Vec<u8>) 
     for &op in ops {
         put_op(buf, op);
     }
-    write_framed(w, &counted_head(tag::BATCH, ops.len()), buf)
+    write_framed(w, &counted_head(tag::BATCH, ops.len()), buf, &[])
 }
 
 /// Writes encoded event units as [`Frame::Events`] frames carrying at
@@ -1162,10 +1214,47 @@ pub fn write_batch_crc<W: Write>(w: &mut W, ops: &[CodicOp], buf: &mut Vec<u8>) 
 /// Propagates the stream's I/O error, as [`write_frame_crc`].
 pub fn write_events_crc<W: Write>(
     w: &mut W,
+    units: &[u8],
+    lens: &[u8],
+    frame_bytes: usize,
+) -> io::Result<()> {
+    write_events_then(w, units, lens, frame_bytes, &[])
+}
+
+/// Writes encoded event units as [`write_events_crc`] does with no cap
+/// but [`MAX_FRAME_LEN`], then `reply`: the bytes of those two calls
+/// and a [`write_frame_crc`] of `reply`, with the last `Events` frame
+/// and `reply` handed to the stream in one vectored write. An emission
+/// that fits one frame (under [`MAX_FRAME_LEN`]) reaches the stream in
+/// a single write together with its reply.
+///
+/// # Errors
+///
+/// Propagates the stream's I/O error, as [`write_frame_crc`].
+pub fn write_reply_crc<W: Write>(
+    w: &mut W,
+    units: &[u8],
+    lens: &[u8],
+    reply: &Frame,
+) -> io::Result<()> {
+    with_body(reply, |body| {
+        write_events_then(w, units, lens, usize::MAX, body)
+    })
+}
+
+/// [`write_events_crc`], with the frame body `next` (when not empty)
+/// written in the same vectored write as the last `Events` frame, or
+/// alone when there are no units.
+fn write_events_then<W: Write>(
+    w: &mut W,
     mut units: &[u8],
     mut lens: &[u8],
     frame_bytes: usize,
+    next: &[u8],
 ) -> io::Result<()> {
+    if lens.is_empty() && !next.is_empty() {
+        return write_framed(w, next, &[], &[]);
+    }
     // The length prefix covers the tag, the u32 count, the units and
     // the 4-byte CRC trailer.
     let frame_bytes = frame_bytes.min(MAX_FRAME_LEN as usize - 9);
@@ -1179,9 +1268,9 @@ pub fn write_events_crc<W: Write>(
             size += usize::from(len);
         }
         let (frame, rest) = units.split_at(size);
-        write_framed(w, &counted_head(tag::EVENTS, count), frame)?;
-        units = rest;
-        lens = &lens[count..];
+        (units, lens) = (rest, &lens[count..]);
+        let tail = if lens.is_empty() { next } else { &[] };
+        write_framed(w, &counted_head(tag::EVENTS, count), frame, tail)?;
     }
     debug_assert!(units.is_empty(), "`lens` must cover every unit byte");
     Ok(())
@@ -1503,6 +1592,49 @@ mod tests {
         let mut via_units = Vec::new();
         write_events_crc(&mut via_units, &units, &lens, usize::MAX).unwrap();
         assert_eq!(via_units, via_frame);
+    }
+
+    #[test]
+    fn replies_are_the_events_then_the_reply_in_one_write() {
+        /// Keeps each write call's bytes apart.
+        #[derive(Default)]
+        struct Calls(Vec<Vec<u8>>);
+        impl Write for Calls {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+                self.0
+                    .push(bufs.iter().flat_map(|b| b.iter().copied()).collect());
+                Ok(self.0.last().map_or(0, Vec::len))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let reply = Frame::Batched(BatchAck {
+            seq_base: 7,
+            accepted: 3,
+            emitted: 4,
+            outstanding: 1,
+        });
+        let error = Frame::Error {
+            code: ErrorCode::Unavailable,
+            detail: "idle".into(),
+        };
+        for events in [sample_events(), Vec::new()] {
+            for reply in [&reply, &error] {
+                let (units, lens) = encode_units(&events);
+                let mut expected = Vec::new();
+                write_events_crc(&mut expected, &units, &lens, usize::MAX).unwrap();
+                write_frame_crc(&mut expected, reply).unwrap();
+                let mut calls = Calls::default();
+                write_reply_crc(&mut calls, &units, &lens, reply).unwrap();
+                assert_eq!(calls.0.len(), 1, "one write call");
+                assert_eq!(calls.0[0], expected);
+            }
+        }
     }
 
     /// One op of every kind, each command variant included.

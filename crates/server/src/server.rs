@@ -36,6 +36,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasher, RandomState};
 use std::io::{self, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -52,7 +53,6 @@ use codic_core::fleet::{FleetConfig, FleetEvent, FleetHandle, TenantId};
 use codic_core::ops::CodicOp;
 use codic_dram::{DramGeometry, TimingParams};
 
-use crate::chaos::mix64;
 use crate::governor::RateGovernor;
 use crate::proto::{
     self, write_frame_crc, BatchAck, ErrorCode, FlushAck, Fnv64, Frame, ProtoError, ResumeAck,
@@ -414,6 +414,9 @@ struct SessionRegistry {
     /// connection's thread noticed the cut can wait for the handoff.
     parked: Condvar,
     tokens: AtomicU64,
+    /// The key of the token PRF: SipHash keys that std draws at random
+    /// per process, one key per registry.
+    key: RandomState,
 }
 
 impl fmt::Debug for SessionRegistry {
@@ -437,11 +440,20 @@ impl SessionRegistry {
         before - inner.len()
     }
 
-    /// A fresh session token: unique per registry (counter-derived,
-    /// whitened through splitmix64) and never 0.
+    /// A fresh session token: a counter hashed under the registry's
+    /// secret key, so no peer can predict a token from the ones it has
+    /// seen or from another server's (a keyed bijection such as a
+    /// whitened counter would hand a client every later token once it
+    /// inverted its own). Re-minted on 0 and on a parked session's
+    /// token, so a token names at most one session.
     fn mint_token(&self) -> u64 {
-        let n = self.tokens.fetch_add(1, Ordering::Relaxed);
-        mix64(n.wrapping_add(0xc0d1_c0de_5e55_1040)).max(1)
+        loop {
+            let n = self.tokens.fetch_add(1, Ordering::Relaxed);
+            let token = self.key.hash_one(n);
+            if token != 0 && !self.lock().contains_key(&token) {
+                return token;
+            }
+        }
     }
 
     fn park(&self, session: SessionState, engine: Option<ReplayEngine>) {
@@ -826,17 +838,15 @@ fn handle_frame<W: Write>(
             let seq_base = engine.next_seq();
             match engine.submit_batch(&ops) {
                 Ok(completions) => {
-                    session.tally.emit(writer, &completions)?;
-                    write_frame_crc(
-                        writer,
-                        &Frame::Batched(BatchAck {
-                            seq_base,
-                            accepted: ops.len() as u32,
-                            emitted: completions.len() as u32,
-                            outstanding: engine.outstanding() as u64,
-                        }),
-                    )?;
-                    writer.flush()?;
+                    let ack = BatchAck {
+                        seq_base,
+                        accepted: ops.len() as u32,
+                        emitted: completions.len() as u32,
+                        outstanding: engine.outstanding() as u64,
+                    };
+                    session
+                        .tally
+                        .emit(writer, &completions, |_| Frame::Batched(ack))?;
                     if let Some(pause) = session.governor.on_rows(ops.len() as u64) {
                         thread::sleep(pause);
                     }
@@ -856,15 +866,13 @@ fn handle_frame<W: Write>(
         }
         Frame::Flush => {
             let completions = engine.flush();
-            session.tally.emit(writer, &completions)?;
-            write_frame_crc(
-                writer,
-                &Frame::Flushed(FlushAck {
-                    emitted: completions.len() as u64,
-                    now_max: engine.now_max(),
-                }),
-            )?;
-            writer.flush()?;
+            let ack = FlushAck {
+                emitted: completions.len() as u64,
+                now_max: engine.now_max(),
+            };
+            session
+                .tally
+                .emit(writer, &completions, |_| Frame::Flushed(ack))?;
             Ok(None)
         }
         other => {
@@ -885,10 +893,14 @@ fn close<W: Write>(
     error: Option<&str>,
 ) -> io::Result<()> {
     let completions = engine.flush();
-    session.tally.emit(writer, &completions)?;
-    if let Some(detail) = error {
-        send_error(writer, ErrorCode::Unavailable, detail)?;
-    }
+    let Some(detail) = error else {
+        return session.tally.emit(writer, &completions, Frame::Summary);
+    };
+    let reason = |_| Frame::Error {
+        code: ErrorCode::Unavailable,
+        detail: detail.to_string(),
+    };
+    session.tally.emit(writer, &completions, reason)?;
     write_frame_crc(writer, &Frame::Summary(session.tally.summary()))?;
     writer.flush()
 }
@@ -1057,17 +1069,22 @@ impl SessionTally {
         }
     }
 
-    /// Streams `completions` as `Events` frames. Every unit is first
-    /// encoded into the resume journal and its *payload* folded into the
-    /// totals and the session checksum; only then is any byte written,
-    /// so a failed write leaves the whole emission journaled for resume.
-    /// Successes count toward `ops`/`row_ops`/energy; failures only
-    /// toward `failed` — the `Summary` reports what the session really
-    /// delivered, not what it attempted.
+    /// Streams `completions` as `Events` frames, then the frame `reply`
+    /// builds from the updated totals, and flushes: the last `Events`
+    /// frame and the reply leave in one vectored write, so a reply whose
+    /// emission fits one frame costs the stream a single write. Every
+    /// unit is first encoded into the resume journal and its *payload*
+    /// folded into the totals and the session checksum; only then is any
+    /// byte written, so a failed write leaves the whole emission
+    /// journaled for resume. Successes count toward
+    /// `ops`/`row_ops`/energy; failures only toward `failed` — the
+    /// `Summary` reports what the session really delivered, not what it
+    /// attempted.
     fn emit<W: Write>(
         &mut self,
         writer: &mut W,
         completions: &[ReplayCompletion],
+        reply: impl FnOnce(Summary) -> Frame,
     ) -> io::Result<()> {
         let totals = &mut self.totals;
         for c in completions {
@@ -1090,11 +1107,12 @@ impl SessionTally {
             self.checksum.update(payload);
         }
         // The whole run ships, in as few frames as the cap allows,
-        // before the caller's ack frame.
+        // before the reply.
+        let reply = reply(self.summary());
         let (units, lens) = self.journal.seal();
-        proto::write_events_crc(writer, units, lens, usize::MAX)?;
+        proto::write_reply_crc(writer, units, lens, &reply)?;
         self.journal.trim();
-        Ok(())
+        writer.flush()
     }
 
     /// Re-emits journaled units from stream index `from` onward as
@@ -2647,14 +2665,17 @@ mod tests {
         assert_eq!(journal.window(), (0, 2));
     }
 
-    /// The unit bytes of each raw `Events` frame in `wire`.
+    /// The unit bytes of each raw `Events` frame in `wire`, other
+    /// frames skipped.
     fn raw_event_units(mut wire: &[u8]) -> Vec<&[u8]> {
         let mut frames = Vec::new();
         while !wire.is_empty() {
             let len = u32::from_le_bytes(wire[0..4].try_into().unwrap()) as usize;
             // Length prefix, tag and count before the units; the CRC
             // trailer after them.
-            frames.push(&wire[9..4 + len - 4]);
+            if proto::events_payload(&wire[4..]).is_some() {
+                frames.push(&wire[9..4 + len - 4]);
+            }
             wire = &wire[4 + len..];
         }
         frames
@@ -2668,7 +2689,7 @@ mod tests {
         assert_eq!(completions.len(), 1000);
         let mut tally = SessionTally::new(ServerConfig::default().journal_max_bytes);
         let mut live = Vec::new();
-        tally.emit(&mut live, &completions).unwrap();
+        tally.emit(&mut live, &completions, Frame::Summary).unwrap();
         let mut replay = Vec::new();
         tally.replay_journal(&mut replay, 0).unwrap();
 
@@ -2695,6 +2716,57 @@ mod tests {
             assert_ne!(token, 0, "tokens are never 0");
             assert!(seen.insert(token), "token minted twice");
         }
+    }
+
+    #[test]
+    fn registries_mint_different_first_tokens() {
+        let (a, b) = (SessionRegistry::default(), SessionRegistry::default());
+        assert_ne!(a.mint_token(), b.mint_token());
+    }
+
+    #[test]
+    fn a_guessed_token_cannot_resume_another_clients_session() {
+        // The first token of a registry that whitened its counter with
+        // splitmix64: every such server minted it first.
+        let guessed = crate::chaos::mix64(0xc0d1_c0de_5e55_1040);
+        assert_eq!(guessed, 0x9f07_491c_ad7c_067c);
+        let config = ServerConfig::default();
+        let shutdown = AtomicBool::new(false);
+        let registry = SessionRegistry::default();
+
+        // The victim: Hello and one batch, then its connection is cut.
+        let victim = crc_input(&[
+            Frame::Hello(SessionParams::defaults()),
+            Frame::Batch(zero_ops(256)),
+        ]);
+        let mut output = Vec::new();
+        let end =
+            serve_in_memory(&victim, &mut output, &config, &shutdown, &registry, None).unwrap();
+        assert!(matches!(end, SessionEnd::Suspended), "cut parks: {end:?}");
+        assert_eq!(registry.parked_sessions(), 1);
+
+        // The attacker resumes with the guessed token and is refused;
+        // the victim's session stays parked for its own resume.
+        let attack = crc_input(&[Frame::Resume(proto::ResumeRequest {
+            version: PROTOCOL_VERSION,
+            token: guessed,
+            events_received: 0,
+        })]);
+        let mut output = Vec::new();
+        let end =
+            serve_in_memory(&attack, &mut output, &config, &shutdown, &registry, None).unwrap();
+        assert!(matches!(end, SessionEnd::Rejected(_)), "got {end:?}");
+        assert!(
+            matches!(
+                &crc_frames(&output)[..],
+                [Frame::Error {
+                    code: ErrorCode::Unavailable,
+                    ..
+                }]
+            ),
+            "the guess gets one Unavailable error and no ack"
+        );
+        assert_eq!(registry.parked_sessions(), 1);
     }
 
     #[test]
